@@ -50,7 +50,7 @@ from .coalgebra import FinalCoalgebra, PointedCoalgebra, zero_coalgebra
 from .dgcat import DgCategory, empty_category, zero_category
 from .field import Field, Vec, vec_bump
 from .matrix import SparseMatrix
-from .quiver import GradedQuiver, Key
+from .quiver import GradedQuiver, Key, composable_words
 
 
 class Splitting:
@@ -169,27 +169,6 @@ def _word_key(w: Tuple[Key, ...], shift: int) -> Key:
     return (w[0][0], w[-1][1], sum(k[2] + shift for k in w), w)
 
 
-def _composable_words(letters: List[Key], max_len: int,
-                      keep: Callable[[Tuple[Key, ...]], bool]) -> List[Tuple[Key, ...]]:
-    by_src: Dict[object, List[Key]] = {}
-    for k in letters:
-        by_src.setdefault(k[0], []).append(k)
-    words: List[Tuple[Key, ...]] = []
-    frontier = [(k,) for k in letters if keep((k,))]
-    length = 1
-    while frontier and (max_len is None or length <= max_len):
-        words.extend(frontier)
-        nxt = []
-        for w in frontier:
-            for k in by_src.get(w[-1][1], ()):
-                w2 = w + (k,)
-                if keep(w2):
-                    nxt.append(w2)
-        frontier = nxt
-        length += 1
-    return words
-
-
 def bar_construction(
     cat: DgCategory,
     weight_cap: int,
@@ -214,7 +193,7 @@ def bar_construction(
 
     sp = splitting if splitting is not None else Splitting(cat)
     bdeg = {k: k[2] - 1 for k in sp.letters}
-    words = _composable_words(sp.letters, weight_cap, lambda w: True)
+    words = composable_words(sp.letters, weight_cap)
 
     slots: Dict[Tuple[object, object, int], List] = {}
     comult = {}
@@ -349,7 +328,7 @@ def cobar_construction(
             return False
         return True
 
-    words = _composable_words(letters, length_cap, keep)
+    words = composable_words(letters, length_cap, keep)
 
     slots: Dict[Tuple[object, object, int], List] = {}
     unit = {}

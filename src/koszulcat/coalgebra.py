@@ -40,9 +40,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .field import Field, Vec, vec_bump, vec_eq
+from .field import Field, Vec, vec_bump
 from .matrix import SparseMatrix
-from .quiver import GradedQuiver, Key
+from .quiver import (GradedQuiver, Key, composable_words, has_cycle, lkey,
+                     pair_key, rkey)
 
 PairVec = Dict[Tuple[Key, Key], object]
 
@@ -214,7 +215,7 @@ class PointedCoalgebra:
                 hb = self.curv.get(b)
                 if hb is not None:
                     vec_bump(F, want, a, F.neg(F.mul(c, hb)))
-            if not vec_eq(dd, want):
+            if dd != want:
                 problems.append(f"d^2 does not match the curvature coaction at {k}")
                 if done():
                     return problems
@@ -227,23 +228,8 @@ class PointedCoalgebra:
         return problems
 
     def _factor_graph_acyclic(self) -> bool:
-        succ: Dict[Key, set] = {}
-        for key, pairs in self.comult.items():
-            s = succ.setdefault(key, set())
-            for (a, b) in pairs:
-                s.add(a)
-                s.add(b)
-        state: Dict[Key, int] = {}
-
-        def dfs(v) -> bool:
-            state[v] = 1
-            for w in succ.get(v, ()):
-                if state.get(w) == 1 or (w not in state and dfs(w)):
-                    return True
-            state[v] = 2
-            return False
-
-        return not any(v not in state and dfs(v) for v in succ)
+        return not has_cycle({key: {k for pair in pairs for k in pair}
+                              for key, pairs in self.comult.items()})
 
     def _conilpotent(self) -> bool:
         if self._factor_graph_acyclic():
@@ -272,14 +258,6 @@ class PointedCoalgebra:
         pairs = set()
         for ps in self.comult.values():
             pairs.update(ps)
-        # matrix of rDelta
-        prow = {p: i for i, p in enumerate(sorted(pairs, key=repr))}
-        dmat = SparseMatrix(F, len(prow), len(keys), {})
-        entries = {}
-        for k in keys:
-            for p, c in self.comult.get(k, {}).items():
-                entries[(prow[p], kpos[k])] = c
-        dmat = SparseMatrix(F, len(prow), len(keys), entries)
 
         stages: List[List[Tuple[object, Vec]]] = []
         flat: List[Vec] = []  # accumulated adapted basis
@@ -476,22 +454,6 @@ def tensor_coalgebras(
     F = c.field
     objects = [(x, y) for x in c.objects for y in d.objects]
 
-    # basis naming: ("G", x) marks a grouplike leg
-    def lkey(ck: Key, dk) -> Key:
-        # ck reduced in C, dk grouplike object of D
-        return ((ck[0], dk), (ck[1], dk), ck[2], ((ck[2], ck[3]), ("G", dk)))
-
-    def rkey(ck, dk: Key) -> Key:
-        return ((ck, dk[0]), (ck, dk[1]), dk[2], (("G", ck), (dk[2], dk[3])))
-
-    def bkey(ck: Key, dk: Key) -> Key:
-        return (
-            (ck[0], dk[0]),
-            (ck[1], dk[1]),
-            ck[2] + dk[2],
-            ((ck[2], ck[3]), (dk[2], dk[3])),
-        )
-
     slots: Dict[tuple, List] = {}
 
     def reg(key: Key):
@@ -507,7 +469,7 @@ def tensor_coalgebras(
             reg(rkey(x, dk))
     for ck in ckeys:
         for dk in dkeys:
-            reg(bkey(ck, dk))
+            reg(pair_key(ck, dk))
     quiver = GradedQuiver(objects, {s: tuple(v) for s, v in slots.items()})
 
     # full Delta on a leg: grouplike ends plus the reduced middle
@@ -535,7 +497,7 @@ def tensor_coalgebras(
             return rkey(cf[1], df)
         if dg:
             return lkey(cf, df[1])
-        return bkey(cf, df)
+        return pair_key(cf, df)
 
     def deg(f) -> int:
         return 0 if (f[0] == "G" and len(f) == 2) else f[2]
@@ -593,7 +555,7 @@ def tensor_coalgebras(
             install(("G", x), dk, rkey(x, dk))
     for ck in ckeys:
         for dk in dkeys:
-            install(ck, dk, bkey(ck, dk))
+            install(ck, dk, pair_key(ck, dk))
 
     return PointedCoalgebra(F, objects, quiver, comult, diff=diff, curv=curv)
 
@@ -611,44 +573,18 @@ def cotensor_coalgebra(
     nothing structurally.  Without a cap the generator graph must be
     acyclic (else the word basis is infinite).
     """
-    succ: Dict[object, set] = {x: set() for x in generators.objects}
-    for (x, y, _n) in generators.slots:
-        succ[x].add(y)
     if max_weight is None:
-        state: Dict[object, int] = {}
-
-        def dfs(v):
-            state[v] = 1
-            for w in succ.get(v, ()):
-                if state.get(w) == 1 or (w not in state and dfs(w)):
-                    return True
-            state[v] = 2
-            return False
-
-        if any(v not in state and dfs(v) for v in generators.objects):
+        succ: Dict[object, set] = {x: set() for x in generators.objects}
+        for (x, y, _n) in generators.slots:
+            succ[x].add(y)
+        if has_cycle(succ):
             raise ValueError("cyclic generator graph needs a weight cap")
 
     gen_keys = list(generators.keys())
     names = [k[3] for k in gen_keys]
     if len(set(names)) != len(names):
         raise ValueError("cotensor generators need globally unique names")
-    by_src: Dict[object, List[Key]] = {}
-    for k in gen_keys:
-        by_src.setdefault(k[0], []).append(k)
-
-    words: List[Tuple[Key, ...]] = []
-    grow = [(k,) for k in gen_keys]
-    while grow:
-        words.extend(grow)
-        nxt = []
-        for w in grow:
-            if max_weight is not None and len(w) >= max_weight:
-                continue
-            for k in by_src.get(w[-1][1], ()):
-                nxt.append(w + (k,))
-        grow = nxt
-        if max_weight is None and words and len(words[-1]) > generators.total_dim() + 1:
-            raise ValueError("word growth out of control")  # unreachable when acyclic
+    words = composable_words(gen_keys, max_weight)
 
     def wkey(w: Tuple[Key, ...]) -> Key:
         return (w[0][0], w[-1][1], sum(k[2] for k in w), tuple(k[3] for k in w))
@@ -766,7 +702,7 @@ class CoalgebraMorphism:
                         vec_bump(
                             F, right, ka, F.mul(sgn, F.mul(c, F.mul(ca, tb)))
                         )
-            if not vec_eq(left, right):
+            if left != right:
                 problems.append(f"differential not respected at {k}")
                 if len(problems) >= max_problems:
                     return problems

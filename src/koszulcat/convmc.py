@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .field import Field, Vec, vec_addmul, vec_bump, vec_eq, vec_scale, vec_sub
-from .quiver import GradedQuiver, Key
+from .field import Field, Vec, vec_addmul, vec_bump, vec_scale, vec_sub
+from .quiver import (GradedQuiver, Key, lkey, object_maps as all_object_maps,
+                     pair_key, rkey)
 from .dgcat import DgCategory, DgFunctor, tensor_dg
 from .coalgebra import (
     CoalgebraMorphism,
@@ -49,28 +50,19 @@ from .barcobar import (
 )
 
 
+# budget of candidates for every exhaustive search below
+SEARCH_BUDGET = 1 << 18
+
+
+def _charge(spent: int, budget: int) -> int:
+    if spent > budget:
+        raise ValueError(f"{spent} candidates exceed the search budget "
+                         f"{budget}; raise budget=")
+    return spent
+
+
 # ---------------------------------------------------------------------------
 # row systems
-
-# Tensor-row naming, shared with the pointed tensor coalgebra so that
-# interchange and Eilenberg-Zilber bookkeeping is pure relabelling.
-
-
-def _lkey(ck: Key, y) -> Key:
-    return ((ck[0], y), (ck[1], y), ck[2], ((ck[2], ck[3]), ("G", y)))
-
-
-def _rkey(x, dk: Key) -> Key:
-    return ((x, dk[0]), (x, dk[1]), dk[2], (("G", x), (dk[2], dk[3])))
-
-
-def _bkey(ck: Key, dk: Key) -> Key:
-    return (
-        (ck[0], dk[0]),
-        (ck[1], dk[1]),
-        ck[2] + dk[2],
-        ((ck[2], ck[3]), (dk[2], dk[3])),
-    )
 
 
 class RowSystem:
@@ -123,9 +115,9 @@ class RowSystem:
 
         for a in ckeys:
             for y in cp.objects:
-                add(_lkey(a, y))
+                add(lkey(a, y))
             for b in pkeys:
-                add(_bkey(a, b))
+                add(pair_key(a, b))
         comult: Dict = {}
         diff: Dict = {}
         curv: Dict = {}
@@ -133,15 +125,15 @@ class RowSystem:
             red_a = c.comult.get(a, {})
             # grouplike right leg: cofactors stay in the same column
             for y in cp.objects:
-                k = _lkey(a, y)
+                k = lkey(a, y)
                 terms: Dict = {}
                 for (a1, a2), al in red_a.items():
-                    vec_bump(F, terms, (_lkey(a1, y), _lkey(a2, y)), al)
+                    vec_bump(F, terms, (lkey(a1, y), lkey(a2, y)), al)
                 if terms:
                     comult[k] = terms
                 dv: Vec = {}
                 for a2, coeff in c.diff.get(a, {}).items():
-                    vec_bump(F, dv, _lkey(a2, y), coeff)
+                    vec_bump(F, dv, lkey(a2, y), coeff)
                 if dv:
                     diff[k] = dv
                 h = c.curv.get(a)
@@ -149,25 +141,25 @@ class RowSystem:
                     curv[k] = h
             sgn_a = F.coerce(-1) if a[2] % 2 else F.one
             for b in pkeys:
-                k = _bkey(a, b)
+                k = pair_key(a, b)
                 terms = {}
                 # a1 (x) a2 against the full coproduct of b; Koszul sign
                 # (-1)^{|a2||b-left|} from moving a2 past the left cofactor
                 for (a1, a2), al in red_a.items():
-                    vec_bump(F, terms, (_lkey(a1, b[0]), _bkey(a2, b)), al)
+                    vec_bump(F, terms, (lkey(a1, b[0]), pair_key(a2, b)), al)
                     s = F.coerce(-1) if (a2[2] * b[2]) % 2 else F.one
-                    vec_bump(F, terms, (_bkey(a1, b), _lkey(a2, b[1])), F.mul(al, s))
+                    vec_bump(F, terms, (pair_key(a1, b), lkey(a2, b[1])), F.mul(al, s))
                     for (b1, b2), bl in cp.comult.get(b, {}).items():
                         s = F.coerce(-1) if (a2[2] * b1[2]) % 2 else F.one
-                        vec_bump(F, terms, (_bkey(a1, b1), _bkey(a2, b2)),
+                        vec_bump(F, terms, (pair_key(a1, b1), pair_key(a2, b2)),
                                  F.mul(F.mul(al, bl), s))
                 if terms:
                     comult[k] = terms
                 dv = {}
                 for a2, coeff in c.diff.get(a, {}).items():
-                    vec_bump(F, dv, _bkey(a2, b), coeff)
+                    vec_bump(F, dv, pair_key(a2, b), coeff)
                 for b2, coeff in cp.diff.get(b, {}).items():
-                    vec_bump(F, dv, _bkey(a, b2), F.mul(sgn_a, coeff))
+                    vec_bump(F, dv, pair_key(a, b2), F.mul(sgn_a, coeff))
                 if dv:
                     diff[k] = dv
                 # h_C (x) eps' kills the non-grouplike right leg; the reduced
@@ -205,17 +197,9 @@ class ConvolutionCategory:
         self.rows = rows
         self.cat = cat
         self.index = {x: i for i, x in enumerate(rows.objects)}
-        targets = list(cat.quiver.objects)
         if object_maps is None:
-            if not rows.objects:
-                maps = [()]
-            else:
-                total = len(targets) ** len(rows.objects)
-                if total > max_objects:
-                    raise ValueError(
-                        f"{total} object maps exceed the cap {max_objects}; "
-                        "pass object_maps explicitly")
-                maps = [tuple(p) for p in product(targets, repeat=len(rows.objects))]
+            maps = list(all_object_maps(rows.objects, cat.quiver.objects,
+                                        max_objects))
         else:
             maps, seen = [], set()
             for m in object_maps:
@@ -387,35 +371,49 @@ class ConvolutionCategory:
 
     # -- materialization and validation ------------------------------------
 
+    def tables(self, objects: Sequence[Tuple[object, Tuple]]):
+        """Quiver, units, products and hom keys over labelled object maps.
+
+        ``objects`` lists (label, object map) pairs.  Every basis key starts
+        with the labels of its two ends, so objects with equal maps stay
+        apart; comp_vec, diff_vec and star only compare those entries.
+        Returns (quiver, unit, comp, keyed) with keyed[(lf, lg)] the hom
+        keys from lf to lg.
+        """
+        keyed: Dict[Tuple, List[Key]] = {}
+        slots: Dict = {}
+        for lf, fk in objects:
+            for lg, gk in objects:
+                ks = [(lf, lg) + k[2:] for k in self.hom_keys(fk, gk)]
+                keyed[(lf, lg)] = ks
+                for k in ks:
+                    slots.setdefault((lf, lg, k[2]), []).append(k[3])
+        quiver = GradedQuiver([lf for lf, _ in objects], slots)
+        unit = {lf: {(lf, lf) + k[2:]: c for k, c in self.unit_vec(fk).items()}
+                for lf, fk in objects}
+        comp = {}
+        for lf, _ in objects:
+            for lg, _ in objects:
+                for lh, _ in objects:
+                    for kpsi in keyed[(lg, lh)]:
+                        for kphi in keyed[(lf, lg)]:
+                            v = self.comp_vec(kpsi, kphi)
+                            if v:
+                                comp[(kpsi, kphi)] = v
+        return quiver, unit, comp, keyed
+
     def to_dg_category(self) -> DgCategory:
         if not self.rows.counital:
             raise ValueError("the reduced convolution category has no units; "
                              "keep the wrapper and use its validator")
-        slots: Dict = {}
-        keyed: Dict[Tuple, List[Key]] = {}
-        for fk in self.object_maps:
-            for gk in self.object_maps:
-                ks = self.hom_keys(fk, gk)
-                keyed[(fk, gk)] = ks
-                for k in ks:
-                    slots.setdefault((fk, gk, k[2]), []).append(k[3])
-        quiver = GradedQuiver(list(self.object_maps), slots)
-        unit = {fk: self.unit_vec(fk) for fk in self.object_maps}
+        quiver, unit, comp, keyed = self.tables(
+            [(fk, fk) for fk in self.object_maps])
         diff = {}
         for ks in keyed.values():
             for k in ks:
                 v = self.diff_vec(k)
                 if v:
                     diff[k] = v
-        comp = {}
-        for fk in self.object_maps:
-            for gk in self.object_maps:
-                for hk in self.object_maps:
-                    for kpsi in keyed[(gk, hk)]:
-                        for kphi in keyed[(fk, gk)]:
-                            v = self.comp_vec(kpsi, kphi)
-                            if v:
-                                comp[(kpsi, kphi)] = v
         curvature = {fk: self.curvature_vec(fk) for fk in self.object_maps}
         if not any(curvature.values()):
             curvature = None
@@ -466,7 +464,7 @@ class ConvolutionCategory:
                 rhs = vec_addmul(F, rhs, F.one, self._outer_curvature(one, True))
                 rhs = vec_addmul(F, rhs, F.coerce(-1),
                                  self._outer_curvature(one, False))
-                if not vec_eq(lhs, rhs):
+                if lhs != rhs:
                     problems.append(f"d^2 identity fails on {k[3]}")
                     if len(problems) >= max_problems:
                         return problems
@@ -483,7 +481,7 @@ class ConvolutionCategory:
                             s = F.coerce(-1) if kpsi[2] % 2 else F.one
                             rhs = vec_addmul(F, rhs, s,
                                              self.star(vpsi, self.apply_d(vphi)))
-                            if not vec_eq(lhs, rhs):
+                            if lhs != rhs:
                                 problems.append(
                                     f"Leibniz fails on ({kpsi[3]}, {kphi[3]})")
                                 if len(problems) >= max_problems:
@@ -501,7 +499,7 @@ class ConvolutionCategory:
                                     vphi = {kphi: F.one}
                                     lhs = self.star(vchi, self.comp_vec(kpsi, kphi))
                                     rhs = self.star(inner, vphi)
-                                    if not vec_eq(lhs, rhs):
+                                    if lhs != rhs:
                                         problems.append(
                                             "associativity fails on "
                                             f"({kchi[3]}, {kpsi[3]}, {kphi[3]})")
@@ -608,20 +606,6 @@ def mc_check(c, d: DgCategory, cand: MCElement) -> Tuple[bool, Dict[Key, Vec]]:
     return (not residual), residual
 
 
-def _mc_object_maps(rows: RowSystem, d: DgCategory,
-                    object_maps: Optional[Sequence]) -> List[Dict]:
-    targets = list(d.quiver.objects)
-    if object_maps is None:
-        if not rows.objects:
-            return [{}]
-        return [dict(zip(rows.objects, p))
-                for p in product(targets, repeat=len(rows.objects))]
-    out = []
-    for m in object_maps:
-        out.append(dict(m) if isinstance(m, dict) else dict(zip(rows.objects, m)))
-    return out
-
-
 def _mc_coords(rows: RowSystem, d: DgCategory, om: Dict) -> List[Tuple[Key, Key]]:
     coords = []
     for ck in rows.rows.keys():
@@ -632,7 +616,7 @@ def _mc_coords(rows: RowSystem, d: DgCategory, om: Dict) -> List[Tuple[Key, Key]
 
 
 def mc_enumerate(c, d: DgCategory, object_maps: Optional[Sequence] = None,
-                 budget: int = 1 << 18) -> List[MCElement]:
+                 budget: int = SEARCH_BUDGET) -> List[MCElement]:
     """All Maurer-Cartan elements by exhaustive search.
 
     Needs a finite scalar field as soon as there is a nonzero coordinate
@@ -640,11 +624,13 @@ def mc_enumerate(c, d: DgCategory, object_maps: Optional[Sequence] = None,
     """
     rows = _row_system(c, counital=False)
     F = rows.field
-    maps = _mc_object_maps(rows, d, object_maps)
+    if object_maps is None:
+        object_maps = all_object_maps(rows.objects, d.quiver.objects)
     out: List[MCElement] = []
     seen = set()
     spent = 0
-    for om in maps:
+    for om in object_maps:
+        om = dict(om if isinstance(om, dict) else zip(rows.objects, om))
         for x, y in om.items():
             if y not in d.quiver.objects:
                 raise ValueError(f"object map misses a value on {x!r}")
@@ -652,11 +638,7 @@ def mc_enumerate(c, d: DgCategory, object_maps: Optional[Sequence] = None,
         if coords and F.size is None:
             raise ValueError(
                 "exhaustive Maurer-Cartan search needs a finite field")
-        total = (F.size or 1) ** len(coords)
-        spent += total
-        if spent > budget:
-            raise ValueError(
-                f"{spent} candidates exceed the search budget {budget}")
+        spent = _charge(spent + (F.size or 1) ** len(coords), budget)
         elems = list(F.elements()) if coords else []
         for assignment in product(elems, repeat=len(coords)):
             xi: Dict[Key, Vec] = {}
@@ -680,7 +662,7 @@ def mc_enumerate(c, d: DgCategory, object_maps: Optional[Sequence] = None,
 
 def mc_enumerate_tensor(c: PointedCoalgebra, cp: PointedCoalgebra,
                         d: DgCategory, object_maps: Optional[Sequence] = None,
-                        budget: int = 1 << 18) -> List[MCElement]:
+                        budget: int = SEARCH_BUDGET) -> List[MCElement]:
     """Two-stage search on C (x) C'.
 
     The grouplike (x) C'-bar rows form a subcoalgebra whose Maurer-Cartan
@@ -699,20 +681,18 @@ def mc_enumerate_tensor(c: PointedCoalgebra, cp: PointedCoalgebra,
 
     arow = [ck for ck in rows.rows.keys() if is_second_factor_row(ck)]
     brow = [ck for ck in rows.rows.keys() if not is_second_factor_row(ck)]
-    maps = _mc_object_maps(rows, d, object_maps)
+    if object_maps is None:
+        object_maps = all_object_maps(rows.objects, d.quiver.objects)
     out: List[MCElement] = []
     seen = set()
     spent = 0
     elems = list(F.elements())
-    for om in maps:
+    for om in object_maps:
+        om = dict(om if isinstance(om, dict) else zip(rows.objects, om))
         coords = _mc_coords(rows, d, om)
         acoords = [cd for cd in coords if is_second_factor_row(cd[0])]
         bcoords = [cd for cd in coords if not is_second_factor_row(cd[0])]
-        stage1 = (F.size or 1) ** len(acoords)
-        spent += stage1
-        if spent > budget:
-            raise ValueError(
-                f"{spent} candidates exceed the search budget {budget}")
+        spent = _charge(spent + (F.size or 1) ** len(acoords), budget)
         survivors = []
         for assignment in product(elems, repeat=len(acoords)):
             phi: Dict[Key, Vec] = {}
@@ -721,11 +701,8 @@ def mc_enumerate_tensor(c: PointedCoalgebra, cp: PointedCoalgebra,
                     phi.setdefault(ck, {})[dk] = val
             if all(not _mc_residual_row(rows, d, om, phi, ck) for ck in arow):
                 survivors.append(phi)
-        stage2 = len(survivors) * (F.size or 1) ** len(bcoords)
-        spent += stage2
-        if spent > budget:
-            raise ValueError(
-                f"{spent} candidates exceed the search budget {budget}")
+        spent = _charge(
+            spent + len(survivors) * (F.size or 1) ** len(bcoords), budget)
         for phi in survivors:
             for assignment in product(elems, repeat=len(bcoords)):
                 xi = {k: dict(v) for k, v in phi.items()}
@@ -757,7 +734,7 @@ class MCCategory:
 
 
 def mc_category(c, d: DgCategory, elements: Optional[List[MCElement]] = None,
-                budget: int = 1 << 18, max_objects: int = 128) -> MCCategory:
+                budget: int = SEARCH_BUDGET, max_objects: int = 128) -> MCCategory:
     """MC*(C, D): homs from {C, D}, differential d + xi' . - (-1)^| | . xi.
 
     The twisted differential squares to zero only when D brings no
@@ -781,55 +758,28 @@ def mc_category(c, d: DgCategory, elements: Optional[List[MCElement]] = None,
     oms = [tuple(m.object_map[x] for x in rows_red.objects) for m in elements]
     conv = ConvolutionCategory(_row_system(c, counital=True), d,
                                object_maps=oms, max_objects=max_objects)
-
-    def xivec(i: int) -> Vec:
-        fk = oms[i]
-        return {(fk, fk, 1, ("r", ck, dk)): coeff
-                for ck, v in elements[i].xi.items() for dk, coeff in v.items()}
-
-    def translate(vec: Vec, i: int, j: int) -> Vec:
-        return {(("mc", i), ("mc", j), k[2], k[3]): cc for k, cc in vec.items()}
-
-    slots: Dict = {}
-    keyed: Dict[Tuple[int, int], List[Key]] = {}
-    for i in range(len(elements)):
-        for j in range(len(elements)):
-            ks = conv.hom_keys(oms[i], oms[j])
-            keyed[(i, j)] = ks
-            for k in ks:
-                slots.setdefault((("mc", i), ("mc", j), k[2]), []).append(k[3])
-    quiver = GradedQuiver([("mc", i) for i in range(len(elements))], slots)
-    unit = {("mc", i): translate(conv.unit_vec(oms[i]), i, i)
-            for i in range(len(elements))}
+    labels = [("mc", i) for i in range(len(elements))]
+    quiver, unit, comp, keyed = conv.tables(list(zip(labels, oms)))
+    xvs = {lab: {(lab, lab, 1, ("r", ck, dk)): coeff
+                 for ck, v in m.xi.items() for dk, coeff in v.items()}
+           for lab, m in zip(labels, elements)}
     diff = {}
-    xvs = [xivec(i) for i in range(len(elements))]
-    for (i, j), ks in keyed.items():
+    for (li, lj), ks in keyed.items():
         for k in ks:
             one = {k: F.one}
             v = conv.apply_d(one)
-            v = vec_addmul(F, v, F.one, conv.star(xvs[j], one))
+            v = vec_addmul(F, v, F.one, conv.star(xvs[lj], one))
             s = F.one if k[2] % 2 else F.coerce(-1)
-            v = vec_addmul(F, v, s, conv.star(one, xvs[i]))
+            v = vec_addmul(F, v, s, conv.star(one, xvs[li]))
             if v:
-                diff[(("mc", i), ("mc", j), k[2], k[3])] = translate(v, i, j)
-    comp = {}
-    for i in range(len(elements)):
-        for j in range(len(elements)):
-            for l in range(len(elements)):
-                for kpsi in keyed[(j, l)]:
-                    for kphi in keyed[(i, j)]:
-                        v = conv.comp_vec(kpsi, kphi)
-                        if v:
-                            tp = (("mc", j), ("mc", l), kpsi[2], kpsi[3])
-                            tf = (("mc", i), ("mc", j), kphi[2], kphi[3])
-                            comp[(tp, tf)] = translate(v, i, l)
+                diff[k] = v
     cat = DgCategory(F, quiver, unit, comp, diff=diff or None, curvature=None)
     return MCCategory(list(elements), cat, conv, oms)
 
 
 def internal_hom(c, d, weight_cap: int,
                  elements: Optional[List[MCElement]] = None,
-                 budget: int = 1 << 18):
+                 budget: int = SEARCH_BUDGET):
     """uHom(C, BD) = B MC*(C, D).
 
     ``d`` is the dg category whose bar construction is the hom target; pass
@@ -994,7 +944,8 @@ def _bar_words_from_p1(c: PointedCoalgebra, bar_coa: PointedCoalgebra,
         for wk in out:
             if not bar_coa.reduced.has_key(wk):
                 raise ValueError(
-                    "bar weight cap too small to hold the image; raise it")
+                    "bar too short to hold the image; rebuild it with a "
+                    "larger weight_cap=")
         if out:
             action[ck] = out
     return action
@@ -1043,7 +994,7 @@ def _eval_word(d: DgCategory, om: Dict, images: Dict[Key, Vec],
 
 
 def enumerate_dg_functors(cobar, d: DgCategory,
-                          budget: int = 1 << 18) -> List[DgFunctor]:
+                          budget: int = SEARCH_BUDGET) -> List[DgFunctor]:
     """All dg functors out of an exactly materialized cobar category.
 
     The category is free on its one-letter words, so a functor is any
@@ -1060,11 +1011,10 @@ def enumerate_dg_functors(cobar, d: DgCategory,
         src = cobar
     F = src.field
     gens = [k for k in src.quiver.keys() if len(k[3]) == 1]
-    objs = list(src.quiver.objects)
-    targets = list(d.quiver.objects)
+    objs = src.quiver.objects
     out: List[DgFunctor] = []
     spent = 0
-    for pick in product(targets, repeat=len(objs)):
+    for pick in all_object_maps(objs, d.quiver.objects):
         om = dict(zip(objs, pick))
         # the source has zero curvature, so curved image objects are out
         if any(d.curvature_vec(om[x]) for x in objs):
@@ -1076,10 +1026,7 @@ def enumerate_dg_functors(cobar, d: DgCategory,
                 coords.append((g, (fx, fy, g[2], name)))
         if coords and F.size is None:
             raise ValueError("functor enumeration needs a finite field")
-        spent += (F.size or 1) ** len(coords)
-        if spent > budget:
-            raise ValueError(
-                f"{spent} candidates exceed the search budget {budget}")
+        spent = _charge(spent + (F.size or 1) ** len(coords), budget)
         elems = list(F.elements()) if coords else []
         for assignment in product(elems, repeat=len(coords)):
             # keyed by the underlying row, the spelling _eval_word reads
@@ -1110,7 +1057,7 @@ def enumerate_dg_functors(cobar, d: DgCategory,
 def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
                                   bar_coa: PointedCoalgebra,
                                   weight_cap: Optional[int] = None,
-                                  budget: int = 1 << 18
+                                  budget: int = SEARCH_BUDGET
                                   ) -> List[CoalgebraMorphism]:
     """All pointed morphisms C -> BD, searching (objects, one-letter, twist).
 
@@ -1131,15 +1078,13 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
         if c.deconcat({ck: F.one}, limit + 1):
             raise ValueError(
                 "bar weight cap too small to certify the enumeration; "
-                "raise it")
-    objs = list(c.objects)
-    targets = list(bar_coa.objects)
+                "rebuild the bar and pass a larger weight_cap=")
     rows = list(c.reduced.keys())
     twist_rows = [ck for ck in rows if ck[2] == -1]
     out: List[CoalgebraMorphism] = []
     spent = 0
-    for pick in product(targets, repeat=len(objs)):
-        om = dict(zip(objs, pick))
+    for pick in all_object_maps(c.objects, bar_coa.objects):
+        om = dict(zip(c.objects, pick))
         coords: List[Tuple[Key, Key]] = []
         for ck in rows:
             for letter in slots.get((om[ck[0]], om[ck[1]], ck[2]), []):
@@ -1147,10 +1092,7 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
         n = len(coords) + len(twist_rows)
         if n and F.size is None:
             raise ValueError("morphism enumeration needs a finite field")
-        spent += (F.size or 1) ** n
-        if spent > budget:
-            raise ValueError(
-                f"{spent} candidates exceed the search budget {budget}")
+        spent = _charge(spent + (F.size or 1) ** n, budget)
         elems = list(F.elements()) if n else []
         for assignment in product(elems, repeat=n):
             p1: Dict[Key, Vec] = {}
@@ -1222,11 +1164,6 @@ def _empty_word(x) -> Key:
     return (x, x, 0, ())
 
 
-def _pair_key(k1: Key, k2: Key) -> Key:
-    return ((k1[0], k2[0]), (k1[1], k2[1]), k1[2] + k2[2],
-            ((k1[2], k1[3]), (k2[2], k2[3])))
-
-
 @dataclass
 class EZData:
     tensor: PointedCoalgebra
@@ -1268,10 +1205,10 @@ def ez_data(c: PointedCoalgebra, cp: PointedCoalgebra,
         s = _sign(F, _theta(tk[2]))
         if nb[0] == "G":
             ck = (tk[0][0], tk[1][0], tk[2], na[1])
-            xi[tk] = {_pair_key(_single_word(ck), _empty_word(nb[1])): s}
+            xi[tk] = {pair_key(_single_word(ck), _empty_word(nb[1])): s}
         elif na[0] == "G":
             dk = (tk[0][1], tk[1][1], tk[2], nb[1])
-            xi[tk] = {_pair_key(_empty_word(na[1]), _single_word(dk)): s}
+            xi[tk] = {pair_key(_empty_word(na[1]), _single_word(dk)): s}
     m = MCElement({x: x for x in t.objects}, xi)
     return EZData(t, source, left, right, target, m,
                   adjunction_functor_from_mc(source, target, m))
@@ -1306,10 +1243,10 @@ def ez_generator_problems(ez: EZData) -> List[str]:
         na, nb = tk[3]
         if nb[0] == "G":
             ck = (tk[0][0], tk[1][0], tk[2], na[1])
-            want = {_pair_key(_single_word(ck), _empty_word(nb[1])): F.one}
+            want = {pair_key(_single_word(ck), _empty_word(nb[1])): F.one}
         elif na[0] == "G":
             dk = (tk[0][1], tk[1][1], tk[2], nb[1])
-            want = {_pair_key(_empty_word(na[1]), _single_word(dk)): F.one}
+            want = {pair_key(_empty_word(na[1]), _single_word(dk)): F.one}
         else:
             want = {}
         if fun.action.get(_single_word(tk), {}) != want:
@@ -1317,12 +1254,12 @@ def ez_generator_problems(ez: EZData) -> List[str]:
     quiver = ez.source.category.quiver
     for ck in crows:
         for dk in drows:
-            want_key = _pair_key(_single_word(ck), _single_word(dk))
-            wk = _word_key((_rkey(ck[0], dk), _lkey(ck, dk[1])), 1)
+            want_key = pair_key(_single_word(ck), _single_word(dk))
+            wk = _word_key((rkey(ck[0], dk), lkey(ck, dk[1])), 1)
             if quiver.has_key(wk) and \
                     fun.action.get(wk, {}) != {want_key: F.one}:
                 problems.append(f"r-then-l shuffle off at {(ck, dk)}")
-            wk = _word_key((_lkey(ck, dk[0]), _rkey(ck[1], dk)), 1)
+            wk = _word_key((lkey(ck, dk[0]), rkey(ck[1], dk)), 1)
             if quiver.has_key(wk):
                 s = _sign(F, -1 if ((ck[2] + 1) * (dk[2] + 1)) % 2 else 1)
                 if fun.action.get(wk, {}) != {want_key: s}:
@@ -1432,10 +1369,10 @@ def interchange_problems(c: PointedCoalgebra, cp: PointedCoalgebra,
         if tag == "o":
             if iname[0] == "o":
                 return ("o", (payload, iname[1]), iname[2])
-            return ("r", _rkey(payload, iname[1]), iname[2])
+            return ("r", rkey(payload, iname[1]), iname[2])
         if iname[0] == "o":
-            return ("r", _lkey(payload, iname[1]), iname[2])
-        return ("r", _bkey(payload, iname[1]), iname[2])
+            return ("r", lkey(payload, iname[1]), iname[2])
+        return ("r", pair_key(payload, iname[1]), iname[2])
 
     omap = {om: flat(om) for om in rhs.object_maps}
     if sorted(omap.values(), key=repr) != sorted(lhs.object_maps, key=repr):
@@ -1461,8 +1398,7 @@ def interchange_problems(c: PointedCoalgebra, cp: PointedCoalgebra,
                 return problems
     for (fk, gk), ks in keyed.items():
         for k in ks:
-            if not vec_eq(curry_vec(rhs.diff_vec(k)),
-                          lhs.diff_vec(curry_key(k))):
+            if curry_vec(rhs.diff_vec(k)) != lhs.diff_vec(curry_key(k)):
                 problems.append(f"differentials differ at {k[3]}")
                 if len(problems) >= 25:
                     return problems
@@ -1471,19 +1407,16 @@ def interchange_problems(c: PointedCoalgebra, cp: PointedCoalgebra,
             for hk in rhs.object_maps:
                 for kpsi in keyed[(gk, hk)]:
                     for kphi in keyed[(fk, gk)]:
-                        if not vec_eq(
-                                curry_vec(rhs.comp_vec(kpsi, kphi)),
-                                lhs.comp_vec(curry_key(kpsi),
-                                             curry_key(kphi))):
+                        if curry_vec(rhs.comp_vec(kpsi, kphi)) != \
+                                lhs.comp_vec(curry_key(kpsi), curry_key(kphi)):
                             problems.append(
                                 f"products differ at {(kpsi[3], kphi[3])}")
                             if len(problems) >= 25:
                                 return problems
     for fk in rhs.object_maps:
-        if not reduced_outer and not vec_eq(curry_vec(rhs.unit_vec(fk)),
-                                            lhs.unit_vec(omap[fk])):
+        if not reduced_outer and \
+                curry_vec(rhs.unit_vec(fk)) != lhs.unit_vec(omap[fk]):
             problems.append(f"units differ at {fk}")
-        if not vec_eq(curry_vec(rhs.curvature_vec(fk)),
-                      lhs.curvature_vec(omap[fk])):
+        if curry_vec(rhs.curvature_vec(fk)) != lhs.curvature_vec(omap[fk]):
             problems.append(f"curvature differs at {fk}")
     return problems

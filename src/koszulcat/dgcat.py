@@ -24,9 +24,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import BoundedComplex
-from .field import Field, Vec, vec_add, vec_bump, vec_eq, vec_scale, vec_sub
+from .field import Field, Vec, vec_add, vec_bump, vec_scale, vec_sub
 from .matrix import SparseMatrix
-from .quiver import GradedQuiver, Key, quiver_tensor
+from .quiver import (GradedQuiver, Key, composable_words, has_cycle, pair_key,
+                     quiver_tensor)
 
 
 class DgCategory:
@@ -145,9 +146,9 @@ class DgCategory:
         for k in keys:
             x, y, _, _ = k
             v = self.basis_vec(k)
-            if not vec_eq(self.compose(self.unit_vec(y), v), v):
+            if self.compose(self.unit_vec(y), v) != v:
                 problems.append(f"1 o {k} != {k}")
-            if not vec_eq(self.compose(v, self.unit_vec(x)), v):
+            if self.compose(v, self.unit_vec(x)) != v:
                 problems.append(f"{k} o 1 != {k}")
             if done():
                 return problems
@@ -165,7 +166,7 @@ class DgCategory:
                     rhs = self.compose(
                         self.compose(hv, self.basis_vec(g)), self.basis_vec(f)
                     )
-                    if not vec_eq(lhs, rhs):
+                    if lhs != rhs:
                         problems.append(f"associativity fails on ({h}, {g}, {f})")
                         if done():
                             return problems
@@ -180,7 +181,7 @@ class DgCategory:
                 rhs = vec_add(F, self.compose(self.apply_d(gv), fv),
                               vec_scale(F, F.coerce(-1) if g[2] % 2 else F.one,
                                         self.compose(gv, df)))
-                if not vec_eq(lhs, rhs):
+                if lhs != rhs:
                     problems.append(f"Leibniz fails on ({g}, {f})")
                     if done():
                         return problems
@@ -195,7 +196,7 @@ class DgCategory:
                 self.compose(self.curvature_vec(y), fv),
                 self.compose(fv, self.curvature_vec(x)),
             )
-            if not vec_eq(dd, want):
+            if dd != want:
                 problems.append(f"d^2 on {f} does not match curvature bracket")
                 if done():
                     return problems
@@ -284,40 +285,16 @@ def free_category(
         if x == y:
             raise ValueError(f"generator loop at {x!r}: word basis is infinite")
         succ[x].add(y)
-    seen: Dict[object, int] = {}
-
-    def dfs(v):
-        seen[v] = 1
-        for w in succ[v]:
-            if seen.get(w) == 1 or (w not in seen and dfs(w)):
-                return True
-        seen[v] = 2
-        return False
-
-    for v in generators.objects:
-        if v not in seen and dfs(v):
-            raise ValueError("generator quiver has a directed cycle")
-
-    gen_keys = list(generators.keys())
-    by_src = {}
-    for k in gen_keys:
-        by_src.setdefault(k[0], []).append(k)
+    if has_cycle(succ):
+        raise ValueError("generator quiver has a directed cycle")
 
     # words[(x, y, deg)] -> list of tuples of generator keys
     all_words: Dict[Tuple[object, object, int], List[Tuple[Key, ...]]] = {}
     for x in generators.objects:
         all_words.setdefault((x, x, 0), []).append(())
-    grow = [(k,) for k in gen_keys]
-    while grow:
-        nxt = []
-        for w in grow:
-            x = w[0][0]
-            y = w[-1][1]
-            deg = sum(k[2] for k in w)
-            all_words.setdefault((x, y, deg), []).append(w)
-            for k in by_src.get(y, ()):
-                nxt.append(w + (k,))
-        grow = nxt
+    for w in composable_words(list(generators.keys()), None):
+        slot = (w[0][0], w[-1][1], sum(k[2] for k in w))
+        all_words.setdefault(slot, []).append(w)
 
     def word_name(w: Tuple[Key, ...]):
         return tuple(k[3] for k in w)
@@ -385,14 +362,6 @@ def tensor_dg(c: DgCategory, d: DgCategory) -> DgCategory:
         raise ValueError("tensor needs a common ground field")
     F = c.field
     quiver = quiver_tensor(c.quiver, d.quiver)
-
-    def pair_key(k1: Key, k2: Key) -> Key:
-        return (
-            (k1[0], k2[0]),
-            (k1[1], k2[1]),
-            k1[2] + k2[2],
-            ((k1[2], k1[3]), (k2[2], k2[3])),
-        )
 
     def pair_vec(v1: Vec, v2: Vec, sign=None) -> Vec:
         out: Vec = {}
@@ -536,15 +505,15 @@ class DgFunctor:
                 if (k2[0], k2[1], k2[2]) != (om[x], om[y], n) or not tgt.quiver.has_key(k2):
                     problems.append(f"image of {k} leaves its slot")
         for x in src.quiver.objects:
-            if not vec_eq(self.apply(src.unit_vec(x)), tgt.unit_vec(om[x])):
+            if self.apply(src.unit_vec(x)) != tgt.unit_vec(om[x]):
                 problems.append(f"unit at {x!r} not preserved")
             hx = self.apply(src.curvature_vec(x))
-            if not vec_eq(hx, tgt.curvature_vec(om[x])):
+            if hx != tgt.curvature_vec(om[x]):
                 problems.append(f"curvature at {x!r} not preserved")
         keys = list(src.quiver.keys())
         for f in keys:
             fv = src.basis_vec(f)
-            if not vec_eq(self.apply(src.apply_d(fv)), tgt.apply_d(self.apply(fv))):
+            if self.apply(src.apply_d(fv)) != tgt.apply_d(self.apply(fv)):
                 problems.append(f"differential not preserved on {f}")
             if len(problems) >= max_problems:
                 return problems
@@ -555,7 +524,7 @@ class DgFunctor:
                 fv, gv = src.basis_vec(f), src.basis_vec(g)
                 lhs = self.apply(src.compose(gv, fv))
                 rhs = tgt.compose(self.apply(gv), self.apply(fv))
-                if not vec_eq(lhs, rhs):
+                if lhs != rhs:
                     problems.append(f"composition not preserved on ({g}, {f})")
                     if len(problems) >= max_problems:
                         return problems

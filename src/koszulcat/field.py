@@ -13,7 +13,7 @@ bottom (sparse dicts, zero entries always dropped).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, Iterable, Iterator
+from typing import Any, Dict, Iterator
 
 
 class Field:
@@ -184,19 +184,6 @@ def field_by_name(name: str) -> Field:
 Vec = Dict[Any, Any]
 
 
-def vec(field: Field, items: Iterable[tuple] = ()) -> Vec:
-    out: Vec = {}
-    for k, v in items:
-        v = field.coerce(v)
-        if k in out:
-            v = field.add(out[k], v)
-        if field.is_zero(v):
-            out.pop(k, None)
-        else:
-            out[k] = v
-    return out
-
-
 def vec_add(field: Field, a: Vec, b: Vec) -> Vec:
     out = dict(a)
     for k, v in b.items():
@@ -243,7 +230,3 @@ def vec_bump(field: Field, out: Vec, key, s) -> None:
         out.pop(key, None)
     else:
         out[key] = t
-
-
-def vec_eq(a: Vec, b: Vec) -> bool:
-    return a == b

@@ -83,16 +83,6 @@ class SparseMatrix:
                 out.entries[k] = s
         return out
 
-    def scale(self, s) -> "SparseMatrix":
-        F = self.field
-        s = F.coerce(s)
-        if F.is_zero(s):
-            return SparseMatrix.zero(F, self.nrows, self.ncols)
-        return SparseMatrix(
-            F, self.nrows, self.ncols,
-            {k: F.mul(s, v) for k, v in self.entries.items()},
-        )
-
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
@@ -338,10 +328,3 @@ def _strip_content(row: Dict[int, Fraction], pivot_col: int) -> Dict[int, Fracti
     s = Fraction(den, num)
     return {j: v * s for j, v in row.items()}
 
-
-def matrix_from_columns(field: Field, cols: Sequence[Dict[int, object]], nrows: int) -> SparseMatrix:
-    ent = {}
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            ent[(i, j)] = v
-    return SparseMatrix(field, nrows, len(cols), ent)

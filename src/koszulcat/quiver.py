@@ -13,16 +13,33 @@ maps, which is why it carries a cap guard).  The hom-count identity
 
 over a finite field is the contract the two constructions satisfy jointly;
 the test suite checks it by exact counting.
+
+The vocabulary every later layer shares also lives here, one definition
+each:
+
+- tensor keys: ``pair_key(k1, k2)`` names k1 (x) k2 the way
+  ``quiver_tensor`` does, on pairwise objects with degree-tagged names;
+  ``lkey(ck, y)`` and ``rkey(x, dk)`` are the pointed-coalgebra keys with
+  a grouplike leg ("G", y) on the right or ("G", x) on the left;
+- ``composable_words``: paths of letters, shortest first, as bar, cobar,
+  free categories and cotensor coalgebras use them;
+- ``object_maps``: every map of object sets in ``itertools.product``
+  order, with the ``max_objects`` guard;
+- ``has_cycle``: the directed-cycle check behind every finiteness
+  argument (acyclic generators, conilpotence by the factor graph).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import product
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from .field import Field, Vec
 
 Slot = Tuple[object, object, int]  # (src, tgt, degree)
 Key = Tuple[object, object, int, object]  # (src, tgt, degree, name)
+Word = Tuple[Key, ...]  # composable keys, applied left to right
 
 
 class GradedQuiver:
@@ -86,6 +103,91 @@ class GradedQuiver:
         return f"GradedQuiver({len(self.objects)} objects, dim {self.total_dim()})"
 
 
+# ---------------------------------------------------------------------------
+# shared vocabulary: tensor keys, words, object maps, cycles
+
+
+def pair_key(k1: Key, k2: Key) -> Key:
+    """k1 (x) k2: the basis key ``quiver_tensor`` gives the pair."""
+    return ((k1[0], k2[0]), (k1[1], k2[1]), k1[2] + k2[2],
+            ((k1[2], k1[3]), (k2[2], k2[3])))
+
+
+def lkey(ck: Key, y) -> Key:
+    """ck (x) y for a grouplike (object) y on the right."""
+    return ((ck[0], y), (ck[1], y), ck[2], ((ck[2], ck[3]), ("G", y)))
+
+
+def rkey(x, dk: Key) -> Key:
+    """x (x) dk for a grouplike (object) x on the left."""
+    return ((x, dk[0]), (x, dk[1]), dk[2], (("G", x), (dk[2], dk[3])))
+
+
+def composable_words(letters: Sequence[Key], max_len: Optional[int],
+                     keep: Optional[Callable[[Word], bool]] = None
+                     ) -> List[Word]:
+    """Words of letters composable end to end, shortest first.
+
+    Each length lists the extensions of the previous length's words in
+    their order, each extended by the letters in ``letters`` order.
+    ``keep`` drops a word and with it every extension.  Without
+    ``max_len`` the letter graph must be acyclic or ``keep`` must bound
+    the length, else this does not terminate.
+    """
+    by_src: Dict[object, List[Key]] = {}
+    for k in letters:
+        by_src.setdefault(k[0], []).append(k)
+    words: List[Word] = []
+    frontier = [(k,) for k in letters if keep is None or keep((k,))]
+    length = 1
+    while frontier and (max_len is None or length <= max_len):
+        words.extend(frontier)
+        nxt = []
+        for w in frontier:
+            for k in by_src.get(w[-1][1], ()):
+                w2 = w + (k,)
+                if keep is None or keep(w2):
+                    nxt.append(w2)
+        frontier = nxt
+        length += 1
+    return words
+
+
+def object_maps(sources: Sequence, targets: Sequence,
+                max_objects: Optional[int] = None) -> Iterator[Tuple]:
+    """Every map sources -> targets as its tuple of images, in
+    ``itertools.product`` order (the empty source has the one empty map).
+    Refuses up front when there are more than ``max_objects``."""
+    count = len(targets) ** len(sources)
+    if max_objects is not None and count > max_objects:
+        raise ValueError(
+            f"{count} object maps exceed the cap {max_objects}; "
+            "raise max_objects=")
+    return product(targets, repeat=len(sources))
+
+
+def has_cycle(succ: Mapping[object, Iterable]) -> bool:
+    """Whether the digraph node -> successors has a directed cycle.
+
+    A node that is no key of ``succ`` has no successors; a loop counts.
+    """
+    state: Dict[object, int] = {}  # 1 while on the DFS path, 2 when done
+
+    def dfs(v) -> bool:
+        state[v] = 1
+        for w in succ.get(v, ()):
+            if state.get(w) == 1 or (w not in state and dfs(w)):
+                return True
+        state[v] = 2
+        return False
+
+    return any(v not in state and dfs(v) for v in succ)
+
+
+# ---------------------------------------------------------------------------
+# tensor and internal hom
+
+
 def quiver_tensor(v: GradedQuiver, w: GradedQuiver) -> GradedQuiver:
     """Objects are pairs; (V(x)W)((x,x'),(y,y')) = (+)_{p+q=n} V(x,y)_p (x) W(x',y')_q.
 
@@ -112,48 +214,25 @@ def quiver_internal_hom(
     element (x, y, p, a, b) is the elementary map sending a to b.  The number
     of objects is |Ob W| ** |Ob V|, guarded by ``max_objects``.
     """
-    if v.objects and not w.objects:
-        return GradedQuiver((), {})
-    count = len(w.objects) ** len(v.objects)
-    if count > max_objects:
-        raise ValueError(
-            f"internal hom would have {count} objects (cap {max_objects})"
-        )
-
-    def all_maps():
-        if not v.objects:
-            yield ()
-            return
-        pools = [w.objects] * len(v.objects)
-        idx = [0] * len(v.objects)
-        while True:
-            yield tuple(zip(v.objects, (p[i] for p, i in zip(pools, idx))))
-            k = len(idx) - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < len(pools[k]):
-                    break
-                idx[k] = 0
-                k -= 1
-            if k < 0:
-                return
-
-    objects = list(all_maps())
-    slots: Dict[Slot, List] = {}
-    for f in objects:
-        fd = dict(f)
-        for g in objects:
-            gd = dict(g)
-            for (x, y, p), anames in v.slots.items():
-                for (x2, y2, q), bnames in w.slots.items():
-                    if x2 != fd[x] or y2 != gd[y]:
-                        continue
-                    dst = (f, g, q - p)
-                    bucket = slots.setdefault(dst, [])
-                    for a in anames:
-                        for b in bnames:
-                            bucket.append((x, y, p, a, b))
-    return GradedQuiver(objects, slots)
+    maps = [tuple(zip(v.objects, m))
+            for m in object_maps(v.objects, w.objects, max_objects)]
+    # maps by the image of one source object: a slot pair V(x, y) -> W(x2, y2)
+    # then visits only the (f, g) with f(x) = x2 and g(y) = y2
+    by_image: Dict[Tuple[object, object], List[int]] = {}
+    for i, f in enumerate(maps):
+        for pair in f:
+            by_image.setdefault(pair, []).append(i)
+    found: Dict[Tuple[int, int, int], List] = {}
+    for (x, y, p), anames in v.slots.items():
+        for (x2, y2, q), bnames in w.slots.items():
+            names = [(x, y, p, a, b) for a in anames for b in bnames]
+            for i in by_image.get((x, x2), ()):
+                for j in by_image.get((y, y2), ()):
+                    found.setdefault((i, j, q - p), []).extend(names)
+    # slots in (f, g) order; the stable sort keeps slot-pair order within
+    ordered = sorted(found.items(), key=lambda item: item[0][:2])
+    return GradedQuiver(
+        maps, {(maps[i], maps[j], n): names for (i, j, n), names in ordered})
 
 
 def count_quiver_maps(v: GradedQuiver, w: GradedQuiver, field: Field) -> int:
@@ -164,27 +243,11 @@ def count_quiver_maps(v: GradedQuiver, w: GradedQuiver, field: Field) -> int:
     """
     if field.size is None:
         raise ValueError("counting needs a finite field")
-    if not v.objects:
-        return 1
-    if not w.objects:
-        return 0
-    q = field.size
     total = 0
-
-    def rec(i: int, fd: dict):
-        nonlocal total
-        if i == len(v.objects):
-            e = 0
-            for (x, y, n), names in v.slots.items():
-                e += len(names) * w.dim(fd[x], fd[y], n)
-            total += q**e
-            return
-        for t in w.objects:
-            fd[v.objects[i]] = t
-            rec(i + 1, fd)
-        del fd[v.objects[i]]
-
-    rec(0, {})
+    for m in object_maps(v.objects, w.objects):
+        fd = dict(zip(v.objects, m))
+        total += field.size ** sum(len(names) * w.dim(fd[x], fd[y], n)
+                                   for (x, y, n), names in v.slots.items())
     return total
 
 

@@ -140,7 +140,7 @@ _PAIRS = [
 
 
 @pytest.mark.parametrize("cname,dname", _PAIRS)
-@pytest.mark.parametrize("field", [QQ, F2], ids=["q", "f2"])
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["q", "f2", "f3"])
 def test_counital_convolution_validates(cname, dname, field):
     conv = convolution_category(COALGEBRA_LIBRARY[cname](field),
                                 CATEGORY_LIBRARY[dname](field))
@@ -148,7 +148,7 @@ def test_counital_convolution_validates(cname, dname, field):
 
 
 @pytest.mark.parametrize("cname,dname", _PAIRS)
-@pytest.mark.parametrize("field", [QQ, F2], ids=["q", "f2"])
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["q", "f2", "f3"])
 def test_reduced_convolution_validates(cname, dname, field):
     conv = convolution_category(COALGEBRA_LIBRARY[cname](field),
                                 CATEGORY_LIBRARY[dname](field), reduced=True)
@@ -184,7 +184,7 @@ def test_convolution_field_mismatch_rejected():
 def test_object_map_cap_and_explicit_maps():
     c = COALGEBRA_LIBRARY["dag"](F2)
     d = CATEGORY_LIBRARY["a2"](F2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_objects="):
         convolution_category(c, d, max_objects=7)
     conv = convolution_category(
         c, d, object_maps=[("0", "0", "0"), {"x": "0", "y": "0", "z": "1"}])
@@ -256,7 +256,7 @@ def test_enumeration_guards():
     with pytest.raises(ValueError):
         mc_enumerate(COALGEBRA_LIBRARY["neg_primitive"](QQ), d)
     assert len(mc_enumerate(point_coalgebra(QQ), d)) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="budget="):
         mc_enumerate(COALGEBRA_LIBRARY["neg_primitive"](F2),
                      CATEGORY_LIBRARY["contractible_endo"](F2), budget=1)
 
@@ -346,7 +346,7 @@ def test_universal_cochain_is_maurer_cartan(cname, field):
     assert ok, residual
 
 
-@pytest.mark.parametrize("field", [QQ, F2], ids=["q", "f2"])
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["q", "f2", "f3"])
 def test_universal_cochain_functor_is_identity(field):
     c = COALGEBRA_LIBRARY["primitive_pair"](field)
     _, m = universal_cochain(c)
@@ -513,7 +513,7 @@ def test_counit_shortcut_validates():
     ("w", "neg_primitive"),
     ("primitive_pair", "primitive_pair"),
 ])
-@pytest.mark.parametrize("field", [QQ, F2], ids=["q", "f2"])
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["q", "f2", "f3"])
 def test_comparison_on_generators(cname, pname, field):
     ez = ez_data(COALGEBRA_LIBRARY[cname](field),
                  COALGEBRA_LIBRARY[pname](field), length_cap=3)
@@ -569,14 +569,14 @@ def test_comparison_refuses_uncertifiable_windows():
     ("curved_chain", "w", "exterior_line"),
     ("neg_primitive", "neg_primitive", "dual_numbers"),
 ])
-@pytest.mark.parametrize("field", [QQ, F2], ids=["q", "f2"])
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["q", "f2", "f3"])
 def test_interchange_counital(cname, pname, dname, field):
     assert interchange_problems(COALGEBRA_LIBRARY[cname](field),
                                 COALGEBRA_LIBRARY[pname](field),
                                 CATEGORY_LIBRARY[dname](field)) == []
 
 
-@pytest.mark.parametrize("field", [QQ, F2], ids=["q", "f2"])
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["q", "f2", "f3"])
 def test_interchange_curved_target(field):
     assert interchange_problems(
         COALGEBRA_LIBRARY["w"](field),
@@ -588,7 +588,7 @@ def test_interchange_curved_target(field):
     ("curved_chain", "neg_primitive", "a2"),
     ("w", "dag", "k"),
 ])
-@pytest.mark.parametrize("field", [QQ, F2], ids=["q", "f2"])
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["q", "f2", "f3"])
 def test_interchange_reduced_outer(cname, pname, dname, field):
     assert interchange_problems(COALGEBRA_LIBRARY[cname](field),
                                 COALGEBRA_LIBRARY[pname](field),

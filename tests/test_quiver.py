@@ -159,7 +159,7 @@ def test_internal_hom_formula_random():
 def test_internal_hom_cap_guard():
     v = GradedQuiver(tuple("abcde"), {})
     w = GradedQuiver(tuple("uvwxyz"), {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_objects="):
         quiver_internal_hom(v, w, max_objects=100)
     assert len(quiver_internal_hom(v, w, max_objects=10**4).objects) == 6**5
 
