@@ -16,8 +16,8 @@ unit and a reduced part, so a test corpus needs such samples on purpose.
 The differential never raises weight, so a weight cap always yields an
 honest subcoalgebra and materialization is exact per weight.
 
-cobar(C) is the path category on the reduced arrows of C shifted up one
-degree.  On a single letter
+cobar(C) is the path category (``dgcat._path_category``) on the reduced
+arrows of C shifted up one degree.  On a single letter
 
     d(c) = (-1)^{|c|+1} (internal d of c)
          + sum (-1)^{|c''|} (c', c'') - h(c) . unit
@@ -44,13 +44,13 @@ the cobar of that sentinel is the zero category again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .coalgebra import FinalCoalgebra, PointedCoalgebra, zero_coalgebra
-from .dgcat import DgCategory, empty_category, zero_category
+from .dgcat import DgCategory, _path_category, empty_category, zero_category
 from .field import Field, Vec, vec_bump
 from .matrix import SparseMatrix
-from .quiver import GradedQuiver, Key, composable_words
+from .quiver import GradedQuiver, Key, Word, composable_words
 
 
 class Splitting:
@@ -296,15 +296,14 @@ def cobar_construction(
     coa,
     length_cap: Optional[int] = None,
     weight_cap: Optional[int] = None,
-    letter_weight: Optional[Callable[[Key], int]] = None,
 ) -> CobarResult:
     """Materialize the cobar category of a pointed curved coalgebra.
 
     ``length_cap`` bounds the number of letters per word; ``weight_cap``
-    bounds the total letter weight (default weight: bar-word length for
-    tuple-named letters, else 1).  Weight capping alone keeps d complete
-    because no differential term of the cobar raises total weight; at
-    least one cap must make the word set finite.
+    bounds the total letter weight (bar-word length for tuple-named
+    letters, else 1).  Weight capping alone keeps d complete because no
+    differential term of the cobar raises total weight; at least one cap
+    must make the word set finite.
     """
     if isinstance(coa, FinalCoalgebra):
         return CobarResult(zero_category(coa.field), length_cap, weight_cap)
@@ -314,105 +313,42 @@ def cobar_construction(
     if length_cap is None and weight_cap is None:
         raise ValueError("cobar needs a length cap or a weight cap")
 
-    if letter_weight is None:
-        letter_weight = lambda k: len(k[3]) if isinstance(k[3], tuple) else 1
-    letters = list(coa.reduced.keys())
-    wt = {k: letter_weight(k) for k in letters}
+    # letters are the reduced keys shifted up one degree, named by the key
+    def shift(k: Key) -> Key:
+        return (k[0], k[1], k[2] + 1, k)
+
+    wt = {shift(k): len(k[3]) if isinstance(k[3], tuple) else 1
+          for k in coa.reduced.keys()}
+    letters = list(wt)
     if weight_cap is not None and any(w < 1 for w in wt.values()):
         raise ValueError("letter weights must be >= 1 to cap by weight")
 
-    def keep(w: Tuple[Key, ...]) -> bool:
+    def keep(w: Word) -> bool:
         if length_cap is not None and len(w) > length_cap:
             return False
-        if weight_cap is not None and sum(wt[k] for k in w) > weight_cap:
+        if weight_cap is not None and sum(wt[a] for a in w) > weight_cap:
             return False
         return True
 
-    words = composable_words(letters, length_cap, keep)
+    # d on one letter: the internal term with the shifted degree of the
+    # letter itself, (-1)^{|c''|} (c', c'') from the comultiplication, and
+    # -h(c) on the empty word (endo slot, so paths stay glued); the
+    # composition-side Leibniz rule forces the first two signs (d^2 pins
+    # them)
+    d_letter: Dict[Key, List[Tuple[Word, object]]] = {}
+    for a in letters:
+        k = a[3]
+        terms = [((shift(k2),), c if a[2] % 2 == 0 else F.neg(c))
+                 for k2, c in coa.apply_d({k: F.one}).items()]
+        terms += [((shift(ka), shift(kb)), c if kb[2] % 2 == 0 else F.neg(c))
+                  for (ka, kb), c in coa.reduced_comult({k: F.one}).items()]
+        h = coa.curv.get(k)
+        if h is not None:
+            terms.append(((), F.neg(h)))
+        d_letter[a] = terms
 
-    slots: Dict[Tuple[object, object, int], List] = {}
-    unit = {}
-    for x in coa.objects:
-        slots[(x, x, 0)] = [()]
-        unit[x] = {(x, x, 0, ()): F.one}
-    for w in words:
-        wk = _word_key(w, 1)
-        slots.setdefault((wk[0], wk[1], wk[2]), []).append(w)
-
-    all_words = [()] + words  # empty words are the units
-
-    comp = {}
-    comp_truncated = False
-    for first in all_words:
-        for second in all_words:
-            if first == () and second == ():
-                continue
-            if first and second and first[-1][1] != second[0][0]:
-                continue
-            combined = first + second
-            if not keep(combined):
-                comp_truncated = True
-                continue
-            # the lone () stands for the unit at whichever object fits
-            k1 = _word_key(first, 1) if first else (
-                (second[0][0],) * 2 + (0, ()))
-            k2 = _word_key(second, 1) if second else (
-                (first[-1][1],) * 2 + (0, ()))
-            # comp[(g, f)] = g after f; path order concatenates f then g
-            comp[(k2, k1)] = {_word_key(combined, 1): F.one}
-    # unit-with-unit composites
-    for x in coa.objects:
-        k = (x, x, 0, ())
-        comp[(k, k)] = {k: F.one}
-
-    diff = {}
-    trunc_min_len: Optional[int] = None
-    for w in words:
-        wk = _word_key(w, 1)
-        dvec: Vec = {}
-        dropped = False
-        # derivation sign: letters applied later (to the right in path
-        # order) contribute their shifted degree to the sign at letter i
-        suffix = [0] * (len(w) + 1)
-        for i in range(len(w) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + w[i][2] + 1
-        for i, k in enumerate(w):
-            sgn = F.one if suffix[i + 1] % 2 == 0 else F.neg(F.one)
-            # internal term, with the shifted degree of the letter itself:
-            # the composition-side Leibniz rule used everywhere else forces
-            # both this and the second-cofactor sign below (d^2 pins them)
-            for k2, c in coa.apply_d({k: F.one}).items():
-                nw = w[:i] + (k2,) + w[i + 1:]
-                if not keep(nw):
-                    dropped = True
-                    continue
-                c2 = c if (k[2] + 1) % 2 == 0 else F.neg(c)
-                vec_bump(F, dvec, _word_key(nw, 1), F.mul(sgn, c2))
-            # comultiplication term: (-1)^{|c''|} (c', c'')
-            for (ka, kb), c in coa.reduced_comult({k: F.one}).items():
-                nw = w[:i] + (ka, kb) + w[i + 1:]
-                if not keep(nw):
-                    dropped = True
-                    continue
-                c2 = c if kb[2] % 2 == 0 else F.neg(c)
-                vec_bump(F, dvec, _word_key(nw, 1), F.mul(sgn, c2))
-            # curvature term eats the letter (endo slot, so paths stay glued)
-            h = coa.curv.get(k)
-            if h is not None:
-                nw = w[:i] + w[i + 1:]
-                nk = _word_key(nw, 1) if nw else (w[0][0], w[0][0], 0, ())
-                vec_bump(F, dvec, nk, F.mul(sgn, F.neg(h)))
-        if dropped:
-            trunc_min_len = (
-                len(w) if trunc_min_len is None else min(trunc_min_len, len(w))
-            )
-        if dvec:
-            diff[wk] = dvec
-
-    quiver = GradedQuiver(
-        coa.objects, {s: tuple(names) for s, names in slots.items()}
-    )
-    catout = DgCategory(F, quiver, unit, comp, diff=diff)
+    catout, comp_truncated, trunc_min_len = _path_category(
+        F, coa.objects, letters, d_letter, keep)
     return CobarResult(
         catout,
         length_cap,

@@ -472,49 +472,40 @@ def tensor_coalgebras(
             reg(pair_key(ck, dk))
     quiver = GradedQuiver(objects, {s: tuple(v) for s, v in slots.items()})
 
-    # full Delta on a leg: grouplike ends plus the reduced middle
-    def full_delta_c(ck: Key):
-        x, y, _, _ = ck
-        yield (("G", x), ck, F.one)
-        yield (ck, ("G", y), F.one)
-        for (a, b), cc in c.comult.get(ck, {}).items():
-            yield (a, b, cc)
+    def is_g(f) -> bool:
+        # a grouplike leg ("G", x) next to the reduced keys of C and D
+        return len(f) == 2 and f[0] == "G"
 
-    def full_delta_d(dk: Key):
-        x, y, _, _ = dk
-        yield (("G", x), dk, F.one)
-        yield (dk, ("G", y), F.one)
-        for (a, b), cc in d.comult.get(dk, {}).items():
-            yield (a, b, cc)
+    # full Delta on a leg: g (x) g for a grouplike, else the grouplike
+    # ends plus the reduced middle
+    def full_delta(coa: PointedCoalgebra, f):
+        if is_g(f):
+            return [(f, f, F.one)]
+        x, y, _, _ = f
+        return [(("G", x), f, F.one), (f, ("G", y), F.one)] + [
+            (a, b, cc) for (a, b), cc in coa.comult.get(f, {}).items()]
 
     def pair_or_none(cf, df) -> Optional[Key]:
         # cf: reduced key of C or ("G", x); df likewise for D
-        cg = isinstance(cf, tuple) and len(cf) == 2 and cf[0] == "G"
-        dg = isinstance(df, tuple) and len(df) == 2 and df[0] == "G"
-        if cg and dg:
+        if is_g(cf) and is_g(df):
             return None  # grouplike (x) grouplike drops out of the reduced part
-        if cg:
+        if is_g(cf):
             return rkey(cf[1], df)
-        if dg:
+        if is_g(df):
             return lkey(cf, df[1])
         return pair_key(cf, df)
 
     def deg(f) -> int:
-        return 0 if (f[0] == "G" and len(f) == 2) else f[2]
+        return 0 if is_g(f) else f[2]
 
     comult: Dict[Key, PairVec] = {}
     diff: Dict[Key, Vec] = {}
     curv: Dict[Key, object] = {}
 
-    def _is_g(f) -> bool:
-        return isinstance(f, tuple) and len(f) == 2 and f[0] == "G"
-
     def install(ck, dk, key: Key):
         pv: PairVec = {}
-        cterms = list(full_delta_c(ck)) if not _is_g(ck) else [(ck, ck, F.one)]
-        dterms = list(full_delta_d(dk)) if not _is_g(dk) else [(dk, dk, F.one)]
-        for (c1, c2, cc) in cterms:
-            for (d1, d2, dd) in dterms:
+        for (c1, c2, cc) in full_delta(c, ck):
+            for (d1, d2, dd) in full_delta(d, dk):
                 left = pair_or_none(c1, d1)
                 right = pair_or_none(c2, d2)
                 if left is None or right is None:
@@ -525,11 +516,11 @@ def tensor_coalgebras(
             comult[key] = pv
         # differential: d (x) 1 + (-1)^{|c|} 1 (x) d
         dv: Vec = {}
-        if not _is_g(ck):
+        if not is_g(ck):
             for k2, cc in c.diff.get(ck, {}).items():
                 k3 = pair_or_none(k2, dk)
                 vec_bump(F, dv, k3, cc)
-        if not _is_g(dk):
+        if not is_g(dk):
             sgn = F.coerce(-1) if deg(ck) % 2 else F.one
             for k2, cc in d.diff.get(dk, {}).items():
                 k3 = pair_or_none(ck, k2)
@@ -537,11 +528,11 @@ def tensor_coalgebras(
         if dv:
             diff[key] = dv
         # curvature: h (x) eps + eps (x) h: only one leg can be reduced
-        if _is_g(dk) and not _is_g(ck):
+        if is_g(dk) and not is_g(ck):
             hv = c.curv.get(ck)
             if hv is not None:
                 curv[key] = hv
-        if _is_g(ck) and not _is_g(dk):
+        if is_g(ck) and not is_g(dk):
             hv = d.curv.get(dk)
             if hv is not None:
                 curv[key] = hv

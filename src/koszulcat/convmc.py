@@ -817,6 +817,23 @@ def _sign(field: Field, s: int):
     return field.one if s > 0 else field.coerce(-1)
 
 
+def _single_word(ck: Key) -> Key:
+    return (ck[0], ck[1], ck[2] + 1, (ck,))
+
+
+def _eval_word(d: DgCategory, om: Dict, images: Dict[Key, Vec],
+               letters: Tuple, x) -> Vec:
+    # the letters' images composed in path order; the unit on no letters
+    if not letters:
+        return d.unit_vec(om[x])
+    v = dict(images.get(letters[0], {}))
+    for ck in letters[1:]:
+        if not v:
+            break
+        v = d.compose(images.get(ck, {}), v)
+    return v
+
+
 def universal_cochain(c: PointedCoalgebra, length_cap: Optional[int] = None,
                       weight_cap: Optional[int] = None
                       ) -> Tuple[CobarResult, MCElement]:
@@ -834,8 +851,7 @@ def universal_cochain(c: PointedCoalgebra, length_cap: Optional[int] = None,
     F = c.field
     xi: Dict[Key, Vec] = {}
     for ck in c.reduced.keys():
-        wk = (ck[0], ck[1], ck[2] + 1, (ck,))
-        xi[ck] = {wk: _sign(F, _theta(ck[2]))}
+        xi[ck] = {_single_word(ck): _sign(F, _theta(ck[2]))}
     return cobar, MCElement({x: x for x in c.objects}, xi)
 
 
@@ -858,15 +874,7 @@ def adjunction_functor_from_mc(cobar, d: DgCategory, m: MCElement) -> DgFunctor:
         dressed[ck] = vec_scale(F, _sign(F, _theta(ck[2])), v)
     action: Dict[Key, Vec] = {}
     for k in src.quiver.keys():
-        letters = k[3]
-        if not letters:
-            v = d.unit_vec(om[k[0]])
-        else:
-            v = dict(dressed.get(letters[0], {}))
-            for ck in letters[1:]:
-                if not v:
-                    break
-                v = d.compose(dressed.get(ck, {}), v)
+        v = _eval_word(d, om, dressed, k[3], k[0])
         if v:
             action[k] = v
     return DgFunctor(src, d, {x: om[x] for x in src.quiver.objects}, action)
@@ -877,7 +885,7 @@ def adjunction_mc_from_functor(fun: DgFunctor, c: PointedCoalgebra) -> MCElement
     F = c.field
     xi: Dict[Key, Vec] = {}
     for ck in c.reduced.keys():
-        v = fun.action.get((ck[0], ck[1], ck[2] + 1, (ck,)))
+        v = fun.action.get(_single_word(ck))
         if v:
             xi[ck] = vec_scale(F, _sign(F, _theta(ck[2])), v)
     return MCElement({x: fun.object_map[x] for x in c.objects}, xi)
@@ -979,18 +987,6 @@ def morphism_from_mc(m: MCElement, c: PointedCoalgebra,
 
 # ---------------------------------------------------------------------------
 # enumeration of the three hom sets
-
-
-def _eval_word(d: DgCategory, om: Dict, images: Dict[Key, Vec],
-               letters: Tuple, x) -> Vec:
-    if not letters:
-        return d.unit_vec(om[x])
-    v = dict(images.get(letters[0], {}))
-    for ck in letters[1:]:
-        if not v:
-            break
-        v = d.compose(images.get(ck, {}), v)
-    return v
 
 
 def enumerate_dg_functors(cobar, d: DgCategory,
@@ -1154,10 +1150,6 @@ def counit(d: DgCategory, bar_weight_cap: int,
 
 # ---------------------------------------------------------------------------
 # Eilenberg-Zilber comparison  Omega(C (x) C') -> Omega C (x) Omega C'
-
-
-def _single_word(ck: Key) -> Key:
-    return (ck[0], ck[1], ck[2] + 1, (ck,))
 
 
 def _empty_word(x) -> Key:

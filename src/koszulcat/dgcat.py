@@ -17,17 +17,23 @@ vanish, so that is the only model).
 Composition is written ``compose(g, f)`` = "g after f" throughout; no
 Koszul sign lives here.  Signs enter in ``tensor_dg`` (interchanging a
 morphism past a morphism) and ``opposite`` (reversal).
+
+Path categories have one builder, ``_path_category``: words of letters,
+composition by splitting each stored word, and the letter differential
+extended as a derivation.  ``free_category`` calls it on a generator
+quiver and ``barcobar.cobar_construction`` on the shifted reduced part of
+a coalgebra, under its length and weight caps.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import BoundedComplex
 from .field import Field, Vec, vec_add, vec_bump, vec_scale, vec_sub
 from .matrix import SparseMatrix
-from .quiver import (GradedQuiver, Key, composable_words, has_cycle, pair_key,
-                     quiver_tensor)
+from .quiver import (GradedQuiver, Key, Word, composable_words, has_cycle,
+                     pair_key, quiver_tensor)
 
 
 class DgCategory:
@@ -257,6 +263,93 @@ def zero_category(field: Field) -> DgCategory:
     return DgCategory(field, GradedQuiver(("*",), {}), {"*": {}}, {})
 
 
+def _path_category(
+    field: Field,
+    objects: Sequence,
+    letters: Sequence[Key],
+    d_letter: Mapping[Key, Sequence[Tuple[Word, object]]],
+    keep: Optional[Callable[[Word], bool]] = None,
+) -> Tuple[DgCategory, bool, Optional[int]]:
+    """Path category on ``letters``, with the words ``keep`` admits.
+
+    Basis: the empty word at each object (its unit) and every composable
+    word (a_1, ..., a_n), a_1 applied first, keyed (src, tgt, sum of
+    letter degrees, tuple of letter names).  ``keep`` must hold on every
+    subword of a word it holds on, as length and weight caps do.  Words
+    compose by concatenation, so the table holds one entry per split of
+    each stored word.  ``d_letter`` sends a letter to its (replacement
+    word, coefficient) terms; d extends it as a derivation
+
+        d(a_1 .. a_n) = sum_i (-1)^{|a_{i+1}| + .. + |a_n|} a_1 .. d(a_i) .. a_n
+
+    matching d(g o f) = dg o f + (-1)^|g| g o df, and drops every term
+    whose word is not stored.
+
+    Returns the category, whether a composite of stored words was
+    dropped, and the shortest word whose differential dropped a term
+    (None if none did).  Because ``keep`` is closed under subwords, a
+    composite is dropped exactly when some stored word extended by a
+    composable stored letter fails ``keep``.
+    """
+    F = field
+    words = composable_words(letters, None, keep)
+    slots: Dict[Tuple[object, object, int], List] = {
+        (x, x, 0): [()] for x in objects}
+    key_of: Dict[Word, Key] = {}
+    for w in words:
+        k = (w[0][0], w[-1][1], sum(a[2] for a in w), tuple(a[3] for a in w))
+        key_of[w] = k
+        slots.setdefault(k[:3], []).append(k[3])
+
+    def key(w: Word, at) -> Key:
+        return key_of[w] if w else (at, at, 0, ())
+
+    unit: Dict[object, Vec] = {}
+    comp: Dict[Tuple[Key, Key], Vec] = {}
+    for x in objects:
+        u = key((), x)
+        unit[x] = {u: F.one}
+        comp[(u, u)] = {u: F.one}
+    for w, k in key_of.items():
+        for i in range(len(w) + 1):
+            at = w[i - 1][1] if i else w[0][0]
+            # comp[(g, f)] = g after f: f = w[:i] runs first
+            comp[(key(w[i:], at), key(w[:i], at))] = {k: F.one}
+    comp_truncated = False
+    if keep is not None:
+        by_src: Dict[object, List[Key]] = {}
+        for w in words:
+            if len(w) == 1:
+                by_src.setdefault(w[0][0], []).append(w[0])
+        # the longest words are the likeliest to hit the cap
+        comp_truncated = any(not keep(w + (a,)) for w in reversed(words)
+                             for a in by_src.get(w[-1][1], ()))
+
+    diff: Dict[Key, Vec] = {}
+    trunc_min_len: Optional[int] = None
+    minus_one = F.coerce(-1)
+    for w, k in key_of.items():
+        out: Vec = {}
+        dropped = False
+        tail = k[2]  # degree of the letters after position i
+        for i, a in enumerate(w):
+            tail -= a[2]
+            sign = minus_one if tail % 2 else F.one
+            for repl, c in d_letter.get(a, ()):
+                new = w[:i] + repl + w[i + 1:]
+                nk = key_of.get(new) if new else key(new, w[0][0])
+                if nk is None:
+                    dropped = True
+                    continue
+                vec_bump(F, out, nk, F.mul(sign, c))
+        if dropped and trunc_min_len is None:
+            trunc_min_len = len(w)  # words come shortest first
+        if out:
+            diff[k] = out
+    cat = DgCategory(F, GradedQuiver(objects, slots), unit, comp, diff=diff)
+    return cat, comp_truncated, trunc_min_len
+
+
 def free_category(
     field: Field,
     generators: GradedQuiver,
@@ -264,19 +357,14 @@ def free_category(
 ) -> DgCategory:
     """Path category on an object-acyclic generator quiver.
 
-    Basis = composable generator words (a_1, ..., a_n) with a_1 applied
-    first; the empty word at x is the unit.  Names must be globally unique
-    so a word can be stored as a tuple of names.  ``d_gen`` sends generator
-    keys to word vectors (unit components allowed); it extends as a
-    derivation
-
-        d(a_1 .. a_n) = sum_i (-1)^{|a_{i+1}| + .. + |a_n|} a_1 .. d(a_i) .. a_n
-
-    matching d(g o f) = dg o f + (-1)^|g| g o df once words compose by
-    concatenation.  d^2 = 0 is the caller's obligation; ``validate`` checks.
+    Built by ``_path_category`` on the generators: the basis is the
+    composable generator words, named by their tuples of generator names,
+    so names must be globally unique.  ``d_gen`` sends generator keys to
+    word vectors and extends as a derivation.  d^2 = 0 is the caller's
+    obligation; ``validate`` checks.
     """
-    names = [k[3] for k in generators.keys()]
-    if len(set(names)) != len(names):
+    by_name = {k[3]: k for k in generators.keys()}
+    if len(by_name) != generators.total_dim():
         raise ValueError("free_category needs globally unique generator names")
 
     # object-level acyclicity so the word basis is finite
@@ -288,67 +376,15 @@ def free_category(
     if has_cycle(succ):
         raise ValueError("generator quiver has a directed cycle")
 
-    # words[(x, y, deg)] -> list of tuples of generator keys
-    all_words: Dict[Tuple[object, object, int], List[Tuple[Key, ...]]] = {}
-    for x in generators.objects:
-        all_words.setdefault((x, x, 0), []).append(())
-    for w in composable_words(list(generators.keys()), None):
-        slot = (w[0][0], w[-1][1], sum(k[2] for k in w))
-        all_words.setdefault(slot, []).append(w)
-
-    def word_name(w: Tuple[Key, ...]):
-        return tuple(k[3] for k in w)
-
-    def word_key(w: Tuple[Key, ...], at=None) -> Key:
-        if not w:
-            return (at, at, 0, ())
-        return (w[0][0], w[-1][1], sum(k[2] for k in w), word_name(w))
-
-    slots = {}
-    word_by_name: Dict[Tuple[object, object], Dict[Tuple, Tuple[Key, ...]]] = {}
-    for (x, y, n), ws in all_words.items():
-        slots[(x, y, n)] = tuple(word_name(w) for w in ws)
-        for w in ws:
-            word_by_name.setdefault((x, y), {})[word_name(w)] = w
-    quiver = GradedQuiver(generators.objects, slots)
-
-    unit = {x: {(x, x, 0, ()): field.one} for x in generators.objects}
-
-    comp: Dict[Tuple[Key, Key], Vec] = {}
-    for (x, y, n), ws in all_words.items():
-        for w1 in ws:
-            k1 = word_key(w1, at=x)
-            for (y2, z, m), ws2 in all_words.items():
-                if y2 != y:
-                    continue
-                for w2 in ws2:
-                    k2 = word_key(w2, at=y)
-                    joined = w1 + w2
-                    comp[(k2, k1)] = {word_key(joined, at=x): field.one}
-
-    diff: Dict[Key, Vec] = {}
-    if d_gen:
-        F = field
-
-        def d_letter(k: Key) -> Vec:
-            return d_gen.get(k, {})
-
-        for (x, y, n), ws in all_words.items():
-            for w in ws:
-                if not w:
-                    continue
-                out: Vec = {}
-                for i, k in enumerate(w):
-                    tail_deg = sum(kk[2] for kk in w[i + 1:])
-                    sign = F.coerce(-1) if tail_deg % 2 else F.one
-                    for dk, c in d_letter(k).items():
-                        # dk is a word key in the free category
-                        repl = word_by_name[(dk[0], dk[1])][dk[3]]
-                        new = w[:i] + repl + w[i + 1:]
-                        vec_bump(F, out, word_key(new, at=x), F.mul(sign, c))
-                if out:
-                    diff[word_key(w, at=x)] = out
-    return DgCategory(field, quiver, unit, comp, diff=diff)
+    d_letter = {
+        k: [(tuple(by_name[a] for a in wk[3]), c) for wk, c in v.items()]
+        for k, v in (d_gen or {}).items()
+    }
+    cat, _, dropped = _path_category(
+        field, generators.objects, list(generators.keys()), d_letter)
+    if dropped is not None:
+        raise ValueError("d_gen has a value outside the word basis")
+    return cat
 
 
 def tensor_dg(c: DgCategory, d: DgCategory) -> DgCategory:

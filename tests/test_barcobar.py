@@ -155,6 +155,47 @@ def test_cobar_dag_exact():
     assert tuple(x[3] for x in dv[0][3]) == ("a", "b") and dv[1] == QQ.one
 
 
+def _cobar_comp_cases():
+    for name in ["dag", "curved_chain", "w"]:
+        for cap in (2, 3, 4):
+            yield pytest.param(
+                lambda name=name, cap=cap: cobar_construction(
+                    COALGEBRA_LIBRARY[name](QQ), length_cap=cap),
+                id=f"{name}-len{cap}")
+    for cap in (3, 4, 5):
+        yield pytest.param(
+            lambda cap=cap: cobar_construction(
+                bar_construction(dual_numbers(F3), cap), weight_cap=cap),
+            id=f"bar_dual-wt{cap}")
+
+
+@pytest.mark.parametrize("build", list(_cobar_comp_cases()))
+def test_cobar_composition_is_concatenation(build):
+    # validate() cannot see a split missing everywhere at once (both sides
+    # of associativity read 0), so pin the table itself: composition is
+    # concatenation of stored words, and every split of every stored word
+    # is an entry
+    res = build()
+    cat = res.category
+    one = cat.field.one
+    by_name = {k[3]: k for k in cat.quiver.keys() if k[3]}
+
+    def key(w, x):
+        return by_name[w] if w else (x, x, 0, ())
+
+    for (g, f), img in cat.comp.items():
+        assert f[1] == g[0]
+        assert img == {key(f[3] + g[3], f[0]): one}
+    splits = sum(len(w) + 1 for w in by_name)
+    assert len(cat.comp) == splits + len(cat.quiver.objects)
+    # a composite is dropped exactly when a stored word has a composable
+    # stored letter it cannot absorb
+    letters = [w[0] for w in by_name if len(w) == 1]
+    dropped = any(w + (a,) not in by_name
+                  for w in by_name for a in letters if a[0] == w[-1][1])
+    assert res.comp_truncated == dropped
+
+
 def test_cobar_curved_chain_generator_values():
     # pins all three terms of the generator differential at once:
     # d(c~) = +e~ + (u~|w~),  d(e~) = +u~,  d(w~) = -unit

@@ -163,18 +163,20 @@ def test_free_category_on_a3_quiver():
     assert ba == {("x", "z", 0, ("a", "b")): QQ.one}
 
 
-def test_free_category_with_differential():
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "f3"])
+def test_free_category_with_differential(field):
     gen = GradedQuiver(
         ("x", "y"), {("x", "y", 0): ("f",), ("x", "y", -1): ("s",)}
     )
-    d_gen = {("x", "y", -1, "s"): {("x", "y", 0, ("f",)): QQ.one}}
-    c = free_category(QQ, gen, d_gen)
+    d_gen = {("x", "y", -1, "s"): {("x", "y", 0, ("f",)): field.coerce(-1)}}
+    c = free_category(field, gen, d_gen)
     assert c.validate() == []
     s = ("x", "y", -1, ("s",))
-    assert c.apply_d(c.basis_vec(s)) == {("x", "y", 0, ("f",)): QQ.one}
+    assert c.apply_d(c.basis_vec(s)) == {("x", "y", 0, ("f",)): field.coerce(-1)}
 
 
-def test_free_category_leibniz_sign():
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "f3"])
+def test_free_category_leibniz_sign(field):
     # two odd generators composed; d of the word picks up the sign of
     # the letters applied later
     gen = GradedQuiver(
@@ -185,13 +187,13 @@ def test_free_category_leibniz_sign():
             ("y", "z", 1): ("b",),
         },
     )
-    d_gen = {("x", "y", 1, "a"): {("x", "y", 2, ("da",)): QQ.one}}
-    c = free_category(QQ, gen, d_gen)
+    d_gen = {("x", "y", 1, "a"): {("x", "y", 2, ("da",)): field.one}}
+    c = free_category(field, gen, d_gen)
     assert c.validate() == []
     word = ("x", "z", 2, ("a", "b"))
     # d(b o a) = db o a + (-1)^{|b|} b o da = -(da, b)
     assert c.apply_d(c.basis_vec(word)) == {
-        ("x", "z", 3, ("da", "b")): QQ.coerce(-1)
+        ("x", "z", 3, ("da", "b")): field.coerce(-1)
     }
 
 
@@ -208,6 +210,13 @@ def test_free_category_rejects_loops_and_cycles():
     )
     with pytest.raises(ValueError):
         free_category(QQ, dup)
+    # a d_gen value that is no word: b then a do not compose
+    gen = GradedQuiver(
+        ("x", "y", "z"), {("x", "y", 0): ("a",), ("y", "z", 1): ("b",)}
+    )
+    with pytest.raises(ValueError, match="word basis"):
+        free_category(QQ, gen, {("x", "y", 0, "a"): {
+            ("x", "z", 1, ("b", "a")): QQ.one}})
 
 
 # -- tensor and opposite -----------------------------------------------------
