@@ -1129,6 +1129,13 @@ def counit_data(d: DgCategory, bar_weight_cap: int,
     by composing in D.  Weight-capping the cobar keeps its differential
     complete, which makes windowed homology trustworthy even on a finite
     materialization.
+
+    Under the default weight cap the counit is a functor exactly when
+    every product of more than ``bar_weight_cap`` reduced arrows of D
+    vanishes: a composite of cobar words past the cap is dropped, while
+    the images of the two words still compose in D to such a product.
+    ``trunc_poly3`` passes from cap 2 and ``odd_poly5`` from cap 4;
+    ``group_like`` (t invertible) fails at every cap.
     """
     sp = Splitting(d)
     bar = bar_construction(d, bar_weight_cap, splitting=sp)

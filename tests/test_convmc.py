@@ -500,6 +500,31 @@ def test_counit_dual_numbers_window_stable(cap):
     assert [dims.get(n, 0) for n in (-1, 0, 1)] == [0, 2, 0]
 
 
+@pytest.mark.parametrize("name,failing,valid", [
+    ("trunc_poly3", (1,), 2),
+    ("odd_poly5", (2, 3), 4),
+    ("group_like", (1, 2, 3), None),
+])
+@pytest.mark.parametrize("field", [QQ, F3], ids=["q", "f3"])
+def test_counit_is_a_functor_once_long_products_vanish(name, failing, valid,
+                                                       field):
+    """A functor exactly when products of more than cap arrows vanish.
+
+    Every failing pair has no stored composite (it was dropped at the
+    cap) and two live images, whose product in D is nonzero.
+    """
+    d = CATEGORY_LIBRARY[name](field)
+    for cap in failing:
+        fn = counit_data(d, cap).functor
+        dropped = {f"composition not preserved on ({g}, {f})"
+                   for g in fn.action for f in fn.action
+                   if f[1] == g[0] and (g, f) not in fn.source.comp}
+        msgs = fn.validate()
+        assert msgs and set(msgs) <= dropped, (cap, msgs)
+    if valid is not None:
+        assert counit_data(d, valid).functor.validate() == []
+
+
 def test_counit_shortcut_validates():
     assert counit(CATEGORY_LIBRARY["a2"](F2), 3).validate() == []
 

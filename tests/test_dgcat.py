@@ -91,15 +91,24 @@ def test_validator_catches_broken_associativity():
 
 
 def test_validator_catches_leibniz_failure():
+    # with x o y = y and d(x) = y: d(x o x) = 0, but dx o x + x o dx = y
     c = polynomial_differential(QQ)
-    # d(x) = y but also x.x = y: then d(x.x) = d(y) = 0 while
-    # dx.x + x.dx = y.x + x.y = 0 -- still fine; instead break by
-    # making x.y nonzero so the cross terms stop cancelling.
     key_x = ("*", "*", 0, "x")
     key_y = ("*", "*", 1, "y")
     c.comp[(key_x, key_y)] = {key_y: QQ.one}
-    msgs = c.validate()
-    assert any("Leibniz" in m or "associativity" in m for m in msgs)
+    assert f"Leibniz fails on ({key_x}, {key_x})" in c.validate()
+
+
+def test_validator_catches_leibniz_failure_without_stored_composite():
+    # free on a, b: 0 -> 1 and c: 1 -> 2 with d(a) = b, minus c o a:
+    # d(c o a) = 0, but dc o a + c o da = c o b != 0
+    gen = GradedQuiver(("0", "1", "2"), {
+        ("0", "1", -1): ("a",), ("0", "1", 0): ("b",), ("1", "2", 0): ("c",)})
+    d_gen = {("0", "1", -1, "a"): {("0", "1", 0, ("b",)): QQ.one}}
+    cat = free_category(QQ, gen, d_gen)
+    a, c = ("0", "1", -1, ("a",)), ("1", "2", 0, ("c",))
+    del cat.comp[(c, a)]
+    assert cat.validate() == [f"Leibniz fails on ({c}, {a})"]
 
 
 def test_validator_catches_unclosed_unit_and_curvature():
