@@ -16,6 +16,13 @@ unit and a reduced part, so a test corpus needs such samples on purpose.
 The differential never raises weight, so a weight cap always yields an
 honest subcoalgebra and materialization is exact per weight.
 
+Words and deconcatenation come from ``coalgebra._deconcatenation``
+(shared with ``cotensor_coalgebra``; the twin of ``_path_category``
+below).  d of each letter and the merge of each two-letter word are
+split once.  A term of d(w) keeps w's endpoints and has degree |w| + 1
+(d raises one letter by one; a merge of s a, s b has degree
+|s a| + |s b| + 1), so its key is written down without summing degrees.
+
 cobar(C) is the path category (``dgcat._path_category``) on the reduced
 arrows of C shifted up one degree.  On a single letter
 
@@ -46,11 +53,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .coalgebra import FinalCoalgebra, PointedCoalgebra, zero_coalgebra
+from .coalgebra import (FinalCoalgebra, PointedCoalgebra, _deconcatenation,
+                        zero_coalgebra)
 from .dgcat import DgCategory, _path_category, empty_category, zero_category
 from .field import Field, Vec, vec_bump
 from .matrix import SparseMatrix
-from .quiver import GradedQuiver, Key, Word, composable_words
+from .quiver import Key, Word
 
 
 class Splitting:
@@ -165,10 +173,6 @@ class Splitting:
         return units, red
 
 
-def _word_key(w: Tuple[Key, ...], shift: int) -> Key:
-    return (w[0][0], w[-1][1], sum(k[2] + shift for k in w), w)
-
-
 def bar_construction(
     cat: DgCategory,
     weight_cap: int,
@@ -192,60 +196,44 @@ def bar_construction(
         raise ValueError("bar construction needs a unit at every object")
 
     sp = splitting if splitting is not None else Splitting(cat)
-    bdeg = {k: k[2] - 1 for k in sp.letters}
-    words = composable_words(sp.letters, weight_cap)
-
-    slots: Dict[Tuple[object, object, int], List] = {}
-    comult = {}
+    quiver, comult, words = _deconcatenation(
+        F, cat.quiver.objects, [(k[0], k[1], k[2] - 1, k) for k in sp.letters],
+        weight_cap)
+    d_split = {k: sp.split(cat.apply_d(sp.letter_vec(k))) for k in sp.letters}
+    merge_split = {w: sp.split(cat.compose(sp.letter_vec(w[1]), sp.letter_vec(w[0])))
+                   for (_, _, _, w) in words if len(w) == 2}
     diff = {}
     curv = {}
     minus_one = F.neg(F.one)
 
-    for w in words:
-        wk = _word_key(w, -1)
-        slots.setdefault((wk[0], wk[1], wk[2]), []).append(w)
-        if len(w) > 1:
-            comult[wk] = {
-                (_word_key(w[:i], -1), _word_key(w[i:], -1)): F.one
-                for i in range(1, len(w))
-            }
+    for wk in words:
+        x, y, n, w = wk
         dvec: Vec = {}
-        hval = F.zero
         kappa = 0  # sum of shifted degrees of the letters before position i
         for i, k in enumerate(w):
             # internal differential: -(-1)^kappa at letter i
             sgn = minus_one if kappa % 2 == 0 else F.one
-            units, red = sp.split(cat.apply_d(sp.letter_vec(k)))
+            units, red = d_split[k]
             for k2, c in red.items():
-                nw = w[:i] + (k2,) + w[i + 1:]
-                vec_bump(F, dvec, _word_key(nw, -1), F.mul(sgn, c))
+                vec_bump(F, dvec, (x, y, n + 1, w[:i] + (k2,) + w[i + 1:]),
+                         F.mul(sgn, c))
             if len(w) == 1 and units:
-                hval = F.add(hval, units[k[0]])
-            # merge with the next letter: the position sign (-1)^kappa times
-            # the merge map's own sign (-1)^{|k| |s next|}; squaring to the
-            # curvature coaction forces this pairing (the |s k|-style sign
-            # breaks d^2 as soon as two odd letters compose nontrivially)
+                curv[wk] = units[x]
+            # merge with the next letter: (-1)^{kappa + |k| |s next|}
             if i + 1 < len(w):
-                mexp = kappa + k[2] * bdeg[w[i + 1]]
+                mexp = kappa + k[2] * (w[i + 1][2] - 1)
                 msgn = F.one if mexp % 2 == 0 else minus_one
-                munits, mred = sp.split(
-                    cat.compose(sp.letter_vec(w[i + 1]), sp.letter_vec(k))
-                )
+                munits, mred = merge_split[w[i:i + 2]]
                 for k2, c in mred.items():
-                    nw = w[:i] + (k2,) + w[i + 2:]
-                    vec_bump(F, dvec, _word_key(nw, -1), F.mul(msgn, c))
+                    vec_bump(F, dvec, (x, y, n + 1, w[:i] + (k2,) + w[i + 2:]),
+                             F.mul(msgn, c))
                 if len(w) == 2 and munits:
                     # weight-2 curvature is minus the unit part, no parity
-                    hval = F.sub(hval, munits[k[0]])
-            kappa += bdeg[k]
+                    curv[wk] = F.neg(munits[x])
+            kappa += k[2] - 1
         if dvec:
             diff[wk] = dvec
-        if not F.is_zero(hval):
-            curv[wk] = hval
 
-    quiver = GradedQuiver(
-        cat.quiver.objects, {s: tuple(ws) for s, ws in slots.items()}
-    )
     return PointedCoalgebra(F, cat.quiver.objects, quiver, comult, diff=diff, curv=curv)
 
 

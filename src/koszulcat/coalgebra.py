@@ -38,7 +38,8 @@ lives in the bar/cobar test suite).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .field import Field, Vec, vec_bump
 from .matrix import SparseMatrix
@@ -575,25 +576,35 @@ def cotensor_coalgebra(
     names = [k[3] for k in gen_keys]
     if len(set(names)) != len(names):
         raise ValueError("cotensor generators need globally unique names")
-    words = composable_words(gen_keys, max_weight)
-
-    def wkey(w: Tuple[Key, ...]) -> Key:
-        return (w[0][0], w[-1][1], sum(k[2] for k in w), tuple(k[3] for k in w))
-
-    slots: Dict[tuple, List] = {}
-    for w in words:
-        k = wkey(w)
-        slots.setdefault((k[0], k[1], k[2]), []).append(k[3])
-    quiver = GradedQuiver(generators.objects, {s: tuple(v) for s, v in slots.items()})
-
-    comult: Dict[Key, PairVec] = {}
-    for w in words:
-        pv: PairVec = {}
-        for i in range(1, len(w)):
-            pv[(wkey(w[:i]), wkey(w[i:]))] = field.one
-        if pv:
-            comult[wkey(w)] = pv
+    quiver, comult, _ = _deconcatenation(
+        field, generators.objects, gen_keys, max_weight)
     return PointedCoalgebra(field, generators.objects, quiver, comult)
+
+
+def _deconcatenation(field: Field, objects: Sequence, letters: Sequence[Key],
+                     max_len: Optional[int]):
+    """Composable words of at most ``max_len`` letters (src, tgt, degree,
+    name), shortest first, keyed (src, tgt, degree sum, tuple of names).
+    Returns their quiver, rDelta (a split at each interior position, keyed
+    by the word's prefix degree sums) and the word keys in order.
+    """
+    slots: Dict[tuple, List] = {}
+    comult: Dict[Key, PairVec] = {}
+    words: List[Key] = []
+    for w in composable_words(letters, max_len):
+        names = tuple(a[3] for a in w)
+        pre = (0, *accumulate(a[2] for a in w))
+        x, y, n = w[0][0], w[-1][1], pre[-1]
+        key = (x, y, n, names)
+        slots.setdefault((x, y, n), []).append(names)
+        if len(w) > 1:
+            # w[i][0] is where the cofactors w[:i] and w[i:] meet
+            comult[key] = {((x, w[i][0], pre[i], names[:i]),
+                            (w[i][0], y, n - pre[i], names[i:])): field.one
+                           for i in range(1, len(w))}
+        words.append(key)
+    quiver = GradedQuiver(objects, {s: tuple(v) for s, v in slots.items()})
+    return quiver, comult, words
 
 
 # ---------------------------------------------------------------------------

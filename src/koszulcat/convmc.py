@@ -44,7 +44,6 @@ from .coalgebra import (
 from .barcobar import (
     CobarResult,
     Splitting,
-    _word_key,
     bar_construction,
     cobar_construction,
 )
@@ -52,6 +51,7 @@ from .barcobar import (
 
 # budget of candidates for every exhaustive search below
 SEARCH_BUDGET = 1 << 18
+MAX_OBJECTS = 128  # object maps a convolution or MC category may hold
 
 
 def _charge(spent: int, budget: int) -> int:
@@ -190,7 +190,7 @@ class ConvolutionCategory:
     """
 
     def __init__(self, rows: RowSystem, cat: DgCategory,
-                 object_maps: Optional[Sequence] = None, max_objects: int = 128):
+                 object_maps: Optional[Sequence] = None, max_objects: int = MAX_OBJECTS):
         if rows.field is not cat.field:
             raise ValueError("convolution needs matching scalar fields")
         self.field = rows.field
@@ -510,7 +510,7 @@ class ConvolutionCategory:
 
 def convolution_category(c, d: DgCategory, reduced: bool = False,
                          object_maps: Optional[Sequence] = None,
-                         max_objects: int = 128) -> ConvolutionCategory:
+                         max_objects: int = MAX_OBJECTS) -> ConvolutionCategory:
     """{C, D}, or the reduced {C-bar, D} when ``reduced`` is set.
 
     ``c`` may be a pointed coalgebra or a prepared ``RowSystem`` (the latter
@@ -734,7 +734,7 @@ class MCCategory:
 
 
 def mc_category(c, d: DgCategory, elements: Optional[List[MCElement]] = None,
-                budget: int = SEARCH_BUDGET, max_objects: int = 128) -> MCCategory:
+                budget: int = SEARCH_BUDGET, max_objects: int = MAX_OBJECTS) -> MCCategory:
     """MC*(C, D): homs from {C, D}, differential d + xi' . - (-1)^| | . xi.
 
     The twisted differential squares to zero only when D brings no
@@ -1254,11 +1254,12 @@ def ez_generator_problems(ez: EZData) -> List[str]:
     for ck in crows:
         for dk in drows:
             want_key = pair_key(_single_word(ck), _single_word(dk))
-            wk = _word_key((rkey(ck[0], dk), lkey(ck, dk[1])), 1)
+            slot = ((ck[0], dk[0]), (ck[1], dk[1]), ck[2] + dk[2] + 2)
+            wk = slot + ((rkey(ck[0], dk), lkey(ck, dk[1])),)
             if quiver.has_key(wk) and \
                     fun.action.get(wk, {}) != {want_key: F.one}:
                 problems.append(f"r-then-l shuffle off at {(ck, dk)}")
-            wk = _word_key((lkey(ck, dk[0]), rkey(ck[1], dk)), 1)
+            wk = slot + ((lkey(ck, dk[0]), rkey(ck[1], dk)),)
             if quiver.has_key(wk):
                 s = _sign(F, -1 if ((ck[2] + 1) * (dk[2] + 1)) % 2 else 1)
                 if fun.action.get(wk, {}) != {want_key: s}:

@@ -90,6 +90,27 @@ def test_bar_weight_cap_is_exact_per_weight():
         assert small.curv.get(k) == big.curv.get(k)
 
 
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(CATEGORY_LIBRARY)
+             if not CATEGORY_LIBRARY[n](QQ).is_curved()])
+def test_bar_over_q_reduces_to_bar_over_f3(name):
+    # the samples have integral tables, so reducing the rational bar mod 3
+    # entrywise must give the bar over GF(3)
+    bq = bar_construction(CATEGORY_LIBRARY[name](QQ), 3)
+    b3 = bar_construction(CATEGORY_LIBRARY[name](F3), 3)
+
+    def mod3(vec):
+        return {k: F3.coerce(c) for k, c in vec.items()
+                if not F3.is_zero(F3.coerce(c))}
+
+    assert bq.reduced.slots == b3.reduced.slots
+    assert list(bq.comult) == list(b3.comult)
+    assert all(list(bq.comult[k]) == list(b3.comult[k]) for k in bq.comult)
+    reduced_diff = {k: mod3(v) for k, v in bq.diff.items()}
+    assert {k: v for k, v in reduced_diff.items() if v} == b3.diff
+    assert mod3(bq.curv) == b3.curv
+
+
 # -- bar: sentinels and input checking --------------------------------------
 
 

@@ -545,6 +545,19 @@ def test_comparison_on_generators(cname, pname, field):
     assert ez_generator_problems(ez) == []
 
 
+def test_comparison_on_generators_sees_broken_shuffles():
+    # the shuffle checks look their words up by key; a wrong key would skip
+    # them, so clearing the images of two-letter words must be reported
+    ez = ez_data(COALGEBRA_LIBRARY["dag"](F3),
+                 COALGEBRA_LIBRARY["primitive_pair"](F3), length_cap=3)
+    for k in ez.functor.action:
+        if len(k[3]) == 2:
+            ez.functor.action[k] = {}
+    problems = ez_generator_problems(ez)
+    assert any(p.startswith("r-then-l shuffle off") for p in problems)
+    assert any(p.startswith("l-then-r shuffle off") for p in problems)
+
+
 def test_comparison_against_point_is_functor():
     ez = ez_data(COALGEBRA_LIBRARY["dag"](QQ), point_coalgebra(QQ),
                  length_cap=3)
