@@ -280,6 +280,11 @@ class CobarResult:
         return problems
 
 
+def _letter_weight(k: Key) -> int:
+    # cobar weight of a reduced key: bar-word length for tuple names, else 1
+    return len(k[3]) if isinstance(k[3], tuple) else 1
+
+
 def cobar_construction(
     coa,
     length_cap: Optional[int] = None,
@@ -305,8 +310,7 @@ def cobar_construction(
     def shift(k: Key) -> Key:
         return (k[0], k[1], k[2] + 1, k)
 
-    wt = {shift(k): len(k[3]) if isinstance(k[3], tuple) else 1
-          for k in coa.reduced.keys()}
+    wt = {shift(k): _letter_weight(k) for k in coa.reduced.keys()}
     letters = list(wt)
     if weight_cap is not None and any(w < 1 for w in wt.values()):
         raise ValueError("letter weights must be >= 1 to cap by weight")

@@ -22,6 +22,15 @@ Cochains are spanned by ("o", x, dk) -- the grouplike row at x sent to the
 D-arrow dk -- and ("r", ck, dk), of degree |dk| - |ck|.  All tables are
 finite; the infinite constructions only enter through materialized bar and
 cobar output.
+
+Maurer-Cartan elements are found by propagation, not by trying every
+cochain.  The equation is quadratic only through xi(c2) o xi(c1); once
+one side of every such pair in a row is fixed, the row is linear in the
+remaining coordinates, and all such rows are solved at once.  The search
+branches on a coordinate only where no row is linear yet.  Solving stage
+by stage along the coradical filtration alone does not cut the search,
+because d lowers weight through the merge term: a weight-2 row of a bar
+constrains weight-1 coordinates.
 """
 
 from dataclasses import dataclass
@@ -32,6 +41,7 @@ from .field import Field, Vec, vec_addmul, vec_bump, vec_scale, vec_sub
 from .quiver import (GradedQuiver, Key, lkey, object_maps as all_object_maps,
                      pair_key, rkey)
 from .dgcat import DgCategory, DgFunctor, tensor_dg
+from .matrix import SparseMatrix
 from .coalgebra import (
     CoalgebraMorphism,
     FinalCoalgebra,
@@ -44,12 +54,14 @@ from .coalgebra import (
 from .barcobar import (
     CobarResult,
     Splitting,
+    _letter_weight,
     bar_construction,
     cobar_construction,
 )
 
 
-# budget of candidates for every exhaustive search below
+# search budget: branch values plus points of solution families in the
+# Maurer-Cartan search; candidates in the functor and morphism searches
 SEARCH_BUDGET = 1 << 18
 MAX_OBJECTS = 128  # object maps a convolution or MC category may hold
 
@@ -550,6 +562,11 @@ class MCElement:
         return f"MCElement({self.object_map!r}, xi on {support!r})"
 
 
+def _pair_sign(F: Field, lam, a: Key, b: Key):
+    # xi(c2) o xi(c1) enters the residual with (-1)^{(1 + |c1|) |c2|}
+    return F.neg(lam) if ((1 + a[2]) * b[2]) % 2 else lam
+
+
 def _mc_residual_row(rows: RowSystem, d: DgCategory, om: Dict,
                      xi: Dict[Key, Vec], ck: Key) -> Vec:
     """(d xi + xi * xi + h)(ck) in the reduced convolution."""
@@ -563,10 +580,8 @@ def _mc_residual_row(rows: RowSystem, d: DgCategory, om: Dict,
         if not va or not vb:
             continue
         term = d.compose(vb, va)
-        if not term:
-            continue
-        coeff = F.neg(lam) if ((1 + a[2]) * b[2]) % 2 else lam
-        r = vec_addmul(F, r, coeff, term)
+        if term:
+            r = vec_addmul(F, r, _pair_sign(F, lam, a, b), term)
     h = rows.curv.get(ck)
     if h is not None:
         r = vec_addmul(F, r, h, d.unit_vec(om[ck[0]]))
@@ -615,15 +630,145 @@ def _mc_coords(rows: RowSystem, d: DgCategory, om: Dict) -> List[Tuple[Key, Key]
     return coords
 
 
+def _mc_row_columns(rows: RowSystem, d: DgCategory, coords, free, xi,
+                    ck: Key) -> Dict[int, Vec]:
+    """Nonzero coefficient vectors of the unfixed coordinates in row ck.
+
+    ``free`` maps each row to its unfixed coordinate indices; the row must
+    have a fixed side in every cofactor pair, so it is affine in them.
+    """
+    F = rows.field
+    lin: Dict[int, Vec] = {}
+    for i in free.get(ck, ()):
+        lin[i] = d.apply_d({coords[i][1]: F.one})
+    for ck2, coeff in rows.diff.get(ck, {}).items():
+        for i in free.get(ck2, ()):
+            vec_bump(F, lin.setdefault(i, {}), coords[i][1], coeff)
+    for (a, b), lam in rows.comult.get(ck, {}).items():
+        for i in free.get(b, ()):
+            term = d.compose({coords[i][1]: F.one}, xi.get(a, {}))
+            lin[i] = vec_addmul(F, lin.get(i, {}), _pair_sign(F, lam, a, b),
+                                term)
+        for i in free.get(a, ()):
+            term = d.compose(xi.get(b, {}), {coords[i][1]: F.one})
+            lin[i] = vec_addmul(F, lin.get(i, {}), _pair_sign(F, lam, a, b),
+                                term)
+    return {i: v for i, v in lin.items() if v}
+
+
+def _mc_solutions(rows: RowSystem, d: DgCategory, om: Dict, spent: int,
+                  budget: int) -> Tuple[List[Dict[Key, Vec]], int]:
+    """Every solution over one object map, in coordinate order; see
+    ``mc_enumerate``.  Returns (cochains, budget spent so far)."""
+    F = rows.field
+    coords = _mc_coords(rows, d, om)
+    n = len(coords)
+    by_row: Dict[Key, List[int]] = {}
+    for i, (ck, _) in enumerate(coords):
+        by_row.setdefault(ck, []).append(i)
+    found: List[Dict[int, object]] = []
+
+    def cochain(vals):
+        xi: Dict[Key, Vec] = {}
+        for i, v in vals.items():
+            if not F.is_zero(v):
+                ck, dk = coords[i]
+                xi.setdefault(ck, {})[dk] = v
+        return xi
+
+    def visit(vals, pending):
+        nonlocal spent
+        if not pending and len(vals) == n:
+            found.append(vals)
+            return
+        xi = cochain(vals)
+        free: Dict[Key, List[int]] = {}  # rows with unfixed coordinates
+        for ck, idx in by_row.items():
+            left = [i for i in idx if i not in vals]
+            if left:
+                free[ck] = left
+        eqs: Dict[Tuple[Key, Key], int] = {}
+        rhs: Dict[int, object] = {}
+        cols: Dict[int, Dict[int, object]] = {}
+        rest: List[Key] = []
+        for ck in pending:
+            if any(a in free and b in free for a, b in rows.comult.get(ck, ())):
+                rest.append(ck)  # xi o xi still quadratic here
+                continue
+            const = _mc_residual_row(rows, d, om, xi, ck)
+            lin = _mc_row_columns(rows, d, coords, free, xi, ck)
+            if not lin:
+                if const:
+                    return  # a checked row fails
+                continue
+            for dk, c in const.items():
+                rhs[eqs.setdefault((ck, dk), len(eqs))] = F.neg(c)
+            for i, v in lin.items():
+                col = cols.setdefault(i, {})
+                for dk, c in v.items():
+                    col[eqs.setdefault((ck, dk), len(eqs))] = c
+        if cols:
+            # every affine row at once: x = particular + kernel span
+            ids = list(cols)
+            A = SparseMatrix(F, len(eqs), len(ids),
+                             {(r, j): c for j, i in enumerate(ids)
+                              for r, c in cols[i].items()})
+            sol = A.solve(rhs)
+            if sol is None:
+                return
+            kernel = A.kernel_basis()
+        else:
+            ids = [i for left in free.values() for i in left]
+            if not ids:
+                found.append(vals)
+                return
+            if rest:
+                ids = ids[:1]  # branch on the first unfixed coordinate
+            # else no row constrains the unfixed coordinates at all
+            sol, kernel = {}, [{j: F.one} for j in range(len(ids))]
+        if kernel and F.size is None:
+            raise ValueError("Maurer-Cartan search has to branch on a free "
+                             "coordinate here, which needs a finite field")
+        spent = _charge(spent + (F.size or 1) ** len(kernel), budget)
+        for ts in product(F.elements(), repeat=len(kernel)) if kernel else [()]:
+            x = dict(sol)
+            for t, kv in zip(ts, kernel):
+                for j, c in kv.items():
+                    x[j] = F.add(x.get(j, F.zero), F.mul(t, c))
+            point = dict(vals)
+            for j, i in enumerate(ids):
+                point[i] = x.get(j, F.zero)
+            visit(point, rest)
+
+    visit({}, list(rows.rows.keys()))
+    found.sort(key=lambda vals: [vals[i] for i in range(n)])
+    return [cochain(vals) for vals in found], spent
+
+
 def mc_enumerate(c, d: DgCategory, object_maps: Optional[Sequence] = None,
                  budget: int = SEARCH_BUDGET) -> List[MCElement]:
-    """All Maurer-Cartan elements by exhaustive search.
+    """All Maurer-Cartan elements, by propagation and linear solves.
 
-    Needs a finite scalar field as soon as there is a nonzero coordinate
-    space; individual candidates over any field go through ``mc_check``.
+    The unknowns are the coordinates of xi on each reduced row.  The
+    residual of a row is d_D xi(c) + xi(dc) + sum +-xi(c2) o xi(c1) + h(c);
+    once every cofactor pair of the row has one side fully fixed, each
+    xi o xi term is linear in the other side, so the row is affine in its
+    unfixed coordinates.  The search repeats three steps: rows with no
+    unfixed coordinate are checked; all affine rows are solved together
+    as one linear system (inconsistent: prune; otherwise every point of
+    the solution family is visited); failing both, it branches on the
+    first unfixed coordinate in row order.  Solving weight by weight
+    along the coradical filtration would not cut the search: d lowers
+    weight through the merge term, so in B(trunc_poly3) the weight-2 row
+    [x|x] constrains the weight-1 coordinate xi[x^2], and a stage-only
+    solver still visits every weight-1 point.
+
+    Over an infinite field the search returns the solutions when every
+    coordinate is forced and refuses where it would have to branch.  The
+    budget counts every branch value and every point of a family.
+    Elements come per object map in lexicographic coordinate order.
     """
     rows = _row_system(c, counital=False)
-    F = rows.field
     if object_maps is None:
         object_maps = all_object_maps(rows.objects, d.quiver.objects)
     out: List[MCElement] = []
@@ -634,87 +779,13 @@ def mc_enumerate(c, d: DgCategory, object_maps: Optional[Sequence] = None,
         for x, y in om.items():
             if y not in d.quiver.objects:
                 raise ValueError(f"object map misses a value on {x!r}")
-        coords = _mc_coords(rows, d, om)
-        if coords and F.size is None:
-            raise ValueError(
-                "exhaustive Maurer-Cartan search needs a finite field")
-        spent = _charge(spent + (F.size or 1) ** len(coords), budget)
-        elems = list(F.elements()) if coords else []
-        for assignment in product(elems, repeat=len(coords)):
-            xi: Dict[Key, Vec] = {}
-            for (ck, dk), val in zip(coords, assignment):
-                if F.is_zero(val):
-                    continue
-                xi.setdefault(ck, {})[dk] = val
-            ok = True
-            for ck in rows.rows.keys():
-                if _mc_residual_row(rows, d, om, xi, ck):
-                    ok = False
-                    break
-            if ok:
-                m = MCElement(om, xi)
-                key = m.canonical()
-                if key not in seen:
-                    seen.add(key)
-                    out.append(m)
-    return out
-
-
-def mc_enumerate_tensor(c: PointedCoalgebra, cp: PointedCoalgebra,
-                        d: DgCategory, object_maps: Optional[Sequence] = None,
-                        budget: int = SEARCH_BUDGET) -> List[MCElement]:
-    """Two-stage search on C (x) C'.
-
-    The grouplike (x) C'-bar rows form a subcoalgebra whose Maurer-Cartan
-    system never involves the other rows, so candidates are solved there
-    first and extended over the rest.  Output matches ``mc_enumerate`` on
-    the tensor coalgebra (cross-checked in tests).
-    """
-    t = tensor_coalgebras(c, cp)
-    rows = _row_system(t, counital=False)
-    F = rows.field
-    if F.size is None and rows.rows.total_dim():
-        raise ValueError("exhaustive Maurer-Cartan search needs a finite field")
-
-    def is_second_factor_row(ck: Key) -> bool:
-        return ck[3][0][0] == "G"
-
-    arow = [ck for ck in rows.rows.keys() if is_second_factor_row(ck)]
-    brow = [ck for ck in rows.rows.keys() if not is_second_factor_row(ck)]
-    if object_maps is None:
-        object_maps = all_object_maps(rows.objects, d.quiver.objects)
-    out: List[MCElement] = []
-    seen = set()
-    spent = 0
-    elems = list(F.elements())
-    for om in object_maps:
-        om = dict(om if isinstance(om, dict) else zip(rows.objects, om))
-        coords = _mc_coords(rows, d, om)
-        acoords = [cd for cd in coords if is_second_factor_row(cd[0])]
-        bcoords = [cd for cd in coords if not is_second_factor_row(cd[0])]
-        spent = _charge(spent + (F.size or 1) ** len(acoords), budget)
-        survivors = []
-        for assignment in product(elems, repeat=len(acoords)):
-            phi: Dict[Key, Vec] = {}
-            for (ck, dk), val in zip(acoords, assignment):
-                if not F.is_zero(val):
-                    phi.setdefault(ck, {})[dk] = val
-            if all(not _mc_residual_row(rows, d, om, phi, ck) for ck in arow):
-                survivors.append(phi)
-        spent = _charge(
-            spent + len(survivors) * (F.size or 1) ** len(bcoords), budget)
-        for phi in survivors:
-            for assignment in product(elems, repeat=len(bcoords)):
-                xi = {k: dict(v) for k, v in phi.items()}
-                for (ck, dk), val in zip(bcoords, assignment):
-                    if not F.is_zero(val):
-                        xi.setdefault(ck, {})[dk] = val
-                if all(not _mc_residual_row(rows, d, om, xi, ck) for ck in brow):
-                    m = MCElement(om, xi)
-                    key = m.canonical()
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(m)
+        sols, spent = _mc_solutions(rows, d, om, spent, budget)
+        for xi in sols:
+            m = MCElement(om, xi)
+            key = m.canonical()
+            if key not in seen:
+                seen.add(key)
+                out.append(m)
     return out
 
 
@@ -1227,7 +1298,9 @@ def ez_generator_problems(ez: EZData) -> List[str]:
 
     One-letter words over pure rows land on their pair with coefficient
     one and mixed rows die; the two routes around a square of one-letter
-    factors agree up to the Koszul sign of the crossing.
+    factors agree up to the Koszul sign of the crossing.  A two-letter
+    shuffle word that the source's caps admit but its quiver lacks is
+    reported as missing.
     """
     F = ez.tensor.field
     fun = ez.functor
@@ -1250,20 +1323,31 @@ def ez_generator_problems(ez: EZData) -> List[str]:
             want = {}
         if fun.action.get(_single_word(tk), {}) != want:
             problems.append(f"one-letter image off at {tk[3]}")
-    quiver = ez.source.category.quiver
+    src = ez.source
+    quiver = src.category.quiver
+
+    def admitted(word) -> bool:
+        # both letters are stored and the caps keep the two-letter word,
+        # so the cobar must hold it
+        return (all(quiver.has_key(_single_word(k)) for k in word)
+                and (src.length_cap is None or src.length_cap >= 2)
+                and (src.weight_cap is None or
+                     sum(_letter_weight(k) for k in word) <= src.weight_cap))
+
     for ck in crows:
         for dk in drows:
             want_key = pair_key(_single_word(ck), _single_word(dk))
             slot = ((ck[0], dk[0]), (ck[1], dk[1]), ck[2] + dk[2] + 2)
-            wk = slot + ((rkey(ck[0], dk), lkey(ck, dk[1])),)
-            if quiver.has_key(wk) and \
-                    fun.action.get(wk, {}) != {want_key: F.one}:
-                problems.append(f"r-then-l shuffle off at {(ck, dk)}")
-            wk = slot + ((lkey(ck, dk[0]), rkey(ck[1], dk)),)
-            if quiver.has_key(wk):
-                s = _sign(F, -1 if ((ck[2] + 1) * (dk[2] + 1)) % 2 else 1)
-                if fun.action.get(wk, {}) != {want_key: s}:
-                    problems.append(f"l-then-r shuffle off at {(ck, dk)}")
+            cross = _sign(F, -1 if ((ck[2] + 1) * (dk[2] + 1)) % 2 else 1)
+            for word, sign, route in (
+                    ((rkey(ck[0], dk), lkey(ck, dk[1])), F.one, "r-then-l"),
+                    ((lkey(ck, dk[0]), rkey(ck[1], dk)), cross, "l-then-r")):
+                wk = slot + (word,)
+                if quiver.has_key(wk):
+                    if fun.action.get(wk, {}) != {want_key: sign}:
+                        problems.append(f"{route} shuffle off at {(ck, dk)}")
+                elif admitted(word):
+                    problems.append(f"shuffle word missing at {(ck, dk)}")
     return problems
 
 

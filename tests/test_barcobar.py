@@ -111,6 +111,30 @@ def test_bar_over_q_reduces_to_bar_over_f3(name):
     assert mod3(bq.curv) == b3.curv
 
 
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(COALGEBRA_LIBRARY)
+             if not COALGEBRA_LIBRARY[n](QQ).is_curved()])
+def test_cobar_over_q_reduces_to_cobar_over_f3(name):
+    # the samples have integral tables, so reducing the rational cobar mod
+    # 3 entrywise must give the cobar over GF(3)
+    cq = cobar_construction(COALGEBRA_LIBRARY[name](QQ), length_cap=3).category
+    c3 = cobar_construction(COALGEBRA_LIBRARY[name](F3), length_cap=3).category
+
+    def mod3(table):
+        out = {}
+        for k, vec in table.items():
+            v = {kk: F3.coerce(c) for kk, c in vec.items()
+                 if not F3.is_zero(F3.coerce(c))}
+            if v:
+                out[k] = v
+        return out
+
+    assert cq.quiver.slots == c3.quiver.slots
+    assert list(cq.comp) == list(c3.comp)
+    assert mod3(cq.comp) == c3.comp
+    assert mod3(cq.diff) == c3.diff
+
+
 # -- bar: sentinels and input checking --------------------------------------
 
 
