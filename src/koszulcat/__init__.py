@@ -4,8 +4,8 @@ The layers, bottom up:
 
 - ``field``, ``matrix``, ``complexes``: exact scalars (Q, GF(p)), sparse
   elimination, bounded cochain complexes with labelled bases.
-- ``quiver``: graded quivers with named basis arrows; tensor and internal
-  hom.  It also owns the vocabulary every later layer shares: tensor keys
+- ``quiver``: graded quivers with named basis arrows and their tensor.
+  It also owns the vocabulary every later layer shares: tensor keys
   (``pair_key``, ``lkey``, ``rkey``), composable words, object maps and the
   directed-cycle check.
 - ``dgcat``: dg / curved categories as finite structure tables, validation,

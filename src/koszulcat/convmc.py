@@ -19,9 +19,14 @@ uHom(C, BD) = B MC*(C, D), and the Eilenberg-Zilber comparison functor
 Omega(C (x) C') -> Omega C (x) Omega C'.
 
 Cochains are spanned by ("o", x, dk) -- the grouplike row at x sent to the
-D-arrow dk -- and ("r", ck, dk), of degree |dk| - |ck|.  All tables are
-finite; the infinite constructions only enter through materialized bar and
-cobar output.
+D-arrow dk -- and ("r", ck, dk), of degree |dk| - |ck|.  Both variants
+read a ``PointedCoalgebra``'s tables as they stand, and one materializer,
+``ConvolutionCategory.tables``, serves the dg category, the reduced
+validator, the MC category and the interchange check.  The kernel tensor
+C-bar (x) C' of the interchange is a restriction of the reduced
+{C (x) C', D}; ``interchange_problems`` says why.  All tables are finite;
+the infinite constructions only enter through materialized bar and cobar
+output.
 
 Maurer-Cartan elements are found by propagation, not by trying every
 cochain.  The equation is quadratic only through xi(c2) o xi(c1); once
@@ -74,143 +79,33 @@ def _charge(spent: int, budget: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# row systems
-
-
-class RowSystem:
-    """Row-level view of a coalgebra with or without its counit.
-
-    ``comult`` holds only the row (x) row part of the comultiplication; the
-    canonical g (x) c + c (x) g terms are implied by the ``counital`` flag.
-    One table format then covers a pointed coalgebra, its counit kernel,
-    and the kernel tensored with another pointed coalgebra -- exactly the
-    coalgebra legs the convolution construction has to accept.
-    """
-
-    def __init__(self, field: Field, objects, counital: bool,
-                 rows: GradedQuiver, comult, diff, curv):
-        self.field = field
-        self.objects = tuple(objects)
-        self.counital = bool(counital)
-        self.rows = rows
-        comult = {
-            k: {p: c for p, c in v.items() if not field.is_zero(c)}
-            for k, v in comult.items()
-        }
-        self.comult = {k: v for k, v in comult.items() if v}
-        self.diff = {k: dict(v) for k, v in diff.items() if v}
-        self.curv = {k: c for k, c in curv.items() if not field.is_zero(c)}
-
-    @classmethod
-    def from_coalgebra(cls, coa: PointedCoalgebra, counital: bool = True) -> "RowSystem":
-        return cls(coa.field, coa.objects, counital, coa.reduced,
-                   coa.comult, coa.diff, coa.curv)
-
-    @classmethod
-    def reduced_tensor(cls, c: PointedCoalgebra, cp: PointedCoalgebra) -> "RowSystem":
-        """Counit kernel of ``c`` tensored with all of ``cp``.
-
-        Not the kernel of the tensor: the comultiplication keeps the full
-        coproduct of ``cp`` but only the reduced one of ``c``, so there is
-        no counit and no implied grouplike terms.
-        """
-        if c.field is not cp.field:
-            raise ValueError("tensor needs a common scalar field")
-        F = c.field
-        objects = [(x, y) for x in c.objects for y in cp.objects]
-        ckeys = list(c.reduced.keys())
-        pkeys = list(cp.reduced.keys())
-        slots: Dict = {}
-
-        def add(k: Key):
-            slots.setdefault((k[0], k[1], k[2]), []).append(k[3])
-
-        for a in ckeys:
-            for y in cp.objects:
-                add(lkey(a, y))
-            for b in pkeys:
-                add(pair_key(a, b))
-        comult: Dict = {}
-        diff: Dict = {}
-        curv: Dict = {}
-        for a in ckeys:
-            red_a = c.comult.get(a, {})
-            # grouplike right leg: cofactors stay in the same column
-            for y in cp.objects:
-                k = lkey(a, y)
-                terms: Dict = {}
-                for (a1, a2), al in red_a.items():
-                    vec_bump(F, terms, (lkey(a1, y), lkey(a2, y)), al)
-                if terms:
-                    comult[k] = terms
-                dv: Vec = {}
-                for a2, coeff in c.diff.get(a, {}).items():
-                    vec_bump(F, dv, lkey(a2, y), coeff)
-                if dv:
-                    diff[k] = dv
-                h = c.curv.get(a)
-                if h is not None:
-                    curv[k] = h
-            sgn_a = F.coerce(-1) if a[2] % 2 else F.one
-            for b in pkeys:
-                k = pair_key(a, b)
-                terms = {}
-                # a1 (x) a2 against the full coproduct of b; Koszul sign
-                # (-1)^{|a2||b-left|} from moving a2 past the left cofactor
-                for (a1, a2), al in red_a.items():
-                    vec_bump(F, terms, (lkey(a1, b[0]), pair_key(a2, b)), al)
-                    s = F.coerce(-1) if (a2[2] * b[2]) % 2 else F.one
-                    vec_bump(F, terms, (pair_key(a1, b), lkey(a2, b[1])), F.mul(al, s))
-                    for (b1, b2), bl in cp.comult.get(b, {}).items():
-                        s = F.coerce(-1) if (a2[2] * b1[2]) % 2 else F.one
-                        vec_bump(F, terms, (pair_key(a1, b1), pair_key(a2, b2)),
-                                 F.mul(F.mul(al, bl), s))
-                if terms:
-                    comult[k] = terms
-                dv = {}
-                for a2, coeff in c.diff.get(a, {}).items():
-                    vec_bump(F, dv, pair_key(a2, b), coeff)
-                for b2, coeff in cp.diff.get(b, {}).items():
-                    vec_bump(F, dv, pair_key(a, b2), F.mul(sgn_a, coeff))
-                if dv:
-                    diff[k] = dv
-                # h_C (x) eps' kills the non-grouplike right leg; the reduced
-                # left leg has no counit, so h' never contributes
-        quiver = GradedQuiver(objects, slots)
-        return cls(F, objects, False, quiver, comult, diff, curv)
-
-def _row_system(c, counital: bool) -> RowSystem:
-    if isinstance(c, RowSystem):
-        if c.counital == counital:
-            return c
-        return RowSystem(c.field, c.objects, counital, c.rows,
-                         c.comult, c.diff, c.curv)
-    return RowSystem.from_coalgebra(c, counital=counital)
-
-
-# ---------------------------------------------------------------------------
 # the convolution category
 
 
 class ConvolutionCategory:
-    """{C, D} with the tables exposed per basis cochain.
+    """{C, D}, or the reduced {C-bar, D}, with the tables exposed per basis
+    cochain.
 
     Objects are object maps, stored as tuples in coalgebra-object order.
-    ``to_dg_category`` materializes the whole thing (counital side only --
-    the reduced convolution has no units and stays a wrapper with its own
-    validator).
+    The coalgebra's ``reduced``, ``comult``, ``diff`` and ``curv`` are read
+    as they stand.  ``reduced`` drops the grouplike rows, and with them the
+    units and the h_D terms of the curvature.  ``tables`` materializes
+    either side; ``to_dg_category`` only the counital one, because the
+    reduced convolution has no units.
     """
 
-    def __init__(self, rows: RowSystem, cat: DgCategory,
-                 object_maps: Optional[Sequence] = None, max_objects: int = MAX_OBJECTS):
-        if rows.field is not cat.field:
+    def __init__(self, c: PointedCoalgebra, cat: DgCategory,
+                 reduced: bool = False, object_maps: Optional[Sequence] = None,
+                 max_objects: int = MAX_OBJECTS):
+        if c.field is not cat.field:
             raise ValueError("convolution needs matching scalar fields")
-        self.field = rows.field
-        self.rows = rows
+        self.field = c.field
+        self.coalgebra = c
+        self.reduced = reduced
         self.cat = cat
-        self.index = {x: i for i, x in enumerate(rows.objects)}
+        self.index = {x: i for i, x in enumerate(c.objects)}
         if object_maps is None:
-            maps = list(all_object_maps(rows.objects, cat.quiver.objects,
+            maps = list(all_object_maps(c.objects, cat.quiver.objects,
                                         max_objects))
         else:
             maps, seen = [], set()
@@ -224,10 +119,11 @@ class ConvolutionCategory:
         self._deltaT: Optional[Dict] = None
 
     def _om_tuple(self, m) -> Tuple:
+        objects = self.coalgebra.objects
         if isinstance(m, dict):
-            m = tuple(m[x] for x in self.rows.objects)
+            m = tuple(m[x] for x in objects)
         m = tuple(m)
-        if len(m) != len(self.rows.objects):
+        if len(m) != len(objects):
             raise ValueError("object map has the wrong length")
         for y in m:
             if y not in self.cat.quiver.objects:
@@ -242,7 +138,7 @@ class ConvolutionCategory:
     def _diff_transpose(self) -> Dict:
         if self._dT is None:
             t: Dict = {}
-            for c, dv in self.rows.diff.items():
+            for c, dv in self.coalgebra.diff.items():
                 for ck2, coeff in dv.items():
                     t.setdefault(ck2, []).append((c, coeff))
             self._dT = t
@@ -251,7 +147,7 @@ class ConvolutionCategory:
     def _delta_transpose(self) -> Dict:
         if self._deltaT is None:
             t = {}
-            for c, terms in self.rows.comult.items():
+            for c, terms in self.coalgebra.comult.items():
                 for (a, b), coeff in terms.items():
                     t.setdefault((a, b), []).append((c, coeff))
             self._deltaT = t
@@ -262,13 +158,13 @@ class ConvolutionCategory:
     def hom_keys(self, fk: Tuple, gk: Tuple) -> List[Key]:
         out = []
         dkeys = list(self.cat.quiver.keys())
-        if self.rows.counital:
-            for i, x in enumerate(self.rows.objects):
+        if not self.reduced:
+            for i, x in enumerate(self.coalgebra.objects):
                 fx, gx = fk[i], gk[i]
                 for dk in dkeys:
                     if dk[0] == fx and dk[1] == gx:
                         out.append((fk, gk, dk[2], ("o", x, dk)))
-        for ck in self.rows.rows.keys():
+        for ck in self.coalgebra.reduced.keys():
             fx = self.om_value(fk, ck[0])
             gy = self.om_value(gk, ck[1])
             for dk in dkeys:
@@ -317,7 +213,7 @@ class ConvolutionCategory:
         elif nphi[0] == "o":
             # phi eats the canonical grouplike at the source of psi's row
             ck = npsi[1]
-            if not self.rows.counital or nphi[1] != ck[0]:
+            if self.reduced or nphi[1] != ck[0]:
                 return {}
             neg = (p * ck[2]) % 2 == 1
             for dk2, c in dd.items():
@@ -325,7 +221,7 @@ class ConvolutionCategory:
                          F.neg(c) if neg else c)
         elif npsi[0] == "o":
             ck = nphi[1]
-            if not self.rows.counital or npsi[1] != ck[1]:
+            if self.reduced or npsi[1] != ck[1]:
                 return {}
             for dk2, c in dd.items():
                 vec_bump(F, out, (fk, hk, n, ("r", ck, dk2)), c)
@@ -339,11 +235,11 @@ class ConvolutionCategory:
         return out
 
     def unit_vec(self, fk: Tuple) -> Vec:
-        if not self.rows.counital:
+        if self.reduced:
             raise ValueError("the reduced convolution category has no units")
         F = self.field
         out: Vec = {}
-        for i, x in enumerate(self.rows.objects):
+        for i, x in enumerate(self.coalgebra.objects):
             for dk, c in self.cat.unit_vec(fk[i]).items():
                 vec_bump(F, out, (fk, fk, 0, ("o", x, dk)), c)
         return out
@@ -351,13 +247,13 @@ class ConvolutionCategory:
     def curvature_vec(self, fk: Tuple) -> Vec:
         F = self.field
         out: Vec = {}
-        for ck, h in self.rows.curv.items():
+        for ck, h in self.coalgebra.curv.items():
             fx = self.om_value(fk, ck[0])
             for dk, c in self.cat.unit_vec(fx).items():
                 vec_bump(F, out, (fk, fk, dk[2] - ck[2], ("r", ck, dk)),
                          F.mul(h, c))
-        if self.rows.counital:
-            for i, x in enumerate(self.rows.objects):
+        if not self.reduced:
+            for i, x in enumerate(self.coalgebra.objects):
                 for dk, c in self.cat.curvature_vec(fk[i]).items():
                     vec_bump(F, out, (fk, fk, dk[2], ("o", x, dk)), c)
         return out
@@ -384,13 +280,14 @@ class ConvolutionCategory:
     # -- materialization and validation ------------------------------------
 
     def tables(self, objects: Sequence[Tuple[object, Tuple]]):
-        """Quiver, units, products and hom keys over labelled object maps.
+        """Every structure table over labelled object maps.
 
         ``objects`` lists (label, object map) pairs.  Every basis key starts
         with the labels of its two ends, so objects with equal maps stay
         apart; comp_vec, diff_vec and star only compare those entries.
-        Returns (quiver, unit, comp, keyed) with keyed[(lf, lg)] the hom
-        keys from lf to lg.
+        Returns (quiver, unit, comp, diff, curvature, keyed): the tables a
+        ``DgCategory`` takes, with the plain differential, and keyed[(lf,
+        lg)] the hom keys from lf to lg.  The reduced side has no units.
         """
         keyed: Dict[Tuple, List[Key]] = {}
         slots: Dict = {}
@@ -401,8 +298,12 @@ class ConvolutionCategory:
                 for k in ks:
                     slots.setdefault((lf, lg, k[2]), []).append(k[3])
         quiver = GradedQuiver([lf for lf, _ in objects], slots)
-        unit = {lf: {(lf, lf) + k[2:]: c for k, c in self.unit_vec(fk).items()}
-                for lf, fk in objects}
+
+        def at(lf, vec: Vec) -> Vec:
+            return {(lf, lf) + k[2:]: c for k, c in vec.items()}
+
+        unit = {} if self.reduced else {lf: at(lf, self.unit_vec(fk))
+                                        for lf, fk in objects}
         comp = {}
         for lf, _ in objects:
             for lg, _ in objects:
@@ -412,28 +313,28 @@ class ConvolutionCategory:
                             v = self.comp_vec(kpsi, kphi)
                             if v:
                                 comp[(kpsi, kphi)] = v
-        return quiver, unit, comp, keyed
-
-    def to_dg_category(self) -> DgCategory:
-        if not self.rows.counital:
-            raise ValueError("the reduced convolution category has no units; "
-                             "keep the wrapper and use its validator")
-        quiver, unit, comp, keyed = self.tables(
-            [(fk, fk) for fk in self.object_maps])
         diff = {}
         for ks in keyed.values():
             for k in ks:
                 v = self.diff_vec(k)
                 if v:
                     diff[k] = v
-        curvature = {fk: self.curvature_vec(fk) for fk in self.object_maps}
-        if not any(curvature.values()):
-            curvature = None
-        return DgCategory(self.field, quiver, unit, comp,
-                          diff=diff or None, curvature=curvature)
+        curvature = {lf: at(lf, self.curvature_vec(fk)) for lf, fk in objects}
+        return quiver, unit, comp, diff, curvature, keyed
+
+    def _object_tables(self):
+        return self.tables([(fk, fk) for fk in self.object_maps])
+
+    def to_dg_category(self) -> DgCategory:
+        if self.reduced:
+            raise ValueError("the reduced convolution category has no units; "
+                             "keep the wrapper and use its validator")
+        quiver, unit, comp, diff, curvature, _ = self._object_tables()
+        return DgCategory(self.field, quiver, unit, comp, diff=diff,
+                          curvature=curvature)
 
     def validate(self, max_problems: int = 25) -> List[str]:
-        if self.rows.counital:
+        if not self.reduced:
             return self.to_dg_category().validate(max_problems=max_problems)
         return self._validate_reduced(max_problems)
 
@@ -458,78 +359,41 @@ class ConvolutionCategory:
         """Reduced convolution over a possibly curved D is not itself a
         curved category: d^2 phi = [eta f h_C, phi]_* + h_D o phi - phi o h_D
         holds exactly, with the outer terms vanishing iff D is uncurved.
-        Checks that identity plus associativity and the Leibniz rule.
+        Checks that identity on the materialized tables, then associativity
+        and the Leibniz rule by the table-driven passes of
+        ``DgCategory.validate``.
         """
         F = self.field
+        quiver, _, comp, diff, curvature, keyed = self._object_tables()
+        # no units: only passes that never read one run on these tables
+        tabled = DgCategory(F, quiver, {}, comp, diff=diff, curvature=curvature)
+        curved = self.cat.is_curved()
         problems: List[str] = []
-        keyed = {}
-        for fk in self.object_maps:
-            for gk in self.object_maps:
-                keyed[(fk, gk)] = self.hom_keys(fk, gk)
-        for (fk, gk), ks in keyed.items():
-            hf = self.curvature_vec(fk)
-            hg = self.curvature_vec(gk)
+        for ks in keyed.values():
             for k in ks:
                 one = {k: F.one}
-                lhs = self.apply_d(self.apply_d(one))
-                rhs = vec_sub(F, self.star(hg, one), self.star(one, hf))
-                rhs = vec_addmul(F, rhs, F.one, self._outer_curvature(one, True))
-                rhs = vec_addmul(F, rhs, F.coerce(-1),
-                                 self._outer_curvature(one, False))
+                lhs = tabled.apply_d(diff.get(k, {}))
+                rhs = vec_sub(F, tabled.compose(tabled.curvature_vec(k[1]), one),
+                              tabled.compose(one, tabled.curvature_vec(k[0])))
+                if curved:
+                    rhs = vec_addmul(F, rhs, F.one,
+                                     self._outer_curvature(one, True))
+                    rhs = vec_addmul(F, rhs, F.coerce(-1),
+                                     self._outer_curvature(one, False))
                 if lhs != rhs:
-                    problems.append(f"d^2 identity fails on {k[3]}")
+                    problems.append(f"d^2 identity fails on {k}")
                     if len(problems) >= max_problems:
                         return problems
-        for fk in self.object_maps:
-            for gk in self.object_maps:
-                for hk in self.object_maps:
-                    for kpsi in keyed[(gk, hk)]:
-                        vpsi = {kpsi: F.one}
-                        for kphi in keyed[(fk, gk)]:
-                            vphi = {kphi: F.one}
-                            prod = self.comp_vec(kpsi, kphi)
-                            lhs = self.apply_d(prod)
-                            rhs = self.star(self.apply_d(vpsi), vphi)
-                            s = F.coerce(-1) if kpsi[2] % 2 else F.one
-                            rhs = vec_addmul(F, rhs, s,
-                                             self.star(vpsi, self.apply_d(vphi)))
-                            if lhs != rhs:
-                                problems.append(
-                                    f"Leibniz fails on ({kpsi[3]}, {kphi[3]})")
-                                if len(problems) >= max_problems:
-                                    return problems
-        for fk in self.object_maps:
-            for gk in self.object_maps:
-                for hk in self.object_maps:
-                    for ik in self.object_maps:
-                        for kchi in keyed[(hk, ik)]:
-                            vchi = {kchi: F.one}
-                            for kpsi in keyed[(gk, hk)]:
-                                inner = self.comp_vec(kchi, kpsi)
-                                vpsi = {kpsi: F.one}
-                                for kphi in keyed[(fk, gk)]:
-                                    vphi = {kphi: F.one}
-                                    lhs = self.star(vchi, self.comp_vec(kpsi, kphi))
-                                    rhs = self.star(inner, vphi)
-                                    if lhs != rhs:
-                                        problems.append(
-                                            "associativity fails on "
-                                            f"({kchi[3]}, {kpsi[3]}, {kphi[3]})")
-                                        if len(problems) >= max_problems:
-                                            return problems
+        tabled._composition_problems(problems, max_problems)
         return problems
 
 
-def convolution_category(c, d: DgCategory, reduced: bool = False,
+def convolution_category(c: PointedCoalgebra, d: DgCategory,
+                         reduced: bool = False,
                          object_maps: Optional[Sequence] = None,
                          max_objects: int = MAX_OBJECTS) -> ConvolutionCategory:
-    """{C, D}, or the reduced {C-bar, D} when ``reduced`` is set.
-
-    ``c`` may be a pointed coalgebra or a prepared ``RowSystem`` (the latter
-    is how the kernel-tensor leg of the interchange comes in).
-    """
-    rows = _row_system(c, counital=not reduced)
-    return ConvolutionCategory(rows, d, object_maps=object_maps,
+    """{C, D}, or the reduced {C-bar, D} when ``reduced`` is set."""
+    return ConvolutionCategory(c, d, reduced=reduced, object_maps=object_maps,
                                max_objects=max_objects)
 
 
@@ -567,43 +431,42 @@ def _pair_sign(F: Field, lam, a: Key, b: Key):
     return F.neg(lam) if ((1 + a[2]) * b[2]) % 2 else lam
 
 
-def _mc_residual_row(rows: RowSystem, d: DgCategory, om: Dict,
+def _mc_residual_row(coa: PointedCoalgebra, d: DgCategory, om: Dict,
                      xi: Dict[Key, Vec], ck: Key) -> Vec:
     """(d xi + xi * xi + h)(ck) in the reduced convolution."""
-    F = rows.field
+    F = coa.field
     r = d.apply_d(xi.get(ck, {}))
-    for ck2, coeff in rows.diff.get(ck, {}).items():
+    for ck2, coeff in coa.diff.get(ck, {}).items():
         # -(-1)^{|xi|} xi(dc) with |xi| = 1
         r = vec_addmul(F, r, coeff, xi.get(ck2, {}))
-    for (a, b), lam in rows.comult.get(ck, {}).items():
+    for (a, b), lam in coa.comult.get(ck, {}).items():
         va, vb = xi.get(a), xi.get(b)
         if not va or not vb:
             continue
         term = d.compose(vb, va)
         if term:
             r = vec_addmul(F, r, _pair_sign(F, lam, a, b), term)
-    h = rows.curv.get(ck)
+    h = coa.curv.get(ck)
     if h is not None:
         r = vec_addmul(F, r, h, d.unit_vec(om[ck[0]]))
     return r
 
 
-def mc_check(c, d: DgCategory, cand: MCElement) -> Tuple[bool, Dict[Key, Vec]]:
+def mc_check(c: PointedCoalgebra, d: DgCategory,
+             cand: MCElement) -> Tuple[bool, Dict[Key, Vec]]:
     """Evaluate d xi + xi * xi + h row by row; returns (flag, residual).
 
     Raises if the candidate is not an honest degree-1 cochain (wrong slot
     or degree shift other than +1) -- that is malformed input, not a failed
     equation.
     """
-    rows = _row_system(c, counital=False)
-    F = rows.field
     om = dict(cand.object_map)
-    for x in rows.objects:
+    for x in c.objects:
         if om.get(x) not in d.quiver.objects:
             raise ValueError(f"object map misses a value on {x!r}")
     xi: Dict[Key, Vec] = {}
     for ck, v in cand.xi.items():
-        if not rows.rows.has_key(ck):
+        if not c.reduced.has_key(ck):
             raise ValueError(f"unknown coalgebra key {ck}")
         for dk in v:
             if not d.quiver.has_key(dk):
@@ -614,37 +477,38 @@ def mc_check(c, d: DgCategory, cand: MCElement) -> Tuple[bool, Dict[Key, Vec]]:
                 raise ValueError("twisting cochain must have degree 1")
         xi[ck] = dict(v)
     residual = {}
-    for ck in rows.rows.keys():
-        r = _mc_residual_row(rows, d, om, xi, ck)
+    for ck in c.reduced.keys():
+        r = _mc_residual_row(c, d, om, xi, ck)
         if r:
             residual[ck] = r
     return (not residual), residual
 
 
-def _mc_coords(rows: RowSystem, d: DgCategory, om: Dict) -> List[Tuple[Key, Key]]:
+def _mc_coords(coa: PointedCoalgebra, d: DgCategory,
+               om: Dict) -> List[Tuple[Key, Key]]:
     coords = []
-    for ck in rows.rows.keys():
+    for ck in coa.reduced.keys():
         fx, fy = om[ck[0]], om[ck[1]]
         for name in d.quiver.slot(fx, fy, ck[2] + 1):
             coords.append((ck, (fx, fy, ck[2] + 1, name)))
     return coords
 
 
-def _mc_row_columns(rows: RowSystem, d: DgCategory, coords, free, xi,
+def _mc_row_columns(coa: PointedCoalgebra, d: DgCategory, coords, free, xi,
                     ck: Key) -> Dict[int, Vec]:
     """Nonzero coefficient vectors of the unfixed coordinates in row ck.
 
     ``free`` maps each row to its unfixed coordinate indices; the row must
     have a fixed side in every cofactor pair, so it is affine in them.
     """
-    F = rows.field
+    F = coa.field
     lin: Dict[int, Vec] = {}
     for i in free.get(ck, ()):
         lin[i] = d.apply_d({coords[i][1]: F.one})
-    for ck2, coeff in rows.diff.get(ck, {}).items():
+    for ck2, coeff in coa.diff.get(ck, {}).items():
         for i in free.get(ck2, ()):
             vec_bump(F, lin.setdefault(i, {}), coords[i][1], coeff)
-    for (a, b), lam in rows.comult.get(ck, {}).items():
+    for (a, b), lam in coa.comult.get(ck, {}).items():
         for i in free.get(b, ()):
             term = d.compose({coords[i][1]: F.one}, xi.get(a, {}))
             lin[i] = vec_addmul(F, lin.get(i, {}), _pair_sign(F, lam, a, b),
@@ -656,12 +520,12 @@ def _mc_row_columns(rows: RowSystem, d: DgCategory, coords, free, xi,
     return {i: v for i, v in lin.items() if v}
 
 
-def _mc_solutions(rows: RowSystem, d: DgCategory, om: Dict, spent: int,
+def _mc_solutions(coa: PointedCoalgebra, d: DgCategory, om: Dict, spent: int,
                   budget: int) -> Tuple[List[Dict[Key, Vec]], int]:
     """Every solution over one object map, in coordinate order; see
     ``mc_enumerate``.  Returns (cochains, budget spent so far)."""
-    F = rows.field
-    coords = _mc_coords(rows, d, om)
+    F = coa.field
+    coords = _mc_coords(coa, d, om)
     n = len(coords)
     by_row: Dict[Key, List[int]] = {}
     for i, (ck, _) in enumerate(coords):
@@ -692,11 +556,11 @@ def _mc_solutions(rows: RowSystem, d: DgCategory, om: Dict, spent: int,
         cols: Dict[int, Dict[int, object]] = {}
         rest: List[Key] = []
         for ck in pending:
-            if any(a in free and b in free for a, b in rows.comult.get(ck, ())):
+            if any(a in free and b in free for a, b in coa.comult.get(ck, ())):
                 rest.append(ck)  # xi o xi still quadratic here
                 continue
-            const = _mc_residual_row(rows, d, om, xi, ck)
-            lin = _mc_row_columns(rows, d, coords, free, xi, ck)
+            const = _mc_residual_row(coa, d, om, xi, ck)
+            lin = _mc_row_columns(coa, d, coords, free, xi, ck)
             if not lin:
                 if const:
                     return  # a checked row fails
@@ -713,10 +577,9 @@ def _mc_solutions(rows: RowSystem, d: DgCategory, om: Dict, spent: int,
             A = SparseMatrix(F, len(eqs), len(ids),
                              {(r, j): c for j, i in enumerate(ids)
                               for r, c in cols[i].items()})
-            sol = A.solve(rhs)
+            sol, kernel = A.solution_space(rhs)
             if sol is None:
                 return
-            kernel = A.kernel_basis()
         else:
             ids = [i for left in free.values() for i in left]
             if not ids:
@@ -740,12 +603,13 @@ def _mc_solutions(rows: RowSystem, d: DgCategory, om: Dict, spent: int,
                 point[i] = x.get(j, F.zero)
             visit(point, rest)
 
-    visit({}, list(rows.rows.keys()))
+    visit({}, list(coa.reduced.keys()))
     found.sort(key=lambda vals: [vals[i] for i in range(n)])
     return [cochain(vals) for vals in found], spent
 
 
-def mc_enumerate(c, d: DgCategory, object_maps: Optional[Sequence] = None,
+def mc_enumerate(c: PointedCoalgebra, d: DgCategory,
+                 object_maps: Optional[Sequence] = None,
                  budget: int = SEARCH_BUDGET) -> List[MCElement]:
     """All Maurer-Cartan elements, by propagation and linear solves.
 
@@ -766,26 +630,25 @@ def mc_enumerate(c, d: DgCategory, object_maps: Optional[Sequence] = None,
     Over an infinite field the search returns the solutions when every
     coordinate is forced and refuses where it would have to branch.  The
     budget counts every branch value and every point of a family.
-    Elements come per object map in lexicographic coordinate order.
+    Elements come per object map in lexicographic coordinate order; an
+    object map given twice is searched once.
     """
-    rows = _row_system(c, counital=False)
     if object_maps is None:
-        object_maps = all_object_maps(rows.objects, d.quiver.objects)
+        object_maps = all_object_maps(c.objects, d.quiver.objects)
     out: List[MCElement] = []
     seen = set()
     spent = 0
     for om in object_maps:
-        om = dict(om if isinstance(om, dict) else zip(rows.objects, om))
+        om = dict(om if isinstance(om, dict) else zip(c.objects, om))
         for x, y in om.items():
             if y not in d.quiver.objects:
                 raise ValueError(f"object map misses a value on {x!r}")
-        sols, spent = _mc_solutions(rows, d, om, spent, budget)
-        for xi in sols:
-            m = MCElement(om, xi)
-            key = m.canonical()
-            if key not in seen:
-                seen.add(key)
-                out.append(m)
+        key = frozenset(om.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        sols, spent = _mc_solutions(c, d, om, spent, budget)
+        out.extend(MCElement(om, xi) for xi in sols)
     return out
 
 
@@ -804,7 +667,8 @@ class MCCategory:
         self.object_maps = object_maps
 
 
-def mc_category(c, d: DgCategory, elements: Optional[List[MCElement]] = None,
+def mc_category(c: PointedCoalgebra, d: DgCategory,
+                elements: Optional[List[MCElement]] = None,
                 budget: int = SEARCH_BUDGET, max_objects: int = MAX_OBJECTS) -> MCCategory:
     """MC*(C, D): homs from {C, D}, differential d + xi' . - (-1)^| | . xi.
 
@@ -814,8 +678,7 @@ def mc_category(c, d: DgCategory, elements: Optional[List[MCElement]] = None,
     for x in d.quiver.objects:
         if d.curvature_vec(x):
             raise ValueError("Maurer-Cartan category needs an uncurved target")
-    rows_red = _row_system(c, counital=False)
-    F = rows_red.field
+    F = c.field
     if elements is None:
         elements = mc_enumerate(c, d, budget=budget)
     else:
@@ -826,11 +689,10 @@ def mc_category(c, d: DgCategory, elements: Optional[List[MCElement]] = None,
                 raise ValueError(
                     f"supplied object fails the Maurer-Cartan equation at {bad}")
         elements = list(elements)
-    oms = [tuple(m.object_map[x] for x in rows_red.objects) for m in elements]
-    conv = ConvolutionCategory(_row_system(c, counital=True), d,
-                               object_maps=oms, max_objects=max_objects)
+    oms = [tuple(m.object_map[x] for x in c.objects) for m in elements]
+    conv = ConvolutionCategory(c, d, object_maps=oms, max_objects=max_objects)
     labels = [("mc", i) for i in range(len(elements))]
-    quiver, unit, comp, keyed = conv.tables(list(zip(labels, oms)))
+    quiver, unit, comp, plain, _, keyed = conv.tables(list(zip(labels, oms)))
     xvs = {lab: {(lab, lab, 1, ("r", ck, dk)): coeff
                  for ck, v in m.xi.items() for dk, coeff in v.items()}
            for lab, m in zip(labels, elements)}
@@ -838,8 +700,7 @@ def mc_category(c, d: DgCategory, elements: Optional[List[MCElement]] = None,
     for (li, lj), ks in keyed.items():
         for k in ks:
             one = {k: F.one}
-            v = conv.apply_d(one)
-            v = vec_addmul(F, v, F.one, conv.star(xvs[lj], one))
+            v = vec_addmul(F, plain.get(k, {}), F.one, conv.star(xvs[lj], one))
             s = F.one if k[2] % 2 else F.coerce(-1)
             v = vec_addmul(F, v, s, conv.star(one, xvs[li]))
             if v:
@@ -1415,37 +1276,37 @@ def ez_compare(c: PointedCoalgebra, cp: PointedCoalgebra,
 
 def interchange_problems(c: PointedCoalgebra, cp: PointedCoalgebra,
                          d: DgCategory, reduced_outer: bool = False,
-                         max_objects: int = 256) -> List[str]:
+                         max_objects: int = MAX_OBJECTS) -> List[str]:
     """Check the interchange is an equality of tables, not just an iso.
 
     Currying the basis names -- an outer cochain valued in inner cochains
     becomes one cochain on the tensor rows -- matches objects, bases,
     differentials, compositions, units and curvature with no signs at all.
-    With ``reduced_outer`` both outer convolutions are reduced and the
-    left side runs over the kernel-tensor rows.
+
+    With ``reduced_outer`` both outer convolutions are reduced, and the
+    left side is {C-bar (x) C', D}: the reduced {C (x) C', D} restricted to
+    the cochains on rows whose C leg is not grouplike.  The other rows span
+    k[Ob C] (x) C', which d and the reduced comultiplication map into
+    itself, so no kept row is reached from them: d and products of kept
+    cochains are those of the kernel tensor, whose comultiplication is
+    rDelta_C (x) Delta_C' (the terms with a grouplike C leg are what C-bar
+    has no counit for).  Only the curvature, eps (x) h' on the other rows,
+    has entries to drop.
     """
-    problems: List[str] = []
     inner = convolution_category(cp, d,
                                  max_objects=max_objects).to_dg_category()
-    if reduced_outer:
-        lhs = ConvolutionCategory(RowSystem.reduced_tensor(c, cp), d,
-                                  max_objects=max_objects)
-        rhs = ConvolutionCategory(_row_system(c, counital=False), inner,
-                                  max_objects=max_objects)
-    else:
-        lhs = ConvolutionCategory(
-            _row_system(tensor_coalgebras(c, cp), counital=True), d,
-            max_objects=max_objects)
-        rhs = ConvolutionCategory(_row_system(c, counital=True), inner,
-                                  max_objects=max_objects)
+    lhs = ConvolutionCategory(tensor_coalgebras(c, cp), d,
+                              reduced=reduced_outer, max_objects=max_objects)
+    rhs = ConvolutionCategory(c, inner, reduced=reduced_outer,
+                              max_objects=max_objects)
 
     def flat(om: Tuple) -> Tuple:
         # om: per c-object an inner object map (itself a tuple over cp)
         by_pair = {}
-        for i, x in enumerate(rhs.rows.objects):
+        for i, x in enumerate(c.objects):
             for j, xp in enumerate(cp.objects):
                 by_pair[(x, xp)] = om[i][j]
-        return tuple(by_pair[p] for p in lhs.rows.objects)
+        return tuple(by_pair[p] for p in lhs.coalgebra.objects)
 
     def curry_name(name):
         tag, payload, ik = name
@@ -1460,8 +1321,7 @@ def interchange_problems(c: PointedCoalgebra, cp: PointedCoalgebra,
 
     omap = {om: flat(om) for om in rhs.object_maps}
     if sorted(omap.values(), key=repr) != sorted(lhs.object_maps, key=repr):
-        problems.append("object maps do not correspond")
-        return problems
+        return ["object maps do not correspond"]
 
     def curry_key(k: Key) -> Key:
         fk, gk, n, name = k
@@ -1470,37 +1330,34 @@ def interchange_problems(c: PointedCoalgebra, cp: PointedCoalgebra,
     def curry_vec(v: Vec) -> Vec:
         return {curry_key(k): coeff for k, coeff in v.items()}
 
-    keyed = {}
-    for fk in rhs.object_maps:
-        for gk in rhs.object_maps:
-            ks = rhs.hom_keys(fk, gk)
-            keyed[(fk, gk)] = ks
-            want = lhs.hom_keys(omap[fk], omap[gk])
-            if sorted((curry_key(k) for k in ks), key=repr) != \
-                    sorted(want, key=repr):
-                problems.append(f"hom bases differ at {(fk, gk)}")
-                return problems
-    for (fk, gk), ks in keyed.items():
-        for k in ks:
-            if curry_vec(rhs.diff_vec(k)) != lhs.diff_vec(curry_key(k)):
-                problems.append(f"differentials differ at {k[3]}")
-                if len(problems) >= 25:
-                    return problems
-    for fk in rhs.object_maps:
-        for gk in rhs.object_maps:
-            for hk in rhs.object_maps:
-                for kpsi in keyed[(gk, hk)]:
-                    for kphi in keyed[(fk, gk)]:
-                        if curry_vec(rhs.comp_vec(kpsi, kphi)) != \
-                                lhs.comp_vec(curry_key(kpsi), curry_key(kphi)):
-                            problems.append(
-                                f"products differ at {(kpsi[3], kphi[3])}")
-                            if len(problems) >= 25:
-                                return problems
-    for fk in rhs.object_maps:
-        if not reduced_outer and \
-                curry_vec(rhs.unit_vec(fk)) != lhs.unit_vec(omap[fk]):
-            problems.append(f"units differ at {fk}")
-        if curry_vec(rhs.curvature_vec(fk)) != lhs.curvature_vec(omap[fk]):
-            problems.append(f"curvature differs at {fk}")
-    return problems
+    _, r_unit, r_comp, r_diff, r_curv, r_keyed = rhs._object_tables()
+    _, l_unit, l_comp, l_diff, l_curv, l_keyed = lhs._object_tables()
+    if reduced_outer:
+        def kept(k: Key) -> bool:
+            return k[3][1][3][0][0] != "G"
+
+        l_keyed = {pq: [k for k in ks if kept(k)] for pq, ks in l_keyed.items()}
+        l_comp = {(g, f): v for (g, f), v in l_comp.items()
+                  if kept(g) and kept(f)}
+        l_diff = {k: v for k, v in l_diff.items() if kept(k)}
+        l_curv = {fk: {k: coeff for k, coeff in v.items() if kept(k)}
+                  for fk, v in l_curv.items()}
+    for (fk, gk), ks in r_keyed.items():
+        if {curry_key(k) for k in ks} != set(l_keyed[(omap[fk], omap[gk])]):
+            return [f"hom bases differ at {(fk, gk)}"]
+    problems: List[str] = []
+    for what, mine, want in (
+            ("differentials differ",
+             {curry_key(k): curry_vec(v) for k, v in r_diff.items()}, l_diff),
+            ("products differ",
+             {(curry_key(g), curry_key(f)): curry_vec(v)
+              for (g, f), v in r_comp.items()}, l_comp),
+            ("units differ",
+             {omap[fk]: curry_vec(v) for fk, v in r_unit.items()}, l_unit),
+            ("curvature differs",
+             {omap[fk]: curry_vec(v) for fk, v in r_curv.items()}, l_curv)):
+        if mine != want:
+            problems += [f"{what} at {k}" for k in sorted(
+                mine.keys() | want.keys(), key=repr)
+                if mine.get(k) != want.get(k)]
+    return problems[:25]

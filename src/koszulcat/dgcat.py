@@ -152,7 +152,6 @@ class DgCategory:
             return problems
 
         keys = list(Q.keys())
-        pos = {k: i for i, k in enumerate(keys)}
 
         # unit laws
         for k in keys:
@@ -165,8 +164,37 @@ class DgCategory:
             if done():
                 return problems
 
-        # Only the cases some stored entry feeds are visited (see the
-        # module docstring), in the order of a scan over the basis.
+        if self._composition_problems(problems, max_problems):
+            return problems
+
+        # d^2 = [h, -]
+        for f in keys:
+            x, y, _, _ = f
+            fv = self.basis_vec(f)
+            dd = self.apply_d(self.apply_d(fv))
+            want = vec_sub(
+                F,
+                self.compose(self.curvature_vec(y), fv),
+                self.compose(fv, self.curvature_vec(x)),
+            )
+            if dd != want:
+                problems.append(f"d^2 on {f} does not match curvature bracket")
+                if done():
+                    return problems
+
+        return problems
+
+    def _composition_problems(self, problems: List[str],
+                              max_problems: int) -> bool:
+        """Append associativity, then Leibniz failures to ``problems``;
+        True once they reach ``max_problems``.
+
+        Only the cases some stored entry feeds are visited (see the module
+        docstring), in the order of a scan over the basis.  Neither pass
+        reads a unit, so the unitless reduced convolution uses them too.
+        """
+        F = self.field
+        pos = {k: i for i, k in enumerate(self.quiver.keys())}
         before: Dict[Key, List[Key]] = {}  # k -> every f with (k, f) stored
         after: Dict[Key, List[Key]] = {}  # k -> every h with (h, k) stored
         for h, k in self.comp:
@@ -186,8 +214,8 @@ class DgCategory:
             rhs = self.compose(self.comp.get((h, g), {}), fv)
             if lhs != rhs:
                 problems.append(f"associativity fails on ({h}, {g}, {f})")
-                if done():
-                    return problems
+                if len(problems) >= max_problems:
+                    return True
 
         # d(g o f) needs (g, f) stored, dg o f needs (k, f) stored for a
         # term k of dg, and g o df needs (g, k) stored for a term k of df
@@ -204,25 +232,9 @@ class DgCategory:
                                     self.compose(gv, self.apply_d(fv))))
             if lhs != rhs:
                 problems.append(f"Leibniz fails on ({g}, {f})")
-                if done():
-                    return problems
-
-        # d^2 = [h, -]
-        for f in keys:
-            x, y, _, _ = f
-            fv = self.basis_vec(f)
-            dd = self.apply_d(self.apply_d(fv))
-            want = vec_sub(
-                F,
-                self.compose(self.curvature_vec(y), fv),
-                self.compose(fv, self.curvature_vec(x)),
-            )
-            if dd != want:
-                problems.append(f"d^2 on {f} does not match curvature bracket")
-                if done():
-                    return problems
-
-        return problems
+                if len(problems) >= max_problems:
+                    return True
+        return False
 
     # -- hom complexes ------------------------------------------------------
 

@@ -272,29 +272,22 @@ class SparseMatrix:
         With ``labels`` (len == ncols) the dicts are keyed by label instead of
         column index, so named bases survive end to end.
         """
-        F = self.field
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        rows_by_pivot = {}
-        row_entries: List[Dict[int, object]] = [dict() for _ in range(R.nrows)]
-        for (i, j), v in R.entries.items():
-            row_entries[i][j] = v
-        for i, pj in enumerate(pivots):
-            rows_by_pivot[pj] = row_entries[i]
-        basis: List[Vec] = []
-        for fj in free:
-            v: Dict[int, object] = {fj: F.one}
-            for pj, row in rows_by_pivot.items():
-                if fj in row:
-                    v[pj] = F.neg(row[fj])
-            if labels is not None:
-                v = {labels[j]: c for j, c in v.items()}
-            basis.append(v)
+        basis = self.solution_space({})[1]
+        if labels is not None:
+            basis = [{labels[j]: c for j, c in v.items()} for v in basis]
         return basis
 
     def solve(self, rhs: Dict[int, object]) -> Optional[Dict[int, object]]:
         """One solution of self * x = rhs (sparse dicts), or None."""
+        return self.solution_space(rhs)[0]
+
+    def solution_space(self, rhs: Dict[int, object]
+                       ) -> Tuple[Optional[Dict[int, object]], List[Vec]]:
+        """(one solution of self * x = rhs or None, right-kernel basis).
+
+        One elimination of the augmented matrix serves both: its pivots
+        stay in self's columns, so with rhs = 0 it is the rref of self.
+        """
         F = self.field
         aug = SparseMatrix(F, self.nrows, self.ncols + 1, dict(self.entries))
         for i, v in rhs.items():
@@ -302,18 +295,21 @@ class SparseMatrix:
             if not F.is_zero(v):
                 aug.entries[(i, self.ncols)] = v
         R, pivots = aug.rref(allowed_cols=frozenset(range(self.ncols)))
-        stuck_rows = set(range(len(pivots), R.nrows))
-        if any(i in stuck_rows for (i, _j) in R.entries):
-            return None  # a row reduced to 0 = nonzero rhs
-        sol: Dict[int, object] = {}
-        row_entries: List[Dict[int, object]] = [dict() for _ in range(R.nrows)]
+        rows: List[Dict[int, object]] = [dict() for _ in range(R.nrows)]
         for (i, j), v in R.entries.items():
-            row_entries[i][j] = v
-        for i, pj in enumerate(pivots):
-            b = row_entries[i].get(self.ncols, F.zero)
-            if not F.is_zero(b):
-                sol[pj] = b
-        return sol
+            rows[i][j] = v
+        # free column fj: x_fj = 1 and x_pj = -R[i, fj] on each pivot row i
+        pivot_set = set(pivots)
+        kernel = {j: {j: F.one} for j in range(self.ncols) if j not in pivot_set}
+        for row, pj in zip(rows, pivots):
+            for j, v in row.items():
+                if j in kernel:
+                    kernel[j][pj] = F.neg(v)
+        if any(rows[len(pivots):]):
+            return None, list(kernel.values())  # a row reduced to 0 = nonzero rhs
+        sol = {pj: row[self.ncols] for row, pj in zip(rows, pivots)
+               if self.ncols in row}
+        return sol, list(kernel.values())
 
 
 def _strip_content(row: Dict[int, Fraction], pivot_col: int) -> Dict[int, Fraction]:

@@ -5,14 +5,8 @@ arrow is addressed end to end by its key ``(src, tgt, degree, name)``; every
 structure table in the category and coalgebra layers is a sparse dict over
 these keys, so nothing downstream ever renumbers a basis.
 
-The monoidal structure lives here: tensor (pairwise objects, degree-graded
-Kuenneth basis) and the right adjoint internal hom (objects are *all* object
-maps, which is why it carries a cap guard).  The hom-count identity
-
-    |Maps(U (x) V, W)| = |Maps(U, Hom(V, W))|
-
-over a finite field is the contract the two constructions satisfy jointly;
-the test suite checks it by exact counting.
+The monoidal structure lives here: ``quiver_tensor`` has pairwise
+objects and the degree-graded Kuenneth basis.
 
 The vocabulary every later layer shares also lives here, one definition
 each:
@@ -34,8 +28,6 @@ from __future__ import annotations
 from itertools import product
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Tuple)
-
-from .field import Field, Vec
 
 Slot = Tuple[object, object, int]  # (src, tgt, degree)
 Key = Tuple[object, object, int, object]  # (src, tgt, degree, name)
@@ -185,7 +177,7 @@ def has_cycle(succ: Mapping[object, Iterable]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# tensor and internal hom
+# tensor
 
 
 def quiver_tensor(v: GradedQuiver, w: GradedQuiver) -> GradedQuiver:
@@ -203,151 +195,3 @@ def quiver_tensor(v: GradedQuiver, w: GradedQuiver) -> GradedQuiver:
                 for b in bnames:
                     bucket.append(((p, a), (q, b)))
     return GradedQuiver(objects, slots)
-
-
-def quiver_internal_hom(
-    v: GradedQuiver, w: GradedQuiver, max_objects: int = 512
-) -> GradedQuiver:
-    """Right adjoint of tensor: objects are all maps Ob V -> Ob W.
-
-    Hom(f, g) in degree n is (+)_{x,y} Hom_n(V(x,y), W(fx, gy)); a basis
-    element (x, y, p, a, b) is the elementary map sending a to b.  The number
-    of objects is |Ob W| ** |Ob V|, guarded by ``max_objects``.
-    """
-    maps = [tuple(zip(v.objects, m))
-            for m in object_maps(v.objects, w.objects, max_objects)]
-    # maps by the image of one source object: a slot pair V(x, y) -> W(x2, y2)
-    # then visits only the (f, g) with f(x) = x2 and g(y) = y2
-    by_image: Dict[Tuple[object, object], List[int]] = {}
-    for i, f in enumerate(maps):
-        for pair in f:
-            by_image.setdefault(pair, []).append(i)
-    found: Dict[Tuple[int, int, int], List] = {}
-    for (x, y, p), anames in v.slots.items():
-        for (x2, y2, q), bnames in w.slots.items():
-            names = [(x, y, p, a, b) for a in anames for b in bnames]
-            for i in by_image.get((x, x2), ()):
-                for j in by_image.get((y, y2), ()):
-                    found.setdefault((i, j, q - p), []).extend(names)
-    # slots in (f, g) order; the stable sort keeps slot-pair order within
-    ordered = sorted(found.items(), key=lambda item: item[0][:2])
-    return GradedQuiver(
-        maps, {(maps[i], maps[j], n): names for (i, j, n), names in ordered})
-
-
-def count_quiver_maps(v: GradedQuiver, w: GradedQuiver, field: Field) -> int:
-    """Number of degree-0 quiver maps V -> W over a finite field.
-
-    A map is an object map f plus an arbitrary linear map per slot, so the
-    count is a sum over f of q ** sum(dim V(x,y,n) * dim W(fx, fy, n)).
-    """
-    if field.size is None:
-        raise ValueError("counting needs a finite field")
-    total = 0
-    for m in object_maps(v.objects, w.objects):
-        fd = dict(zip(v.objects, m))
-        total += field.size ** sum(len(names) * w.dim(fd[x], fd[y], n)
-                                   for (x, y, n), names in v.slots.items())
-    return total
-
-
-# ---------------------------------------------------------------------------
-# augmented quivers: unit and counit over k[Ob], with a split reduced part
-
-
-class AugmentedQuiver:
-    """A graded quiver with unit eta: k[Ob] -> V and counit eps: V -> k[Ob].
-
-    eta picks a degree-0 endomorphism vector per object; eps is a functional
-    on each degree-0 endomorphism slot.  The axiom is eps(eta(x)) = 1 with
-    eps vanishing between distinct objects (which the slot structure already
-    enforces).  ``reduced_basis`` computes a named basis of ker(eps), which
-    in degree-0 endomorphism slots is a genuine complement of the unit line.
-    """
-
-    def __init__(
-        self,
-        field: Field,
-        quiver: GradedQuiver,
-        unit: Dict[object, Vec],
-        counit: Dict[object, Dict[object, object]],
-    ):
-        self.field = field
-        self.quiver = quiver
-        self.unit = {x: dict(v) for x, v in unit.items()}
-        self.counit = {x: dict(f) for x, f in counit.items()}
-
-    def validate(self) -> List[str]:
-        problems: List[str] = []
-        F = self.field
-        for x in self.quiver.objects:
-            u = self.unit.get(x)
-            if not u:
-                problems.append(f"object {x!r} has no unit vector")
-                continue
-            for key in u:
-                sx, tx, n, _ = key
-                if not self.quiver.has_key(key):
-                    problems.append(f"unit of {x!r} uses unknown key {key}")
-                elif (sx, tx, n) != (x, x, 0):
-                    problems.append(f"unit of {x!r} not in degree-0 endo slot")
-            eps = self.counit.get(x, {})
-            val = F.zero
-            for key, c in u.items():
-                val = F.add(val, F.mul(eps.get(key[3], F.zero), c))
-            if val != F.one:
-                problems.append(f"eps(eta({x!r})) = {val}, expected 1")
-        return problems
-
-    def reduced_basis(self) -> Dict[Slot, List[Tuple[object, Vec]]]:
-        """Named basis of ker(eps) per slot; names reuse basis arrows where
-        they lie in the kernel and synthesize 'red<i>' vectors otherwise."""
-        F = self.field
-        out: Dict[Slot, List[Tuple[object, Vec]]] = {}
-        for (x, y, n), names in self.quiver.slots.items():
-            eps = self.counit.get(x, {}) if (x == y and n == 0) else {}
-            plain = [a for a in names if F.is_zero(F.coerce(eps.get(a, F.zero)))]
-            if len(plain) == len(names):
-                out[(x, y, n)] = [
-                    (a, {(x, y, n, a): F.one}) for a in names
-                ]
-                continue
-            # one relation eps = 0: solve for a pivot name with eps != 0
-            pivot = next(a for a in names if not F.is_zero(F.coerce(eps.get(a, F.zero))))
-            pv = F.coerce(eps[pivot])
-            basis: List[Tuple[object, Vec]] = []
-            for i, a in enumerate(names):
-                if a == pivot:
-                    continue
-                va = F.coerce(eps.get(a, F.zero))
-                v: Vec = {(x, y, n, a): F.one}
-                if not F.is_zero(va):
-                    v[(x, y, n, pivot)] = F.neg(F.div(va, pv))
-                    basis.append((f"red{i}", v))
-                else:
-                    basis.append((a, v))
-            out[(x, y, n)] = basis
-        return out
-
-
-def validate_quiver_map(
-    v: GradedQuiver,
-    w: GradedQuiver,
-    object_map: Dict[object, object],
-    action: Dict[Key, Vec],
-) -> List[str]:
-    """Degree-0 map check: every image vector sits in the matching slot."""
-    problems = []
-    for x in v.objects:
-        if object_map.get(x) not in w.objects:
-            problems.append(f"object {x!r} has no valid image")
-    for key, img in action.items():
-        if not v.has_key(key):
-            problems.append(f"unknown source key {key}")
-            continue
-        x, y, n, _ = key
-        want = (object_map.get(x), object_map.get(y), n)
-        for wk in img:
-            if (wk[0], wk[1], wk[2]) != want or not w.has_key(wk):
-                problems.append(f"image of {key} leaves slot {want}: {wk}")
-    return problems

@@ -48,8 +48,8 @@ from koszulcat.convmc import (
     universal_cochain,
 )
 from koszulcat.dgcat import empty_category, zero_category
-from koszulcat.field import GF, QQ
-from koszulcat.quiver import GradedQuiver
+from koszulcat.field import GF, QQ, vec_bump
+from koszulcat.quiver import GradedQuiver, lkey, pair_key
 from koszulcat.randgen import random_coalgebra, random_dg_category
 from koszulcat.samples import CATEGORY_LIBRARY, COALGEBRA_LIBRARY
 from test_mc_solver import oracle_mc_enumerate
@@ -195,6 +195,41 @@ def test_object_map_cap_and_explicit_maps():
         convolution_category(c, d, object_maps=[("0", "0", "2")])
 
 
+def _mod3(table):
+    """``table`` reduced mod 3 entrywise, zeros and empty vectors dropped."""
+    out = {}
+    for k, vec in table.items():
+        v = {kk: F3.coerce(c) for kk, c in vec.items()
+             if not F3.is_zero(F3.coerce(c))}
+        if v:
+            out[k] = v
+    return out
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["counital", "reduced"])
+def test_convolution_over_q_reduces_to_convolution_over_f3(reduced):
+    # the samples have integral tables, so reducing the rational
+    # materialization mod 3 entrywise must give the one over GF(3)
+    pairs = [(cname, dname) for cname in sorted(COALGEBRA_LIBRARY)
+             for dname in sorted(CATEGORY_LIBRARY)
+             if not COALGEBRA_LIBRARY[cname](F3).is_curved()
+             and not CATEGORY_LIBRARY[dname](F3).is_curved()]
+    assert len(pairs) >= 40
+    for cname, dname in pairs:
+        tables = []
+        for field in (QQ, F3):
+            conv = convolution_category(COALGEBRA_LIBRARY[cname](field),
+                                        CATEGORY_LIBRARY[dname](field),
+                                        reduced=reduced)
+            tables.append(conv.tables([(fk, fk) for fk in conv.object_maps]))
+        (qq, qu, qc, qd, qh, _), (fq, fu, fc, fd, fh, _) = tables
+        case = (cname, dname)
+        assert list(qq.slots.items()) == list(fq.slots.items()), case
+        assert list(qc) == list(fc), case
+        assert _mod3(qc) == fc and _mod3(qd) == fd, case
+        assert _mod3(qu) == _mod3(fu) and _mod3(qh) == _mod3(fh), case
+
+
 # -- the Maurer-Cartan equation ---------------------------------------------
 
 
@@ -259,6 +294,17 @@ def test_enumeration_guards():
     with pytest.raises(ValueError, match="budget="):
         mc_enumerate(COALGEBRA_LIBRARY["neg_primitive"](F2),
                      CATEGORY_LIBRARY["contractible_endo"](F2), budget=1)
+
+
+def test_repeated_object_map_is_searched_once():
+    # three solutions over the one object map, so a second search of the
+    # same map would overdraw a budget of 3
+    c = COALGEBRA_LIBRARY["neg_primitive"](F3)
+    d = CATEGORY_LIBRARY["contractible_endo"](F3)
+    once = mc_enumerate(c, d, object_maps=[("*",)])
+    twice = mc_enumerate(c, d, object_maps=[("*",), {"*": "*"}], budget=3)
+    assert len(once) == 3
+    assert [m.canonical() for m in twice] == [m.canonical() for m in once]
 
 
 # -- search on a tensor -------------------------------------------------------
@@ -648,6 +694,93 @@ def test_interchange_reduced_outer(cname, pname, dname, field):
                                 COALGEBRA_LIBRARY[pname](field),
                                 CATEGORY_LIBRARY[dname](field),
                                 reduced_outer=True) == []
+
+
+def test_interchange_object_cap():
+    # 2^9 object maps of the tensor of two three-object coalgebras into a2
+    with pytest.raises(ValueError, match="max_objects="):
+        interchange_problems(COALGEBRA_LIBRARY["dag"](F2),
+                             COALGEBRA_LIBRARY["dag"](F2),
+                             CATEGORY_LIBRARY["a2"](F2))
+
+
+def oracle_kernel_tensor(c, cp):
+    """Counit kernel of ``c`` tensored with all of ``cp``, built row by row:
+    (reduced keys, comultiplication, differential, curvature).  Only the
+    reduced coproduct of ``c`` enters, so no row has a grouplike C leg."""
+    F = c.field
+    keys, comult, diff, curv = set(), {}, {}, {}
+    for a in c.reduced.keys():
+        red_a = c.comult.get(a, {})
+        # grouplike right leg: cofactors stay in the same column
+        for y in cp.objects:
+            k = lkey(a, y)
+            keys.add(k)
+            terms = {}
+            for (a1, a2), al in red_a.items():
+                vec_bump(F, terms, (lkey(a1, y), lkey(a2, y)), al)
+            dv = {}
+            for a2, coeff in c.diff.get(a, {}).items():
+                vec_bump(F, dv, lkey(a2, y), coeff)
+            comult[k], diff[k] = terms, dv
+            if a in c.curv:
+                curv[k] = c.curv[a]
+        sgn_a = F.coerce(-1) if a[2] % 2 else F.one
+        for b in cp.reduced.keys():
+            k = pair_key(a, b)
+            keys.add(k)
+            terms = {}
+            # a1 (x) a2 against the full coproduct of b; Koszul sign
+            # (-1)^{|a2||b-left|} from moving a2 past the left cofactor
+            for (a1, a2), al in red_a.items():
+                vec_bump(F, terms, (lkey(a1, b[0]), pair_key(a2, b)), al)
+                s = F.coerce(-1) if (a2[2] * b[2]) % 2 else F.one
+                vec_bump(F, terms, (pair_key(a1, b), lkey(a2, b[1])),
+                         F.mul(al, s))
+                for (b1, b2), bl in cp.comult.get(b, {}).items():
+                    s = F.coerce(-1) if (a2[2] * b1[2]) % 2 else F.one
+                    vec_bump(F, terms, (pair_key(a1, b1), pair_key(a2, b2)),
+                             F.mul(F.mul(al, bl), s))
+            dv = {}
+            for a2, coeff in c.diff.get(a, {}).items():
+                vec_bump(F, dv, pair_key(a2, b), coeff)
+            for b2, coeff in cp.diff.get(b, {}).items():
+                vec_bump(F, dv, pair_key(a, b2), F.mul(sgn_a, coeff))
+            comult[k], diff[k] = terms, dv
+            # h_C (x) eps' kills the non-grouplike right leg; the reduced
+            # left leg has no counit, so h' never contributes
+    return (keys, {k: v for k, v in comult.items() if v},
+            {k: v for k, v in diff.items() if v}, curv)
+
+
+def _kernel_tensor_pairs():
+    for field in (QQ, F2, F3):
+        for cname in sorted(COALGEBRA_LIBRARY):
+            for pname in sorted(COALGEBRA_LIBRARY):
+                yield (COALGEBRA_LIBRARY[cname](field),
+                       COALGEBRA_LIBRARY[pname](field))
+        for seed in range(40):
+            yield (random_coalgebra(field, seed, max_dim=3),
+                   random_coalgebra(field, seed + 1000, max_dim=3))
+
+
+def test_kernel_tensor_is_a_restriction_of_the_tensor():
+    """The rows of C (x) C' whose C leg is not grouplike carry the kernel
+    tensor: same rows, d and curvature, and the same comultiplication once
+    the cofactors with a grouplike C leg are dropped."""
+    def kept(row):
+        return row[3][0][0] != "G"
+
+    for c, cp in _kernel_tensor_pairs():
+        t = tensor_coalgebras(c, cp)
+        rows = {k for k in t.reduced.keys() if kept(k)}
+        comult = {k: {(a, b): lam for (a, b), lam in t.comult[k].items()
+                      if kept(a) and kept(b)}
+                  for k in rows if k in t.comult}
+        got = (rows, {k: v for k, v in comult.items() if v},
+               {k: t.diff[k] for k in rows if k in t.diff},
+               {k: t.curv[k] for k in rows if k in t.curv})
+        assert got == oracle_kernel_tensor(c, cp)
 
 
 # -- randomized properties --------------------------------------------------

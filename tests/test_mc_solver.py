@@ -16,7 +16,7 @@ import pytest
 from koszulcat.barcobar import bar_construction
 from koszulcat.coalgebra import cotensor_coalgebra
 from koszulcat.convmc import (MCElement, _mc_coords, _mc_residual_row,
-                              _row_system, mc_check, mc_enumerate)
+                              mc_check, mc_enumerate)
 from koszulcat.field import GF, QQ
 from koszulcat.quiver import GradedQuiver, object_maps
 from koszulcat.randgen import random_dg_category
@@ -30,20 +30,19 @@ UNCURVED = [n for n in sorted(CATEGORY_LIBRARY)
 
 def oracle_mc_enumerate(c, d):
     """Every point of F^N, in product order, kept if every row vanishes."""
-    rows = _row_system(c, counital=False)
-    F = rows.field
+    F = c.field
     out, seen = [], set()
-    for om in object_maps(rows.objects, d.quiver.objects):
-        om = dict(zip(rows.objects, om))
-        coords = _mc_coords(rows, d, om)
+    for om in object_maps(c.objects, d.quiver.objects):
+        om = dict(zip(c.objects, om))
+        coords = _mc_coords(c, d, om)
         elems = list(F.elements()) if coords else []
         for assignment in product(elems, repeat=len(coords)):
             xi = {}
             for (ck, dk), val in zip(coords, assignment):
                 if not F.is_zero(val):
                     xi.setdefault(ck, {})[dk] = val
-            if all(not _mc_residual_row(rows, d, om, xi, ck)
-                   for ck in rows.rows.keys()):
+            if all(not _mc_residual_row(c, d, om, xi, ck)
+                   for ck in c.reduced.keys()):
                 m = MCElement(om, xi)
                 if m.canonical() not in seen:
                     seen.add(m.canonical())

@@ -6,16 +6,24 @@ composable basis pair for Leibniz and for functor composition, every
 composable basis triple for associativity.  Both must report the same
 problems in the same order under the same cut, on valid inputs and on
 inputs with one table entry bumped or dropped.
+
+The reduced convolution validator runs the same table-driven passes on
+its materialized tables; its oracle is the scan it replaced, over every
+pair, triple and quadruple of object maps through the per-cochain
+``comp_vec``, ``apply_d`` and ``star``.  There the two report the same
+failing cases, in their own orders.
 """
 
 import pytest
 
 from koszulcat.barcobar import cobar_construction
+from koszulcat.coalgebra import PointedCoalgebra
 from koszulcat.convmc import convolution_category, counit_data
 from koszulcat.dgcat import DgCategory, DgFunctor, identity_functor
-from koszulcat.field import GF, QQ, vec_add, vec_scale, vec_sub
+from koszulcat.field import GF, QQ, vec_add, vec_addmul, vec_scale, vec_sub
 from koszulcat.randgen import random_dg_category
 from koszulcat.samples import CATEGORY_LIBRARY, COALGEBRA_LIBRARY
+from test_convmc import _PAIRS
 
 F3 = GF(3)
 
@@ -169,6 +177,68 @@ def oracle_functor_problems(fn, max_problems=25):
     return problems
 
 
+def oracle_reduced_problems(conv, max_problems=25):
+    """The full scan of the reduced convolution: d^2 identity per key,
+    Leibniz per composable pair and associativity per composable triple
+    of keys, over every tuple of object maps."""
+    F = conv.field
+    problems = []
+    keyed = {}
+    for fk in conv.object_maps:
+        for gk in conv.object_maps:
+            keyed[(fk, gk)] = conv.hom_keys(fk, gk)
+    for (fk, gk), ks in keyed.items():
+        hf = conv.curvature_vec(fk)
+        hg = conv.curvature_vec(gk)
+        for k in ks:
+            one = {k: F.one}
+            lhs = conv.apply_d(conv.apply_d(one))
+            rhs = vec_sub(F, conv.star(hg, one), conv.star(one, hf))
+            rhs = vec_addmul(F, rhs, F.one, conv._outer_curvature(one, True))
+            rhs = vec_addmul(F, rhs, F.coerce(-1),
+                             conv._outer_curvature(one, False))
+            if lhs != rhs:
+                problems.append(f"d^2 identity fails on {k}")
+                if len(problems) >= max_problems:
+                    return problems
+    maps = conv.object_maps
+    for fk in maps:
+        for gk in maps:
+            for hk in maps:
+                for kpsi in keyed[(gk, hk)]:
+                    vpsi = {kpsi: F.one}
+                    for kphi in keyed[(fk, gk)]:
+                        vphi = {kphi: F.one}
+                        lhs = conv.apply_d(conv.comp_vec(kpsi, kphi))
+                        rhs = conv.star(conv.apply_d(vpsi), vphi)
+                        s = F.coerce(-1) if kpsi[2] % 2 else F.one
+                        rhs = vec_addmul(F, rhs, s,
+                                         conv.star(vpsi, conv.apply_d(vphi)))
+                        if lhs != rhs:
+                            problems.append(
+                                f"Leibniz fails on ({kpsi}, {kphi})")
+                            if len(problems) >= max_problems:
+                                return problems
+    for fk in maps:
+        for gk in maps:
+            for hk in maps:
+                for ik in maps:
+                    for kchi in keyed[(hk, ik)]:
+                        vchi = {kchi: F.one}
+                        for kpsi in keyed[(gk, hk)]:
+                            inner = conv.comp_vec(kchi, kpsi)
+                            for kphi in keyed[(fk, gk)]:
+                                lhs = conv.star(vchi, conv.comp_vec(kpsi, kphi))
+                                rhs = conv.star(inner, {kphi: F.one})
+                                if lhs != rhs:
+                                    problems.append(
+                                        "associativity fails on "
+                                        f"({kchi}, {kpsi}, {kphi})")
+                                    if len(problems) >= max_problems:
+                                        return problems
+    return problems
+
+
 # -- the corpus --------------------------------------------------------------
 
 
@@ -280,3 +350,55 @@ def test_entry_on_unknown_key_is_reported_not_raised():
     assert any(m.startswith("composition entry on unknown keys")
                for m in c.validate())
     assert identity_functor(c).validate() == []
+
+
+# -- the reduced convolution -------------------------------------------------
+
+
+def _each_bumped(table, field):
+    """A copy of ``table`` per coefficient, with that coefficient + 1."""
+    for k, entry in table.items():
+        for j in entry:
+            out = {kk: dict(v) for kk, v in table.items()}
+            out[k][j] = field.add(out[k][j], field.one)
+            yield out
+
+
+def _reduced_cases():
+    """The validator pairs over Q and GF(3), each as built and with one
+    coefficient bumped in the comultiplication or the differential of
+    the coalgebra, or in the composition of the category."""
+    for field, tag in ((QQ, "q"), (F3, "f3")):
+        for cname, dname in _PAIRS:
+            c = COALGEBRA_LIBRARY[cname](field)
+            d = CATEGORY_LIBRARY[dname](field)
+            name = f"{cname}:{dname}:{tag}"
+            yield name, c, d
+            for i, comult in enumerate(_each_bumped(c.comult, field)):
+                yield f"{name}:comult{i}", PointedCoalgebra(
+                    field, c.objects, c.reduced, comult, c.diff, c.curv), d
+            for i, diff in enumerate(_each_bumped(c.diff, field)):
+                yield f"{name}:diff{i}", PointedCoalgebra(
+                    field, c.objects, c.reduced, c.comult, diff, c.curv), d
+            for i, comp in enumerate(_each_bumped(d.comp, field)):
+                yield f"{name}:comp{i}", c, DgCategory(
+                    field, d.quiver, d.unit, comp, d.diff, d.curvature)
+
+
+REDUCED = list(_reduced_cases())
+
+
+@pytest.mark.parametrize("name,c,d", REDUCED, ids=[n for n, _, _ in REDUCED])
+def test_reduced_validate_matches_full_scan(name, c, d):
+    conv = convolution_category(c, d, reduced=True)
+    full = oracle_reduced_problems(conv, max_problems=10**9)
+    assert sorted(conv.validate(max_problems=10**9)) == sorted(full)
+    assert bool(conv.validate()) == bool(oracle_reduced_problems(conv))
+
+
+def test_reduced_corpus_exercises_failures():
+    reports = [convolution_category(c, d, reduced=True).validate(10**9)
+               for _, c, d in REDUCED]
+    assert sum(map(bool, reports)) >= 30
+    kinds = {m.split(" fails")[0] for r in reports for m in r}
+    assert kinds == {"d^2 identity", "Leibniz", "associativity"}
