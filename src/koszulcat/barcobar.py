@@ -272,7 +272,7 @@ class CobarResult:
         cat = self.category
         problems = []
         for k in self.word_keys(self.d_squared_len):
-            dd = cat.apply_d(cat.apply_d({k: cat.field.one}))
+            dd = cat.apply_d(cat.diff.get(k, {}))
             if dd:
                 problems.append(f"d^2 != 0 at {k}")
                 if len(problems) >= max_problems:
@@ -331,9 +331,9 @@ def cobar_construction(
     for a in letters:
         k = a[3]
         terms = [((shift(k2),), c if a[2] % 2 == 0 else F.neg(c))
-                 for k2, c in coa.apply_d({k: F.one}).items()]
+                 for k2, c in coa.diff.get(k, {}).items()]
         terms += [((shift(ka), shift(kb)), c if kb[2] % 2 == 0 else F.neg(c))
-                  for (ka, kb), c in coa.reduced_comult({k: F.one}).items()]
+                  for (ka, kb), c in coa.comult.get(k, {}).items()]
         h = coa.curv.get(k)
         if h is not None:
             terms.append(((), F.neg(h)))

@@ -41,7 +41,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .field import Field, Vec, vec_bump
+from .field import Field, Vec, _apply, _evaluate, _normalize, vec_bump
 from .matrix import SparseMatrix
 from .quiver import (GradedQuiver, Key, composable_words, has_cycle, lkey,
                      pair_key, rkey)
@@ -59,20 +59,16 @@ class PointedCoalgebra:
         diff: Optional[Dict[Key, Vec]] = None,
         curv: Optional[Dict[Key, object]] = None,
     ):
+        """Takes ownership of the table dicts and normalizes them in place
+        (see ``field``); the caller edits them no further."""
         self.field = field
         self.objects = tuple(objects)
         if reduced.objects != self.objects:
             raise ValueError("reduced quiver must live on the stated objects")
         self.reduced = reduced
-        self.comult = {
-            k: {p: c for p, c in v.items() if not field.is_zero(c)}
-            for k, v in comult.items()
-        }
-        self.comult = {k: v for k, v in self.comult.items() if v}
-        self.diff = {k: dict(v) for k, v in (diff or {}).items() if v}
-        self.curv = {
-            k: c for k, c in (curv or {}).items() if not field.is_zero(c)
-        }
+        self.comult = _normalize(comult)
+        self.diff = _normalize({} if diff is None else diff)
+        self.curv = _normalize({} if curv is None else curv)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -80,27 +76,13 @@ class PointedCoalgebra:
         return bool(self.curv)
 
     def apply_d(self, vec: Vec) -> Vec:
-        F = self.field
-        out: Vec = {}
-        for key, c in vec.items():
-            for k2, c2 in self.diff.get(key, {}).items():
-                vec_bump(F, out, k2, F.mul(c, c2))
-        return out
+        return _apply(self.field, self.diff, vec)
 
     def curvature_value(self, vec: Vec):
-        F = self.field
-        out = F.zero
-        for key, c in vec.items():
-            out = F.add(out, F.mul(self.curv.get(key, F.zero), c))
-        return out
+        return _evaluate(self.field, self.curv, vec)
 
     def reduced_comult(self, vec: Vec) -> PairVec:
-        F = self.field
-        out: PairVec = {}
-        for key, c in vec.items():
-            for pair, c2 in self.comult.get(key, {}).items():
-                vec_bump(F, out, pair, F.mul(c, c2))
-        return out
+        return _apply(self.field, self.comult, vec)
 
     def deconcat(self, vec: Vec, parts: int) -> Dict[Tuple[Key, ...], object]:
         """Iterated reduced comultiplication into ``parts`` cofactors.
@@ -170,13 +152,13 @@ class PointedCoalgebra:
 
         # coassociativity of the reduced comultiplication
         for k in keys:
-            v = {k: F.one}
+            delta = self.comult.get(k, {})
             lhs: Dict[Tuple[Key, ...], object] = {}
-            for (a, b), c in self.reduced_comult(v).items():
+            for (a, b), c in delta.items():
                 for (a1, a2), c2 in self.comult.get(a, {}).items():
                     vec_bump(F, lhs, (a1, a2, b), F.mul(c, c2))
             rhs: Dict[Tuple[Key, ...], object] = {}
-            for (a, b), c in self.reduced_comult(v).items():
+            for (a, b), c in delta.items():
                 for (b1, b2), c2 in self.comult.get(b, {}).items():
                     vec_bump(F, rhs, (a, b1, b2), F.mul(c, c2))
             if lhs != rhs:
@@ -190,10 +172,9 @@ class PointedCoalgebra:
 
         # co-Leibniz
         for k in keys:
-            v = {k: F.one}
-            lhs = self.reduced_comult(self.apply_d(v))
+            lhs = self.reduced_comult(self.diff.get(k, {}))
             rhs: PairVec = {}
-            for (a, b), c in self.reduced_comult(v).items():
+            for (a, b), c in self.comult.get(k, {}).items():
                 for a2, c2 in self.diff.get(a, {}).items():
                     vec_bump(F, rhs, (a2, b), F.mul(c, c2))
                 sgn = F.coerce(-1) if a[2] % 2 else F.one
@@ -206,10 +187,9 @@ class PointedCoalgebra:
 
         # d^2 = (h (x) id - id (x) h) rDelta ; h o d = 0
         for k in keys:
-            v = {k: F.one}
-            dd = self.apply_d(self.apply_d(v))
+            dd = self.apply_d(self.diff.get(k, {}))
             want: Vec = {}
-            for (a, b), c in self.reduced_comult(v).items():
+            for (a, b), c in self.comult.get(k, {}).items():
                 ha = self.curv.get(a)
                 if ha is not None:
                     vec_bump(F, want, b, F.mul(c, ha))
@@ -220,7 +200,7 @@ class PointedCoalgebra:
                 problems.append(f"d^2 does not match the curvature coaction at {k}")
                 if done():
                     return problems
-            hd = self.curvature_value(self.apply_d(v))
+            hd = self.curvature_value(self.diff.get(k, {}))
             if not F.is_zero(hd):
                 problems.append(f"h o d is nonzero at {k}")
                 if done():
@@ -622,29 +602,19 @@ class CoalgebraMorphism:
         action: Dict[Key, Vec],
         twist: Optional[Dict[Key, object]] = None,
     ):
+        """Takes ownership of ``action`` and ``twist`` and normalizes them
+        in place."""
         self.source = source
         self.target = target
         self.object_map = dict(object_map)
-        self.action = {k: dict(v) for k, v in action.items() if v}
-        f = source.field
-        self.twist = {
-            k: c for k, c in (twist or {}).items() if not f.is_zero(c)
-        }
+        self.action = _normalize(action)
+        self.twist = _normalize({} if twist is None else twist)
 
     def apply(self, vec: Vec) -> Vec:
-        F = self.target.field
-        out: Vec = {}
-        for k, c in vec.items():
-            for k2, c2 in self.action.get(k, {}).items():
-                vec_bump(F, out, k2, F.mul(c, c2))
-        return out
+        return _apply(self.target.field, self.action, vec)
 
     def twist_value(self, vec: Vec):
-        F = self.source.field
-        out = F.zero
-        for k, c in vec.items():
-            out = F.add(out, F.mul(self.twist.get(k, F.zero), c))
-        return out
+        return _evaluate(self.source.field, self.twist, vec)
 
     def validate(self, max_problems: int = 25) -> List[str]:
         problems: List[str] = []
@@ -676,31 +646,32 @@ class CoalgebraMorphism:
         if len(problems) >= max_problems:
             return problems
 
+        act, twist = self.action, self.twist
         for k in src.reduced.keys():
-            v = {k: F.one}
+            delta = src.comult.get(k, {})
             # comultiplicativity
-            lhs = tgt.reduced_comult(self.apply(v))
+            lhs = tgt.reduced_comult(act.get(k, {}))
             rhs: PairVec = {}
-            for (a, b), c in src.reduced_comult(v).items():
-                for ka, ca in self.apply({a: F.one}).items():
-                    for kb, cb in self.apply({b: F.one}).items():
+            for (a, b), c in delta.items():
+                for ka, ca in act.get(a, {}).items():
+                    for kb, cb in act.get(b, {}).items():
                         vec_bump(F, rhs, (ka, kb), F.mul(c, F.mul(ca, cb)))
             if lhs != rhs:
                 problems.append(f"comultiplication not respected at {k}")
                 if len(problems) >= max_problems:
                     return problems
             # differential with twist
-            left = tgt.apply_d(self.apply(v))
-            right = self.apply(src.apply_d(v))
-            for (a, b), c in src.reduced_comult(v).items():
-                ta = self.twist_value({a: F.one})
+            left = tgt.apply_d(act.get(k, {}))
+            right = self.apply(src.diff.get(k, {}))
+            for (a, b), c in delta.items():
+                ta = twist.get(a, F.zero)
                 if not F.is_zero(ta):
-                    for kb, cb in self.apply({b: F.one}).items():
+                    for kb, cb in act.get(b, {}).items():
                         vec_bump(F, right, kb, F.mul(c, F.mul(ta, cb)))
-                tb = self.twist_value({b: F.one})
+                tb = twist.get(b, F.zero)
                 if not F.is_zero(tb):
                     sgn = F.one if a[2] % 2 else F.coerce(-1)
-                    for ka, ca in self.apply({a: F.one}).items():
+                    for ka, ca in act.get(a, {}).items():
                         vec_bump(
                             F, right, ka, F.mul(sgn, F.mul(c, F.mul(ca, tb)))
                         )
@@ -709,14 +680,11 @@ class CoalgebraMorphism:
                 if len(problems) >= max_problems:
                     return problems
             # curvature with twist
-            hl = tgt.curvature_value(self.apply(v))
-            hr = F.add(
-                src.curvature_value(v), self.twist_value(src.apply_d(v))
-            )
-            for (a, b), c in src.reduced_comult(v).items():
-                q = F.mul(
-                    self.twist_value({a: F.one}), self.twist_value({b: F.one})
-                )
+            hl = tgt.curvature_value(act.get(k, {}))
+            hr = F.add(src.curv.get(k, F.zero),
+                       self.twist_value(src.diff.get(k, {})))
+            for (a, b), c in delta.items():
+                q = F.mul(twist.get(a, F.zero), twist.get(b, F.zero))
                 hr = F.add(hr, F.mul(c, q))
             if hl != hr:
                 problems.append(f"curvature not respected at {k}")
@@ -756,9 +724,8 @@ def compose_morphisms(
     action = {k: g.apply(v) for k, v in f.action.items()}
     twist: Dict[Key, object] = {}
     for k in f.source.reduced.keys():
-        val = F.add(
-            f.twist.get(k, F.zero), g.twist_value(f.apply({k: F.one}))
-        )
+        val = F.add(f.twist.get(k, F.zero),
+                    g.twist_value(f.action.get(k, {})))
         if not F.is_zero(val):
             twist[k] = val
     return CoalgebraMorphism(

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .field import Field, Vec, vec_addmul, vec_bump, vec_scale, vec_sub
+from .field import (Field, Vec, _apply, _compose, _normalize, vec_addmul,
+                    vec_bump, vec_scale, vec_sub)
 from .quiver import (GradedQuiver, Key, lkey, object_maps as all_object_maps,
                      pair_key, rkey)
 from .dgcat import DgCategory, DgFunctor, tensor_dg
@@ -69,6 +70,28 @@ from .barcobar import (
 # Maurer-Cartan search; candidates in the functor and morphism searches
 SEARCH_BUDGET = 1 << 18
 MAX_OBJECTS = 128  # object maps a convolution or MC category may hold
+
+
+def _om_tuple(objects: Sequence, targets: Sequence, m) -> Tuple:
+    """The object map ``m`` (a dict, or values in ``objects`` order) as a
+    tuple in ``objects`` order; refuses a map that misses an object,
+    names an unknown one or hits an unknown target."""
+    if not isinstance(m, dict):
+        m = tuple(m)
+        if len(m) > len(objects):
+            raise ValueError(f"object map gives {len(m)} values for the "
+                             f"objects {tuple(objects)!r}")
+        m = dict(zip(objects, m))
+    for x in m:
+        if x not in objects:
+            raise ValueError(f"object map names unknown object {x!r}")
+    for x in objects:
+        if x not in m:
+            raise ValueError(f"object map misses a value on {x!r}")
+        if m[x] not in targets:
+            raise ValueError(f"object map sends {x!r} to unknown object "
+                             f"{m[x]!r}")
+    return tuple(m[x] for x in objects)
 
 
 def _charge(spent: int, budget: int) -> int:
@@ -108,27 +131,12 @@ class ConvolutionCategory:
             maps = list(all_object_maps(c.objects, cat.quiver.objects,
                                         max_objects))
         else:
-            maps, seen = [], set()
-            for m in object_maps:
-                t = self._om_tuple(m)
-                if t not in seen:
-                    seen.add(t)
-                    maps.append(t)
+            maps = list(dict.fromkeys(
+                _om_tuple(c.objects, cat.quiver.objects, m)
+                for m in object_maps))
         self.object_maps = maps
         self._dT: Optional[Dict] = None
         self._deltaT: Optional[Dict] = None
-
-    def _om_tuple(self, m) -> Tuple:
-        objects = self.coalgebra.objects
-        if isinstance(m, dict):
-            m = tuple(m[x] for x in objects)
-        m = tuple(m)
-        if len(m) != len(objects):
-            raise ValueError("object map has the wrong length")
-        for y in m:
-            if y not in self.cat.quiver.objects:
-                raise ValueError(f"object map hits unknown object {y!r}")
-        return m
 
     def om_value(self, fk: Tuple, x):
         return fk[self.index[x]]
@@ -179,7 +187,7 @@ class ConvolutionCategory:
         F = self.field
         out: Vec = {}
         dk = name[2]
-        for dk2, c in self.cat.apply_d(self.cat.basis_vec(dk)).items():
+        for dk2, c in self.cat.diff.get(dk, {}).items():
             vec_bump(F, out, (fk, gk, n + 1, (name[0], name[1], dk2)), c)
         if name[0] == "r":
             # -(-1)^n phi(dc): rows whose differential hits this one
@@ -200,7 +208,7 @@ class ConvolutionCategory:
         dphi, dpsi = nphi[2], npsi[2]
         if dphi[1] != dpsi[0]:
             return {}
-        dd = self.cat.compose(self.cat.basis_vec(dpsi), self.cat.basis_vec(dphi))
+        dd = self.cat.comp.get((dpsi, dphi))
         if not dd:
             return {}
         n = p + q
@@ -258,24 +266,14 @@ class ConvolutionCategory:
                     vec_bump(F, out, (fk, fk, dk[2], ("o", x, dk)), c)
         return out
 
-    # -- bilinear wrappers -------------------------------------------------
+    # -- linear and bilinear extensions ------------------------------------
 
     def apply_d(self, vec: Vec) -> Vec:
-        F = self.field
-        out: Vec = {}
-        for k, c in vec.items():
-            for k2, c2 in self.diff_vec(k).items():
-                vec_bump(F, out, k2, F.mul(c, c2))
-        return out
+        return _apply(self.field, {k: self.diff_vec(k) for k in vec}, vec)
 
     def star(self, psi: Vec, phi: Vec) -> Vec:
-        F = self.field
-        out: Vec = {}
-        for kp, cp in psi.items():
-            for kf, cf in phi.items():
-                for k2, c2 in self.comp_vec(kp, kf).items():
-                    vec_bump(F, out, k2, F.mul(F.mul(cp, cf), c2))
-        return out
+        return _compose(self.field, {(kp, kf): self.comp_vec(kp, kf)
+                                     for kp in psi for kf in phi}, psi, phi)
 
     # -- materialization and validation ------------------------------------
 
@@ -405,8 +403,9 @@ class MCElement:
     """Object map plus degree-1 twisting cochain on the reduced rows."""
 
     def __init__(self, object_map: Dict, xi: Dict[Key, Vec]):
+        """Takes ownership of ``xi`` and normalizes it in place."""
         self.object_map = dict(object_map)
-        self.xi = {k: dict(v) for k, v in xi.items() if v}
+        self.xi = _normalize(xi)
 
     def canonical(self) -> Tuple:
         om = tuple(sorted(self.object_map.items(), key=repr))
@@ -460,10 +459,8 @@ def mc_check(c: PointedCoalgebra, d: DgCategory,
     or degree shift other than +1) -- that is malformed input, not a failed
     equation.
     """
-    om = dict(cand.object_map)
-    for x in c.objects:
-        if om.get(x) not in d.quiver.objects:
-            raise ValueError(f"object map misses a value on {x!r}")
+    om = dict(zip(c.objects, _om_tuple(c.objects, d.quiver.objects,
+                                       cand.object_map)))
     xi: Dict[Key, Vec] = {}
     for ck, v in cand.xi.items():
         if not c.reduced.has_key(ck):
@@ -504,7 +501,8 @@ def _mc_row_columns(coa: PointedCoalgebra, d: DgCategory, coords, free, xi,
     F = coa.field
     lin: Dict[int, Vec] = {}
     for i in free.get(ck, ()):
-        lin[i] = d.apply_d({coords[i][1]: F.one})
+        # a copy: the loops below bump into it
+        lin[i] = dict(d.diff.get(coords[i][1], {}))
     for ck2, coeff in coa.diff.get(ck, {}).items():
         for i in free.get(ck2, ()):
             vec_bump(F, lin.setdefault(i, {}), coords[i][1], coeff)
@@ -639,14 +637,11 @@ def mc_enumerate(c: PointedCoalgebra, d: DgCategory,
     seen = set()
     spent = 0
     for om in object_maps:
-        om = dict(om if isinstance(om, dict) else zip(c.objects, om))
-        for x, y in om.items():
-            if y not in d.quiver.objects:
-                raise ValueError(f"object map misses a value on {x!r}")
-        key = frozenset(om.items())
+        key = _om_tuple(c.objects, d.quiver.objects, om)
         if key in seen:
             continue
         seen.add(key)
+        om = dict(zip(c.objects, key))
         sols, spent = _mc_solutions(c, d, om, spent, budget)
         out.extend(MCElement(om, xi) for xi in sols)
     return out
@@ -700,12 +695,13 @@ def mc_category(c: PointedCoalgebra, d: DgCategory,
     for (li, lj), ks in keyed.items():
         for k in ks:
             one = {k: F.one}
-            v = vec_addmul(F, plain.get(k, {}), F.one, conv.star(xvs[lj], one))
+            v = vec_addmul(F, plain.get(k, {}), F.one,
+                           _compose(F, comp, xvs[lj], one))
             s = F.one if k[2] % 2 else F.coerce(-1)
-            v = vec_addmul(F, v, s, conv.star(one, xvs[li]))
+            v = vec_addmul(F, v, s, _compose(F, comp, one, xvs[li]))
             if v:
                 diff[k] = v
-    cat = DgCategory(F, quiver, unit, comp, diff=diff or None, curvature=None)
+    cat = DgCategory(F, quiver, unit, comp, diff=diff)
     return MCCategory(list(elements), cat, conv, oms)
 
 
@@ -1081,12 +1077,6 @@ def counit_data(d: DgCategory, bar_weight_cap: int,
                       adjunction_functor_from_mc(cobar, d, m))
 
 
-def counit(d: DgCategory, bar_weight_cap: int,
-           length_cap: Optional[int] = None,
-           weight_cap: Optional[int] = None) -> DgFunctor:
-    return counit_data(d, bar_weight_cap, length_cap, weight_cap).functor
-
-
 # ---------------------------------------------------------------------------
 # Eilenberg-Zilber comparison  Omega(C (x) C') -> Omega C (x) Omega C'
 
@@ -1108,26 +1098,19 @@ class EZData:
 
 def ez_data(c: PointedCoalgebra, cp: PointedCoalgebra,
             length_cap: Optional[int] = None,
-            weight_cap: Optional[int] = None,
-            factor_length_cap: Optional[int] = None,
-            factor_weight_cap: Optional[int] = None) -> EZData:
+            weight_cap: Optional[int] = None) -> EZData:
     """The comparison cochain on C (x) C' and its functor.
 
     Rows with a grouplike factor go to the matching one-letter word beside
     an identity; genuinely mixed rows go to zero.  That is a Maurer-Cartan
     element of {C (x) C', Omega C (x) Omega C'}, and its functor is the
-    comparison.
+    comparison.  The caps bound the cobars of C (x) C' and of both factors
+    alike.
     """
     t = tensor_coalgebras(c, cp)
-    if factor_length_cap is None and factor_weight_cap is None:
-        factor_length_cap = length_cap
-        factor_weight_cap = weight_cap
-    source = cobar_construction(t, length_cap=length_cap,
-                                weight_cap=weight_cap)
-    left = cobar_construction(c, length_cap=factor_length_cap,
-                              weight_cap=factor_weight_cap)
-    right = cobar_construction(cp, length_cap=factor_length_cap,
-                               weight_cap=factor_weight_cap)
+    source, left, right = (
+        cobar_construction(x, length_cap=length_cap, weight_cap=weight_cap)
+        for x in (t, c, cp))
     target = tensor_dg(left.category, right.category)
     F = t.field
     xi: Dict[Key, Vec] = {}
@@ -1143,15 +1126,6 @@ def ez_data(c: PointedCoalgebra, cp: PointedCoalgebra,
     m = MCElement({x: x for x in t.objects}, xi)
     return EZData(t, source, left, right, target, m,
                   adjunction_functor_from_mc(source, target, m))
-
-
-def ez_map(c: PointedCoalgebra, cp: PointedCoalgebra,
-           length_cap: Optional[int] = None,
-           weight_cap: Optional[int] = None,
-           factor_length_cap: Optional[int] = None,
-           factor_weight_cap: Optional[int] = None) -> DgFunctor:
-    return ez_data(c, cp, length_cap, weight_cap,
-                   factor_length_cap, factor_weight_cap).functor
 
 
 def ez_generator_problems(ez: EZData) -> List[str]:
@@ -1250,7 +1224,7 @@ def ez_compare(c: PointedCoalgebra, cp: PointedCoalgebra,
     else:
         raise ValueError(
             "cobar letters of mixed sign; no finite cap certifies the window")
-    data = ez_data(c, cp, length_cap=cap, factor_length_cap=cap)
+    data = ez_data(c, cp, length_cap=cap)
     probs = ez_generator_problems(data)
     if probs:
         raise ValueError(f"comparison functor is off: {probs[0]}")

@@ -35,7 +35,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import BoundedComplex
-from .field import Field, Vec, vec_add, vec_bump, vec_scale, vec_sub
+from .field import (Field, Vec, _apply, _compose, _normalize, vec_add, vec_bump,
+                    vec_scale, vec_sub)
 from .matrix import SparseMatrix
 from .quiver import (GradedQuiver, Key, Word, composable_words, has_cycle,
                      pair_key, quiver_tensor)
@@ -51,12 +52,14 @@ class DgCategory:
         diff: Optional[Dict[Key, Vec]] = None,
         curvature: Optional[Dict[object, Vec]] = None,
     ):
+        """Takes ownership of the table dicts and normalizes them in place
+        (see ``field``); the caller edits them no further."""
         self.field = field
         self.quiver = quiver
-        self.unit = {x: dict(v) for x, v in unit.items() if v}
-        self.comp = {pair: dict(v) for pair, v in comp.items() if v}
-        self.diff = {k: dict(v) for k, v in (diff or {}).items() if v}
-        self.curvature = {x: dict(v) for x, v in (curvature or {}).items() if v}
+        self.unit = _normalize(unit)
+        self.comp = _normalize(comp)
+        self.diff = _normalize({} if diff is None else diff)
+        self.curvature = _normalize({} if curvature is None else curvature)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -70,26 +73,11 @@ class DgCategory:
         return any(self.curvature.values())
 
     def apply_d(self, vec: Vec) -> Vec:
-        F = self.field
-        out: Vec = {}
-        for key, c in vec.items():
-            for k2, c2 in self.diff.get(key, {}).items():
-                vec_bump(F, out, k2, F.mul(c, c2))
-        return out
+        return _apply(self.field, self.diff, vec)
 
     def compose(self, g: Vec, f: Vec) -> Vec:
         """Bilinear extension of the basis composition table; g after f."""
-        F = self.field
-        out: Vec = {}
-        for gk, gc in g.items():
-            for fk, fc in f.items():
-                entry = self.comp.get((gk, fk))
-                if not entry:
-                    continue
-                c = F.mul(gc, fc)
-                for k2, c2 in entry.items():
-                    vec_bump(F, out, k2, F.mul(c, c2))
-        return out
+        return _compose(self.field, self.comp, g, f)
 
     def basis_vec(self, key: Key) -> Vec:
         return {key: self.field.one}
@@ -157,9 +145,9 @@ class DgCategory:
         for k in keys:
             x, y, _, _ = k
             v = self.basis_vec(k)
-            if self.compose(self.unit_vec(y), v) != v:
+            if self.compose(self.unit.get(y, {}), v) != v:
                 problems.append(f"1 o {k} != {k}")
-            if self.compose(v, self.unit_vec(x)) != v:
+            if self.compose(v, self.unit.get(x, {})) != v:
                 problems.append(f"{k} o 1 != {k}")
             if done():
                 return problems
@@ -171,12 +159,9 @@ class DgCategory:
         for f in keys:
             x, y, _, _ = f
             fv = self.basis_vec(f)
-            dd = self.apply_d(self.apply_d(fv))
-            want = vec_sub(
-                F,
-                self.compose(self.curvature_vec(y), fv),
-                self.compose(fv, self.curvature_vec(x)),
-            )
+            dd = self.apply_d(self.diff.get(f, {}))
+            want = vec_sub(F, self.compose(self.curvature.get(y, {}), fv),
+                           self.compose(fv, self.curvature.get(x, {})))
             if dd != want:
                 problems.append(f"d^2 on {f} does not match curvature bracket")
                 if done():
@@ -226,10 +211,10 @@ class DgCategory:
                 pairs.update((a, g) for g in after.get(k, ()))
         for f, g in _in_scan_order(pairs, pos):
             fv, gv = self.basis_vec(f), self.basis_vec(g)
-            lhs = self.apply_d(self.compose(gv, fv))
-            rhs = vec_add(F, self.compose(self.apply_d(gv), fv),
+            lhs = self.apply_d(self.comp.get((g, f), {}))
+            rhs = vec_add(F, self.compose(self.diff.get(g, {}), fv),
                           vec_scale(F, F.coerce(-1) if g[2] % 2 else F.one,
-                                    self.compose(gv, self.apply_d(fv))))
+                                    self.compose(gv, self.diff.get(f, {}))))
             if lhs != rhs:
                 problems.append(f"Leibniz fails on ({g}, {f})")
                 if len(problems) >= max_problems:
@@ -554,18 +539,14 @@ class DgFunctor:
         object_map: Dict[object, object],
         action: Dict[Key, Vec],
     ):
+        """Takes ownership of ``action`` and normalizes it in place."""
         self.source = source
         self.target = target
         self.object_map = dict(object_map)
-        self.action = {k: dict(v) for k, v in action.items() if v}
+        self.action = _normalize(action)
 
     def apply(self, vec: Vec) -> Vec:
-        F = self.target.field
-        out: Vec = {}
-        for k, c in vec.items():
-            for k2, c2 in self.action.get(k, {}).items():
-                vec_bump(F, out, k2, F.mul(c, c2))
-        return out
+        return _apply(self.target.field, self.action, vec)
 
     def validate(self, max_problems: int = 25) -> List[str]:
         problems: List[str] = []
@@ -585,15 +566,15 @@ class DgFunctor:
                 if (k2[0], k2[1], k2[2]) != (om[x], om[y], n) or not tgt.quiver.has_key(k2):
                     problems.append(f"image of {k} leaves its slot")
         for x in src.quiver.objects:
-            if self.apply(src.unit_vec(x)) != tgt.unit_vec(om[x]):
+            if self.apply(src.unit.get(x, {})) != tgt.unit.get(om[x], {}):
                 problems.append(f"unit at {x!r} not preserved")
-            hx = self.apply(src.curvature_vec(x))
-            if hx != tgt.curvature_vec(om[x]):
+            hx = self.apply(src.curvature.get(x, {}))
+            if hx != tgt.curvature.get(om[x], {}):
                 problems.append(f"curvature at {x!r} not preserved")
         keys = list(src.quiver.keys())
         for f in keys:
-            fv = src.basis_vec(f)
-            if self.apply(src.apply_d(fv)) != tgt.apply_d(self.apply(fv)):
+            if (self.apply(src.diff.get(f, {}))
+                    != tgt.apply_d(self.action.get(f, {}))):
                 problems.append(f"differential not preserved on {f}")
             if len(problems) >= max_problems:
                 return problems
@@ -608,8 +589,7 @@ class DgFunctor:
         pos = {k: i for i, k in enumerate(keys)}
         for f, g in _in_scan_order(pairs, pos):
             lhs = self.apply(src.comp.get((g, f), {}))
-            rhs = tgt.compose(self.apply(src.basis_vec(g)),
-                              self.apply(src.basis_vec(f)))
+            rhs = tgt.compose(self.action.get(g, {}), self.action.get(f, {}))
             if lhs != rhs:
                 problems.append(f"composition not preserved on ({g}, {f})")
                 if len(problems) >= max_problems:

@@ -6,8 +6,23 @@ Two kinds of field are supported: the rationals (values are
 complexes and structure tables never branch on the characteristic.
 
 Scalars are plain Python objects; a field never wraps them.  Everything that
-stores coefficients keyed by basis labels uses the ``vec_*`` helpers at the
-bottom (sparse dicts, zero entries always dropped).
+stores coefficients keyed by basis labels uses the ``vec_*`` helpers below
+(sparse dicts, zero entries always dropped).
+
+This module is also the one home of structure tables: a table maps a basis
+key (or a pair of keys) to a sparse vector, or to a scalar for a
+functional such as a curvature.  Three rules hold for every table a
+category, coalgebra, functor, morphism or Maurer-Cartan element stores:
+
+- it is normalized on construction: ``_normalize`` drops zero
+  coefficients and empty entries in place;
+- it is owned by the object: the constructor keeps the caller's dict, so
+  the caller hands it over and edits it no further;
+- an entry equals the table applied to its basis key, so code that holds
+  a key reads its entry instead of applying the table to a basis vector.
+
+A table is applied by one kernel per shape: ``_apply`` (linear),
+``_evaluate`` (functional) and ``_compose`` (bilinear).
 """
 
 from __future__ import annotations
@@ -230,3 +245,62 @@ def vec_bump(field: Field, out: Vec, key, s) -> None:
         out.pop(key, None)
     else:
         out[key] = t
+
+
+# ---------------------------------------------------------------------------
+# Structure tables: key -> Vec, or key -> scalar for a functional.
+
+
+def _normalize(table: Dict) -> Dict:
+    """Drop zero coefficients and empty entries of ``table`` in place.
+
+    Zero is 0 in every field here (``Fraction(0) == 0``), so this needs no
+    field, and a Maurer-Cartan element, which carries none, uses it too.
+    """
+    dead = []
+    for k, v in table.items():
+        if isinstance(v, dict):
+            if 0 in v.values():
+                for j in [j for j, c in v.items() if c == 0]:
+                    del v[j]
+            if not v:
+                dead.append(k)
+        elif v == 0:
+            dead.append(k)
+    for k in dead:
+        del table[k]
+    return table
+
+
+def _apply(field: Field, table: Dict, vec: Vec) -> Vec:
+    """The linear map with basis images ``table`` applied to ``vec``."""
+    out: Vec = {}
+    for k, c in vec.items():
+        entry = table.get(k)
+        if entry:
+            for k2, c2 in entry.items():
+                vec_bump(field, out, k2, field.mul(c, c2))
+    return out
+
+
+def _evaluate(field: Field, table: Dict, vec: Vec):
+    """The functional with basis values ``table`` evaluated on ``vec``."""
+    out = field.zero
+    for k, c in vec.items():
+        h = table.get(k)
+        if h is not None:
+            out = field.add(out, field.mul(h, c))
+    return out
+
+
+def _compose(field: Field, table: Dict, g: Vec, f: Vec) -> Vec:
+    """The bilinear map with basis values ``table[(gk, fk)]`` on (g, f)."""
+    out: Vec = {}
+    for gk, gc in g.items():
+        for fk, fc in f.items():
+            entry = table.get((gk, fk))
+            if entry:
+                c = field.mul(gc, fc)
+                for k2, c2 in entry.items():
+                    vec_bump(field, out, k2, field.mul(c, c2))
+    return out

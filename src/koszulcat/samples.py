@@ -32,19 +32,10 @@ def one_object_algebra(
         return (ob, ob, basis[name], name)
 
     def to_vec(d: Dict[str, object]) -> Vec:
-        out: Vec = {}
-        for name, c in d.items():
-            c = field.coerce(c)
-            if not field.is_zero(c):
-                out[key(name)] = c
-        return out
+        return {key(name): field.coerce(c) for name, c in d.items()}
 
     unit = {ob: {key(unit_name): field.one}}
-    comp = {}
-    for (a, b), val in mult.items():
-        v = to_vec(val)
-        if v:
-            comp[(key(a), key(b))] = v
+    comp = {(key(a), key(b)): to_vec(val) for (a, b), val in mult.items()}
     dtab = {key(n): to_vec(v) for n, v in (diff or {}).items()}
     curv = {ob: to_vec(curvature)} if curvature else None
     return DgCategory(field, quiver, unit, comp, diff=dtab, curvature=curv)

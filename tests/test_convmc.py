@@ -30,14 +30,12 @@ from koszulcat.convmc import (
     adjunction_functor_from_mc,
     adjunction_mc_from_functor,
     convolution_category,
-    counit,
     counit_data,
     enumerate_coalgebra_morphisms,
     enumerate_dg_functors,
     ez_compare,
     ez_data,
     ez_generator_problems,
-    ez_map,
     interchange_problems,
     internal_hom,
     mc_category,
@@ -307,6 +305,20 @@ def test_repeated_object_map_is_searched_once():
     assert [m.canonical() for m in twice] == [m.canonical() for m in once]
 
 
+def test_malformed_object_maps_are_refused():
+    """A short map, a long one and a stray object are refused by name,
+    also where no coordinate would read the missing value."""
+    ab = PointedCoalgebra(F3, ("a", "b"), GradedQuiver(("a", "b"), {}), {})
+    d = CATEGORY_LIBRARY["a2"](F3)
+    for om, name in ((("0",), "'b'"), (("0", "1", "0"), r"\('a', 'b'\)"),
+                     ({"a": "0", "b": "1", "zz": "0"}, "'zz'")):
+        with pytest.raises(ValueError, match=name):
+            mc_enumerate(ab, d, object_maps=[om])
+    with pytest.raises(ValueError, match="'y'"):
+        mc_enumerate(COALGEBRA_LIBRARY["dag"](F3), d, object_maps=[("0",)])
+    assert len(mc_enumerate(ab, d, object_maps=[("0", "1")])) == 1
+
+
 # -- search on a tensor -------------------------------------------------------
 
 
@@ -573,7 +585,7 @@ def test_counit_is_a_functor_once_long_products_vanish(name, failing, valid,
 
 
 def test_counit_shortcut_validates():
-    assert counit(CATEGORY_LIBRARY["a2"](F2), 3).validate() == []
+    assert counit_data(CATEGORY_LIBRARY["a2"](F2), 3).functor.validate() == []
 
 
 # -- the box-product comparison ---------------------------------------------
@@ -625,8 +637,7 @@ def test_comparison_against_point_is_functor():
                  length_cap=3)
     assert ez_generator_problems(ez) == []
     assert ez.functor.validate() == []
-    assert ez_map(COALGEBRA_LIBRARY["dag"](QQ), point_coalgebra(QQ),
-                  length_cap=3).action
+    assert ez.functor.action
 
 
 @pytest.mark.parametrize("cname,pname", [
