@@ -18,10 +18,14 @@ honest subcoalgebra and materialization is exact per weight.
 
 Words and deconcatenation come from ``coalgebra._deconcatenation``
 (shared with ``cotensor_coalgebra``; the twin of ``_path_category``
-below).  d of each letter and the merge of each two-letter word are
-split once.  A term of d(w) keeps w's endpoints and has degree |w| + 1
-(d raises one letter by one; a merge of s a, s b has degree
-|s a| + |s b| + 1), so its key is written down without summing degrees.
+below), which keys each word once; every term of d is looked up there,
+so it is the word's own key.  d of each letter and the merge of each
+two-letter word are split once, and d grows one letter at a time:
+
+    d(w'.a) = d(w').a + (merge of w'[-1], a) + (d a at the last position)
+
+The terms of d(w') keep their signs in d(w'.a) because kappa_i counts
+only the letters left of position i, and appending a changes none.
 
 cobar(C) is the path category (``dgcat._path_category``) on the reduced
 arrows of C shifted up one degree.  On a single letter
@@ -184,6 +188,9 @@ def bar_construction(
     differential, comultiplication, and curvature.
     """
     F = cat.field
+    if weight_cap < 0:
+        raise ValueError(f"weight_cap={weight_cap} is negative; "
+                         "pass weight_cap=0 or more")
     if cat.is_curved():
         raise ValueError("bar construction needs an uncurved dg category")
     if not cat.quiver.objects:
@@ -196,41 +203,42 @@ def bar_construction(
         raise ValueError("bar construction needs a unit at every object")
 
     sp = splitting if splitting is not None else Splitting(cat)
-    quiver, comult, words = _deconcatenation(
+    quiver, comult, key_of = _deconcatenation(
         F, cat.quiver.objects, [(k[0], k[1], k[2] - 1, k) for k in sp.letters],
         weight_cap)
     d_split = {k: sp.split(cat.apply_d(sp.letter_vec(k))) for k in sp.letters}
     merge_split = {w: sp.split(cat.compose(sp.letter_vec(w[1]), sp.letter_vec(w[0])))
-                   for (_, _, _, w) in words if len(w) == 2}
+                   for w in key_of if len(w) == 2}
     diff = {}
     curv = {}
     minus_one = F.neg(F.one)
 
-    for wk in words:
-        x, y, n, w = wk
+    # d(w'.a) = d(w').a + merge(w'[-1], a) + d(a) at the last position
+    for w, wk in key_of.items():
+        x, _, n, _ = wk
+        head, a = w[:-1], w[-1]
+        kappa = n - a[2] + 1  # shifted degree of head
         dvec: Vec = {}
-        kappa = 0  # sum of shifted degrees of the letters before position i
-        for i, k in enumerate(w):
-            # internal differential: -(-1)^kappa at letter i
-            sgn = minus_one if kappa % 2 == 0 else F.one
-            units, red = d_split[k]
-            for k2, c in red.items():
-                vec_bump(F, dvec, (x, y, n + 1, w[:i] + (k2,) + w[i + 1:]),
-                         F.mul(sgn, c))
-            if len(w) == 1 and units:
-                curv[wk] = units[x]
-            # merge with the next letter: (-1)^{kappa + |k| |s next|}
-            if i + 1 < len(w):
-                mexp = kappa + k[2] * (w[i + 1][2] - 1)
-                msgn = F.one if mexp % 2 == 0 else minus_one
-                munits, mred = merge_split[w[i:i + 2]]
-                for k2, c in mred.items():
-                    vec_bump(F, dvec, (x, y, n + 1, w[:i] + (k2,) + w[i + 2:]),
-                             F.mul(msgn, c))
-                if len(w) == 2 and munits:
-                    # weight-2 curvature is minus the unit part, no parity
-                    curv[wk] = F.neg(munits[x])
-            kappa += k[2] - 1
+        if head:
+            for hk, c in diff.get(key_of[head], {}).items():
+                dvec[key_of[hk[3] + (a,)]] = c
+            b = head[-1]
+            # (-1)^{kappa_b + |b| |s a|}, kappa_b = kappa - |s b|
+            mexp = kappa - b[2] + 1 + b[2] * (a[2] - 1)
+            msgn = F.one if mexp % 2 == 0 else minus_one
+            munits, mred = merge_split[w[-2:]]
+            for k2, c in mred.items():
+                vec_bump(F, dvec, key_of[head[:-1] + (k2,)], F.mul(msgn, c))
+            if len(w) == 2 and munits:
+                # weight-2 curvature is minus the unit part, no parity
+                curv[wk] = F.neg(munits[x])
+        # internal differential: -(-1)^kappa at the last letter
+        sgn = minus_one if kappa % 2 == 0 else F.one
+        units, red = d_split[a]
+        for k2, c in red.items():
+            vec_bump(F, dvec, key_of[head + (k2,)], F.mul(sgn, c))
+        if not head and units:
+            curv[wk] = units[x]
         if dvec:
             diff[wk] = dvec
 
@@ -298,6 +306,9 @@ def cobar_construction(
     differential term of the cobar raises total weight; at least one cap
     must make the word set finite.
     """
+    for name, cap in (("length_cap", length_cap), ("weight_cap", weight_cap)):
+        if cap is not None and cap < 0:
+            raise ValueError(f"{name}={cap} is negative; pass {name}=0 or more")
     if isinstance(coa, FinalCoalgebra):
         return CobarResult(zero_category(coa.field), length_cap, weight_cap)
     F = coa.field

@@ -38,7 +38,6 @@ lives in the bar/cobar test suite).
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .field import Field, Vec, _apply, _evaluate, _normalize, vec_bump
@@ -545,6 +544,9 @@ def cotensor_coalgebra(
     nothing structurally.  Without a cap the generator graph must be
     acyclic (else the word basis is infinite).
     """
+    if max_weight is not None and max_weight < 0:
+        raise ValueError(f"max_weight={max_weight} is negative; "
+                         "pass max_weight=0 or more")
     if max_weight is None:
         succ: Dict[object, set] = {x: set() for x in generators.objects}
         for (x, y, _n) in generators.slots:
@@ -565,26 +567,31 @@ def _deconcatenation(field: Field, objects: Sequence, letters: Sequence[Key],
                      max_len: Optional[int]):
     """Composable words of at most ``max_len`` letters (src, tgt, degree,
     name), shortest first, keyed (src, tgt, degree sum, tuple of names).
-    Returns their quiver, rDelta (a split at each interior position, keyed
-    by the word's prefix degree sums) and the word keys in order.
+    Letter names must tell letters apart.  Returns their quiver, rDelta (a
+    split at each interior position) and ``key_of``, names -> word key in
+    word order.
+
+    Each word has one key object, and the cofactors of rDelta are the word
+    keys themselves: the prefixes of w are those of w[:-1] and w[:-1], the
+    suffixes of w are w[1:] and the suffixes of w[1:].
     """
     slots: Dict[tuple, List] = {}
     comult: Dict[Key, PairVec] = {}
-    words: List[Key] = []
+    key_of: Dict[tuple, Key] = {}
     for w in composable_words(letters, max_len):
         names = tuple(a[3] for a in w)
-        pre = (0, *accumulate(a[2] for a in w))
-        x, y, n = w[0][0], w[-1][1], pre[-1]
-        key = (x, y, n, names)
-        slots.setdefault((x, y, n), []).append(names)
-        if len(w) > 1:
-            # w[i][0] is where the cofactors w[:i] and w[i:] meet
-            comult[key] = {((x, w[i][0], pre[i], names[:i]),
-                            (w[i][0], y, n - pre[i], names[i:])): field.one
-                           for i in range(1, len(w))}
-        words.append(key)
+        if len(w) == 1:
+            key = w[0][:3] + (names,)
+        else:
+            head, tail = key_of[names[:-1]], key_of[names[1:]]
+            key = (head[0], tail[1], head[2] + w[-1][2], names)
+            comult[key] = dict.fromkeys(zip(
+                [p for p, _ in comult.get(head, ())] + [head],
+                [tail] + [s for _, s in comult.get(tail, ())]), field.one)
+        slots.setdefault(key[:3], []).append(names)
+        key_of[names] = key
     quiver = GradedQuiver(objects, {s: tuple(v) for s, v in slots.items()})
-    return quiver, comult, words
+    return quiver, comult, key_of
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .field import (Field, Vec, _apply, _compose, _normalize, vec_addmul,
+from .field import (Field, Vec, _compose, _normalize, vec_addmul,
                     vec_bump, vec_scale, vec_sub)
 from .quiver import (GradedQuiver, Key, lkey, object_maps as all_object_maps,
                      pair_key, rkey)
@@ -266,15 +266,6 @@ class ConvolutionCategory:
                     vec_bump(F, out, (fk, fk, dk[2], ("o", x, dk)), c)
         return out
 
-    # -- linear and bilinear extensions ------------------------------------
-
-    def apply_d(self, vec: Vec) -> Vec:
-        return _apply(self.field, {k: self.diff_vec(k) for k in vec}, vec)
-
-    def star(self, psi: Vec, phi: Vec) -> Vec:
-        return _compose(self.field, {(kp, kf): self.comp_vec(kp, kf)
-                                     for kp in psi for kf in phi}, psi, phi)
-
     # -- materialization and validation ------------------------------------
 
     def tables(self, objects: Sequence[Tuple[object, Tuple]]):
@@ -282,7 +273,7 @@ class ConvolutionCategory:
 
         ``objects`` lists (label, object map) pairs.  Every basis key starts
         with the labels of its two ends, so objects with equal maps stay
-        apart; comp_vec, diff_vec and star only compare those entries.
+        apart; comp_vec and diff_vec only compare those entries.
         Returns (quiver, unit, comp, diff, curvature, keyed): the tables a
         ``DgCategory`` takes, with the plain differential, and keyed[(lf,
         lg)] the hom keys from lf to lg.  The reduced side has no units.

@@ -122,7 +122,8 @@ def composable_words(letters: Sequence[Key], max_len: Optional[int],
 
     Each length lists the extensions of the previous length's words in
     their order, each extended by the letters in ``letters`` order.
-    ``keep`` drops a word and with it every extension.  Without
+    No word longer than ``max_len`` is ever built, so ``keep`` never sees
+    one.  ``keep`` drops a word and with it every extension.  Without
     ``max_len`` the letter graph must be acyclic or ``keep`` must bound
     the length, else this does not terminate.
     """
@@ -134,6 +135,8 @@ def composable_words(letters: Sequence[Key], max_len: Optional[int],
     length = 1
     while frontier and (max_len is None or length <= max_len):
         words.extend(frontier)
+        if length == max_len:
+            break
         nxt = []
         for w in frontier:
             for k in by_src.get(w[-1][1], ()):

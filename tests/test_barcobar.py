@@ -152,6 +152,11 @@ def test_bar_rejects_curved_and_unitless():
 # -- bar: curvature placement -----------------------------------------------
 
 
+def test_bar_rejects_negative_cap():
+    with pytest.raises(ValueError, match="weight_cap="):
+        bar_construction(a2_category(QQ), -1)
+
+
 def test_bar_curvature_group_like():
     # t.t = e: the unit part of the weight-2 merge is the only curvature,
     # and it enters with a minus sign (forced by d^2 = coaction)
@@ -283,6 +288,14 @@ def test_cobar_neg_primitive_dims():
 def test_cobar_needs_a_cap():
     with pytest.raises(ValueError):
         cobar_construction(COALGEBRA_LIBRARY["w"](QQ))
+
+
+def test_cobar_rejects_negative_caps():
+    coa = COALGEBRA_LIBRARY["w"](QQ)
+    with pytest.raises(ValueError, match="length_cap="):
+        cobar_construction(coa, length_cap=-1)
+    with pytest.raises(ValueError, match="weight_cap="):
+        cobar_construction(coa, weight_cap=-1)
 
 
 def test_cobar_sentinels():

@@ -171,6 +171,12 @@ def test_cotensor_weight_cap_is_subcoalgebra():
         cotensor_coalgebra(QQ, gen)  # cyclic without a cap
 
 
+def test_cotensor_rejects_negative_cap():
+    gen = GradedQuiver(("x",), {("x", "x", 0): ("v",)})
+    with pytest.raises(ValueError, match="max_weight="):
+        cotensor_coalgebra(QQ, gen, max_weight=-1)
+
+
 # -- coradical filtration and gr --------------------------------------------
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulcat.quiver import GradedQuiver, quiver_tensor
+from koszulcat.quiver import GradedQuiver, composable_words, quiver_tensor
 
 
 def small_quiver(rng, max_objects=2, max_dim=2, degs=(-1, 0, 1)):
@@ -108,3 +108,21 @@ def test_tensor_total_dim_multiplicative(seed):
     rng = random.Random(seed)
     v, w = small_quiver(rng), small_quiver(rng)
     assert quiver_tensor(v, w).total_dim() == v.total_dim() * w.total_dim()
+
+
+# -- words -------------------------------------------------------------------
+
+
+def test_composable_words_stop_at_max_len():
+    # a -> b -> a and a loop at a: words of every length exist
+    letters = [("a", "b", 0, "f"), ("b", "a", 1, "g"), ("a", "a", 0, "h")]
+    seen = []
+
+    def keep(w):
+        seen.append(w)
+        return True
+
+    words = composable_words(letters, 2, keep)
+    assert max(map(len, seen)) == 2
+    assert words == seen
+    assert [len(w) for w in words] == [1, 1, 1, 2, 2, 2, 2, 2]

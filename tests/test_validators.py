@@ -10,8 +10,9 @@ inputs with one table entry bumped or dropped.
 The reduced convolution validator runs the same table-driven passes on
 its materialized tables; its oracle is the scan it replaced, over every
 pair, triple and quadruple of object maps through the per-cochain
-``comp_vec``, ``apply_d`` and ``star``.  There the two report the same
-failing cases, in their own orders.
+``comp_vec`` and ``diff_vec``, extended to vectors by ``conv_d`` and
+``conv_star``.  There the two report the same failing cases, in their own
+orders.
 """
 
 import pytest
@@ -20,7 +21,8 @@ from koszulcat.barcobar import cobar_construction
 from koszulcat.coalgebra import PointedCoalgebra
 from koszulcat.convmc import convolution_category, counit_data
 from koszulcat.dgcat import DgCategory, DgFunctor, identity_functor
-from koszulcat.field import GF, QQ, vec_add, vec_addmul, vec_scale, vec_sub
+from koszulcat.field import (GF, QQ, _apply, _compose, vec_add, vec_addmul,
+                             vec_scale, vec_sub)
 from koszulcat.randgen import random_dg_category
 from koszulcat.samples import CATEGORY_LIBRARY, COALGEBRA_LIBRARY
 from test_convmc import _PAIRS
@@ -177,6 +179,17 @@ def oracle_functor_problems(fn, max_problems=25):
     return problems
 
 
+def conv_d(conv, vec):
+    """d of a cochain vector, one ``diff_vec`` per basis cochain."""
+    return _apply(conv.field, {k: conv.diff_vec(k) for k in vec}, vec)
+
+
+def conv_star(conv, psi, phi):
+    """psi * phi of cochain vectors, one ``comp_vec`` per basis pair."""
+    return _compose(conv.field, {(kp, kf): conv.comp_vec(kp, kf)
+                                 for kp in psi for kf in phi}, psi, phi)
+
+
 def oracle_reduced_problems(conv, max_problems=25):
     """The full scan of the reduced convolution: d^2 identity per key,
     Leibniz per composable pair and associativity per composable triple
@@ -192,8 +205,9 @@ def oracle_reduced_problems(conv, max_problems=25):
         hg = conv.curvature_vec(gk)
         for k in ks:
             one = {k: F.one}
-            lhs = conv.apply_d(conv.apply_d(one))
-            rhs = vec_sub(F, conv.star(hg, one), conv.star(one, hf))
+            lhs = conv_d(conv, conv_d(conv, one))
+            rhs = vec_sub(F, conv_star(conv, hg, one),
+                          conv_star(conv, one, hf))
             rhs = vec_addmul(F, rhs, F.one, conv._outer_curvature(one, True))
             rhs = vec_addmul(F, rhs, F.coerce(-1),
                              conv._outer_curvature(one, False))
@@ -209,11 +223,12 @@ def oracle_reduced_problems(conv, max_problems=25):
                     vpsi = {kpsi: F.one}
                     for kphi in keyed[(fk, gk)]:
                         vphi = {kphi: F.one}
-                        lhs = conv.apply_d(conv.comp_vec(kpsi, kphi))
-                        rhs = conv.star(conv.apply_d(vpsi), vphi)
+                        lhs = conv_d(conv, conv.comp_vec(kpsi, kphi))
+                        rhs = conv_star(conv, conv_d(conv, vpsi), vphi)
                         s = F.coerce(-1) if kpsi[2] % 2 else F.one
                         rhs = vec_addmul(F, rhs, s,
-                                         conv.star(vpsi, conv.apply_d(vphi)))
+                                         conv_star(conv, vpsi,
+                                                   conv_d(conv, vphi)))
                         if lhs != rhs:
                             problems.append(
                                 f"Leibniz fails on ({kpsi}, {kphi})")
@@ -228,8 +243,9 @@ def oracle_reduced_problems(conv, max_problems=25):
                         for kpsi in keyed[(gk, hk)]:
                             inner = conv.comp_vec(kchi, kpsi)
                             for kphi in keyed[(fk, gk)]:
-                                lhs = conv.star(vchi, conv.comp_vec(kpsi, kphi))
-                                rhs = conv.star(inner, {kphi: F.one})
+                                lhs = conv_star(conv, vchi,
+                                                conv.comp_vec(kpsi, kphi))
+                                rhs = conv_star(conv, inner, {kphi: F.one})
                                 if lhs != rhs:
                                     problems.append(
                                         "associativity fails on "

@@ -1,12 +1,15 @@
 """Bar and cotensor coalgebras against their word-by-word reference loops.
 
-Both constructions share one deconcatenation builder, and the bar splits
-d of each letter and the merge of each adjacent letter pair once.  The
-oracles below recompute everything at every position of every word, with
-every word degree summed afresh.  Slots, comultiplication, differential
-and curvature must come out equal, in dict order, on the sample library,
-on seeded random categories, under custom unit complements, on the bar of
-an MC category, and on cotensors of random and cyclic generator quivers.
+Both constructions share one deconcatenation builder, which keys every
+word once, and the bar builds d(w'.a) from d(w').  The oracles below
+recompute everything at every position of every word, with every word
+degree summed afresh.  Slots, comultiplication, differential and
+curvature must come out equal, in dict order, on the sample library, on
+seeded random categories, under custom unit complements, on the bar of an
+MC category, and on cotensors of random and cyclic generator quivers.
+The custom complements give words whose merge term hits a term of
+d(w').a, which pins the order in which the recursion adds terms.  Equal
+keys in the built tables must be one object.
 """
 
 import random
@@ -124,8 +127,22 @@ def assert_bar_matches(cat, cap, splitting=None):
             bar_construction(cat, cap, splitting)
         return
     sp = splitting if splitting is not None else Splitting(cat)
-    assert tables(bar_construction(cat, cap, splitting)) == \
-        tables(oracle_bar(cat, cap, sp))
+    bar = bar_construction(cat, cap, splitting)
+    assert tables(bar) == tables(oracle_bar(cat, cap, sp))
+    assert_keys_shared(bar)
+
+
+def assert_keys_shared(coa):
+    occ = []
+    for k, pairs in coa.comult.items():
+        occ.append(k)
+        for pair in pairs:
+            occ += pair
+    for k, img in coa.diff.items():
+        occ.append(k)
+        occ += img
+    occ += coa.curv
+    assert len({id(k) for k in occ}) == len(set(occ))
 
 
 # -- bars --------------------------------------------------------------------
@@ -145,10 +162,27 @@ def test_random_bars_match_oracle(seed):
     assert_bar_matches(random_dg_category(field, seed), 3)
 
 
+def merge_hits(cat, cap, sp):
+    """Words w'.a whose merge term of (w'[-1], a) lands on a key of d(w').a."""
+    bar = bar_construction(cat, cap, sp)
+    key_of = {k[3]: k for k in bar.reduced.keys()}
+    hits = []
+    for w in key_of:
+        if len(w) > 1:
+            ext = {hk[3] + w[-1:] for hk in bar.diff.get(key_of[w[:-1]], {})}
+            _, mred = sp.split(cat.compose(sp.letter_vec(w[-1]),
+                                           sp.letter_vec(w[-2])))
+            if ext & {w[:-2] + (k2,) for k2 in mred}:
+                hits.append(w)
+    return hits
+
+
 def test_custom_splittings_match_oracle():
     dual = dual_numbers(F3)
     cvec = {("*", "*", 0, "x"): F3.one, ("*", "*", 0, "e"): F3.one}
-    assert_bar_matches(dual, 4, Splitting(dual, complement={"*": [cvec]}))
+    sp = Splitting(dual, complement={"*": [cvec]})
+    assert merge_hits(dual, 4, sp)
+    assert_bar_matches(dual, 4, sp)
     rng = random.Random(7)
     for name in ("dual_numbers", "trunc_poly3"):
         for field in (QQ, F3, GF(5)):
@@ -180,8 +214,9 @@ def test_mc_category_bars_match_oracle(c, d, cap):
 
 
 def assert_cotensor_matches(field, gen, max_weight):
-    assert tables(cotensor_coalgebra(field, gen, max_weight)) == \
-        tables(oracle_cotensor(field, gen, max_weight))
+    coa = cotensor_coalgebra(field, gen, max_weight)
+    assert tables(coa) == tables(oracle_cotensor(field, gen, max_weight))
+    assert_keys_shared(coa)
 
 
 @pytest.mark.parametrize("seed", range(40))
