@@ -60,7 +60,7 @@ from typing import Dict, List, Optional, Tuple
 from .coalgebra import (FinalCoalgebra, PointedCoalgebra, _deconcatenation,
                         zero_coalgebra)
 from .dgcat import DgCategory, _path_category, empty_category, zero_category
-from .field import Field, Vec, vec_bump
+from .field import Vec, vec_bump
 from .matrix import SparseMatrix
 from .quiver import Key, Word
 
@@ -70,10 +70,13 @@ class Splitting:
 
     Away from those slots the basis arrows themselves are the letters of
     the bar construction; on a degree-0 endo slot the letters are the
-    supplied complement vectors.  The default complement keeps every
-    basis arrow except the one carrying the unit's pivot coordinate.
+    supplied complement vectors.  The default complement is every basis
+    arrow of the slot except the unit's first key (by repr); it takes the
+    same path as a supplied one.
 
-    ``split`` writes a vector as unit coefficients plus a letter part,
+    At construction each basis key of such a slot is solved once for its
+    coordinates in the basis [unit | complement].  ``split`` sums those
+    coordinates to write a vector as unit coefficients plus a letter part,
     which is all the bar construction ever needs.
     """
 
@@ -86,54 +89,55 @@ class Splitting:
         F = cat.field
         self.letters: List[Key] = []
         self._vecs: Dict[Key, Vec] = {}
-        # x -> (slot keys, [unit | complement] matrix, letter keys) for the
-        # degree-0 endo slot at x; objects with zero unit get no entry.
-        self._endo: Dict[object, Tuple[List[Key], SparseMatrix, List[Key]]] = {}
-        self._pivot: Dict[object, Key] = {}
+        # degree-0 endo basis key at x -> (its unit coefficient, its letter
+        # part); objects with zero unit get no entries
+        self._coords: Dict[Key, Tuple[object, Vec]] = {}
+        endo_letters: List[Key] = []
 
         for x in cat.quiver.objects:
             u = cat.unit_vec(x)
             if not u:
                 continue
             slot_keys = [(x, x, 0, a) for a in cat.quiver.slot(x, x, 0)]
+            index = {k: i for i, k in enumerate(slot_keys)}
             given = (complement or {}).get(x)
             if given is None:
-                pivot = min((k for k in u), key=repr)
-                self._pivot[x] = pivot
+                pivot = min(u, key=repr)
                 letter_keys = [k for k in slot_keys if k != pivot]
-                vecs = [{k: F.one} for k in letter_keys]
+                given = [{k: F.one} for k in letter_keys]
             else:
                 if len(given) != len(slot_keys) - 1:
                     raise ValueError(
                         f"complement at {x!r} must have {len(slot_keys) - 1} vectors"
                     )
                 letter_keys = [(x, x, 0, ("split", i)) for i in range(len(given))]
-                vecs = [dict(v) for v in given]
-            index = {k: i for i, k in enumerate(slot_keys)}
-            cols = [u] + vecs
             entries = {}
-            for j, v in enumerate(cols):
+            for j, v in enumerate([u] + given):
                 for k, c in v.items():
                     if k not in index:
                         raise ValueError(f"complement vector at {x!r} leaves slot")
-                    entries[(index[k], j)] = F.coerce(c)
-            m = SparseMatrix(F, len(slot_keys), len(cols), entries)
-            if m.rank() != len(slot_keys):
-                raise ValueError(f"unit and complement do not span the slot at {x!r}")
-            self._endo[x] = (slot_keys, m, letter_keys)
-            for k, v in zip(letter_keys, vecs):
-                self._vecs[k] = v
+                    entries[(index[k], j)] = c
+            m = SparseMatrix(F, len(slot_keys), len(slot_keys), entries)
+            for lk in letter_keys:
+                self._vecs[lk] = {}
+            for (i, j), c in m.entries.items():
+                if j:
+                    self._vecs[letter_keys[j - 1]][slot_keys[i]] = c
+            for i, k in enumerate(slot_keys):
+                sol = m.solve({i: F.one})
+                if sol is None:
+                    raise ValueError(f"unit and complement do not span the slot at {x!r}")
+                self._coords[k] = (sol.get(0, F.zero),
+                                   {letter_keys[j - 1]: c for j, c in sol.items() if j})
+            endo_letters.extend(letter_keys)
 
-        endo_slots = {(x, x, 0) for x in self._endo}
         for (sx, sy, sn), names in cat.quiver.slots.items():
-            if (sx, sy, sn) in endo_slots:
-                continue
             for a in names:
                 k = (sx, sy, sn, a)
-                self.letters.append(k)
-                self._vecs[k] = {k: F.one}
-        for x in self._endo:
-            self.letters.extend(self._endo[x][2])
+                if k not in self._coords:
+                    self.letters.append(k)
+                    self._vecs[k] = {k: F.one}
+        self.letters.extend(endo_letters)
 
     def letter_vec(self, k: Key) -> Vec:
         return dict(self._vecs[k])
@@ -145,35 +149,17 @@ class Splitting:
         red: Vec = {}
         by_endo: Dict[object, Vec] = {}
         for k, c in v.items():
-            x = k[0]
-            if k[1] == x and k[2] == 0 and x in self._endo:
-                by_endo.setdefault(x, {})[k] = c
+            if k in self._coords:
+                by_endo.setdefault(k[0], {})[k] = c
             else:
                 vec_bump(F, red, k, c)
         for x, part in by_endo.items():
-            slot_keys, m, letter_keys = self._endo[x]
-            pivot = self._pivot.get(x)
-            if pivot is not None:
-                # default splitting: peel the unit off by its pivot coordinate
-                u = self.cat.unit_vec(x)
-                coeff = F.mul(part.get(pivot, F.zero), F.inv(u[pivot]))
-                if not F.is_zero(coeff):
-                    units[x] = coeff
-                for k, c in part.items():
-                    if k == pivot:
-                        continue
-                    vec_bump(F, red, k, F.sub(c, F.mul(coeff, u.get(k, F.zero))))
-            else:
-                index = {k: i for i, k in enumerate(slot_keys)}
-                sol = m.solve({index[k]: c for k, c in part.items()})
-                if sol is None:
-                    raise ValueError("split: vector outside the slot span")
-                if 0 in sol and not F.is_zero(sol[0]):
-                    units[x] = sol[0]
-                for j, lk in enumerate(letter_keys):
-                    c = sol.get(j + 1, F.zero)
-                    if not F.is_zero(c):
-                        vec_bump(F, red, lk, c)
+            for k, c in part.items():
+                u, letters = self._coords[k]
+                if not F.is_zero(u):
+                    vec_bump(F, units, x, F.mul(c, u))
+                for lk, a in letters.items():
+                    vec_bump(F, red, lk, F.mul(c, a))
         return units, red
 
 
@@ -364,97 +350,3 @@ def cobar_construction(
         trunc_min_len=trunc_min_len,
         comp_truncated=comp_truncated,
     )
-
-
-# ---------------------------------------------------------------------------
-# word growth analysis: when is a degree window exact under a length cap?
-
-
-def _simple_cycles_and_paths(objects, edges):
-    """All simple cycles and simple paths of an object digraph.
-
-    edges: dict (x, y) -> (min weight, max weight).  Returns (cycles,
-    paths) as lists of [(x, y), ...] edge sequences; paths include the
-    empty path implicitly via their weight handling at the caller.
-    """
-    adj: Dict[object, List[object]] = {}
-    for (x, y) in edges:
-        adj.setdefault(x, []).append(y)
-    cycles = []
-    paths = []
-    order = {x: i for i, x in enumerate(objects)}
-
-    def dfs(start, node, visited, trail):
-        for y in adj.get(node, ()):
-            if y == start:
-                cycles.append(list(trail) + [(node, y)])
-                continue
-            if order.get(y, -1) <= order[start]:
-                continue  # canonical start = smallest node on the cycle
-            if y in visited:
-                continue
-            dfs(start, y, visited | {y}, trail + [(node, y)])
-
-    def dfs_path(node, visited, trail):
-        if trail:
-            paths.append(list(trail))
-        for y in adj.get(node, ()):
-            if y in visited:
-                continue
-            dfs_path(y, visited | {y}, trail + [(node, y)])
-
-    for x in objects:
-        dfs(x, x, {x}, [])
-        dfs_path(x, {x}, [])
-    return cycles, paths
-
-
-def cobar_length_bound(coa, deg_lo: int, deg_hi: int) -> Optional[int]:
-    """A word-length cap outside which no cobar word lands in the window.
-
-    Analyzes cycle weights of the letter graph (letter weight = shifted
-    degree).  Returns None when it cannot certify a bound: cycles of both
-    signs, or a zero-weight cycle, can in principle pile up words of
-    bounded degree at unbounded length, and the caller is expected to
-    refuse or fall back to stabilization heuristics.
-    """
-    if isinstance(coa, FinalCoalgebra) or not coa.objects:
-        return 0
-    objects = list(coa.objects)
-    if len(objects) > 8:
-        return None
-    edges: Dict[Tuple[object, object], Tuple[int, int]] = {}
-    for k in coa.reduced.keys():
-        w = k[2] + 1
-        cur = edges.get((k[0], k[1]))
-        edges[(k[0], k[1])] = (
-            (w, w) if cur is None else (min(cur[0], w), max(cur[1], w))
-        )
-    if not edges:
-        return 0
-    cycles, paths = _simple_cycles_and_paths(objects, edges)
-    nv = len(objects)
-    if not cycles:
-        longest = 0
-        # longest path by edge count in a DAG of <= 8 nodes: reuse the
-        # enumerated simple paths
-        for p in paths:
-            longest = max(longest, len(p))
-        return longest
-
-    def weight(seq, lo_side) -> int:
-        return sum(edges[e][0 if lo_side else 1] for e in seq)
-
-    min_cycle = min(weight(c, True) for c in cycles)
-    max_cycle = max(weight(c, False) for c in cycles)
-    min_path = min([0] + [weight(p, True) for p in paths])
-    max_path = max([0] + [weight(p, False) for p in paths])
-    if min_cycle >= 1:
-        if deg_hi < min_path:
-            return nv - 1
-        return nv - 1 + (nv * (deg_hi - min_path)) // min_cycle
-    if max_cycle <= -1:
-        if max_path < deg_lo:
-            return nv - 1
-        return nv - 1 + (nv * (max_path - deg_lo)) // (-max_cycle)
-    return None

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .field import Field, Vec, _apply, _evaluate, _normalize, vec_bump
+from .field import Field, Vec, _apply, _evaluate, _normalize, vec_bump, vec_sub
 from .matrix import SparseMatrix
 from .quiver import (GradedQuiver, Key, composable_words, has_cycle, lkey,
                      pair_key, rkey)
@@ -286,38 +286,24 @@ class PointedCoalgebra:
 def _complement_basis(
     field: Field, keys: List[Key], have: List[Vec], new: List[Vec]
 ) -> List[Vec]:
-    """Extend span(have) by vectors from new; returns the added ones,
-    reduced against everything already present."""
+    """Extend span(have) by vectors from new; returns the added ones: the
+    nonzero rref rows of new's residues modulo the rref rows of have."""
     kpos = {k: i for i, k in enumerate(keys)}
-    rows: List[Vec] = []
-    added: List[Vec] = []
 
-    def reduce(v: Vec) -> Vec:
-        v = dict(v)
-        for r in rows:
-            # r's leading coordinate
-            lead = min(kpos[k] for k in r)
-            lk = keys[lead]
-            if lk in v:
-                f = field.div(v[lk], r[lk])
-                for k2, c2 in r.items():
-                    vec_bump(field, v, k2, field.neg(field.mul(f, c2)))
-        return v
+    def rref_rows(vecs: List[Vec]) -> Dict[Key, Vec]:
+        # pivot key -> its rref row, which is 1 there and 0 at other pivots
+        m = SparseMatrix(field, len(vecs), len(keys), {
+            (i, kpos[k]): c for i, v in enumerate(vecs) for k, c in v.items()})
+        R, pivots = m.rref()
+        rows: Dict[Key, Vec] = {keys[p]: {} for p in pivots}
+        for (i, j), c in R.entries.items():
+            rows[keys[pivots[i]]][keys[j]] = c
+        return rows
 
-    def insert(v: Vec, record: bool):
-        v = reduce(v)
-        if not v:
-            return
-        rows.append(v)
-        rows.sort(key=lambda r: min(kpos[k] for k in r))
-        if record:
-            added.append(v)
-
-    for v in have:
-        insert(v, record=False)
-    for v in new:
-        insert(v, record=True)
-    return added
+    # v minus its projection onto span(have) along the non-pivot keys
+    proj = rref_rows(have)
+    residues = [vec_sub(field, v, _apply(field, proj, v)) for v in new]
+    return list(rref_rows(residues).values())
 
 
 def associated_graded(c: PointedCoalgebra) -> PointedCoalgebra:

@@ -1,20 +1,19 @@
 """Sparse exact matrices: rank, reduced row echelon form, kernels, solving.
 
-Entries live in a dict keyed by (row, col); zeros are never stored.  Pivots
-are chosen Markowitz-style (least fill-in estimate) which keeps elimination
-cheap on the block-sparse matrices the category machinery produces.  Over Q,
-rank() integerizes each row and runs one-step Bareiss elimination so the
-intermediate entries stay integral; kernels and solving go through field
-RREF, which is exact in every supported field.
+Entries live in a dict keyed by (row, col); zeros are never stored.  There
+is one elimination, ``rref``, and rank, kernels and solving all read its
+result, in every field alike.  Pivots are chosen Markowitz-style (least
+fill-in estimate, a function of row supports only), which keeps elimination
+cheap on the block-sparse matrices the category machinery produces.  Each
+pivot row is scaled to 1 at its pivot as soon as it is chosen; nothing is
+integerized.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .field import Field, QQ, Vec
+from .field import Field, Vec
 
 
 class SparseMatrix:
@@ -134,55 +133,7 @@ class SparseMatrix:
         return rows
 
     def rank(self) -> int:
-        if self.field is QQ:
-            return self._rank_bareiss()
         return len(self.rref()[1])
-
-    def _rank_bareiss(self) -> int:
-        # integerize rows, then one-step fraction-free elimination
-        rows: List[Dict[int, int]] = []
-        for r in self._rows_as_dicts():
-            if not r:
-                continue
-            den = 1
-            for v in r.values():
-                den = den * v.denominator // gcd(den, v.denominator)
-            ints = {j: int(v * den) for j, v in r.items()}
-            g = 0
-            for v in ints.values():
-                g = gcd(g, v)
-            rows.append({j: v // g for j, v in ints.items()})
-        rank = 0
-        prev = 1
-        while rows:
-            # Markowitz-ish: pivot in the sparsest row, then the rarest column
-            col_count: Dict[int, int] = {}
-            for r in rows:
-                for j in r:
-                    col_count[j] = col_count.get(j, 0) + 1
-            ri = min(range(len(rows)), key=lambda i: (len(rows[i]), i))
-            prow = rows.pop(ri)
-            pj = min(prow, key=lambda j: (col_count[j], j))
-            pv = prow[pj]
-            rank += 1
-            nxt: List[Dict[int, int]] = []
-            for r in rows:
-                # every remaining row gets the one-step update, including
-                # those without the pivot column (they scale by pv/prev);
-                # skipping them would break the exact-division invariant
-                f = r.get(pj, 0)
-                new: Dict[int, int] = {}
-                for j in set(r) | (set(prow) if f else set()):
-                    if j == pj:
-                        continue
-                    v = (pv * r.get(j, 0) - f * prow.get(j, 0)) // prev
-                    if v:
-                        new[j] = v
-                if new:
-                    nxt.append(new)
-            rows = nxt
-            prev = pv
-        return rank
 
     def rref(self, allowed_cols=None) -> Tuple["SparseMatrix", List[int]]:
         """Reduced row echelon form; returns (R, pivot column list).
@@ -221,12 +172,9 @@ class SparseMatrix:
             prow = live.pop(ri)
             pinv = F.inv(prow[pj])
             prow = {j: F.mul(pinv, v) for j, v in prow.items()}
-            if F is QQ:
-                prow = _strip_content(prow, pj)
-            ppiv = prow[pj]
 
             def eliminate(r):
-                f = F.neg(F.div(r[pj], ppiv))
+                f = F.neg(r[pj])
                 new = dict(r)
                 for j, v in prow.items():
                     s = F.add(new.get(j, F.zero), F.mul(f, v))
@@ -253,11 +201,6 @@ class SparseMatrix:
             pivots.append(pj)
         ent = {}
         for i, r in enumerate(done):
-            # rows were content-stripped during elimination; renormalize
-            piv = r[pivots[i]]
-            if piv != F.one:
-                inv = F.inv(piv)
-                r = {j: F.mul(inv, v) for j, v in r.items()}
             for j, v in r.items():
                 ent[(i, j)] = v
         for k, r in enumerate(stuck):
@@ -310,17 +253,4 @@ class SparseMatrix:
         sol = {pj: row[self.ncols] for row, pj in zip(rows, pivots)
                if self.ncols in row}
         return sol, list(kernel.values())
-
-
-def _strip_content(row: Dict[int, Fraction], pivot_col: int) -> Dict[int, Fraction]:
-    den = 1
-    for v in row.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    num = 0
-    for v in row.values():
-        num = gcd(num, int(v * den))
-    if num in (0, 1) and den == 1:
-        return row
-    s = Fraction(den, num)
-    return {j: v * s for j, v in row.items()}
 

@@ -1,4 +1,4 @@
-"""Bar and cobar: exactness, signs, sentinels, splittings, length bounds.
+"""Bar and cobar: exactness, signs, sentinels, splittings.
 
 The cobar sign tests at length/weight 4 are load-bearing: the quadratic
 term must carry the sign of the SECOND cofactor (and the internal term a
@@ -21,11 +21,11 @@ from koszulcat.barcobar import (
     _letter_weight,
     bar_construction,
     cobar_construction,
-    cobar_length_bound,
 )
 from koszulcat.coalgebra import FinalCoalgebra, zero_coalgebra
+from koszulcat.convmc import convolution_category
 from koszulcat.dgcat import empty_category, zero_category
-from koszulcat.field import GF, QQ
+from koszulcat.field import GF, QQ, vec_addmul
 from koszulcat.randgen import random_coalgebra, random_dg_category
 from koszulcat.samples import (
     CATEGORY_LIBRARY,
@@ -464,6 +464,61 @@ def test_random_splitting_invariance(seed):
             == ref.category.hom_homology("*", "*", -1, 1))
 
 
+# {dag, d} has one object per object map, and its unit there is a sum of
+# one basis key per object of dag: the default complement leaves out one of
+# them, and splitting must still rebuild every key of the slot
+
+UNCURVED = sorted(n for n, mk in CATEGORY_LIBRARY.items() if not mk(QQ).is_curved())
+
+
+def _dag_conv(name, field):
+    return convolution_category(COALGEBRA_LIBRARY["dag"](field),
+                                CATEGORY_LIBRARY[name](field)).to_dg_category()
+
+
+@pytest.mark.parametrize("name", UNCURVED)
+@pytest.mark.parametrize("field", [QQ, F3], ids=["q", "f3"])
+def test_split_rebuilds_multi_key_units(name, field):
+    d = _dag_conv(name, field)
+    sp = Splitting(d)
+    assert any(len(d.unit_vec(x)) > 1 for x in d.quiver.objects)
+    for x in d.quiver.objects:
+        for a in d.quiver.slot(x, x, 0):
+            k = (x, x, 0, a)
+            units, red = sp.split({k: field.one})
+            back = {}
+            for y, c in units.items():
+                back = vec_addmul(field, back, c, d.unit_vec(y))
+            for lk, c in red.items():
+                back = vec_addmul(field, back, c, sp.letter_vec(lk))
+            assert back == {k: field.one}, k
+
+
+@pytest.mark.parametrize("name", ["a2", "contractible_endo", "exterior_line"])
+def test_default_splitting_is_the_spelled_out_complement(name):
+    d = _dag_conv(name, F3)
+    default = bar_construction(d, 2)
+    complement, rename = {}, {}
+    for x in d.quiver.objects:
+        pivot = min(d.unit_vec(x), key=repr)
+        keys = [(x, x, 0, a) for a in d.quiver.slot(x, x, 0)]
+        letters = [k for k in keys if k != pivot]
+        complement[x] = [{k: F3.one} for k in letters]
+        rename.update(((x, x, 0, ("split", i)), k) for i, k in enumerate(letters))
+    spelled = bar_construction(d, 2, splitting=Splitting(d, complement=complement))
+
+    def ren(bk):
+        return bk[:3] + (tuple(rename.get(a, a) for a in bk[3]),)
+
+    assert default.validate() == []
+    assert list(default.reduced.keys()) == [ren(k) for k in spelled.reduced.keys()]
+    assert default.comult == {ren(k): {(ren(p), ren(q)): c for (p, q), c in v.items()}
+                              for k, v in spelled.comult.items()}
+    assert default.diff == {ren(k): {ren(k2): c for k2, c in v.items()}
+                            for k, v in spelled.diff.items()}
+    assert default.curv == {ren(k): c for k, c in spelled.curv.items()}
+
+
 # -- random suites -----------------------------------------------------------
 
 
@@ -494,49 +549,3 @@ def test_determinism():
     assert list(a.category.quiver.keys()) == list(b.category.quiver.keys())
     assert a.category.diff == b.category.diff
     assert a.category.comp == b.category.comp
-
-
-# -- length bounds for degree windows ---------------------------------------
-
-
-def test_length_bound_dag():
-    # acyclic letter graph: bound = longest path, independent of the window
-    c = COALGEBRA_LIBRARY["dag"](QQ)
-    assert cobar_length_bound(c, -3, 1) == 2
-    assert cobar_length_bound(c, 0, 5) == 2
-
-
-def test_length_bound_negative_cycles():
-    # single letter of shifted degree -1: length n words sit in degree -n
-    c = COALGEBRA_LIBRARY["w"](QQ)
-    assert cobar_length_bound(c, -3, 1) == 3
-    assert cobar_length_bound(c, 0, 5) == 0
-
-
-def test_length_bound_positive_cycles():
-    c = COALGEBRA_LIBRARY["primitive_pair"](QQ)  # letters in degrees 1, 2
-    assert cobar_length_bound(c, -3, 1) == 0
-    assert cobar_length_bound(c, 0, 5) == 2
-
-
-def test_length_bound_refuses_zero_cycles():
-    assert cobar_length_bound(COALGEBRA_LIBRARY["neg_primitive"](QQ), -3, 1) is None
-    assert cobar_length_bound(COALGEBRA_LIBRARY["curved_chain"](QQ), -3, 1) is None
-
-
-def test_length_bound_sentinels():
-    assert cobar_length_bound(FinalCoalgebra(QQ), -5, 5) == 0
-    assert cobar_length_bound(zero_coalgebra(QQ), -5, 5) == 0
-
-
-def test_length_bound_is_sound():
-    # every materialized word inside the window respects the bound
-    for name in ["dag", "w", "primitive_pair", "cancel"]:
-        c = COALGEBRA_LIBRARY[name](QQ)
-        lo, hi = -3, 2
-        bound = cobar_length_bound(c, lo, hi)
-        assert bound is not None
-        res = cobar_construction(c, length_cap=bound + 3)
-        for k in res.category.quiver.keys():
-            if lo <= k[2] <= hi and len(k[3]) > bound:
-                raise AssertionError(f"{name}: word {k} beats the bound {bound}")

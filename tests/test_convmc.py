@@ -493,6 +493,29 @@ def test_three_hom_sets_agree(dname, count):
         assert adjunction_mc_from_functor(fun, c) == m
 
 
+def test_transport_round_trip_with_multi_key_units():
+    """In {dag, k} each unit is a sum of several basis keys, so the twist
+    and the letter part of a value come from one split of the whole slot."""
+    c = COALGEBRA_LIBRARY["neg_primitive"](F3)
+    d = convolution_category(COALGEBRA_LIBRARY["dag"](F3),
+                             CATEGORY_LIBRARY["k"](F3)).to_dg_category()
+    sp = Splitting(d)
+    bar = bar_construction(d, 3, splitting=sp)
+    els = mc_enumerate(c, d)
+    mors = {_mor_print(m) for m in enumerate_coalgebra_morphisms(c, bar, weight_cap=3)}
+    assert len(els) == len(mors) == 729
+    for m in els:
+        mor = morphism_from_mc(m, c, bar, sp)
+        assert mor.validate() == []
+        assert _mor_print(mor) in mors
+        assert mc_from_morphism(mor, sp) == m
+
+
+def test_internal_hom_with_multi_key_units_validates():
+    c = COALGEBRA_LIBRARY["dag"](F3)
+    assert internal_hom(c, CATEGORY_LIBRARY["contractible_endo"](F3), 2).validate() == []
+
+
 def test_morphism_transport_refuses_small_bar():
     """An element whose image needs a two-letter bar word must be refused
     by a weight-1 bar instead of silently truncated."""

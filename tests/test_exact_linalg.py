@@ -6,7 +6,7 @@ enumeration for kernels), not from the implementation under test.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 import random
 
 import pytest
@@ -128,7 +128,7 @@ def test_rank_sparse_full_rank_q():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_rank_agrees_with_rref_pivots_q(seed):
-    # the integer fast path and the generic fraction path must agree
+    # rank() is the pivot count of the one elimination, rref
     rng = random.Random(seed)
     nr, nc = rng.randint(1, 6), rng.randint(1, 6)
     entries = {}
@@ -137,6 +137,41 @@ def test_rank_agrees_with_rref_pivots_q(seed):
             if rng.random() < 0.55:
                 entries[(i, j)] = QQ.coerce(rng.choice([1, -1, 2, -2, 3, 5, -3]))
     m = SparseMatrix(QQ, nr, nc, entries)
+    assert m.rank() == len(m.rref()[1])
+
+
+def _det_by_cofactors(rows):
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * a * _det_by_cofactors([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+def _largest_nonzero_minor(rows):
+    nr, nc = len(rows), len(rows[0])
+    for size in range(min(nr, nc), 0, -1):
+        for ri in combinations(range(nr), size):
+            for ci in combinations(range(nc), size):
+                if _det_by_cofactors([[rows[i][j] for j in ci] for i in ri]):
+                    return size
+    return 0
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_rank_is_largest_nonzero_minor_q(seed):
+    # oracle independent of elimination: cofactor minors over Fraction
+    rng = random.Random(seed)
+    nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+    density = rng.choice([0.3, 0.55, 0.8])
+    values = [Fraction(v) for v in (1, -1, 2, -3, 5, "1/2", "-2/3", "5/7")]
+    rows = [[rng.choice(values) if rng.random() < density else Fraction(0)
+             for _ in range(nc)] for _ in range(nr)]
+    if seed % 4 == 0 and nr > 1:
+        # force a dependent row, so low ranks occur too
+        a, b = rng.sample(range(nr), 2)
+        rows[a] = [Fraction(3, 4) * v for v in rows[b]]
+    m = SparseMatrix.from_rows(QQ, rows)
+    assert m.rank() == _largest_nonzero_minor(rows)
     assert m.rank() == len(m.rref()[1])
 
 
