@@ -41,11 +41,11 @@ quadratic sign onto the SECOND cofactor and the degree-dependent sign on
 the internal term (the classical first-cofactor convention belongs to
 the opposite Leibniz bookkeeping and fails d^2 = 0 here at length 4).
 d^2 = 0 on the nose: the square of the comultiplication term cancels
-against coassociativity, and the curvature term against d^2 of C.  A length cap truncates d near the cap
-and composition across it, so the result records which region is exact;
-capping by letter weight instead (available when letters carry weights
-that d cannot increase, as bar words do) keeps the differential complete
-at every cap.
+against coassociativity, and the curvature term against d^2 of C.
+A length cap truncates d near the cap and composition across it, so the
+result records which region is exact; capping by letter weight instead
+(available when letters carry weights that d cannot increase, as bar
+words do) keeps the differential complete at every cap.
 
 The zero category (objects whose units are zero) has no letters and no
 unit functionals either, so its bar is the formal final coalgebra and

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .field import Field, Vec, _apply, _evaluate, _normalize, vec_bump, vec_sub
+from .field import (Field, Vec, _apply, _evaluate, _normalize, _same_field,
+                    vec_bump, vec_sub)
 from .matrix import SparseMatrix
 from .quiver import (GradedQuiver, Key, composable_words, has_cycle, lkey,
                      pair_key, rkey)
@@ -412,31 +413,23 @@ def point_coalgebra(field: Field, name="pt") -> PointedCoalgebra:
 def tensor_coalgebras(
     c: PointedCoalgebra, d: PointedCoalgebra
 ) -> PointedCoalgebra:
-    """C (x) D on pairwise points; the reduced part has three blocks
-    (g (x) red, red (x) g, red (x) red) and the comultiplication carries
-    the Koszul sign (-1)^{|d'| |c''|} for Delta(c (x) d) = sum
+    """C (x) D on pairwise points, every table built in one pass.
+
+    The reduced keys come in three blocks, in this order: C-reduced (x)
+    grouplike, grouplike (x) D-reduced, reduced (x) reduced.  One loop over
+    that list of leg pairs registers each key and writes its
+    comultiplication, differential and curvature.  The comultiplication
+    carries the Koszul sign (-1)^{|d'| |c''|} for Delta(c (x) d) = sum
     (c' (x) d') (x) (c'' (x) d'').
     """
+    _same_field(c, d, "tensor")
     F = c.field
     objects = [(x, y) for x in c.objects for y in d.objects]
-
-    slots: Dict[tuple, List] = {}
-
-    def reg(key: Key):
-        slots.setdefault((key[0], key[1], key[2]), []).append(key[3])
-
     ckeys = list(c.reduced.keys())
     dkeys = list(d.reduced.keys())
-    for ck in ckeys:
-        for y in d.objects:
-            reg(lkey(ck, y))
-    for x in c.objects:
-        for dk in dkeys:
-            reg(rkey(x, dk))
-    for ck in ckeys:
-        for dk in dkeys:
-            reg(pair_key(ck, dk))
-    quiver = GradedQuiver(objects, {s: tuple(v) for s, v in slots.items()})
+    legs = ([(ck, ("G", y)) for ck in ckeys for y in d.objects]
+            + [(("G", x), dk) for x in c.objects for dk in dkeys]
+            + [(ck, dk) for ck in ckeys for dk in dkeys])
 
     def is_g(f) -> bool:
         # a grouplike leg ("G", x) next to the reduced keys of C and D
@@ -452,24 +445,23 @@ def tensor_coalgebras(
             (a, b, cc) for (a, b), cc in coa.comult.get(f, {}).items()]
 
     def pair_or_none(cf, df) -> Optional[Key]:
-        # cf: reduced key of C or ("G", x); df likewise for D
-        if is_g(cf) and is_g(df):
-            return None  # grouplike (x) grouplike drops out of the reduced part
+        # cf: reduced key of C or ("G", x); df likewise for D; grouplike (x)
+        # grouplike drops out of the reduced part
         if is_g(cf):
-            return rkey(cf[1], df)
-        if is_g(df):
-            return lkey(cf, df[1])
-        return pair_key(cf, df)
+            return None if is_g(df) else rkey(cf[1], df)
+        return lkey(cf, df[1]) if is_g(df) else pair_key(cf, df)
 
     def deg(f) -> int:
         return 0 if is_g(f) else f[2]
 
+    slots: Dict[tuple, List] = {}
     comult: Dict[Key, PairVec] = {}
     diff: Dict[Key, Vec] = {}
     curv: Dict[Key, object] = {}
-
-    def install(ck, dk, key: Key):
-        pv: PairVec = {}
+    for ck, dk in legs:
+        key = pair_or_none(ck, dk)
+        slots.setdefault(key[:3], []).append(key[3])
+        comult[key] = pv = {}
         for (c1, c2, cc) in full_delta(c, ck):
             for (d1, d2, dd) in full_delta(d, dk):
                 left = pair_or_none(c1, d1)
@@ -478,42 +470,20 @@ def tensor_coalgebras(
                     continue  # a grouplike (x) grouplike leg: primitive part
                 sgn = F.coerce(-1) if (deg(d1) * deg(c2)) % 2 else F.one
                 vec_bump(F, pv, (left, right), F.mul(sgn, F.mul(cc, dd)))
-        if pv:
-            comult[key] = pv
-        # differential: d (x) 1 + (-1)^{|c|} 1 (x) d
-        dv: Vec = {}
-        if not is_g(ck):
-            for k2, cc in c.diff.get(ck, {}).items():
-                k3 = pair_or_none(k2, dk)
-                vec_bump(F, dv, k3, cc)
-        if not is_g(dk):
-            sgn = F.coerce(-1) if deg(ck) % 2 else F.one
-            for k2, cc in d.diff.get(dk, {}).items():
-                k3 = pair_or_none(ck, k2)
-                vec_bump(F, dv, k3, F.mul(sgn, cc))
-        if dv:
-            diff[key] = dv
-        # curvature: h (x) eps + eps (x) h: only one leg can be reduced
-        if is_g(dk) and not is_g(ck):
-            hv = c.curv.get(ck)
-            if hv is not None:
-                curv[key] = hv
-        if is_g(ck) and not is_g(dk):
-            hv = d.curv.get(dk)
-            if hv is not None:
-                curv[key] = hv
-        return key
-
-    for ck in ckeys:
-        for y in d.objects:
-            install(ck, ("G", y), lkey(ck, y))
-    for x in c.objects:
-        for dk in dkeys:
-            install(("G", x), dk, rkey(x, dk))
-    for ck in ckeys:
-        for dk in dkeys:
-            install(ck, dk, pair_key(ck, dk))
-
+        # differential d (x) 1 + (-1)^{|c|} 1 (x) d; a grouplike leg has
+        # no entry in diff, so its term is empty
+        diff[key] = dv = {}
+        for k2, cc in c.diff.get(ck, {}).items():
+            vec_bump(F, dv, pair_or_none(k2, dk), cc)
+        sgn = F.coerce(-1) if deg(ck) % 2 else F.one
+        for k2, cc in d.diff.get(dk, {}).items():
+            vec_bump(F, dv, pair_or_none(ck, k2), F.mul(sgn, cc))
+        # curvature h (x) eps + eps (x) h: only a leg beside a grouplike
+        hv = (c.curv.get(ck) if is_g(dk) else
+              d.curv.get(dk) if is_g(ck) else None)
+        if hv is not None:
+            curv[key] = hv
+    quiver = GradedQuiver(objects, {s: tuple(v) for s, v in slots.items()})
     return PointedCoalgebra(F, objects, quiver, comult, diff=diff, curv=curv)
 
 

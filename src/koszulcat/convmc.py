@@ -47,8 +47,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .field import (Field, Vec, _compose, _normalize, vec_addmul,
-                    vec_bump, vec_scale, vec_sub)
+from .field import (Field, Vec, _compose, _normalize, _same_field,
+                    vec_addmul, vec_bump, vec_scale, vec_sub)
 from .quiver import (GradedQuiver, Key, lkey, object_maps as all_object_maps,
                      pair_key, rkey)
 from .dgcat import DgCategory, DgFunctor, tensor_dg
@@ -118,8 +118,7 @@ class ConvolutionCategory:
     def __init__(self, c: PointedCoalgebra, cat: DgCategory,
                  reduced: bool = False, object_maps: Optional[Sequence] = None,
                  max_objects: int = MAX_OBJECTS):
-        if c.field is not cat.field:
-            raise ValueError("convolution needs matching scalar fields")
+        _same_field(c, cat, "convolution")
         self.field = c.field
         self.coalgebra = c
         self.reduced = reduced
@@ -448,6 +447,7 @@ def mc_check(c: PointedCoalgebra, d: DgCategory,
     or degree shift other than +1) -- that is malformed input, not a failed
     equation.
     """
+    _same_field(c, d, "mc_check")
     om = dict(zip(c.objects, _om_tuple(c.objects, d.quiver.objects,
                                        cand.object_map)))
     xi: Dict[Key, Vec] = {}
@@ -603,6 +603,7 @@ def mc_enumerate(c: PointedCoalgebra, d: DgCategory,
     come per object map in coordinate order; an object map given twice
     is searched once.
     """
+    _same_field(c, d, "mc_enumerate")
     if object_maps is None:
         object_maps = all_object_maps(c.objects, d.quiver.objects)
     F = c.field
@@ -921,6 +922,7 @@ def enumerate_dg_functors(cobar, d: DgCategory,
         raise ValueError(
             "functor enumeration needs an exact cobar materialization")
     src = cobar.category if isinstance(cobar, CobarResult) else cobar
+    _same_field(src, d, "functor enumeration")
     F = src.field
     gens = [k for k in src.quiver.keys() if len(k[3]) == 1]
     objs = src.quiver.objects
@@ -964,6 +966,7 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
     solution is validated, and a failure raises.  Pass the weight cap the
     bar was built with -- images must provably fit under it.
     """
+    _same_field(c, bar_coa, "morphism enumeration")
     F = c.field
     slots: Dict[Tuple[object, object, int], List[Key]] = {}
     for wk in bar_coa.reduced.keys():
@@ -1070,6 +1073,18 @@ def _empty_word(x) -> Key:
     return (x, x, 0, ())
 
 
+def _ez_letter(tk: Key) -> Optional[Key]:
+    """The comparison's one-letter rule on a row of C (x) C': c (x) y goes
+    to (letter c, empty word at y), x (x) c' to (empty word at x, letter
+    c'), and a mixed row to zero (None)."""
+    (x, xp), (y, yp), n, (na, nb) = tk
+    if nb[0] == "G":
+        return pair_key(_single_word((x, y, n, na[1])), _empty_word(yp))
+    if na[0] == "G":
+        return pair_key(_empty_word(x), _single_word((xp, yp, n, nb[1])))
+    return None
+
+
 @dataclass
 class EZData:
     tensor: PointedCoalgebra
@@ -1100,14 +1115,9 @@ def ez_data(c: PointedCoalgebra, cp: PointedCoalgebra,
     F = t.field
     xi: Dict[Key, Vec] = {}
     for tk in t.reduced.keys():
-        na, nb = tk[3]
-        s = _sign(F, _theta(tk[2]))
-        if nb[0] == "G":
-            ck = (tk[0][0], tk[1][0], tk[2], na[1])
-            xi[tk] = {pair_key(_single_word(ck), _empty_word(nb[1])): s}
-        elif na[0] == "G":
-            dk = (tk[0][1], tk[1][1], tk[2], nb[1])
-            xi[tk] = {pair_key(_empty_word(na[1]), _single_word(dk)): s}
+        letter = _ez_letter(tk)
+        if letter is not None:
+            xi[tk] = {letter: _sign(F, _theta(tk[2]))}
     m = MCElement({x: x for x in t.objects}, xi)
     return EZData(t, source, left, right, target, m,
                   adjunction_functor_from_mc(source, target, m))
@@ -1132,15 +1142,8 @@ def ez_generator_problems(ez: EZData) -> List[str]:
                     for tk in ez.tensor.reduced.keys()
                     if tk[3][0][0] == "G"}, key=repr)
     for tk in ez.tensor.reduced.keys():
-        na, nb = tk[3]
-        if nb[0] == "G":
-            ck = (tk[0][0], tk[1][0], tk[2], na[1])
-            want = {pair_key(_single_word(ck), _empty_word(nb[1])): F.one}
-        elif na[0] == "G":
-            dk = (tk[0][1], tk[1][1], tk[2], nb[1])
-            want = {pair_key(_empty_word(na[1]), _single_word(dk)): F.one}
-        else:
-            want = {}
+        letter = _ez_letter(tk)
+        want = {} if letter is None else {letter: F.one}
         if fun.action.get(_single_word(tk), {}) != want:
             problems.append(f"one-letter image off at {tk[3]}")
     src = ez.source

@@ -35,8 +35,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import BoundedComplex
-from .field import (Field, Vec, _apply, _compose, _normalize, vec_add, vec_bump,
-                    vec_scale, vec_sub)
+from .field import (Field, Vec, _apply, _compose, _normalize, _same_field,
+                    vec_add, vec_addmul, vec_bump, vec_scale, vec_sub)
 from .matrix import SparseMatrix
 from .quiver import (GradedQuiver, Key, Word, composable_words, has_cycle,
                      pair_key, quiver_tensor)
@@ -420,25 +420,26 @@ def tensor_dg(c: DgCategory, d: DgCategory) -> DgCategory:
     d(f (x) f') = df (x) f' + (-1)^|f| f (x) df'
     h_(x,x') = h_x (x) 1 + 1 (x) h_x'
     """
-    if c.field is not d.field:
-        raise ValueError("tensor needs a common ground field")
+    _same_field(c, d, "tensor")
     F = c.field
     quiver = quiver_tensor(c.quiver, d.quiver)
 
-    def pair_vec(v1: Vec, v2: Vec, sign=None) -> Vec:
+    def pair_vec(v1: Vec, v2: Vec) -> Vec:
         out: Vec = {}
         for k1, a in v1.items():
             for k2, b in v2.items():
-                coeff = F.mul(a, b)
-                if sign is not None:
-                    coeff = F.mul(coeff, sign(k1, k2))
-                vec_bump(F, out, pair_key(k1, k2), coeff)
+                vec_bump(F, out, pair_key(k1, k2), F.mul(a, b))
         return out
 
-    unit = {}
+    unit: Dict[object, Vec] = {}
+    curvature: Dict[object, Vec] = {}
     for x in c.quiver.objects:
         for xp in d.quiver.objects:
-            unit[(x, xp)] = pair_vec(c.unit_vec(x), d.unit_vec(xp))
+            ux, uxp = c.unit_vec(x), d.unit_vec(xp)
+            unit[(x, xp)] = pair_vec(ux, uxp)
+            curvature[(x, xp)] = vec_add(
+                F, pair_vec(c.curvature_vec(x), uxp),
+                pair_vec(ux, d.curvature_vec(xp)))
 
     comp: Dict[Tuple[Key, Key], Vec] = {}
     ckeys = list(c.quiver.keys())
@@ -465,27 +466,11 @@ def tensor_dg(c: DgCategory, d: DgCategory) -> DgCategory:
     diff: Dict[Key, Vec] = {}
     for k1 in ckeys:
         d1 = c.diff.get(k1, {})
+        sgn = F.coerce(-1) if k1[2] % 2 else F.one
         for k2 in dkeys:
-            d2 = d.diff.get(k2, {})
-            out: Vec = {}
-            for kk, cc in pair_vec(d1, {k2: F.one}).items():
-                vec_bump(F, out, kk, cc)
-            sgn = F.coerce(-1) if k1[2] % 2 else F.one
-            for kk, cc in pair_vec({k1: F.one}, d2).items():
-                vec_bump(F, out, kk, F.mul(sgn, cc))
-            if out:
-                diff[pair_key(k1, k2)] = out
-
-    curvature: Dict[object, Vec] = {}
-    for x in c.quiver.objects:
-        for xp in d.quiver.objects:
-            h = vec_add(
-                F,
-                pair_vec(c.curvature_vec(x), d.unit_vec(xp)),
-                pair_vec(c.unit_vec(x), d.curvature_vec(xp)),
-            )
-            if h:
-                curvature[(x, xp)] = h
+            diff[pair_key(k1, k2)] = vec_addmul(
+                F, pair_vec(d1, {k2: F.one}),
+                sgn, pair_vec({k1: F.one}, d.diff.get(k2, {})))
     return DgCategory(F, quiver, unit, comp, diff=diff, curvature=curvature)
 
 

@@ -247,6 +247,12 @@ def vec_bump(field: Field, out: Vec, key, s) -> None:
         out[key] = t
 
 
+def _same_field(a, b, what: str) -> None:
+    """Refuse to mix the scalars of ``a`` and ``b`` (each has a ``field``)."""
+    if a.field is not b.field:
+        raise ValueError(f"{what} needs one field, got {a.field} and {b.field}")
+
+
 # ---------------------------------------------------------------------------
 # Structure tables: key -> Vec, or key -> scalar for a functional.
 

@@ -180,6 +180,33 @@ def test_convolution_field_mismatch_rejected():
                              CATEGORY_LIBRARY["a2"](F3))
 
 
+def _mixed_mc_check():
+    c = COALGEBRA_LIBRARY["neg_primitive"](F3)
+    m = mc_enumerate(c, CATEGORY_LIBRARY["trunc_poly3"](F3))[0]
+    return mc_check(c, CATEGORY_LIBRARY["trunc_poly3"](GF(5)), m)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tensor_coalgebras(COALGEBRA_LIBRARY["primitive_pair"](F3),
+                              COALGEBRA_LIBRARY["dag"](QQ)),
+    lambda: mc_enumerate(COALGEBRA_LIBRARY["neg_primitive"](F3),
+                         CATEGORY_LIBRARY["trunc_poly3"](GF(5))),
+    lambda: enumerate_coalgebra_morphisms(
+        COALGEBRA_LIBRARY["neg_primitive"](F3),
+        bar_construction(CATEGORY_LIBRARY["trunc_poly3"](GF(5)), 2), 2),
+    lambda: enumerate_dg_functors(
+        cobar_construction(COALGEBRA_LIBRARY["dag"](F3), length_cap=3),
+        CATEGORY_LIBRARY["a2"](GF(5))),
+    _mixed_mc_check,
+], ids=["tensor", "mc_enumerate", "morphisms", "functors", "mc_check"])
+def test_entry_points_refuse_mixed_fields(build):
+    """Two fields in one call are refused, not mixed: mixed, these give a
+    tensor labelled f3 that validates, 27 elements, 27 morphisms and 8
+    functors."""
+    with pytest.raises(ValueError, match="needs one field"):
+        build()
+
+
 def test_object_map_cap_and_explicit_maps():
     c = COALGEBRA_LIBRARY["dag"](F2)
     d = CATEGORY_LIBRARY["a2"](F2)
