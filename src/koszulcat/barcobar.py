@@ -16,11 +16,12 @@ unit and a reduced part, so a test corpus needs such samples on purpose.
 The differential never raises weight, so a weight cap always yields an
 honest subcoalgebra and materialization is exact per weight.
 
-Words and deconcatenation come from ``coalgebra._deconcatenation``
-(shared with ``cotensor_coalgebra``; the twin of ``_path_category``
-below), which keys each word once; every term of d is looked up there,
-so it is the word's own key.  d of each letter and the merge of each
-two-letter word are split once, and d grows one letter at a time:
+Words and deconcatenation come from the integer word trie of
+``coalgebra._deconcatenation`` (shared with ``cotensor_coalgebra``; the
+twin of ``_path_category`` below), where h.a is ``first[h] + rank[a]``.
+d is built on word ids, so each word key is hashed once, when its table
+entry is stored.  d of each letter and the merge of each two-letter word
+are split once, and d grows one letter at a time:
 
     d(w'.a) = d(w').a + (merge of w'[-1], a) + (d a at the last position)
 
@@ -189,44 +190,58 @@ def bar_construction(
         raise ValueError("bar construction needs a unit at every object")
 
     sp = splitting if splitting is not None else Splitting(cat)
-    quiver, comult, key_of = _deconcatenation(
-        F, cat.quiver.objects, [(k[0], k[1], k[2] - 1, k) for k in sp.letters],
+    letters = sp.letters
+    quiver, comult, (keys, first, out, rank) = _deconcatenation(
+        F, cat.quiver.objects, [(k[0], k[1], k[2] - 1, k) for k in letters],
         weight_cap)
-    d_split = {k: sp.split(cat.apply_d(sp.letter_vec(k))) for k in sp.letters}
-    merge_split = {w: sp.split(cat.compose(sp.letter_vec(w[1]), sp.letter_vec(w[0])))
-                   for w in key_of if len(w) == 2}
-    diff = {}
-    curv = {}
-    minus_one = F.neg(F.one)
+    ids = {k: i for i, k in enumerate(letters)}
 
-    # d(w'.a) = d(w').a + merge(w'[-1], a) + d(a) at the last position
-    for w, wk in key_of.items():
-        x, _, n, _ = wk
-        head, a = w[:-1], w[-1]
-        kappa = n - a[2] + 1  # shifted degree of head
-        dvec: Vec = {}
-        if head:
-            for hk, c in diff.get(key_of[head], {}).items():
-                dvec[key_of[hk[3] + (a,)]] = c
-            b = head[-1]
-            # (-1)^{kappa_b + |b| |s a|}, kappa_b = kappa - |s b|
-            mexp = kappa - b[2] + 1 + b[2] * (a[2] - 1)
-            msgn = F.one if mexp % 2 == 0 else minus_one
-            munits, mred = merge_split[w[-2:]]
-            for k2, c in mred.items():
-                vec_bump(F, dvec, key_of[head[:-1] + (k2,)], F.mul(msgn, c))
-            if len(w) == 2 and munits:
-                # weight-2 curvature is minus the unit part, no parity
-                curv[wk] = F.neg(munits[x])
-        # internal differential: -(-1)^kappa at the last letter
-        sgn = minus_one if kappa % 2 == 0 else F.one
-        units, red = d_split[a]
-        for k2, c in red.items():
-            vec_bump(F, dvec, key_of[head + (k2,)], F.mul(sgn, c))
-        if not head and units:
-            curv[wk] = units[x]
+    def split(v: Vec):  # units, and the letter part as (id, rank, coefficient)
+        units, red = sp.split(v)
+        return units, [(ids[k], rank[ids[k]], c) for k, c in red.items()]
+
+    d_split = [split(cat.apply_d(sp.letter_vec(k))) for k in letters]
+    merge_split = {f + r: split(cat.compose(sp.letter_vec(letters[a]),  # b.a
+                                             sp.letter_vec(letters[b])))
+                   for b, f in enumerate(first[:len(letters)])
+                   for r, a in enumerate(out[letters[b][1]])}
+    diff, curv = {}, {}
+    minus_one = F.neg(F.one)
+    rows: List[Tuple[int, Dict[int, object]]] = []  # last letter, d by id
+
+    def store(w: int, a: int, dvec: Dict[int, object]) -> None:
+        if w < len(first):  # kept for the words below the cap only
+            rows.append((a, dvec))
         if dvec:
-            diff[wk] = dvec
+            diff[keys[w]] = {keys[i]: c for i, c in dvec.items()}
+
+    for a, (units, red) in enumerate(d_split[:len(keys)]):
+        if units:
+            curv[keys[a]] = units[letters[a][0]]
+        store(a, a, {i: F.neg(c) for i, _, c in red})  # -(d a), kappa = 0
+
+    # d(h.a) = d(h).a + merge(h[-1], a) + d(a) at the last position
+    for h, f in enumerate(first):
+        x, y, kappa, _ = keys[h]  # kappa: shifted degree of h
+        b, dh = rows[h]
+        base = h - rank[b] if h >= len(letters) else None  # h[:-1].k: + rank[k]
+        sgn = minus_one if kappa % 2 == 0 else F.one
+        for r, a in enumerate(out[y]):
+            dvec = {first[i] + r: c for i, c in dh.items()}
+            # (-1)^{kappa_b + |b| |s a|}, kappa_b = kappa - |s b|, is
+            # (-1)^{kappa + 1 + |b| |a|}
+            mexp = kappa + 1 + letters[b][2] * letters[a][2]
+            msgn = F.one if mexp % 2 == 0 else minus_one
+            munits, mred = merge_split[first[b] + r]
+            for i, ri, c in mred:
+                vec_bump(F, dvec, i if base is None else base + ri,
+                         F.mul(msgn, c))
+            if base is None and munits:  # weight 2: minus the unit part
+                curv[keys[f + r]] = F.neg(munits[x])
+            # internal differential: -(-1)^kappa at the last letter
+            for _, ri, c in d_split[a][1]:
+                vec_bump(F, dvec, f + ri, F.mul(sgn, c))
+            store(f + r, a, dvec)
 
     return PointedCoalgebra(F, cat.quiver.objects, quiver, comult, diff=diff, curv=curv)
 

@@ -43,8 +43,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .field import (Field, Vec, _apply, _evaluate, _normalize, _same_field,
                     vec_bump, vec_sub)
 from .matrix import SparseMatrix
-from .quiver import (GradedQuiver, Key, composable_words, has_cycle, lkey,
-                     pair_key, rkey)
+from .quiver import GradedQuiver, Key, has_cycle, lkey, pair_key, rkey
 
 PairVec = Dict[Tuple[Key, Key], object]
 
@@ -524,30 +523,42 @@ def _deconcatenation(field: Field, objects: Sequence, letters: Sequence[Key],
     """Composable words of at most ``max_len`` letters (src, tgt, degree,
     name), shortest first, keyed (src, tgt, degree sum, tuple of names).
     Letter names must tell letters apart.  Returns their quiver, rDelta (a
-    split at each interior position) and ``key_of``, names -> word key in
-    word order.
-
-    Each word has one key object, and the cofactors of rDelta are the word
-    keys themselves: the prefixes of w are those of w[:-1] and w[:-1], the
-    suffixes of w are w[1:] and the suffixes of w[1:].
+    split at each interior position) and the word trie (keys, first, out,
+    rank): the keys by word id, in word order with letter i as word i;
+    ``out[x]`` lists the letters leaving x, ``rank[a]`` the place of a.
+    The extensions of a word h below the cap are one block in ``out``
+    order, so h.a is ``first[h] + rank[a]``; the tail of h.a is the tail
+    of h extended by a.  Each word key is built once; the prefixes of h.a
+    in rDelta are those of h and h, its suffixes its tail and the
+    suffixes of the tail, kept as key lists below the cap only.
     """
-    slots: Dict[tuple, List] = {}
+    out: Dict[object, List[int]] = {x: [] for x in objects}
+    rank = []
+    for i, a in enumerate(letters):
+        rank.append(len(out[a[0]]))
+        out[a[0]].append(i)
+    keys = [] if max_len == 0 else [a[:3] + ((a[3],),) for a in letters]
     comult: Dict[Key, PairVec] = {}
-    key_of: Dict[tuple, Key] = {}
-    for w in composable_words(letters, max_len):
-        names = tuple(a[3] for a in w)
-        if len(w) == 1:
-            key = w[0][:3] + (names,)
-        else:
-            head, tail = key_of[names[:-1]], key_of[names[1:]]
-            key = (head[0], tail[1], head[2] + w[-1][2], names)
-            comult[key] = dict.fromkeys(zip(
-                [p for p, _ in comult.get(head, ())] + [head],
-                [tail] + [s for _, s in comult.get(tail, ())]), field.one)
-        slots.setdefault(key[:3], []).append(names)
-        key_of[names] = key
+    first: List[int] = []
+    rows = [(None, [k], [k]) for k in keys]  # tail, prefixes, suffixes
+    for h, hk in enumerate(keys):  # keys grows as h runs: shortest first
+        if len(hk[3]) == max_len:
+            break
+        th, pre, _ = rows[h]
+        first.append(len(keys))
+        for a in out[hk[1]]:
+            t = a if th is None else first[th] + rank[a]
+            _, y, n, name = letters[a]
+            key = (hk[0], y, hk[2] + n, hk[3] + (name,))
+            comult[key] = dict.fromkeys(zip(pre, rows[t][2]), field.one)
+            if max_len is None or len(key[3]) < max_len:
+                rows.append((t, pre + [key], [key] + rows[t][2]))
+            keys.append(key)
+    slots: Dict[tuple, List] = {}
+    for k in keys:
+        slots.setdefault(k[:3], []).append(k[3])
     quiver = GradedQuiver(objects, {s: tuple(v) for s, v in slots.items()})
-    return quiver, comult, key_of
+    return quiver, comult, (keys, first, out, rank)
 
 
 # ---------------------------------------------------------------------------

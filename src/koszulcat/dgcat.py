@@ -180,17 +180,19 @@ class DgCategory:
         """
         F = self.field
         pos = {k: i for i, k in enumerate(self.quiver.keys())}
-        before: Dict[Key, List[Key]] = {}  # k -> every f with (k, f) stored
-        after: Dict[Key, List[Key]] = {}  # k -> every h with (h, k) stored
-        for h, k in self.comp:
+        comp = [(pos.setdefault(g, ~len(pos)), pos.setdefault(f, ~len(pos)),
+                 gf) for (g, f), gf in self.comp.items()]  # one id per key
+        before: Dict[int, List[int]] = {}  # k -> every f with (k, f) stored
+        after: Dict[int, List[int]] = {}  # k -> every h with (h, k) stored
+        for h, k, _ in comp:
             after.setdefault(k, []).append(h)
             before.setdefault(h, []).append(k)
 
         # h o (b o a) needs (h, k) stored for a term k of b o a, and
         # (b o a) o f needs (k, f) stored for a term k of b o a
         triples = set()
-        for (b, a), ba in self.comp.items():
-            for k in ba:
+        for b, a, ba in comp:
+            for k in map(pos.get, ba):
                 triples.update((a, b, h) for h in after.get(k, ()))
                 triples.update((f, a, b) for f in before.get(k, ()))
         for f, g, h in _in_scan_order(triples, pos):
@@ -204,9 +206,10 @@ class DgCategory:
 
         # d(g o f) needs (g, f) stored, dg o f needs (k, f) stored for a
         # term k of dg, and g o df needs (g, k) stored for a term k of df
-        pairs = {(f, g) for g, f in self.comp}
+        pairs = {(f, g) for g, f, _ in comp}
         for a, da in self.diff.items():
-            for k in da:
+            a = pos.setdefault(a, ~len(pos))
+            for k in map(pos.get, da):
                 pairs.update((f, a) for f in before.get(k, ()))
                 pairs.update((a, g) for g in after.get(k, ()))
         for f, g in _in_scan_order(pairs, pos):
@@ -265,15 +268,15 @@ class DgCategory:
 def _in_scan_order(cases, pos: Dict[Key, int]) -> List[tuple]:
     """The cases (f, g[, h]) on known keys, each composable with the next.
 
-    Sorted by key position, f first: the order of nested loops over the
-    basis, so a validator that visits only some cases reports its
-    failures in the order of a full scan.  Entries on unknown keys or
-    non-composable pairs are left to the table hygiene checks.
+    Cases come as ``pos`` ids (the basis from 0, any other key below 0),
+    sorted f first: the order of nested loops over the basis, so a
+    validator that visits only some cases reports its failures in the
+    order of a full scan.  Unknown keys and non-composable pairs are left
+    to the table hygiene checks.
     """
-    return sorted(
-        (c for c in cases if all(k in pos for k in c)
-         and all(a[1] == b[0] for a, b in zip(c, c[1:]))),
-        key=lambda c: tuple(pos[k] for k in c))
+    keys = list(pos)
+    cases = (tuple(keys[i] for i in c) for c in sorted(cases) if min(c) >= 0)
+    return [c for c in cases if all(a[1] == b[0] for a, b in zip(c, c[1:]))]
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +568,13 @@ class DgFunctor:
                 return problems
         # F(g o f) = F(g) o F(f) is bilinear and a missing entry is zero:
         # the left side needs (g, f) stored, the right side two live keys
-        live: Dict[object, List[Key]] = {}
-        for k in self.action:
-            live.setdefault(k[0], []).append(k)
-        pairs = {(f, g) for g, f in src.comp}
-        for f in self.action:
-            pairs.update((f, g) for g in live.get(f[1], ()))
         pos = {k: i for i, k in enumerate(keys)}
+        live: Dict[object, List[int]] = {}
+        for k in self.action:
+            live.setdefault(k[0], []).append(pos.get(k, -1))
+        pairs = {(pos.get(f, -1), pos.get(g, -1)) for g, f in src.comp}
+        for f in self.action:
+            pairs.update((pos.get(f, -1), g) for g in live.get(f[1], ()))
         for f, g in _in_scan_order(pairs, pos):
             lhs = self.apply(src.comp.get((g, f), {}))
             rhs = tgt.compose(self.action.get(g, {}), self.action.get(f, {}))

@@ -15,8 +15,9 @@ each:
   ``quiver_tensor`` does, on pairwise objects with degree-tagged names;
   ``lkey(ck, y)`` and ``rkey(x, dk)`` are the pointed-coalgebra keys with
   a grouplike leg ("G", y) on the right or ("G", x) on the left;
-- ``composable_words``: paths of letters, shortest first, as bar, cobar,
-  free categories and cotensor coalgebras use them;
+- ``composable_words``: paths of letters, shortest first, as cobar and
+  free categories use them (bar and cotensor coalgebras list the same
+  words on the integer trie of ``coalgebra._deconcatenation``);
 - ``object_maps``: every map of object sets in ``itertools.product``
   order, with the ``max_objects`` guard;
 - ``has_cycle``: the directed-cycle check behind every finiteness

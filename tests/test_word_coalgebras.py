@@ -1,12 +1,15 @@
 """Bar and cotensor coalgebras against their word-by-word reference loops.
 
-Both constructions share one deconcatenation builder, which keys every
-word once, and the bar builds d(w'.a) from d(w').  The oracles below
-recompute everything at every position of every word, with every word
-degree summed afresh.  Slots, comultiplication, differential and
-curvature must come out equal, in dict order, on the sample library, on
-seeded random categories, under custom unit complements, on the bar of an
-MC category, and on cotensors of random and cyclic generator quivers.
+Both constructions share one deconcatenation builder.  It lists the
+words on an integer trie (ids in word order, the extensions of a word in
+one block) and builds each word key once, and the bar builds d(w'.a)
+from d(w') on word ids, splitting each letter and each two-letter word
+once.  The oracles below recompute everything at every position of
+every word, with every word degree summed afresh.  Slots,
+comultiplication, differential and curvature must come out equal, in
+dict order, on the sample library (weight caps 0 to 3), on seeded random
+categories, under custom unit complements, on the bar of an MC category,
+and on cotensors of random and cyclic generator quivers.
 The custom complements give words whose merge term hits a term of
 d(w').a, which pins the order in which the recursion adds terms.  Equal
 keys in the built tables must be one object.
@@ -152,14 +155,38 @@ def assert_keys_shared(coa):
 @pytest.mark.parametrize("name", sorted(CATEGORY_LIBRARY))
 def test_sample_bars_match_oracle(name, field):
     cat = CATEGORY_LIBRARY[name](field)
-    for cap in (1, 2, 3):
+    for cap in (0, 1, 2, 3):
         assert_bar_matches(cat, cap)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_random_bars_match_oracle(seed):
     field = (QQ, F3)[seed % 2]
-    assert_bar_matches(random_dg_category(field, seed), 3)
+    cat = random_dg_category(field, seed)
+    for cap in (0, 3):
+        assert_bar_matches(cat, cap)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(
+    n for n, make in CATEGORY_LIBRARY.items() if not make(F3).is_curved()))
+def test_bar_splits_each_letter_and_pair_once(name, cap):
+    cat = CATEGORY_LIBRARY[name](F3)
+    sp = Splitting(cat)
+    calls = []
+    split = sp.split
+
+    def counting_split(v):
+        calls.append(v)
+        return split(v)
+
+    sp.split = counting_split
+    bar = bar_construction(cat, cap, sp)
+    pairs = [k for k in bar.reduced.keys() if len(k[3]) == 2]
+    assert len(calls) == len(sp.letters) + len(pairs)
+    if cap >= 2:
+        words = composable_words(sp.letters, 2)
+        assert len(pairs) == len(words) - len(sp.letters)
 
 
 def merge_hits(cat, cap, sp):
