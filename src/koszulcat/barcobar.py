@@ -17,8 +17,8 @@ The differential never raises weight, so a weight cap always yields an
 honest subcoalgebra and materialization is exact per weight.
 
 Words and deconcatenation come from the integer word trie of
-``coalgebra._deconcatenation`` (shared with ``cotensor_coalgebra``; the
-twin of ``_path_category`` below), where h.a is ``first[h] + rank[a]``.
+``coalgebra._deconcatenation`` (shared with ``cotensor_coalgebra``),
+where h.a is ``first[h] + rank[a]``.
 d is built on word ids, so each word key is hashed once, when its table
 entry is stored.  d of each letter and the merge of each two-letter word
 are split once, and d grows one letter at a time:
@@ -29,7 +29,10 @@ The terms of d(w') keep their signs in d(w'.a) because kappa_i counts
 only the letters left of position i, and appending a changes none.
 
 cobar(C) is the path category (``dgcat._path_category``) on the reduced
-arrows of C shifted up one degree.  On a single letter
+arrows of C shifted up one degree.  Its words are keyed by tuples of
+letters and listed by ``quiver.composable_words``, which extends a word
+only by the letters that fit its remaining length and weight budget.
+On a single letter
 
     d(c) = (-1)^{|c|+1} (internal d of c)
          + sum (-1)^{|c''|} (c', c'') - h(c) . unit
@@ -327,17 +330,6 @@ def cobar_construction(
     if weight_cap is not None and any(w < 1 for w in wt.values()):
         raise ValueError("letter weights must be >= 1 to cap by weight")
 
-    weight: Dict[Word, int] = {(): 0}  # of each kept word; only those grow
-
-    def keep(w: Word) -> bool:
-        if length_cap is not None and len(w) > length_cap:
-            return False
-        n = weight[w[:-1]] + wt[w[-1]]
-        if weight_cap is not None and n > weight_cap:
-            return False
-        weight[w] = n
-        return True
-
     # d on one letter: the internal term with the shifted degree of the
     # letter itself, (-1)^{|c''|} (c', c'') from the comultiplication, and
     # -h(c) on the empty word (endo slot, so paths stay glued); the
@@ -356,7 +348,7 @@ def cobar_construction(
         d_letter[a] = terms
 
     catout, comp_truncated, trunc_min_len = _path_category(
-        F, coa.objects, letters, d_letter, keep)
+        F, coa.objects, letters, d_letter, length_cap, wt, weight_cap)
     return CobarResult(
         catout,
         length_cap,

@@ -32,7 +32,7 @@ a coalgebra, under its length and weight caps.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import BoundedComplex
 from .field import (Field, Vec, _apply, _compose, _normalize, _same_field,
@@ -297,17 +297,20 @@ def _path_category(
     objects: Sequence,
     letters: Sequence[Key],
     d_letter: Mapping[Key, Sequence[Tuple[Word, object]]],
-    keep: Optional[Callable[[Word], bool]] = None,
+    max_len: Optional[int] = None,
+    weights: Optional[Mapping[Key, int]] = None,
+    max_weight: Optional[int] = None,
 ) -> Tuple[DgCategory, bool, Optional[int]]:
-    """Path category on ``letters``, with the words ``keep`` admits.
+    """Path category on ``letters``, with the words within both caps.
 
     Basis: the empty word at each object (its unit) and every composable
-    word (a_1, ..., a_n), a_1 applied first, keyed (src, tgt, sum of
-    letter degrees, tuple of letter names).  ``keep`` must hold on every
-    subword of a word it holds on, as length and weight caps do.  Words
-    compose by concatenation, so the table holds one entry per split of
-    each stored word.  ``d_letter`` sends a letter to its (replacement
-    word, coefficient) terms; d extends it as a derivation
+    word (a_1, ..., a_n), a_1 applied first, of at most ``max_len``
+    letters and at most ``max_weight`` summed letter ``weights``, keyed
+    (src, tgt, sum of letter degrees, tuple of letter names); the
+    listing is ``composable_words``, which builds no word past a cap.
+    Words compose by concatenation, so the table holds one entry per
+    split of each stored word.  ``d_letter`` sends a letter to its
+    (replacement word, coefficient) terms; d extends it as a derivation
 
         d(a_1 .. a_n) = sum_i (-1)^{|a_{i+1}| + .. + |a_n|} a_1 .. d(a_i) .. a_n
 
@@ -316,12 +319,13 @@ def _path_category(
 
     Returns the category, whether a composite of stored words was
     dropped, and the shortest word whose differential dropped a term
-    (None if none did).  Because ``keep`` is closed under subwords, a
+    (None if none did).  The caps are closed under subwords, so a
     composite is dropped exactly when some stored word extended by a
-    composable stored letter fails ``keep``.
+    composable stored letter passes a cap; the listing reports that.
     """
     F = field
-    words = composable_words(letters, None, keep)
+    words, comp_truncated = composable_words(letters, max_len, weights,
+                                             max_weight)
     slots: Dict[Tuple[object, object, int], List] = {
         (x, x, 0): [()] for x in objects}
     key_of: Dict[Word, Key] = {}
@@ -344,33 +348,22 @@ def _path_category(
             at = w[i - 1][1] if i else w[0][0]
             # comp[(g, f)] = g after f: f = w[:i] runs first
             comp[(key(w[i:], at), key(w[:i], at))] = {k: F.one}
-    comp_truncated = False
-    if keep is not None:
-        by_src: Dict[object, List[Key]] = {}
-        for w in words:
-            if len(w) == 1:
-                by_src.setdefault(w[0][0], []).append(w[0])
-        # the longest words are the likeliest to hit the cap
-        comp_truncated = any(not keep(w + (a,)) for w in reversed(words)
-                             for a in by_src.get(w[-1][1], ()))
 
     diff: Dict[Key, Vec] = {}
     trunc_min_len: Optional[int] = None
-    minus_one = F.coerce(-1)
     for w, k in key_of.items():
         out: Vec = {}
         dropped = False
         tail = k[2]  # degree of the letters after position i
         for i, a in enumerate(w):
             tail -= a[2]
-            sign = minus_one if tail % 2 else F.one
             for repl, c in d_letter.get(a, ()):
                 new = w[:i] + repl + w[i + 1:]
                 nk = key_of.get(new) if new else key(new, w[0][0])
                 if nk is None:
                     dropped = True
                     continue
-                vec_bump(F, out, nk, F.mul(sign, c))
+                vec_bump(F, out, nk, F.neg(c) if tail % 2 else c)
         if dropped and trunc_min_len is None:
             trunc_min_len = len(w)  # words come shortest first
         if out:

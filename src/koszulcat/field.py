@@ -239,12 +239,15 @@ def vec_addmul(field: Field, a: Vec, s, b: Vec) -> Vec:
 
 
 def vec_bump(field: Field, out: Vec, key, s) -> None:
-    """In-place out[key] += s, dropping the entry if it cancels."""
-    t = field.add(out.get(key, field.zero), s)
-    if field.is_zero(t):
+    """In-place out[key] += s, dropping the entry if it cancels.  A fresh
+    key stores ``field.coerce(s)``: the value of zero plus s, without
+    the Fraction sum over QQ."""
+    t = out.get(key)
+    s = field.coerce(s) if t is None else field.add(t, s)
+    if field.is_zero(s):
         out.pop(key, None)
     else:
-        out[key] = t
+        out[key] = s
 
 
 def _same_field(a, b, what: str) -> None:

@@ -16,8 +16,9 @@ each:
   ``lkey(ck, y)`` and ``rkey(x, dk)`` are the pointed-coalgebra keys with
   a grouplike leg ("G", y) on the right or ("G", x) on the left;
 - ``composable_words``: paths of letters, shortest first, as cobar and
-  free categories use them (bar and cotensor coalgebras list the same
-  words on the integer trie of ``coalgebra._deconcatenation``);
+  free categories use them, built only within a length cap and a letter
+  weight budget (bar and cotensor coalgebras list the same words on the
+  integer trie of ``coalgebra._deconcatenation``);
 - ``object_maps``: every map of object sets in ``itertools.product``
   order, with the ``max_objects`` guard;
 - ``has_cycle``: the directed-cycle check behind every finiteness
@@ -27,8 +28,8 @@ each:
 from __future__ import annotations
 
 from itertools import product
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 Slot = Tuple[object, object, int]  # (src, tgt, degree)
 Key = Tuple[object, object, int, object]  # (src, tgt, degree, name)
@@ -117,36 +118,52 @@ def rkey(x, dk: Key) -> Key:
 
 
 def composable_words(letters: Sequence[Key], max_len: Optional[int],
-                     keep: Optional[Callable[[Word], bool]] = None
-                     ) -> List[Word]:
-    """Words of letters composable end to end, shortest first.
+                     weights: Optional[Mapping[Key, int]] = None,
+                     max_weight: Optional[int] = None
+                     ) -> Tuple[List[Word], bool]:
+    """Words of letters composable end to end, shortest first, within at
+    most ``max_len`` letters and ``max_weight`` summed letter ``weights``;
+    and whether a cap cut the composite of two listed words.
 
     Each length lists the extensions of the previous length's words in
-    their order, each extended by the letters in ``letters`` order.
-    No word longer than ``max_len`` is ever built, so ``keep`` never sees
-    one.  ``keep`` drops a word and with it every extension.  Without
-    ``max_len`` the letter graph must be acyclic or ``keep`` must bound
-    the length, else this does not terminate.
+    their order, each extended by the letters in ``letters`` order.  Each
+    object keeps one list of outgoing letters per remaining weight
+    budget up to the heaviest letter's weight, and a word of weight n
+    extends only by the list for budget ``max_weight - n``, so no word
+    past a cap is ever built.  Without ``max_len`` the letter graph must
+    be acyclic, or ``max_weight`` set and every weight at least 1, else
+    this does not terminate.
     """
-    by_src: Dict[object, List[Key]] = {}
-    for k in letters:
-        by_src.setdefault(k[0], []).append(k)
+    top = max_weight or 0  # no weight cap: every weight counts as 0
+    wt = [0 if max_weight is None else weights[k] for k in letters]
+    heavy = min(top, max(wt, default=0))  # budgets past it share a list
+    fits: Dict[object, List[List[Tuple[Key, int]]]] = {}
+    for k, n in zip(letters, wt):
+        lists = fits.setdefault(k[0], [[] for _ in range(heavy + 1)])
+        for b in range(n, heavy + 1):
+            lists[b].append((k, n))
     words: List[Word] = []
-    frontier = [(k,) for k in letters if keep is None or keep((k,))]
+    frontier = [(k,) for k, n in zip(letters, wt) if n <= top]
+    weight = [n for n in wt if n <= top]  # of each frontier word
+    cut = False
     length = 1
     while frontier and (max_len is None or length <= max_len):
         words.extend(frontier)
         if length == max_len:
-            break
-        nxt = []
-        for w in frontier:
-            for k in by_src.get(w[-1][1], ()):
-                w2 = w + (k,)
-                if keep is None or keep(w2):
-                    nxt.append(w2)
-        frontier = nxt
+            return words, cut or any(fits[w[-1][1]][-1] for w in frontier
+                                     if w[-1][1] in fits)
+        nxt, nweight = [], []
+        for w, n in zip(frontier, weight):
+            lists = fits.get(w[-1][1])
+            if lists:
+                fit = lists[min(top - n, heavy)]
+                cut = cut or len(fit) < len(lists[-1])
+                for k, m in fit:
+                    nxt.append(w + (k,))
+                    nweight.append(n + m)
+        frontier, weight = nxt, nweight
         length += 1
-    return words
+    return words, cut
 
 
 def object_maps(sources: Sequence, targets: Sequence,

@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulcat import barcobar
+from koszulcat import dgcat
 from koszulcat.barcobar import (
     CobarResult,
     Splitting,
-    _letter_weight,
     bar_construction,
     cobar_construction,
 )
@@ -36,6 +35,7 @@ from koszulcat.samples import (
     dual_numbers,
     group_like,
 )
+from test_quiver import keep_listing
 
 F2, F3 = GF(2), GF(3)
 
@@ -145,33 +145,53 @@ def _cobar_tables(res):
             res.comp_truncated)
 
 
-@pytest.mark.parametrize("field", [QQ, F3], ids=["q", "f3"])
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["q", "f2", "f3"])
 def test_cobar_word_weights_match_summed_rule(field, monkeypatch):
-    """Carrying weight(w.a) = weight(w) + wt(a) keeps every cobar table,
-    values and insertion order, as re-summing each word's letters did."""
-    both = [dict(weight_cap=3), dict(length_cap=2, weight_cap=3)]
+    """Listing each word within its weight budget keeps every cobar
+    table, values and insertion order, and the exactness flags, as
+    filtering every candidate by its re-summed weight did
+    (``keep_listing``).  The cases are the coalgebra library and the bars
+    of every uncurved sample up to weight 5, under length-only,
+    weight-only and combined caps.  The oracle extends every word by
+    every letter, so bars past 160 letters and length-only caps past
+    1,000 words are left out."""
     cases = [(COALGEBRA_LIBRARY[n](field), cap)
              for n in sorted(COALGEBRA_LIBRARY)
-             for cap in [dict(length_cap=3)] + both]
-    # bars have letters of weight 1 to 3; a length cap alone is too wide
-    cases += [(bar_construction(CATEGORY_LIBRARY[n](field), 3), cap)
-              for n in sorted(CATEGORY_LIBRARY)
-              if not CATEGORY_LIBRARY[n](field).is_curved() for cap in both]
+             for cap in [dict(length_cap=3), dict(weight_cap=3),
+                         dict(length_cap=2, weight_cap=3)]]
+    for n in sorted(CATEGORY_LIBRARY):
+        if CATEGORY_LIBRARY[n](field).is_curved():
+            continue
+        for b in range(1, 6):
+            bar = bar_construction(CATEGORY_LIBRARY[n](field), b)
+            n_letters = bar.reduced.total_dim()
+            if n_letters > 160:
+                break
+            caps = [dict(weight_cap=b), dict(length_cap=2, weight_cap=b)]
+            caps += [dict(length_cap=k) for k in range(1, b + 1)
+                     if n_letters ** k <= 1000]
+            cases += [(bar, cap) for cap in caps]
     got = [_cobar_tables(cobar_construction(c, **cap)) for c, cap in cases]
-    path_category = barcobar._path_category
+    monkeypatch.setattr(dgcat, "composable_words", keep_listing)
     for i, (c, cap) in enumerate(cases):
-        length_cap, weight_cap = cap.get("length_cap"), cap.get("weight_cap")
-
-        def summed(F, objects, letters, d_letter, keep):
-            def keep_summed(w):
-                if length_cap is not None and len(w) > length_cap:
-                    return False
-                return weight_cap is None or \
-                    sum(_letter_weight(a[3]) for a in w) <= weight_cap
-            return path_category(F, objects, letters, d_letter, keep_summed)
-
-        monkeypatch.setattr(barcobar, "_path_category", summed)
         assert got[i] == _cobar_tables(cobar_construction(c, **cap)), (i, cap)
+
+
+@pytest.mark.parametrize("name, cap, words, comp_entries", [
+    ("trunc_poly3", 5, 683, 2617),
+    ("contractible_pair", 4, 778, 2644),
+    ("odd_pair_diff", 3, 556, 1636),
+])
+def test_counit_cobar_sizes(name, cap, words, comp_entries):
+    """The cobars of the counit at the default weight cap: word and
+    composition counts, d complete, composites past the cap dropped."""
+    res = cobar_construction(
+        bar_construction(CATEGORY_LIBRARY[name](QQ), cap), weight_cap=cap)
+    cat = res.category
+    assert cat.quiver.total_dim() == words
+    assert len(cat.comp) == comp_entries
+    assert res.trunc_min_len is None and res.comp_truncated
+    assert not res.exact
 
 
 # -- bar: sentinels and input checking --------------------------------------

@@ -12,7 +12,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulcat.field import QQ, GF, field_by_name, vec_add, vec_scale
+from koszulcat.field import (QQ, GF, field_by_name, vec_add, vec_bump,
+                             vec_scale)
 from koszulcat.matrix import SparseMatrix
 from koszulcat.complexes import BoundedComplex
 
@@ -97,6 +98,24 @@ def test_vec_helpers_drop_zeros():
     s = vec_add(F, a, b)
     assert s == {"y": 2, "z": 1}
     assert vec_scale(F, 0, a) == {}
+
+
+def test_vec_bump_stores_field_elements():
+    # a fresh key stores s as a field element, as adding it to zero did
+    out = {}
+    vec_bump(QQ, out, "x", 2)
+    vec_bump(QQ, out, "y", 0)
+    assert out == {"x": 2} and type(out["x"]) is Fraction
+    vec_bump(QQ, out, "x", -2)
+    assert out == {}
+    F = GF(3)
+    for s, want in [(4, {"x": 1}), (-1, {"x": 2}), (3, {})]:
+        out = {}
+        vec_bump(F, out, "x", s)
+        assert out == want
+    vec_bump(F, out, "x", 2)
+    vec_bump(F, out, "x", 2)
+    assert out == {"x": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Graded quiver layer: basis bookkeeping, shift and tensor.
+"""Graded quiver layer: basis bookkeeping, shift, tensor and words.
 
 The tensor oracle is deliberately dumb: Kuenneth dimension sums written
-out longhand.
+out longhand.  The word oracle ``keep_listing`` is the listing without
+weight budgets: it builds every extension and filters it afterwards.
 """
 
 import random
@@ -113,16 +114,60 @@ def test_tensor_total_dim_multiplicative(seed):
 # -- words -------------------------------------------------------------------
 
 
-def test_composable_words_stop_at_max_len():
-    # a -> b -> a and a loop at a: words of every length exist
-    letters = [("a", "b", 0, "f"), ("b", "a", 1, "g"), ("a", "a", 0, "h")]
-    seen = []
-
+def keep_listing(letters, max_len, weights=None, max_weight=None):
+    """``composable_words`` by extending every word by every letter that
+    leaves its target and dropping the candidates ``keep`` refuses, each
+    weight summed afresh.  A cap cut a composite when a stored word
+    extended by a stored letter fails ``keep``."""
     def keep(w):
-        seen.append(w)
-        return True
+        return ((max_len is None or len(w) <= max_len)
+                and (max_weight is None
+                     or sum(weights[a] for a in w) <= max_weight))
 
-    words = composable_words(letters, 2, keep)
-    assert max(map(len, seen)) == 2
-    assert words == seen
-    assert [len(w) for w in words] == [1, 1, 1, 2, 2, 2, 2, 2]
+    by_src = {}
+    for k in letters:
+        by_src.setdefault(k[0], []).append(k)
+    words = []
+    frontier = [(k,) for k in letters if keep((k,))]
+    while frontier:
+        words.extend(frontier)
+        frontier = [w + (k,) for w in frontier
+                    for k in by_src.get(w[-1][1], ()) if keep(w + (k,))]
+    stored = {}
+    for w in words:
+        if len(w) == 1:
+            stored.setdefault(w[0][0], []).append(w[0])
+    cut = any(not keep(w + (a,)) for w in words
+              for a in stored.get(w[-1][1], ()))
+    return words, cut
+
+
+def test_composable_words_stop_at_max_len():
+    # a -> b -> a and a loop at a: words of every length exist, so the
+    # listing ends only because no word past a cap is ever built
+    letters = [("a", "b", 0, "f"), ("b", "a", 1, "g"), ("a", "a", 0, "h"),
+               ("b", "c", 0, "x")]
+    words, cut = composable_words(letters, 2)
+    assert [len(w) for w in words] == [1, 1, 1, 1, 2, 2, 2, 2, 2, 2]
+    assert cut
+    weights = dict(zip(letters, [1, 2, 1, 3]))
+    for max_len, max_weight in [(2, None), (None, 0), (None, 1), (None, 4),
+                                (0, 3), (1, 3), (3, 3), (2, 4), (4, 2)]:
+        words, cut = composable_words(letters, max_len, weights, max_weight)
+        for w in words:
+            assert max_len is None or len(w) <= max_len
+            assert max_weight is None or \
+                sum(weights[a] for a in w) <= max_weight
+        assert (words, cut) == keep_listing(letters, max_len, weights,
+                                            max_weight), (max_len, max_weight)
+    # a word cut below max_len still counts when max_len ends the listing:
+    # a cannot take b, and the one two-letter word (a, c) ends at w
+    a, b, c = ("x", "y", 0, "a"), ("y", "z", 0, "b"), ("y", "w", 0, "c")
+    weights = {a: 1, b: 3, c: 1}
+    for max_len in (2, 3, None):
+        got = composable_words([a, b, c], max_len, weights, 3)
+        assert got == ([(a,), (b,), (c,), (a, c)], True)
+        assert got == keep_listing([a, b, c], max_len, weights, 3)
+    # weights count only under a weight cap
+    assert composable_words(letters, 3, weights) == \
+        composable_words(letters, 3)

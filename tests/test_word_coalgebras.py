@@ -46,7 +46,7 @@ def oracle_bar(cat, weight_cap, sp):
     diff = {}
     curv = {}
     minus_one = F.neg(F.one)
-    for w in composable_words(sp.letters, weight_cap):
+    for w in composable_words(sp.letters, weight_cap)[0]:
         wk = _word_key(w, -1)
         slots.setdefault((wk[0], wk[1], wk[2]), []).append(w)
         if len(w) > 1:
@@ -87,7 +87,7 @@ def oracle_bar(cat, weight_cap, sp):
 
 
 def oracle_cotensor(field, generators, max_weight):
-    words = composable_words(list(generators.keys()), max_weight)
+    words, _ = composable_words(list(generators.keys()), max_weight)
 
     def wkey(w):
         return (w[0][0], w[-1][1], sum(k[2] for k in w),
@@ -185,7 +185,7 @@ def test_bar_splits_each_letter_and_pair_once(name, cap):
     pairs = [k for k in bar.reduced.keys() if len(k[3]) == 2]
     assert len(calls) == len(sp.letters) + len(pairs)
     if cap >= 2:
-        words = composable_words(sp.letters, 2)
+        words, _ = composable_words(sp.letters, 2)
         assert len(pairs) == len(words) - len(sp.letters)
 
 
