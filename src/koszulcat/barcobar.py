@@ -17,8 +17,8 @@ The differential never raises weight, so a weight cap always yields an
 honest subcoalgebra and materialization is exact per weight.
 
 Words and deconcatenation come from the integer word trie of
-``coalgebra._deconcatenation`` (shared with ``cotensor_coalgebra``),
-where h.a is ``first[h] + rank[a]``.
+``quiver.word_trie``, the one word lister of bar, cotensor, cobar and
+free categories; with no weight cap, h.a is ``first[h] + rank[a]``.
 d is built on word ids, so each word key is hashed once, when its table
 entry is stored.  d of each letter and the merge of each two-letter word
 are split once, and d grows one letter at a time:
@@ -29,9 +29,9 @@ The terms of d(w') keep their signs in d(w'.a) because kappa_i counts
 only the letters left of position i, and appending a changes none.
 
 cobar(C) is the path category (``dgcat._path_category``) on the reduced
-arrows of C shifted up one degree.  Its words are keyed by tuples of
-letters and listed by ``quiver.composable_words``, which extends a word
-only by the letters that fit its remaining length and weight budget.
+arrows of C shifted up one degree, each letter named by its reduced key.
+Its words come from the same trie, which extends a word only by the
+letters that fit its remaining length and weight budget.
 On a single letter
 
     d(c) = (-1)^{|c|+1} (internal d of c)
@@ -47,9 +47,12 @@ the opposite Leibniz bookkeeping and fails d^2 = 0 here at length 4).
 d^2 = 0 on the nose: the square of the comultiplication term cancels
 against coassociativity, and the curvature term against d^2 of C.
 A length cap truncates d near the cap and composition across it, so the
-result records which region is exact; capping by letter weight instead
-(available when letters carry weights that d cannot increase, as bar
-words do) keeps the differential complete at every cap.
+result records which region is exact.  A letter named by a tuple weighs
+its length (a bar word's length), any other letter 1.  That weight is
+additive under rDelta only for word-named keys (bar and cotensor
+letters), and there a weight cap keeps the differential complete at
+every cap; on other keys, such as tensor keys (named by pairs, so of
+weight 2), ``trunc_min_len`` reports what d lost.
 
 The zero category (objects whose units are zero) has no letters and no
 unit functionals either, so its bar is the formal final coalgebra and
@@ -61,12 +64,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .coalgebra import (FinalCoalgebra, PointedCoalgebra, _deconcatenation,
-                        zero_coalgebra)
+from .coalgebra import FinalCoalgebra, PointedCoalgebra, zero_coalgebra
 from .dgcat import DgCategory, _path_category, empty_category, zero_category
 from .field import Vec, vec_bump
 from .matrix import SparseMatrix
-from .quiver import Key, Word
+from .quiver import Key, word_trie
 
 
 class Splitting:
@@ -194,7 +196,7 @@ def bar_construction(
 
     sp = splitting if splitting is not None else Splitting(cat)
     letters = sp.letters
-    quiver, comult, (keys, first, out, rank) = _deconcatenation(
+    quiver, comult, (keys, first, out, rank), _ = word_trie(
         F, cat.quiver.objects, [(k[0], k[1], k[2] - 1, k) for k in letters],
         weight_cap)
     ids = {k: i for i, k in enumerate(letters)}
@@ -253,12 +255,12 @@ def bar_construction(
 class CobarResult:
     """A materialized cobar category plus the region where it is exact.
 
-    ``exact`` means no composition pair and no differential term was
-    dropped: the category is the whole cobar construction and validates
-    outright.  Otherwise ``trunc_min_len`` is the shortest word whose
-    differential lost a term, so d is complete below it and d^2 = 0 is
-    guaranteed on words of length <= trunc_min_len - 2 (d of such a word
-    only reaches words one letter longer).
+    ``exact`` means no letter, no composition pair and no differential
+    term was dropped: the category is the whole cobar construction and
+    validates outright.  Otherwise ``trunc_min_len`` is the shortest word
+    whose differential lost a term, so d is complete below it and d^2 = 0
+    is guaranteed on words of length <= trunc_min_len - 2 (d of such a
+    word only reaches words one letter longer).
     """
 
     category: DgCategory
@@ -306,9 +308,13 @@ def cobar_construction(
 
     ``length_cap`` bounds the number of letters per word; ``weight_cap``
     bounds the total letter weight (bar-word length for tuple-named
-    letters, else 1).  Weight capping alone keeps d complete because no
-    differential term of the cobar raises total weight; at least one cap
-    must make the word set finite.
+    letters, else 1).  At least one cap must make the word set finite.
+    The weight is additive under rDelta only for word-named keys (bar and
+    cotensor coalgebras), so there a weight cap alone keeps d complete.
+    On other keys, such as the pair-named tensor keys of
+    ``tensor_coalgebras``, a weight cap can drop terms of d, and
+    ``trunc_min_len`` reports that.
+    A cap that drops a letter makes the result not ``exact``.
     """
     for name, cap in (("length_cap", length_cap), ("weight_cap", weight_cap)):
         if cap is not None and cap < 0:
@@ -322,11 +328,8 @@ def cobar_construction(
         raise ValueError("cobar needs a length cap or a weight cap")
 
     # letters are the reduced keys shifted up one degree, named by the key
-    def shift(k: Key) -> Key:
-        return (k[0], k[1], k[2] + 1, k)
-
-    wt = {shift(k): _letter_weight(k) for k in coa.reduced.keys()}
-    letters = list(wt)
+    letters = [(k[0], k[1], k[2] + 1, k) for k in coa.reduced.keys()]
+    wt = {a: _letter_weight(a[3]) for a in letters}
     if weight_cap is not None and any(w < 1 for w in wt.values()):
         raise ValueError("letter weights must be >= 1 to cap by weight")
 
@@ -335,17 +338,17 @@ def cobar_construction(
     # -h(c) on the empty word (endo slot, so paths stay glued); the
     # composition-side Leibniz rule forces the first two signs (d^2 pins
     # them)
-    d_letter: Dict[Key, List[Tuple[Word, object]]] = {}
+    d_letter: Dict[Key, List[Tuple[Tuple[Key, ...], object]]] = {}
     for a in letters:
         k = a[3]
-        terms = [((shift(k2),), c if a[2] % 2 == 0 else F.neg(c))
+        terms = [((k2,), c if a[2] % 2 == 0 else F.neg(c))
                  for k2, c in coa.diff.get(k, {}).items()]
-        terms += [((shift(ka), shift(kb)), c if kb[2] % 2 == 0 else F.neg(c))
+        terms += [((ka, kb), c if kb[2] % 2 == 0 else F.neg(c))
                   for (ka, kb), c in coa.comult.get(k, {}).items()]
         h = coa.curv.get(k)
         if h is not None:
             terms.append(((), F.neg(h)))
-        d_letter[a] = terms
+        d_letter[k] = terms
 
     catout, comp_truncated, trunc_min_len = _path_category(
         F, coa.objects, letters, d_letter, length_cap, wt, weight_cap)

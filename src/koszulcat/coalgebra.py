@@ -38,12 +38,13 @@ lives in the bar/cobar test suite).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .field import (Field, Vec, _apply, _evaluate, _normalize, _same_field,
                     vec_bump, vec_sub)
 from .matrix import SparseMatrix
-from .quiver import GradedQuiver, Key, has_cycle, lkey, pair_key, rkey
+from .quiver import (GradedQuiver, Key, has_cycle, lkey, pair_key, rkey,
+                     word_trie)
 
 PairVec = Dict[Tuple[Key, Key], object]
 
@@ -493,10 +494,11 @@ def cotensor_coalgebra(
 ) -> PointedCoalgebra:
     """Deconcatenation coalgebra on composable generator words.
 
-    Words are tuples of generator keys, composable end to end; rDelta
-    splits a word at interior positions.  With a weight cap the span of
-    words of length <= max_weight is a subcoalgebra, so the cap loses
-    nothing structurally.  Without a cap the generator graph must be
+    Words are composable paths of generators, named by their tuples of
+    generator names (``quiver.word_trie``); rDelta splits a word at
+    interior positions.  With a weight cap the span of words of length
+    <= max_weight is a subcoalgebra, so the cap loses nothing
+    structurally.  Without a cap the generator graph must be
     acyclic (else the word basis is infinite).
     """
     if max_weight is not None and max_weight < 0:
@@ -510,55 +512,11 @@ def cotensor_coalgebra(
             raise ValueError("cyclic generator graph needs a weight cap")
 
     gen_keys = list(generators.keys())
-    names = [k[3] for k in gen_keys]
-    if len(set(names)) != len(names):
+    if len({k[3] for k in gen_keys}) != len(gen_keys):
         raise ValueError("cotensor generators need globally unique names")
-    quiver, comult, _ = _deconcatenation(
+    quiver, comult, _, _ = word_trie(
         field, generators.objects, gen_keys, max_weight)
     return PointedCoalgebra(field, generators.objects, quiver, comult)
-
-
-def _deconcatenation(field: Field, objects: Sequence, letters: Sequence[Key],
-                     max_len: Optional[int]):
-    """Composable words of at most ``max_len`` letters (src, tgt, degree,
-    name), shortest first, keyed (src, tgt, degree sum, tuple of names).
-    Letter names must tell letters apart.  Returns their quiver, rDelta (a
-    split at each interior position) and the word trie (keys, first, out,
-    rank): the keys by word id, in word order with letter i as word i;
-    ``out[x]`` lists the letters leaving x, ``rank[a]`` the place of a.
-    The extensions of a word h below the cap are one block in ``out``
-    order, so h.a is ``first[h] + rank[a]``; the tail of h.a is the tail
-    of h extended by a.  Each word key is built once; the prefixes of h.a
-    in rDelta are those of h and h, its suffixes its tail and the
-    suffixes of the tail, kept as key lists below the cap only.
-    """
-    out: Dict[object, List[int]] = {x: [] for x in objects}
-    rank = []
-    for i, a in enumerate(letters):
-        rank.append(len(out[a[0]]))
-        out[a[0]].append(i)
-    keys = [] if max_len == 0 else [a[:3] + ((a[3],),) for a in letters]
-    comult: Dict[Key, PairVec] = {}
-    first: List[int] = []
-    rows = [(None, [k], [k]) for k in keys]  # tail, prefixes, suffixes
-    for h, hk in enumerate(keys):  # keys grows as h runs: shortest first
-        if len(hk[3]) == max_len:
-            break
-        th, pre, _ = rows[h]
-        first.append(len(keys))
-        for a in out[hk[1]]:
-            t = a if th is None else first[th] + rank[a]
-            _, y, n, name = letters[a]
-            key = (hk[0], y, hk[2] + n, hk[3] + (name,))
-            comult[key] = dict.fromkeys(zip(pre, rows[t][2]), field.one)
-            if max_len is None or len(key[3]) < max_len:
-                rows.append((t, pre + [key], [key] + rows[t][2]))
-            keys.append(key)
-    slots: Dict[tuple, List] = {}
-    for k in keys:
-        slots.setdefault(k[:3], []).append(k[3])
-    quiver = GradedQuiver(objects, {s: tuple(v) for s, v in slots.items()})
-    return quiver, comult, (keys, first, out, rank)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ Composition is written ``compose(g, f)`` = "g after f" throughout; no
 Koszul sign lives here.  Signs enter in ``tensor_dg`` (interchanging a
 morphism past a morphism) and ``opposite`` (reversal).
 
-Path categories have one builder, ``_path_category``: words of letters,
-composition by splitting each stored word, and the letter differential
-extended as a derivation.  ``free_category`` calls it on a generator
-quiver and ``barcobar.cobar_construction`` on the shifted reduced part of
-a coalgebra, under its length and weight caps.
+Path categories have one builder, ``_path_category``: the words of
+``quiver.word_trie`` (the lister of bar and cotensor words too),
+composition by the transpose of their deconcatenation, and the letter
+differential extended as a derivation.  ``free_category`` calls it on a
+generator quiver and ``barcobar.cobar_construction`` on the shifted
+reduced part of a coalgebra, under its length and weight caps.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .complexes import BoundedComplex
 from .field import (Field, Vec, _apply, _compose, _normalize, _same_field,
                     vec_add, vec_addmul, vec_bump, vec_scale, vec_sub)
 from .matrix import SparseMatrix
-from .quiver import (GradedQuiver, Key, Word, composable_words, has_cycle,
-                     pair_key, quiver_tensor)
+from .quiver import (GradedQuiver, Key, has_cycle, pair_key, quiver_tensor,
+                     word_trie)
 
 
 class DgCategory:
@@ -296,7 +297,7 @@ def _path_category(
     field: Field,
     objects: Sequence,
     letters: Sequence[Key],
-    d_letter: Mapping[Key, Sequence[Tuple[Word, object]]],
+    d_letter: Mapping[object, Sequence[Tuple[tuple, object]]],
     max_len: Optional[int] = None,
     weights: Optional[Mapping[Key, int]] = None,
     max_weight: Optional[int] = None,
@@ -307,59 +308,50 @@ def _path_category(
     word (a_1, ..., a_n), a_1 applied first, of at most ``max_len``
     letters and at most ``max_weight`` summed letter ``weights``, keyed
     (src, tgt, sum of letter degrees, tuple of letter names); the
-    listing is ``composable_words``, which builds no word past a cap.
-    Words compose by concatenation, so the table holds one entry per
-    split of each stored word.  ``d_letter`` sends a letter to its
-    (replacement word, coefficient) terms; d extends it as a derivation
+    listing is ``quiver.word_trie``, which builds no word past a cap.
+    Words compose by concatenation, so the table holds the two unit ends
+    of each stored word and, transposed, each split of its rDelta.
+    ``d_letter`` sends a letter name to its (replacement name tuple,
+    coefficient) terms; d extends it as a derivation
 
         d(a_1 .. a_n) = sum_i (-1)^{|a_{i+1}| + .. + |a_n|} a_1 .. d(a_i) .. a_n
 
     matching d(g o f) = dg o f + (-1)^|g| g o df, and drops every term
     whose word is not stored.
 
-    Returns the category, whether a composite of stored words was
-    dropped, and the shortest word whose differential dropped a term
-    (None if none did).  The caps are closed under subwords, so a
-    composite is dropped exactly when some stored word extended by a
-    composable stored letter passes a cap; the listing reports that.
+    Returns the category, whether a cap dropped a letter or a composite
+    of stored words, and the shortest word whose differential dropped a
+    term (None if none did).
     """
     F = field
-    words, comp_truncated = composable_words(letters, max_len, weights,
-                                             max_weight)
-    slots: Dict[Tuple[object, object, int], List] = {
-        (x, x, 0): [()] for x in objects}
-    key_of: Dict[Word, Key] = {}
-    for w in words:
-        k = (w[0][0], w[-1][1], sum(a[2] for a in w), tuple(a[3] for a in w))
-        key_of[w] = k
+    _, splits, (words, _, _, _), comp_truncated = word_trie(
+        F, objects, letters, max_len, weights, max_weight)
+    units = {x: (x, x, 0, ()) for x in objects}
+    slots = {(x, x, 0): [()] for x in objects}
+    unit = {x: {u: F.one} for x, u in units.items()}
+    comp = {(u, u): {u: F.one} for u in units.values()}
+    for k in words:
         slots.setdefault(k[:3], []).append(k[3])
+        # comp[(g, f)] = g after f
+        comp[(k, units[k[0]])] = {k: F.one}
+        for f, g in splits.get(k, ()):
+            comp[(g, f)] = {k: F.one}
+        comp[(units[k[1]], k)] = {k: F.one}
 
-    def key(w: Word, at) -> Key:
-        return key_of[w] if w else (at, at, 0, ())
-
-    unit: Dict[object, Vec] = {}
-    comp: Dict[Tuple[Key, Key], Vec] = {}
-    for x in objects:
-        u = key((), x)
-        unit[x] = {u: F.one}
-        comp[(u, u)] = {u: F.one}
-    for w, k in key_of.items():
-        for i in range(len(w) + 1):
-            at = w[i - 1][1] if i else w[0][0]
-            # comp[(g, f)] = g after f: f = w[:i] runs first
-            comp[(key(w[i:], at), key(w[:i], at))] = {k: F.one}
-
+    degree = {a[3]: a[2] for a in letters}
+    by_name = {k[3]: k for k in words}
     diff: Dict[Key, Vec] = {}
     trunc_min_len: Optional[int] = None
-    for w, k in key_of.items():
+    for k in words:
+        w = k[3]
         out: Vec = {}
         dropped = False
         tail = k[2]  # degree of the letters after position i
         for i, a in enumerate(w):
-            tail -= a[2]
+            tail -= degree[a]
             for repl, c in d_letter.get(a, ()):
                 new = w[:i] + repl + w[i + 1:]
-                nk = key_of.get(new) if new else key(new, w[0][0])
+                nk = by_name.get(new) if new else units[k[0]]
                 if nk is None:
                     dropped = True
                     continue
@@ -382,11 +374,11 @@ def free_category(
     Built by ``_path_category`` on the generators: the basis is the
     composable generator words, named by their tuples of generator names,
     so names must be globally unique.  ``d_gen`` sends generator keys to
-    word vectors and extends as a derivation.  d^2 = 0 is the caller's
-    obligation; ``validate`` checks.
+    word vectors and extends as a derivation; a word key of a value is
+    read by its tuple of names.  d^2 = 0 is the caller's obligation;
+    ``validate`` checks.
     """
-    by_name = {k[3]: k for k in generators.keys()}
-    if len(by_name) != generators.total_dim():
+    if len({k[3] for k in generators.keys()}) != generators.total_dim():
         raise ValueError("free_category needs globally unique generator names")
 
     # object-level acyclicity so the word basis is finite
@@ -398,10 +390,11 @@ def free_category(
     if has_cycle(succ):
         raise ValueError("generator quiver has a directed cycle")
 
-    d_letter = {
-        k: [(tuple(by_name[a] for a in wk[3]), c) for wk, c in v.items()]
-        for k, v in (d_gen or {}).items()
-    }
+    d_letter = {}
+    for k, v in (d_gen or {}).items():
+        if not generators.has_key(k):
+            raise ValueError(f"d_gen has an entry on {k!r}, not a generator")
+        d_letter[k[3]] = [(wk[3], c) for wk, c in v.items()]
     cat, _, dropped = _path_category(
         field, generators.objects, list(generators.keys()), d_letter)
     if dropped is not None:

@@ -15,10 +15,10 @@ each:
   ``quiver_tensor`` does, on pairwise objects with degree-tagged names;
   ``lkey(ck, y)`` and ``rkey(x, dk)`` are the pointed-coalgebra keys with
   a grouplike leg ("G", y) on the right or ("G", x) on the left;
-- ``composable_words``: paths of letters, shortest first, as cobar and
-  free categories use them, built only within a length cap and a letter
-  weight budget (bar and cotensor coalgebras list the same words on the
-  integer trie of ``coalgebra._deconcatenation``);
+- ``word_trie``: composable words of letters on an integer trie,
+  shortest first, built only within a length cap and a letter weight
+  budget, with their deconcatenation.  Bar and cotensor coalgebras store
+  that as rDelta; cobar and free categories compose by its transpose;
 - ``object_maps``: every map of object sets in ``itertools.product``
   order, with the ``max_objects`` guard;
 - ``has_cycle``: the directed-cycle check behind every finiteness
@@ -31,9 +31,10 @@ from itertools import product
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
+from .field import Field
+
 Slot = Tuple[object, object, int]  # (src, tgt, degree)
 Key = Tuple[object, object, int, object]  # (src, tgt, degree, name)
-Word = Tuple[Key, ...]  # composable keys, applied left to right
 
 
 class GradedQuiver:
@@ -117,53 +118,81 @@ def rkey(x, dk: Key) -> Key:
     return ((x, dk[0]), (x, dk[1]), dk[2], (("G", x), (dk[2], dk[3])))
 
 
-def composable_words(letters: Sequence[Key], max_len: Optional[int],
-                     weights: Optional[Mapping[Key, int]] = None,
-                     max_weight: Optional[int] = None
-                     ) -> Tuple[List[Word], bool]:
-    """Words of letters composable end to end, shortest first, within at
-    most ``max_len`` letters and ``max_weight`` summed letter ``weights``;
-    and whether a cap cut the composite of two listed words.
+def word_trie(field: Field, objects: Sequence, letters: Sequence[Key],
+              max_len: Optional[int] = None,
+              weights: Optional[Mapping[Key, int]] = None,
+              max_weight: Optional[int] = None):
+    """Words of letters (src, tgt, degree, name) composable end to end,
+    shortest first, of at most ``max_len`` letters and ``max_weight``
+    summed letter ``weights``, keyed (src, tgt, degree sum, tuple of
+    names); letter names must tell letters apart.  Returns their quiver,
+    rDelta (a split at each interior position), the trie (keys, first,
+    out, rank) and ``cut``: whether a cap dropped a letter or the
+    composite of two listed words.
 
-    Each length lists the extensions of the previous length's words in
-    their order, each extended by the letters in ``letters`` order.  Each
-    object keeps one list of outgoing letters per remaining weight
-    budget up to the heaviest letter's weight, and a word of weight n
-    extends only by the list for budget ``max_weight - n``, so no word
-    past a cap is ever built.  Without ``max_len`` the letter graph must
-    be acyclic, or ``max_weight`` set and every weight at least 1, else
-    this does not terminate.
+    ``keys`` lists the words by id.  Each object keeps one list of
+    outgoing letters per remaining weight budget (up to the heaviest
+    letter's weight), in ``letters`` order.  A word h of budget b extends
+    by that list only, so no word past a cap is built, and h.a is
+    ``first[h] + rank[b][a]``.  The tail of h.a is the tail of h extended
+    by a; each word key is built once, and the prefix and suffix key
+    lists behind rDelta are kept below the cap only, with the word's
+    budget where it is not 0 (never without a weight cap).  ``out`` (the
+    letters leaving each object) and ``rank`` come back for the largest
+    budget: with no weight cap that is the only one, and letter i is
+    word i.  Without ``max_len`` the letter graph must be acyclic, or
+    ``max_weight`` set and every weight at least 1.
     """
     top = max_weight or 0  # no weight cap: every weight counts as 0
     wt = [0 if max_weight is None else weights[k] for k in letters]
     heavy = min(top, max(wt, default=0))  # budgets past it share a list
-    fits: Dict[object, List[List[Tuple[Key, int]]]] = {}
-    for k, n in zip(letters, wt):
-        lists = fits.setdefault(k[0], [[] for _ in range(heavy + 1)])
+    fits = [{x: [] for x in objects} for _ in range(heavy + 1)]
+    rank = [[None] * len(letters) for _ in range(heavy + 1)]
+    keys: List[Key] = []
+    lid: List[Optional[int]] = [None] * len(letters)  # word id of a letter
+    rows = []  # per word below the cap: tail, prefixes, suffixes
+    rests = {}  # word id -> remaining weight budget, where it is not 0
+    for i, (a, n) in enumerate(zip(letters, wt)):
         for b in range(n, heavy + 1):
-            lists[b].append((k, n))
-    words: List[Word] = []
-    frontier = [(k,) for k, n in zip(letters, wt) if n <= top]
-    weight = [n for n in wt if n <= top]  # of each frontier word
-    cut = False
-    length = 1
-    while frontier and (max_len is None or length <= max_len):
-        words.extend(frontier)
-        if length == max_len:
-            return words, cut or any(fits[w[-1][1]][-1] for w in frontier
-                                     if w[-1][1] in fits)
-        nxt, nweight = [], []
-        for w, n in zip(frontier, weight):
-            lists = fits.get(w[-1][1])
-            if lists:
-                fit = lists[min(top - n, heavy)]
-                cut = cut or len(fit) < len(lists[-1])
-                for k, m in fit:
-                    nxt.append(w + (k,))
-                    nweight.append(n + m)
-        frontier, weight = nxt, nweight
-        length += 1
-    return words, cut
+            rank[b][i] = len(fits[b][a[0]])
+            fits[b][a[0]].append(i)
+        if n <= top and max_len != 0:
+            lid[i] = len(keys)
+            if n < top:
+                rests[len(keys)] = top - n
+            keys.append(a[:3] + ((a[3],),))
+            rows.append((None, keys[-1:], keys[-1:]))
+    cut = len(keys) < len(letters)
+    comult: Dict[Key, Dict[Tuple[Key, Key], object]] = {}
+    first: List[int] = []
+    for h, hk in enumerate(keys):  # keys grows as h runs: shortest first
+        if len(hk[3]) == max_len:
+            cut = cut or any(fits[heavy][keys[i][1]]
+                             for i in range(h, len(keys)))
+            break
+        th, pre, _ = rows[h]
+        rest = rests.get(h, 0)
+        fit = fits[min(rest, heavy)][hk[1]]
+        cut = cut or len(fit) < len(fits[heavy][hk[1]])
+        # h's tail t (the empty word for a letter): t.a is base + trank[a]
+        base, trank = ((0, lid) if th is None else
+                       (first[th], rank[min(rests.get(th, 0), heavy)]))
+        first.append(len(keys))
+        for a in fit:
+            t = base + trank[a]
+            _, y, n, name = letters[a]
+            key = (hk[0], y, hk[2] + n, hk[3] + (name,))
+            comult[key] = dict.fromkeys(zip(pre, rows[t][2]), field.one)
+            if max_len is None or len(key[3]) < max_len:
+                rows.append((t, pre + [key], [key] + rows[t][2]))
+                if rest > wt[a]:
+                    rests[len(keys)] = rest - wt[a]
+            keys.append(key)
+    slots: Dict[Slot, List] = {}
+    for k in keys:
+        slots.setdefault(k[:3], []).append(k[3])
+    return (GradedQuiver(objects, slots), comult,
+            (keys, first, fits[heavy], rank[heavy]), cut)
 
 
 def object_maps(sources: Sequence, targets: Sequence,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulcat import dgcat
+from koszulcat import barcobar, dgcat
 from koszulcat.barcobar import (
     CobarResult,
     Splitting,
@@ -23,9 +23,11 @@ from koszulcat.barcobar import (
 )
 from koszulcat.coalgebra import FinalCoalgebra, zero_coalgebra
 from koszulcat.convmc import convolution_category
-from koszulcat.dgcat import empty_category, zero_category
-from koszulcat.field import GF, QQ, vec_addmul
-from koszulcat.randgen import random_coalgebra, random_dg_category
+from koszulcat.dgcat import empty_category, free_category, zero_category
+from koszulcat.field import GF, QQ, vec_addmul, vec_bump
+from koszulcat.quiver import GradedQuiver
+from koszulcat.randgen import (random_coalgebra, random_dg_category,
+                               random_free_category)
 from koszulcat.samples import (
     CATEGORY_LIBRARY,
     COALGEBRA_LIBRARY,
@@ -137,24 +139,81 @@ def test_cobar_over_q_reduces_to_cobar_over_f3(name):
     assert mod3(cq.diff) == c3.diff
 
 
-def _cobar_tables(res):
-    cat = res.category
+def oracle_path_category(field, objects, letters, d_letter, max_len=None,
+                         weights=None, max_weight=None):
+    """``dgcat._path_category`` without the word trie: the words come from
+    ``keep_listing`` as tuples of letters, each split is rebuilt by
+    slicing and looked up in ``key_of``, and so is each replacement word
+    of d, letter by letter.  Same arguments and results."""
+    F = field
+    words, comp_truncated = keep_listing(letters, max_len, weights,
+                                         max_weight)
+    slots = {(x, x, 0): [()] for x in objects}
+    key_of = {}
+    for w in words:
+        k = (w[0][0], w[-1][1], sum(a[2] for a in w), tuple(a[3] for a in w))
+        key_of[w] = k
+        slots.setdefault(k[:3], []).append(k[3])
+
+    def key(w, at):
+        return key_of[w] if w else (at, at, 0, ())
+
+    unit, comp = {}, {}
+    for x in objects:
+        u = key((), x)
+        unit[x] = {u: F.one}
+        comp[(u, u)] = {u: F.one}
+    for w, k in key_of.items():
+        for i in range(len(w) + 1):
+            at = w[i - 1][1] if i else w[0][0]
+            # comp[(g, f)] = g after f: f = w[:i] runs first
+            comp[(key(w[i:], at), key(w[:i], at))] = {k: F.one}
+
+    by_name = {a[3]: a for a in letters}
+    diff = {}
+    trunc_min_len = None
+    for w, k in key_of.items():
+        out = {}
+        dropped = False
+        for i, a in enumerate(w):
+            sign = sum(b[2] for b in w[i + 1:]) % 2
+            for repl, c in d_letter.get(a[3], ()):
+                new = w[:i] + tuple(by_name.get(n) for n in repl) + w[i + 1:]
+                nk = key_of.get(new) if new else key(new, w[0][0])
+                if nk is None:
+                    dropped = True
+                    continue
+                vec_bump(F, out, nk, F.neg(c) if sign else c)
+        if dropped and trunc_min_len is None:
+            trunc_min_len = len(w)
+        if out:
+            diff[k] = out
+    cat = dgcat.DgCategory(F, GradedQuiver(objects, slots), unit, comp,
+                           diff=diff)
+    return cat, comp_truncated, trunc_min_len
+
+
+def _category_tables(cat):
     return (list(cat.quiver.slots.items()), list(cat.unit.items()),
             list(cat.comp.items()), list(cat.diff.items()),
-            list(cat.curvature.items()), res.exact, res.trunc_min_len,
+            list(cat.curvature.items()))
+
+
+def _cobar_tables(res):
+    return (_category_tables(res.category), res.exact, res.trunc_min_len,
             res.comp_truncated)
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F3], ids=["q", "f2", "f3"])
 def test_cobar_word_weights_match_summed_rule(field, monkeypatch):
-    """Listing each word within its weight budget keeps every cobar
-    table, values and insertion order, and the exactness flags, as
-    filtering every candidate by its re-summed weight did
-    (``keep_listing``).  The cases are the coalgebra library and the bars
-    of every uncurved sample up to weight 5, under length-only,
-    weight-only and combined caps.  The oracle extends every word by
-    every letter, so bars past 160 letters and length-only caps past
-    1,000 words are left out."""
+    """Listing each word on the trie, within its weight budget, keeps
+    every cobar table, values and insertion order, and the exactness
+    flags, as ``oracle_path_category`` does, which filters every
+    candidate by its re-summed weight.  The cases are the coalgebra
+    library and the bars of every uncurved sample up to weight 5, under
+    length-only, weight-only and combined caps.  The oracle extends
+    every word by every letter, so bars past 160 letters and length-only
+    caps past 1,000 words are left out."""
     cases = [(COALGEBRA_LIBRARY[n](field), cap)
              for n in sorted(COALGEBRA_LIBRARY)
              for cap in [dict(length_cap=3), dict(weight_cap=3),
@@ -172,9 +231,37 @@ def test_cobar_word_weights_match_summed_rule(field, monkeypatch):
                      if n_letters ** k <= 1000]
             cases += [(bar, cap) for cap in caps]
     got = [_cobar_tables(cobar_construction(c, **cap)) for c, cap in cases]
-    monkeypatch.setattr(dgcat, "composable_words", keep_listing)
+    monkeypatch.setattr(barcobar, "_path_category", oracle_path_category)
     for i, (c, cap) in enumerate(cases):
         assert got[i] == _cobar_tables(cobar_construction(c, **cap)), (i, cap)
+
+
+def _free_categories(field):
+    """Seeded random free categories, then two with a differential (the
+    random ones seldom have one): odd generators a, b with d(a) = da,
+    and a, b: 0 -> 1 and c: 1 -> 2 with d(a) = -b."""
+    cats = [random_free_category(field, random.Random(s)) for s in range(40)]
+    gen = GradedQuiver(("x", "y", "z"), {
+        ("x", "y", 1): ("a",), ("x", "y", 2): ("da",), ("y", "z", 1): ("b",)})
+    cats.append(free_category(field, gen, {
+        ("x", "y", 1, "a"): {("x", "y", 2, ("da",)): field.one}}))
+    gen = GradedQuiver(("0", "1", "2"), {
+        ("0", "1", -1): ("a",), ("0", "1", 0): ("b",), ("1", "2", 0): ("c",)})
+    cats.append(free_category(field, gen, {
+        ("0", "1", -1, "a"): {("0", "1", 0, ("b",)): field.coerce(-1)}}))
+    return cats
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["q", "f3"])
+def test_free_categories_match_oracle(field, monkeypatch):
+    """Free categories keep their tables, values and insertion order,
+    under ``oracle_path_category``."""
+    got = [_category_tables(c) for c in _free_categories(field)]
+    monkeypatch.setattr(dgcat, "_path_category", oracle_path_category)
+    want = [_category_tables(c) for c in _free_categories(field)]
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, i
+    assert got[-1][3] and got[-2][3]
 
 
 @pytest.mark.parametrize("name, cap, words, comp_entries", [

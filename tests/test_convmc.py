@@ -591,6 +591,31 @@ def test_functor_enumeration_refuses_truncation():
         enumerate_dg_functors(cob, CATEGORY_LIBRARY["a2"](F2))
 
 
+@pytest.mark.parametrize("tensor, cap, target, n_mc", [
+    (False, dict(length_cap=0), "dual_numbers", 9),
+    (False, dict(weight_cap=0), "dual_numbers", 9),
+    (False, dict(length_cap=0), "trunc_poly3", 27),
+    (False, dict(weight_cap=0), "trunc_poly3", 27),
+    # tensor keys weigh 2 each, so a weight cap of 1 keeps none
+    (True, dict(weight_cap=1), "dual_numbers", 81),
+], ids=["len0-dual", "wt0-dual", "len0-trunc3", "wt0-trunc3", "tensor-wt1"])
+def test_cobar_without_its_letters_is_not_exact(tensor, cap, target, n_mc):
+    """A cap that drops letters loses cobar generators, so functors out
+    of what is left do not count MC elements: the one functor that kills
+    everything is all that remains.  The cobar says it is not exact, and
+    the functor search refuses it."""
+    c = COALGEBRA_LIBRARY["neg_primitive"](F3)
+    if tensor:
+        c = tensor_coalgebras(c, c)
+    d = CATEGORY_LIBRARY[target](F3)
+    assert len(mc_enumerate(c, d)) == n_mc
+    cob = cobar_construction(c, **cap)
+    assert all(k[3] == () for k in cob.category.quiver.keys())
+    assert not cob.exact and cob.comp_truncated
+    with pytest.raises(ValueError, match="exact"):
+        enumerate_dg_functors(cob, d)
+
+
 def test_morphism_enumeration_refuses_small_cap():
     c = COALGEBRA_LIBRARY["dag"](F2)
     bar = bar_construction(CATEGORY_LIBRARY["a2"](F2), 1)

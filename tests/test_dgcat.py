@@ -7,6 +7,7 @@ wrong sign cannot hide.
 """
 
 import random
+import re
 
 import pytest
 
@@ -226,6 +227,21 @@ def test_free_category_rejects_loops_and_cycles():
     with pytest.raises(ValueError, match="word basis"):
         free_category(QQ, gen, {("x", "y", 0, "a"): {
             ("x", "z", 1, ("b", "a")): QQ.one}})
+
+
+def test_free_category_rejects_d_gen_off_the_generators():
+    gen = GradedQuiver(
+        ("x", "y"), {("x", "y", 0): ("f",), ("x", "y", -1): ("s",)}
+    )
+    word_f = ("x", "y", 0, ("f",))
+    # an entry on a key that is no generator: a wrong degree, a new name
+    for key in [("x", "y", 0, "s"), ("x", "y", -1, "q")]:
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            free_category(QQ, gen, {key: {word_f: QQ.one}})
+    # a value naming a generator that does not exist
+    with pytest.raises(ValueError, match="word basis"):
+        free_category(QQ, gen, {("x", "y", -1, "s"): {
+            ("x", "y", 0, ("q",)): QQ.one}})
 
 
 # -- tensor and opposite -----------------------------------------------------

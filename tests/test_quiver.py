@@ -2,7 +2,8 @@
 
 The tensor oracle is deliberately dumb: Kuenneth dimension sums written
 out longhand.  The word oracle ``keep_listing`` is the listing without
-weight budgets: it builds every extension and filters it afterwards.
+the word trie or weight budgets: it builds every extension and filters
+it afterwards.
 """
 
 import random
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulcat.quiver import GradedQuiver, composable_words, quiver_tensor
+from koszulcat.field import QQ
+from koszulcat.quiver import GradedQuiver, quiver_tensor, word_trie
 
 
 def small_quiver(rng, max_objects=2, max_dim=2, degs=(-1, 0, 1)):
@@ -115,10 +117,11 @@ def test_tensor_total_dim_multiplicative(seed):
 
 
 def keep_listing(letters, max_len, weights=None, max_weight=None):
-    """``composable_words`` by extending every word by every letter that
-    leaves its target and dropping the candidates ``keep`` refuses, each
-    weight summed afresh.  A cap cut a composite when a stored word
-    extended by a stored letter fails ``keep``."""
+    """The words of ``word_trie`` as tuples of letters, by extending
+    every word by every letter that leaves its target and dropping the
+    candidates ``keep`` refuses, each weight summed afresh.  A cap cut
+    when a letter, or a stored word extended by a stored letter, fails
+    ``keep``."""
     def keep(w):
         return ((max_len is None or len(w) <= max_len)
                 and (max_weight is None
@@ -137,37 +140,50 @@ def keep_listing(letters, max_len, weights=None, max_weight=None):
     for w in words:
         if len(w) == 1:
             stored.setdefault(w[0][0], []).append(w[0])
-    cut = any(not keep(w + (a,)) for w in words
-              for a in stored.get(w[-1][1], ()))
+    cut = (not all(keep((k,)) for k in letters)
+           or any(not keep(w + (a,)) for w in words
+                  for a in stored.get(w[-1][1], ())))
     return words, cut
 
 
-def test_composable_words_stop_at_max_len():
+def trie_listing(letters, max_len, weights=None, max_weight=None):
+    """``word_trie``'s words as tuples of letters, and its ``cut``."""
+    objects = tuple(dict.fromkeys(x for a in letters for x in a[:2]))
+    by_name = {a[3]: a for a in letters}
+    _, _, (keys, _, _, _), cut = word_trie(QQ, objects, letters, max_len,
+                                           weights, max_weight)
+    return [tuple(by_name[n] for n in k[3]) for k in keys], cut
+
+
+def test_word_trie_stops_at_caps():
     # a -> b -> a and a loop at a: words of every length exist, so the
     # listing ends only because no word past a cap is ever built
     letters = [("a", "b", 0, "f"), ("b", "a", 1, "g"), ("a", "a", 0, "h"),
                ("b", "c", 0, "x")]
-    words, cut = composable_words(letters, 2)
+    words, cut = trie_listing(letters, 2)
     assert [len(w) for w in words] == [1, 1, 1, 1, 2, 2, 2, 2, 2, 2]
     assert cut
     weights = dict(zip(letters, [1, 2, 1, 3]))
     for max_len, max_weight in [(2, None), (None, 0), (None, 1), (None, 4),
                                 (0, 3), (1, 3), (3, 3), (2, 4), (4, 2)]:
-        words, cut = composable_words(letters, max_len, weights, max_weight)
+        words, cut = trie_listing(letters, max_len, weights, max_weight)
         for w in words:
             assert max_len is None or len(w) <= max_len
             assert max_weight is None or \
                 sum(weights[a] for a in w) <= max_weight
         assert (words, cut) == keep_listing(letters, max_len, weights,
                                             max_weight), (max_len, max_weight)
+    # a cap that drops a letter cuts, even with no composite to drop
+    assert trie_listing(letters, 0) == ([], True)
+    assert trie_listing(letters[3:], 1, weights, 2) == ([], True)
+    assert trie_listing(letters[3:], 1, weights, 3) == ([(letters[3],)], False)
     # a word cut below max_len still counts when max_len ends the listing:
     # a cannot take b, and the one two-letter word (a, c) ends at w
     a, b, c = ("x", "y", 0, "a"), ("y", "z", 0, "b"), ("y", "w", 0, "c")
     weights = {a: 1, b: 3, c: 1}
     for max_len in (2, 3, None):
-        got = composable_words([a, b, c], max_len, weights, 3)
+        got = trie_listing([a, b, c], max_len, weights, 3)
         assert got == ([(a,), (b,), (c,), (a, c)], True)
         assert got == keep_listing([a, b, c], max_len, weights, 3)
     # weights count only under a weight cap
-    assert composable_words(letters, 3, weights) == \
-        composable_words(letters, 3)
+    assert trie_listing(letters, 3, weights) == trie_listing(letters, 3)

@@ -1,11 +1,12 @@
 """Bar and cotensor coalgebras against their word-by-word reference loops.
 
-Both constructions share one deconcatenation builder.  It lists the
-words on an integer trie (ids in word order, the extensions of a word in
-one block) and builds each word key once, and the bar builds d(w'.a)
-from d(w') on word ids, splitting each letter and each two-letter word
-once.  The oracles below recompute everything at every position of
-every word, with every word degree summed afresh.  Slots,
+Both constructions share the word lister ``quiver.word_trie``.  It lists
+the words on an integer trie (ids in word order, the extensions of a
+word in one block) and builds each word key once, and the bar builds
+d(w'.a) from d(w') on word ids, splitting each letter and each
+two-letter word once.  The oracles below list their words with
+``keep_listing``, which uses no trie, and recompute everything at every
+position of every word, with every word degree summed afresh.  Slots,
 comultiplication, differential and curvature must come out equal, in
 dict order, on the sample library (weight caps 0 to 3), on seeded random
 categories, under custom unit complements, on the bar of an MC category,
@@ -23,9 +24,10 @@ from koszulcat.barcobar import Splitting, bar_construction
 from koszulcat.coalgebra import PointedCoalgebra, cotensor_coalgebra
 from koszulcat.convmc import mc_category
 from koszulcat.field import GF, QQ, vec_bump
-from koszulcat.quiver import GradedQuiver, composable_words
+from koszulcat.quiver import GradedQuiver
 from koszulcat.randgen import random_dg_category, random_word_coalgebra
 from koszulcat.samples import CATEGORY_LIBRARY, COALGEBRA_LIBRARY, dual_numbers
+from test_quiver import keep_listing
 
 F2, F3 = GF(2), GF(3)
 
@@ -46,7 +48,7 @@ def oracle_bar(cat, weight_cap, sp):
     diff = {}
     curv = {}
     minus_one = F.neg(F.one)
-    for w in composable_words(sp.letters, weight_cap)[0]:
+    for w in keep_listing(sp.letters, weight_cap)[0]:
         wk = _word_key(w, -1)
         slots.setdefault((wk[0], wk[1], wk[2]), []).append(w)
         if len(w) > 1:
@@ -87,7 +89,7 @@ def oracle_bar(cat, weight_cap, sp):
 
 
 def oracle_cotensor(field, generators, max_weight):
-    words, _ = composable_words(list(generators.keys()), max_weight)
+    words, _ = keep_listing(list(generators.keys()), max_weight)
 
     def wkey(w):
         return (w[0][0], w[-1][1], sum(k[2] for k in w),
@@ -185,7 +187,7 @@ def test_bar_splits_each_letter_and_pair_once(name, cap):
     pairs = [k for k in bar.reduced.keys() if len(k[3]) == 2]
     assert len(calls) == len(sp.letters) + len(pairs)
     if cap >= 2:
-        words, _ = composable_words(sp.letters, 2)
+        words, _ = keep_listing(sp.letters, 2)
         assert len(pairs) == len(words) - len(sp.letters)
 
 
