@@ -196,7 +196,7 @@ def bar_construction(
 
     sp = splitting if splitting is not None else Splitting(cat)
     letters = sp.letters
-    quiver, comult, (keys, first, out, rank), _ = word_trie(
+    quiver, comult, (keys, first, out, rank, _), _ = word_trie(
         F, cat.quiver.objects, [(k[0], k[1], k[2] - 1, k) for k in letters],
         weight_cap)
     ids = {k: i for i, k in enumerate(letters)}

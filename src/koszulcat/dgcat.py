@@ -33,6 +33,7 @@ reduced part of a coalgebra, under its length and weight caps.
 
 from __future__ import annotations
 
+from itertools import chain, takewhile
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import BoundedComplex
@@ -317,14 +318,15 @@ def _path_category(
         d(a_1 .. a_n) = sum_i (-1)^{|a_{i+1}| + .. + |a_n|} a_1 .. d(a_i) .. a_n
 
     matching d(g o f) = dg o f + (-1)^|g| g o df, and drops every term
-    whose word is not stored.
+    whose word is not stored, or whose replacement is no word from the
+    letter's source to its target.
 
     Returns the category, whether a cap dropped a letter or a composite
     of stored words, and the shortest word whose differential dropped a
     term (None if none did).
     """
     F = field
-    _, splits, (words, _, _, _), comp_truncated = word_trie(
+    _, splits, (words, first, _, _, grow), comp_truncated = word_trie(
         F, objects, letters, max_len, weights, max_weight)
     units = {x: (x, x, 0, ()) for x in objects}
     slots = {(x, x, 0): [()] for x in objects}
@@ -338,26 +340,71 @@ def _path_category(
             comp[(g, f)] = {k: F.one}
         comp[(units[k[1]], k)] = {k: F.one}
 
-    degree = {a[3]: a[2] for a in letters}
-    by_name = {k[3]: k for k in words}
+    # d on word ids: the terms of d(p.a) are those of d(p), each word
+    # extended by a and its sign flipped by |a|, then p.d(a).  They stay
+    # unsummed, as (word id or -1 for the unit, coefficient, odd sign), so
+    # each word sums them in the order of the rule above.
+    pos = {a[3]: i for i, a in enumerate(letters)}
+    lid: List[Optional[int]] = [None] * len(letters)  # word id of a letter
+    for w, k in enumerate(takewhile(lambda k: len(k[3]) == 1, words)):
+        lid[pos[k[3][0]]] = w
+
+    def ext(v: int, a: int) -> Optional[int]:
+        """The id of the stored word v.a (v = -1: the empty word), or None."""
+        if v < 0:
+            return lid[a]
+        if v < len(first) and grow[v][1][a] is not None:
+            return first[v] + grow[v][1][a]
+        return None
+
+    def letter_ids(x, y, repl) -> Optional[List[int]]:
+        """The letter ids of ``repl`` if it is a word from x to y."""
+        ids = [pos.get(name) for name in repl]
+        if None in ids or ([x] + [letters[i][1] for i in ids]
+                           != [letters[i][0] for i in ids] + [y]):
+            return None
+        return ids
+
+    d_ids = [[(letter_ids(x, y, repl), c) for repl, c in d_letter.get(name, ())]
+             for x, y, _, name in letters]
+    steps = chain(
+        ((w, -1, a) for a, w in enumerate(lid) if w is not None),
+        ((first[h] + j, h, a) for h, (fit, _) in enumerate(grow)
+         for j, a in enumerate(fit)))
+    rows: List[list] = []  # the terms of each word below the length cap
     diff: Dict[Key, Vec] = {}
     trunc_min_len: Optional[int] = None
-    for k in words:
-        w = k[3]
-        out: Vec = {}
+    for w, p, a in steps:  # word w = p.a, in id order
+        # whether a term of d(w) is lost; where d(p) lost one too,
+        # trunc_min_len is already at most len(p)
         dropped = False
-        tail = k[2]  # degree of the letters after position i
-        for i, a in enumerate(w):
-            tail -= degree[a]
-            for repl, c in d_letter.get(a, ()):
-                new = w[:i] + repl + w[i + 1:]
-                nk = by_name.get(new) if new else units[k[0]]
-                if nk is None:
-                    dropped = True
-                    continue
-                vec_bump(F, out, nk, F.neg(c) if tail % 2 else c)
+        odd = letters[a][2] % 2
+        new = []
+        for v, c, s in rows[p] if p >= 0 else ():
+            u = ext(v, a)
+            if u is None:
+                dropped = True
+            else:
+                new.append((u, c, s ^ odd))
+        for ids, c in d_ids[a]:
+            u = p
+            for b in ids or ():
+                u = ext(u, b)
+                if u is None:
+                    break
+            if ids is None or u is None:
+                dropped = True
+            else:
+                new.append((u, c, 0))
+        if w < len(first):
+            rows.append(new)
+        k = words[w]
         if dropped and trunc_min_len is None:
-            trunc_min_len = len(w)  # words come shortest first
+            trunc_min_len = len(k[3])  # words come shortest first
+        out: Vec = {}
+        for v, c, s in new:
+            vec_bump(F, out, words[v] if v >= 0 else units[k[0]],
+                     F.neg(c) if s else c)
         if out:
             diff[k] = out
     cat = DgCategory(F, GradedQuiver(objects, slots), unit, comp, diff=diff)
@@ -375,7 +422,8 @@ def free_category(
     composable generator words, named by their tuples of generator names,
     so names must be globally unique.  ``d_gen`` sends generator keys to
     word vectors and extends as a derivation; a word key of a value is
-    read by its tuple of names.  d^2 = 0 is the caller's obligation;
+    read by its tuple of names, which must compose between the
+    generator's objects.  d^2 = 0 is the caller's obligation;
     ``validate`` checks.
     """
     if len({k[3] for k in generators.keys()}) != generators.total_dim():

@@ -1,7 +1,8 @@
 """Exact scalar arithmetic for the coefficient fields.
 
-Two kinds of field are supported: the rationals (values are
-``fractions.Fraction``) and prime fields GF(p) (values are ints reduced into
+Two kinds of field are supported: the rationals (values are ``int`` when
+integral and ``fractions.Fraction`` otherwise, so most arithmetic runs on
+machine ints) and prime fields GF(p) (values are ints reduced into
 ``range(p)``).  A ``Field`` instance bundles the arithmetic so matrices,
 complexes and structure tables never branch on the characteristic.
 
@@ -81,26 +82,35 @@ class Field:
 
 
 class _Rationals(Field):
+    """Q with each value in one canonical form: an ``int`` when it is
+    integral, a ``Fraction`` otherwise.  The methods do not call one
+    another, so every counted operation is one call."""
+
     char = 0
     name = "q"
     size = None
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
+        if type(x) is int:
             return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into Q")
+        if not isinstance(x, (int, Fraction, str)):
+            raise TypeError(f"cannot coerce {x!r} into Q")
+        x = x if type(x) is Fraction else Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        if type(c) is int:
+            return c
+        return c.numerator if c.denominator == 1 else c
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        if type(c) is int:
+            return c
+        return c.numerator if c.denominator == 1 else c
 
     def neg(self, a):
         return -a
@@ -108,14 +118,15 @@ class _Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        c = Fraction(1, a) if type(a) is int else 1 / a
+        return c.numerator if c.denominator == 1 else c
 
     def random(self, rng, nonzero: bool = False):
         # small numerators/denominators keep downstream elimination readable
         while True:
             v = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2, 3)))
             if v != 0 or not nonzero:
-                return v
+                return v.numerator if v.denominator == 1 else v
 
     def to_json(self, a):
         return str(a) if a.denominator != 1 else a.numerator
@@ -241,7 +252,7 @@ def vec_addmul(field: Field, a: Vec, s, b: Vec) -> Vec:
 def vec_bump(field: Field, out: Vec, key, s) -> None:
     """In-place out[key] += s, dropping the entry if it cancels.  A fresh
     key stores ``field.coerce(s)``: the value of zero plus s, without
-    the Fraction sum over QQ."""
+    the field sum."""
     t = out.get(key)
     s = field.coerce(s) if t is None else field.add(t, s)
     if field.is_zero(s):
@@ -263,8 +274,8 @@ def _same_field(a, b, what: str) -> None:
 def _normalize(table: Dict) -> Dict:
     """Drop zero coefficients and empty entries of ``table`` in place.
 
-    Zero is 0 in every field here (``Fraction(0) == 0``), so this needs no
-    field, and a Maurer-Cartan element, which carries none, uses it too.
+    Zero is the int 0 in every field here, so this needs no field, and a
+    Maurer-Cartan element, which carries none, uses it too.
     """
     dead = []
     for k, v in table.items():

@@ -127,21 +127,24 @@ def word_trie(field: Field, objects: Sequence, letters: Sequence[Key],
     summed letter ``weights``, keyed (src, tgt, degree sum, tuple of
     names); letter names must tell letters apart.  Returns their quiver,
     rDelta (a split at each interior position), the trie (keys, first,
-    out, rank) and ``cut``: whether a cap dropped a letter or the
+    out, rank, grow) and ``cut``: whether a cap dropped a letter or the
     composite of two listed words.
 
     ``keys`` lists the words by id.  Each object keeps one list of
     outgoing letters per remaining weight budget (up to the heaviest
     letter's weight), in ``letters`` order.  A word h of budget b extends
     by that list only, so no word past a cap is built, and h.a is
-    ``first[h] + rank[b][a]``.  The tail of h.a is the tail of h extended
-    by a; each word key is built once, and the prefix and suffix key
-    lists behind rDelta are kept below the cap only, with the word's
-    budget where it is not 0 (never without a weight cap).  ``out`` (the
-    letters leaving each object) and ``rank`` come back for the largest
-    budget: with no weight cap that is the only one, and letter i is
-    word i.  Without ``max_len`` the letter graph must be acyclic, or
-    ``max_weight`` set and every weight at least 1.
+    ``first[h] + rank[b][a]``; ``grow[h]`` is that (list, rank[b]) pair
+    for each word h below the length cap, in id order, so the words
+    h.a are ``first[h] + j`` for the j-th letter of the list.  The tail
+    of h.a is the tail of h extended by a; each word key is built once,
+    and the prefix and suffix key lists behind rDelta are kept below the
+    cap only, with the word's budget where it is not 0 (never without a
+    weight cap).  ``out`` (the letters leaving each object) and ``rank``
+    come back for the largest budget: with no weight cap that is the
+    only one, and letter i is word i.  Without ``max_len`` the letter
+    graph must be acyclic, or ``max_weight`` set and every weight at
+    least 1.
     """
     top = max_weight or 0  # no weight cap: every weight counts as 0
     wt = [0 if max_weight is None else weights[k] for k in letters]
@@ -165,6 +168,7 @@ def word_trie(field: Field, objects: Sequence, letters: Sequence[Key],
     cut = len(keys) < len(letters)
     comult: Dict[Key, Dict[Tuple[Key, Key], object]] = {}
     first: List[int] = []
+    grow: List[Tuple[List[int], List[Optional[int]]]] = []
     for h, hk in enumerate(keys):  # keys grows as h runs: shortest first
         if len(hk[3]) == max_len:
             cut = cut or any(fits[heavy][keys[i][1]]
@@ -175,9 +179,9 @@ def word_trie(field: Field, objects: Sequence, letters: Sequence[Key],
         fit = fits[min(rest, heavy)][hk[1]]
         cut = cut or len(fit) < len(fits[heavy][hk[1]])
         # h's tail t (the empty word for a letter): t.a is base + trank[a]
-        base, trank = ((0, lid) if th is None else
-                       (first[th], rank[min(rests.get(th, 0), heavy)]))
+        base, trank = (0, lid) if th is None else (first[th], grow[th][1])
         first.append(len(keys))
+        grow.append((fit, rank[min(rest, heavy)]))
         for a in fit:
             t = base + trank[a]
             _, y, n, name = letters[a]
@@ -192,7 +196,7 @@ def word_trie(field: Field, objects: Sequence, letters: Sequence[Key],
     for k in keys:
         slots.setdefault(k[:3], []).append(k[3])
     return (GradedQuiver(objects, slots), comult,
-            (keys, first, fits[heavy], rank[heavy]), cut)
+            (keys, first, fits[heavy], rank[heavy], grow), cut)
 
 
 def object_maps(sources: Sequence, targets: Sequence,

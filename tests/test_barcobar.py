@@ -21,7 +21,7 @@ from koszulcat.barcobar import (
     bar_construction,
     cobar_construction,
 )
-from koszulcat.coalgebra import FinalCoalgebra, zero_coalgebra
+from koszulcat.coalgebra import FinalCoalgebra, PointedCoalgebra, zero_coalgebra
 from koszulcat.convmc import convolution_category
 from koszulcat.dgcat import empty_category, free_category, zero_category
 from koszulcat.field import GF, QQ, vec_addmul, vec_bump
@@ -349,6 +349,27 @@ def test_cobar_dag_exact():
              if len(k[3]) == 1 and k[3][0][3] == "m"]
     (dv,) = res.category.apply_d({mk: QQ.one}).items()
     assert tuple(x[3] for x in dv[0][3]) == ("a", "b") and dv[1] == QQ.one
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["q", "f3"])
+def test_cobar_drops_a_term_inside_a_word(field):
+    # dag with a primitive c: z -> w appended: at length cap 2, m~.c~ is
+    # the one word whose d loses a term, a~.b~.c~ from its first letter
+    objects = ("x", "y", "z", "w")
+    quiver = GradedQuiver(objects, {
+        ("x", "y", 0): ("a",), ("y", "z", 0): ("b",), ("x", "z", 0): ("m",),
+        ("z", "w", 0): ("c",)})
+    a, b, m = ("x", "y", 0, "a"), ("y", "z", 0, "b"), ("x", "z", 0, "m")
+    c = ("z", "w", 0, "c")
+    coa = PointedCoalgebra(field, objects, quiver, {m: {(a, b): field.one}})
+    mc = ("x", "w", 2, (m, c))
+    short = cobar_construction(coa, length_cap=2)
+    assert short.trunc_min_len == 2 and not short.exact
+    assert mc in short.category.quiver.keys() and mc not in short.category.diff
+    full = cobar_construction(coa, length_cap=3)
+    assert full.exact and full.category.validate() == []
+    # d(m~ c~) = d(m~) c~ with the sign of |c~| = 1
+    assert full.category.diff[mc] == {("x", "w", 3, (a, b, c)): field.coerce(-1)}
 
 
 def _cobar_comp_cases():

@@ -244,6 +244,20 @@ def test_free_category_rejects_d_gen_off_the_generators():
             ("x", "y", 0, ("q",)): QQ.one}})
 
 
+def test_free_category_rejects_d_gen_words_on_other_objects():
+    # d(s) names the word g: x -> z, but s runs x -> y; a value is read by
+    # its names, and a word on other objects is outside the basis
+    gen = GradedQuiver(("x", "y", "z"), {
+        ("x", "y", -1): ("s",), ("x", "z", 0): ("g",), ("y", "z", 0): ("t",)})
+    with pytest.raises(ValueError, match="word basis"):
+        free_category(QQ, gen, {("x", "y", -1, "s"): {
+            ("x", "y", 0, ("g",)): QQ.one}})
+    # so is the unit, for a generator between two objects
+    with pytest.raises(ValueError, match="word basis"):
+        free_category(QQ, gen, {("x", "y", -1, "s"): {
+            ("x", "x", 0, ()): QQ.one}})
+
+
 # -- tensor and opposite -----------------------------------------------------
 
 

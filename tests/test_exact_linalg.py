@@ -12,8 +12,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszulcat.barcobar import Splitting
+from koszulcat.convmc import counit_data
 from koszulcat.field import (QQ, GF, field_by_name, vec_add, vec_bump,
                              vec_scale)
+from koszulcat.samples import CATEGORY_LIBRARY, truncated_polynomial
 from koszulcat.matrix import SparseMatrix
 from koszulcat.complexes import BoundedComplex
 
@@ -84,6 +87,72 @@ def test_prime_field_axioms(p):
                 assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
 
 
+# QQ keeps each value in one canonical form: an int when it is integral,
+# a Fraction otherwise (never a float, never an integral Fraction)
+
+def is_canonical_q(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def as_q(x):
+    """The canonical form of a Fraction, built without the field."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+q_values = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.fractions(min_value=-50, max_value=50, max_denominator=20),
+).map(as_q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(q_values, q_values, st.one_of(st.integers(), st.fractions()),
+       st.integers(0, 10**9))
+def test_rationals_match_fraction_arithmetic(a, b, raw, seed):
+    A, B = Fraction(a), Fraction(b)
+    got = [
+        (QQ.add(a, b), A + B), (QQ.sub(a, b), A - B), (QQ.mul(a, b), A * B),
+        (QQ.neg(a), -A), (QQ.parse(QQ.to_json(a)), A),
+        (QQ.coerce(raw), Fraction(raw)), (QQ.coerce(str(raw)), Fraction(raw)),
+        (QQ.coerce(A), A), (QQ.zero, 0), (QQ.one, 1),
+    ]
+    if B:
+        got += [(QQ.inv(b), 1 / B), (QQ.div(a, b), A / B)]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(b)
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(a, b)
+    # random keeps its draws: a small Fraction, made canonical
+    for nonzero in (False, True):
+        rng, twin = random.Random(seed), random.Random(seed)
+        while True:
+            want = Fraction(twin.randint(-3, 3), twin.choice((1, 1, 1, 2, 3)))
+            if want or not nonzero:
+                break
+        got.append((QQ.random(rng, nonzero), want))
+        assert rng.random() == twin.random()
+    for value, want in got:
+        assert value == want and is_canonical_q(value), (value, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_values)
+def test_prime_fields_read_canonical_rationals_as_before(a):
+    A = Fraction(a)
+    for p in (2, 3, 5, 7):
+        F = GF(p)
+        if A.denominator % p == 0:
+            for x in (a, A):
+                with pytest.raises(ZeroDivisionError):
+                    F.coerce(x)
+            continue
+        want = A.numerator * pow(A.denominator, -1, p) % p
+        assert F.coerce(a) == F.coerce(A) == want
+        assert F.parse(QQ.to_json(a)) == want
+
+
 def test_fraction_into_prime_field():
     F = GF(5)
     assert F.coerce(Fraction(1, 2)) == 3  # 2*3 = 6 = 1 mod 5
@@ -101,13 +170,16 @@ def test_vec_helpers_drop_zeros():
 
 
 def test_vec_bump_stores_field_elements():
-    # a fresh key stores s as a field element, as adding it to zero did
+    # a fresh key stores s as a field element in canonical form: an int
+    # when integral, a Fraction otherwise
     out = {}
     vec_bump(QQ, out, "x", 2)
     vec_bump(QQ, out, "y", 0)
-    assert out == {"x": 2} and type(out["x"]) is Fraction
+    assert out == {"x": 2} and type(out["x"]) is int
     vec_bump(QQ, out, "x", -2)
     assert out == {}
+    vec_bump(QQ, out, "x", "1/2")
+    assert out == {"x": Fraction(1, 2)} and type(out["x"]) is Fraction
     F = GF(3)
     for s, want in [(4, {"x": 1}), (-1, {"x": 2}), (3, {})]:
         out = {}
@@ -342,3 +414,77 @@ def test_euler_characteristic_matches_homology():
     euler_dims = sum((-1) ** n * c.dim(n) for n in range(0, 3))
     euler_h = sum((-1) ** n * h[n] for n in h)
     assert euler_dims == euler_h
+
+
+# ---------------------------------------------------------------------------
+# canonical form of what the library stores over Q: a path that bypasses the
+# field (a raw sum or division) would leave an integral Fraction or a float
+
+
+def _table_scalars(table):
+    for v in table.values():
+        if isinstance(v, dict):
+            yield from _table_scalars(v)
+        else:
+            yield v
+
+
+def _q_cases():
+    """The QQ matrices of the tests above, frozen and seeded."""
+    yield [[-3, -1, 0, -1], [0, 1, -3, -3], [2, 0, 0, 1], [0, -3, -2, 0]]
+    yield [[0, 0], [1, 0]]
+    yield [[1, 1], [1, 1]]
+    for seed in range(60):
+        rng = random.Random(seed)
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        values = [Fraction(v) for v in (1, -1, 2, -3, 5, "1/2", "-2/3", "5/7")]
+        yield [[rng.choice(values) if rng.random() < 0.55 else 0
+                for _ in range(nc)] for _ in range(nr)]
+    for seed in range(60):
+        rng = random.Random(seed)
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        yield [[rng.choice([0, 1, -1, 2, -2, 3, 5, -3]) for _ in range(nc)]
+               for _ in range(nr)]
+
+
+def test_elimination_outputs_are_canonical_q():
+    for rows in _q_cases():
+        m = SparseMatrix.from_rows(QQ, rows)
+        R, _ = m.rref()
+        rhs = {i: Fraction(i + 1, 2) for i in range(m.nrows)}
+        sol, kernel = m.solution_space(rhs)
+        scalars = list(m.entries.values()) + list(R.entries.values())
+        scalars += [c for v in kernel + [sol or {}] for c in v.values()]
+        assert scalars and all(is_canonical_q(c) for c in scalars), rows
+
+
+@pytest.mark.parametrize("name, cap", [("trunc_poly3", 5),
+                                       ("contractible_pair", 3),
+                                       ("odd_pair_diff", 2)])
+def test_library_tables_are_canonical_q(name, cap):
+    # the counit of the resolve workload, and two with a differential
+    data = counit_data(CATEGORY_LIBRARY[name](QQ), cap)
+    cobar = data.cobar.category
+    tables = [data.bar.comult, data.bar.diff, data.bar.curv,
+              cobar.unit, cobar.comp, cobar.diff, cobar.curvature,
+              data.mc.xi, data.functor.action]
+    scalars = [c for t in tables for c in _table_scalars(t)]
+    assert len(scalars) > 100
+    assert all(is_canonical_q(c) for c in scalars)
+
+
+def test_splitting_coordinates_are_canonical_q():
+    # a complement with fractional vectors gives fractional coordinates
+    cat = truncated_polynomial(QQ, 3)
+    keys = [("*", "*", 0, a) for a in cat.quiver.slot("*", "*", 0)]
+    half = Fraction(1, 2)
+    complement = [{keys[0]: half, keys[1]: 1}, {keys[1]: half, keys[2]: 2}]
+    for sp in (Splitting(cat), Splitting(cat, {"*": complement})):
+        scalars = []
+        for k in keys:
+            units, red = sp.split({k: QQ.one})
+            scalars += list(units.values()) + list(red.values())
+        for k in sp.letters:
+            scalars += list(sp.letter_vec(k).values())
+        assert all(is_canonical_q(c) for c in scalars), scalars
+    assert any(type(c) is Fraction for c in scalars)

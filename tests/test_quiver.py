@@ -150,8 +150,8 @@ def trie_listing(letters, max_len, weights=None, max_weight=None):
     """``word_trie``'s words as tuples of letters, and its ``cut``."""
     objects = tuple(dict.fromkeys(x for a in letters for x in a[:2]))
     by_name = {a[3]: a for a in letters}
-    _, _, (keys, _, _, _), cut = word_trie(QQ, objects, letters, max_len,
-                                           weights, max_weight)
+    _, _, (keys, *_), cut = word_trie(QQ, objects, letters, max_len,
+                                      weights, max_weight)
     return [tuple(by_name[n] for n in k[3]) for k in keys], cut
 
 
