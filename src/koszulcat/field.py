@@ -84,7 +84,7 @@ class Field:
 class _Rationals(Field):
     """Q with each value in one canonical form: an ``int`` when it is
     integral, a ``Fraction`` otherwise.  The methods do not call one
-    another, so every counted operation is one call."""
+    another, so one operation is one method call."""
 
     char = 0
     name = "q"
