@@ -134,6 +134,7 @@ class ConvolutionCategory:
         self.object_maps = maps
         self._dT: Optional[Dict] = None
         self._deltaT: Optional[Dict] = None
+        self._ends: Optional[Dict] = None
 
     def om_value(self, fk: Tuple, x):
         return fk[self.index[x]]
@@ -160,21 +161,27 @@ class ConvolutionCategory:
 
     # -- hom bases ---------------------------------------------------------
 
+    def _dkeys_by_ends(self) -> Dict:
+        """D's keys grouped by (source, target), each group in key order."""
+        if self._ends is None:
+            t: Dict = {}
+            for dk in self.cat.quiver.keys():
+                t.setdefault(dk[:2], []).append(dk)
+            self._ends = t
+        return self._ends
+
     def hom_keys(self, fk: Tuple, gk: Tuple) -> List[Key]:
         out = []
-        dkeys = list(self.cat.quiver.keys())
+        ends = self._dkeys_by_ends()
         if not self.reduced:
             for i, x in enumerate(self.coalgebra.objects):
-                fx, gx = fk[i], gk[i]
-                for dk in dkeys:
-                    if dk[0] == fx and dk[1] == gx:
-                        out.append((fk, gk, dk[2], ("o", x, dk)))
+                out += [(fk, gk, dk[2], ("o", x, dk))
+                        for dk in ends.get((fk[i], gk[i]), ())]
         for ck in self.coalgebra.reduced.keys():
             fx = self.om_value(fk, ck[0])
             gy = self.om_value(gk, ck[1])
-            for dk in dkeys:
-                if dk[0] == fx and dk[1] == gy:
-                    out.append((fk, gk, dk[2] - ck[2], ("r", ck, dk)))
+            out += [(fk, gk, dk[2] - ck[2], ("r", ck, dk))
+                    for dk in ends.get((fx, gy), ())]
         return out
 
     # -- structure tables per basis cochain --------------------------------
@@ -196,7 +203,11 @@ class ConvolutionCategory:
         return out
 
     def comp_vec(self, kpsi: Key, kphi: Key) -> Vec:
-        """psi * phi on basis cochains; key order matches comp[(g, f)]."""
+        """psi * phi on basis cochains; key order matches comp[(g, f)].
+
+        Each case writes distinct keys with nonzero coefficients (D's and
+        Delta's stored ones, up to sign), so no entry needs summing.
+        """
         fk, gmid, p, nphi = kphi
         gmid2, hk, q, npsi = kpsi
         if gmid2 != gmid:
@@ -209,34 +220,30 @@ class ConvolutionCategory:
         if not dd:
             return {}
         n = p + q
-        out: Vec = {}
         if nphi[0] == "o" and npsi[0] == "o":
             if nphi[1] != npsi[1]:
                 return {}
-            for dk2, c in dd.items():
-                vec_bump(F, out, (fk, hk, n, ("o", nphi[1], dk2)), c)
-        elif nphi[0] == "o":
+            return {(fk, hk, n, ("o", nphi[1], dk2)): c
+                    for dk2, c in dd.items()}
+        if nphi[0] == "o":
             # phi eats the canonical grouplike at the source of psi's row
             ck = npsi[1]
             if self.reduced or nphi[1] != ck[0]:
                 return {}
             neg = (p * ck[2]) % 2 == 1
-            for dk2, c in dd.items():
-                vec_bump(F, out, (fk, hk, n, ("r", ck, dk2)),
-                         F.neg(c) if neg else c)
-        elif npsi[0] == "o":
+            return {(fk, hk, n, ("r", ck, dk2)): F.neg(c) if neg else c
+                    for dk2, c in dd.items()}
+        if npsi[0] == "o":
             ck = nphi[1]
             if self.reduced or npsi[1] != ck[1]:
                 return {}
+            return {(fk, hk, n, ("r", ck, dk2)): c for dk2, c in dd.items()}
+        a, b = nphi[1], npsi[1]
+        out: Vec = {}
+        for crow, lam in self._delta_transpose().get((a, b), ()):
+            coeff = F.neg(lam) if ((p + a[2]) * b[2]) % 2 else lam
             for dk2, c in dd.items():
-                vec_bump(F, out, (fk, hk, n, ("r", ck, dk2)), c)
-        else:
-            a, b = nphi[1], npsi[1]
-            for crow, lam in self._delta_transpose().get((a, b), ()):
-                coeff = F.neg(lam) if ((p + a[2]) * b[2]) % 2 else lam
-                for dk2, c in dd.items():
-                    vec_bump(F, out, (fk, hk, n, ("r", crow, dk2)),
-                             F.mul(coeff, c))
+                out[(fk, hk, n, ("r", crow, dk2))] = F.mul(coeff, c)
         return out
 
     def unit_vec(self, fk: Tuple) -> Vec:
@@ -271,6 +278,9 @@ class ConvolutionCategory:
         ``objects`` lists (label, object map) pairs.  Every basis key starts
         with the labels of its two ends, so objects with equal maps stay
         apart; comp_vec and diff_vec only compare those entries.
+        Composition is driven by stored entries: comp_vec runs only on the
+        pairs that D's composition table and the transpose of Delta can
+        make nonzero, in the order of a scan over hom-key pairs.
         Returns (quiver, unit, comp, diff, curvature, keyed): the tables a
         ``DgCategory`` takes, with the plain differential, and keyed[(lf,
         lg)] the hom keys from lf to lg.  The reduced side has no units.
@@ -290,15 +300,43 @@ class ConvolutionCategory:
 
         unit = {} if self.reduced else {lf: at(lf, self.unit_vec(fk))
                                         for lf, fk in objects}
+        # psi * phi can be nonzero only if (d_psi, d_phi) is stored in D
+        # and phi's row can precede psi's: o then o at one object, o at a
+        # row's source before it, a row before o at its target, and rows
+        # (a, b) paired by Delta.  Each psi name gets the names of its
+        # candidate phis once; comp_vec runs only on those found in the
+        # (lf, lg) hom, in hom order, so comp keeps the key-pair scan's order.
+        after: Dict[Key, List[Key]] = {}  # d_psi -> each stored d_phi
+        for dpsi, dphi in self.cat.comp:
+            after.setdefault(dpsi, []).append(dphi)
+        rows: Dict[Tuple, List[Tuple]] = {  # (tag, row) -> those before it
+            ("o", x): [("o", x)] for x in self.coalgebra.objects}
+        for ck in self.coalgebra.reduced.keys():
+            rows.setdefault(("o", ck[1]), []).append(("r", ck))
+            rows.setdefault(("r", ck), []).append(("o", ck[0]))
+        for a, b in self._delta_transpose():
+            rows.setdefault(("r", b), []).append(("r", a))
+        preceding: Dict[Tuple, List[Tuple]] = {}  # psi name -> phi names
+        index = {pq: {k[3]: i for i, k in enumerate(ks)}
+                 for pq, ks in keyed.items()}
         comp = {}
         for lf, _ in objects:
             for lg, _ in objects:
+                phis, where = keyed[(lf, lg)], index[(lf, lg)]
                 for lh, _ in objects:
                     for kpsi in keyed[(lg, lh)]:
-                        for kphi in keyed[(lf, lg)]:
-                            v = self.comp_vec(kpsi, kphi)
+                        name = kpsi[3]
+                        names = preceding.get(name)
+                        if names is None:
+                            names = preceding[name] = [
+                                (tag, row, dphi)
+                                for tag, row in rows.get(name[:2], ())
+                                for dphi in after.get(name[2], ())]
+                        for i in sorted(i for i in map(where.get, names)
+                                        if i is not None):
+                            v = self.comp_vec(kpsi, phis[i])
                             if v:
-                                comp[(kpsi, kphi)] = v
+                                comp[(kpsi, phis[i])] = v
         diff = {}
         for ks in keyed.values():
             for k in ks:
@@ -1285,15 +1323,19 @@ def interchange_problems(c: PointedCoalgebra, cp: PointedCoalgebra,
     if sorted(omap.values(), key=repr) != sorted(lhs.object_maps, key=repr):
         return ["object maps do not correspond"]
 
+    _, r_unit, r_comp, r_diff, r_curv, r_keyed = rhs._object_tables()
+    _, l_unit, l_comp, l_diff, l_curv, l_keyed = lhs._object_tables()
+
     def curry_key(k: Key) -> Key:
         fk, gk, n, name = k
         return (omap[fk], omap[gk], n, curry_name(name))
 
-    def curry_vec(v: Vec) -> Vec:
-        return {curry_key(k): coeff for k, coeff in v.items()}
+    # each hom key curried once; a value off its slot is curried apart
+    curried = {k: curry_key(k) for ks in r_keyed.values() for k in ks}
 
-    _, r_unit, r_comp, r_diff, r_curv, r_keyed = rhs._object_tables()
-    _, l_unit, l_comp, l_diff, l_curv, l_keyed = lhs._object_tables()
+    def curry_vec(v: Vec) -> Vec:
+        return {curried.get(k) or curry_key(k): coeff for k, coeff in v.items()}
+
     if reduced_outer:
         def kept(k: Key) -> bool:
             return k[3][1][3][0][0] != "G"
@@ -1305,14 +1347,14 @@ def interchange_problems(c: PointedCoalgebra, cp: PointedCoalgebra,
         l_curv = {fk: {k: coeff for k, coeff in v.items() if kept(k)}
                   for fk, v in l_curv.items()}
     for (fk, gk), ks in r_keyed.items():
-        if {curry_key(k) for k in ks} != set(l_keyed[(omap[fk], omap[gk])]):
+        if {curried[k] for k in ks} != set(l_keyed[(omap[fk], omap[gk])]):
             return [f"hom bases differ at {(fk, gk)}"]
     problems: List[str] = []
     for what, mine, want in (
             ("differentials differ",
-             {curry_key(k): curry_vec(v) for k, v in r_diff.items()}, l_diff),
+             {curried[k]: curry_vec(v) for k, v in r_diff.items()}, l_diff),
             ("products differ",
-             {(curry_key(g), curry_key(f)): curry_vec(v)
+             {(curried[g], curried[f]): curry_vec(v)
               for (g, f), v in r_comp.items()}, l_comp),
             ("units differ",
              {omap[fk]: curry_vec(v) for fk, v in r_unit.items()}, l_unit),

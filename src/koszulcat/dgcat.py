@@ -13,7 +13,10 @@ stored tables:
 
 Each identity is linear in every argument and a missing entry is zero, so
 a case that no stored entry feeds reads 0 = 0; ``validate`` checks the
-other cases only.
+other cases only.  Associativity and Leibniz are summed from the stored
+entries outward: per case, left side minus right side is a sparse join
+of the composition and differential tables on integer key ids, so no
+case is composed from basis vectors.
 
 The uncurved case is h = 0.  A zero unit vector is rejected except in the
 one-object category with no morphisms at all (0 = 1 forces everything to
@@ -176,52 +179,62 @@ class DgCategory:
         """Append associativity, then Leibniz failures to ``problems``;
         True once they reach ``max_problems``.
 
-        Only the cases some stored entry feeds are visited (see the module
-        docstring), in the order of a scan over the basis.  Neither pass
-        reads a unit, so the unitless reduced convolution uses them too.
+        Each identity is summed as left side minus right side per case, by
+        sparse joins over the stored entries on the integer ids of
+        ``pos``: h o (g o f) from (g, f) stored, a term k of it, and (h, k)
+        stored; (h o g) o f from (h, g) stored, a term k, and (k, f)
+        stored; the Leibniz terms likewise through the stored d.  A case
+        fails where its sum is nonzero; a case no join reaches reads 0 = 0
+        (see the module docstring).  Failures are reported in the order of
+        a scan over the basis.  Neither pass reads a unit, so the unitless
+        reduced convolution uses them too.
         """
         F = self.field
         pos = {k: i for i, k in enumerate(self.quiver.keys())}
+
+        def ids(v: Vec) -> List[Tuple[int, object]]:  # one id per key
+            return [(pos.setdefault(k, ~len(pos)), c) for k, c in v.items()]
+
         comp = [(pos.setdefault(g, ~len(pos)), pos.setdefault(f, ~len(pos)),
-                 gf) for (g, f), gf in self.comp.items()]  # one id per key
-        before: Dict[int, List[int]] = {}  # k -> every f with (k, f) stored
-        after: Dict[int, List[int]] = {}  # k -> every h with (h, k) stored
-        for h, k, _ in comp:
-            after.setdefault(k, []).append(h)
-            before.setdefault(h, []).append(k)
+                 ids(gf)) for (g, f), gf in self.comp.items()]
+        diff = {pos.setdefault(a, ~len(pos)): ids(da)
+                for a, da in self.diff.items()}
+        # a case on a key outside the basis is never reported, so its
+        # sign need not be known
+        odd = {i: k[2] % 2 for k, i in pos.items() if i >= 0}
+        before: Dict[int, list] = {}  # k -> (f, k o f) for each stored (k, f)
+        after: Dict[int, list] = {}  # k -> (h, h o k) for each stored (h, k)
+        for h, k, hk in comp:
+            after.setdefault(k, []).append((h, hk))
+            before.setdefault(h, []).append((k, hk))
 
-        # h o (b o a) needs (h, k) stored for a term k of b o a, and
-        # (b o a) o f needs (k, f) stored for a term k of b o a
-        triples = set()
+        def bump(sums: Dict[tuple, Vec], case: tuple, c, terms) -> None:
+            out = sums.setdefault(case, {})
+            for t, c2 in terms:
+                vec_bump(F, out, t, F.mul(c, c2))
+
+        assoc: Dict[tuple, Vec] = {}  # (f, g, h) -> h(gf) - (hg)f
         for b, a, ba in comp:
-            for k in map(pos.get, ba):
-                triples.update((a, b, h) for h in after.get(k, ()))
-                triples.update((f, a, b) for f in before.get(k, ()))
-        for f, g, h in _in_scan_order(triples, pos):
-            hv, fv = self.basis_vec(h), self.basis_vec(f)
-            lhs = self.compose(hv, self.comp.get((g, f), {}))
-            rhs = self.compose(self.comp.get((h, g), {}), fv)
-            if lhs != rhs:
-                problems.append(f"associativity fails on ({h}, {g}, {f})")
-                if len(problems) >= max_problems:
-                    return True
+            for k, c in ba:
+                for h, hk in after.get(k, ()):
+                    bump(assoc, (a, b, h), c, hk)
+                for f, kf in before.get(k, ()):
+                    bump(assoc, (f, a, b), F.neg(c), kf)
+        leibniz: Dict[tuple, Vec] = {}  # (f, g) -> d(gf) - dg f - ±g df
+        for g, f, gf in comp:
+            for k, c in gf:
+                bump(leibniz, (f, g), c, diff.get(k, ()))
+        for a, da in diff.items():
+            for k, c in da:
+                for f, kf in before.get(k, ()):
+                    bump(leibniz, (f, a), F.neg(c), kf)
+                for g, gk in after.get(k, ()):  # the sign is (-1)^|g|
+                    bump(leibniz, (a, g), c if odd.get(g) else F.neg(c), gk)
 
-        # d(g o f) needs (g, f) stored, dg o f needs (k, f) stored for a
-        # term k of dg, and g o df needs (g, k) stored for a term k of df
-        pairs = {(f, g) for g, f, _ in comp}
-        for a, da in self.diff.items():
-            a = pos.setdefault(a, ~len(pos))
-            for k in map(pos.get, da):
-                pairs.update((f, a) for f in before.get(k, ()))
-                pairs.update((a, g) for g in after.get(k, ()))
-        for f, g in _in_scan_order(pairs, pos):
-            fv, gv = self.basis_vec(f), self.basis_vec(g)
-            lhs = self.apply_d(self.comp.get((g, f), {}))
-            rhs = vec_add(F, self.compose(self.diff.get(g, {}), fv),
-                          vec_scale(F, F.coerce(-1) if g[2] % 2 else F.one,
-                                    self.compose(gv, self.diff.get(f, {}))))
-            if lhs != rhs:
-                problems.append(f"Leibniz fails on ({g}, {f})")
+        for sums, message in ((assoc, "associativity fails on ({2}, {1}, {0})"),
+                              (leibniz, "Leibniz fails on ({1}, {0})")):
+            for case in _in_scan_order([c for c, v in sums.items() if v], pos):
+                problems.append(message.format(*case))
                 if len(problems) >= max_problems:
                     return True
         return False

@@ -19,7 +19,7 @@ import pytest
 
 from koszulcat.barcobar import cobar_construction
 from koszulcat.coalgebra import PointedCoalgebra
-from koszulcat.convmc import convolution_category, counit_data
+from koszulcat.convmc import convolution_category, counit_data, mc_category
 from koszulcat.dgcat import DgCategory, DgFunctor, identity_functor
 from koszulcat.field import (GF, QQ, _apply, _compose, vec_add, vec_addmul,
                              vec_scale, vec_sub)
@@ -299,6 +299,10 @@ def _categories():
     conv = convolution_category(COALGEBRA_LIBRARY["curved_chain"](F3),
                                 CATEGORY_LIBRARY["poly_diff"](F3))
     yield "convolution:curved_chain:poly_diff", conv.to_dg_category()
+    # three labelled objects on one object map: keys carry labels
+    mcc = mc_category(COALGEBRA_LIBRARY["neg_primitive"](F3),
+                      CATEGORY_LIBRARY["contractible_endo"](F3))
+    yield "mc_category:neg_primitive:contractible_endo", mcc.category
 
 
 CATEGORIES = list(_categories())
