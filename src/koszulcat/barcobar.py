@@ -16,9 +16,10 @@ unit and a reduced part, so a test corpus needs such samples on purpose.
 The differential never raises weight, so a weight cap always yields an
 honest subcoalgebra and materialization is exact per weight.
 
-Words and deconcatenation come from the integer word trie of
-``quiver.word_trie``, the one word lister of bar, cotensor, cobar and
-free categories; with no weight cap, h.a is ``first[h] + rank[a]``.
+Words come from the integer word trie of ``quiver.word_trie``, the one
+word lister of bar, cotensor, cobar and free categories; with no weight
+cap, h.a is ``first[h] + rank[a]``.  rDelta is not stored: it is read
+off the trie (a word's ancestors against its tail chain) key by key.
 d is built on word ids, so each word key is hashed once, when its table
 entry is stored.  d of each letter and the merge of each two-letter word
 are split once, and d grows one letter at a time:
@@ -64,7 +65,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .coalgebra import FinalCoalgebra, PointedCoalgebra, zero_coalgebra
+from .coalgebra import (FinalCoalgebra, PointedCoalgebra, _WordDelta,
+                        zero_coalgebra)
 from .dgcat import DgCategory, _path_category, empty_category, zero_category
 from .field import Vec, vec_bump
 from .matrix import SparseMatrix
@@ -196,8 +198,8 @@ def bar_construction(
 
     sp = splitting if splitting is not None else Splitting(cat)
     letters = sp.letters
-    quiver, comult, (keys, first, out, rank, _), _ = word_trie(
-        F, cat.quiver.objects, [(k[0], k[1], k[2] - 1, k) for k in letters],
+    quiver, (keys, first, out, rank, _, parent, tail), _ = word_trie(
+        cat.quiver.objects, [(k[0], k[1], k[2] - 1, k) for k in letters],
         weight_cap)
     ids = {k: i for i, k in enumerate(letters)}
 
@@ -248,7 +250,8 @@ def bar_construction(
                 vec_bump(F, dvec, f + ri, F.mul(sgn, c))
             store(f + r, a, dvec)
 
-    return PointedCoalgebra(F, cat.quiver.objects, quiver, comult, diff=diff, curv=curv)
+    return PointedCoalgebra(F, cat.quiver.objects, quiver,
+                            _WordDelta(F.one, keys, parent, tail), diff, curv)
 
 
 @dataclass
@@ -344,7 +347,7 @@ def cobar_construction(
         terms = [((k2,), c if a[2] % 2 == 0 else F.neg(c))
                  for k2, c in coa.diff.get(k, {}).items()]
         terms += [((ka, kb), c if kb[2] % 2 == 0 else F.neg(c))
-                  for (ka, kb), c in coa.comult.get(k, {}).items()]
+                  for (ka, kb), c in coa.delta(k).items()]
         h = coa.curv.get(k)
         if h is not None:
             terms.append(((), F.neg(h)))

@@ -44,9 +44,43 @@ from .field import (Field, Vec, _apply, _evaluate, _normalize, _same_field,
                     vec_bump, vec_sub)
 from .matrix import SparseMatrix
 from .quiver import (GradedQuiver, Key, has_cycle, lkey, pair_key, rkey,
-                     word_trie)
+                     word_splits, word_trie)
 
 PairVec = Dict[Tuple[Key, Key], object]
+
+
+class _WordDelta:
+    """rDelta of a word coalgebra (bar, cotensor): the ``word_splits`` of
+    a word on the trie's key objects, all with coefficient ``one``.
+    ``get`` reads one key as a table would, through a key -> id index
+    built on the first read, and keeps what it has read; ``table`` lists
+    every word that has a split, in word-id order."""
+
+    def __init__(self, one, keys: List[Key], parent: List[int],
+                 tail: List[int]):
+        self.one, self.keys, self.parent, self.tail = one, keys, parent, tail
+        self.ids: Optional[Dict[Key, int]] = None
+        self.read: Dict[Key, PairVec] = {}
+
+    def pairs(self, w: int) -> PairVec:
+        keys = self.keys
+        return {(keys[p], keys[t]): self.one
+                for p, t in word_splits(self.parent, self.tail, w)}
+
+    def get(self, key: Key, default=None):
+        got = self.read.get(key)
+        if got is None:
+            if self.ids is None:
+                self.ids = {k: w for w, k in enumerate(self.keys)}
+            w = self.ids.get(key)
+            if w is None or self.parent[w] < 0:
+                return default
+            got = self.read[key] = self.pairs(w)
+        return got
+
+    def table(self) -> Dict[Key, PairVec]:
+        return {k: self.pairs(w) for w, k in enumerate(self.keys)
+                if self.parent[w] >= 0}
 
 
 class PointedCoalgebra:
@@ -55,20 +89,36 @@ class PointedCoalgebra:
         field: Field,
         objects: Iterable,
         reduced: GradedQuiver,
-        comult: Dict[Key, PairVec],
+        comult: Dict[Key, PairVec] | _WordDelta,
         diff: Optional[Dict[Key, Vec]] = None,
         curv: Optional[Dict[Key, object]] = None,
     ):
         """Takes ownership of the table dicts and normalizes them in place
-        (see ``field``); the caller edits them no further."""
+        (see ``field``); the caller edits them no further.  ``comult`` is
+        the rDelta table, or the ``_WordDelta`` of a word coalgebra (bar,
+        cotensor), whose entries are all ``one`` by construction: it
+        skips the zero scan and is read key by key off the trie."""
         self.field = field
         self.objects = tuple(objects)
         if reduced.objects != self.objects:
             raise ValueError("reduced quiver must live on the stated objects")
         self.reduced = reduced
-        self.comult = _normalize(comult)
+        self._rdelta = (comult if isinstance(comult, _WordDelta)
+                        else _normalize(comult))
         self.diff = _normalize({} if diff is None else diff)
         self.curv = _normalize({} if curv is None else curv)
+
+    @property
+    def comult(self) -> Dict[Key, PairVec]:
+        """rDelta as one table; a word coalgebra builds it off its trie
+        on the first read, in word-id order."""
+        if isinstance(self._rdelta, _WordDelta):
+            self._rdelta = self._rdelta.table()
+        return self._rdelta
+
+    def delta(self, key: Key) -> PairVec:
+        """rDelta of one basis key, empty for a primitive; read only."""
+        return self._rdelta.get(key, {})
 
     # -- evaluation ---------------------------------------------------------
 
@@ -82,10 +132,11 @@ class PointedCoalgebra:
         return _evaluate(self.field, self.curv, vec)
 
     def reduced_comult(self, vec: Vec) -> PairVec:
-        return _apply(self.field, self.comult, vec)
+        return _apply(self.field, self._rdelta, vec)
 
-    def deconcat(self, vec: Vec, parts: int) -> Dict[Tuple[Key, ...], object]:
-        """Iterated reduced comultiplication into ``parts`` cofactors.
+    def deconcat(self, key: Key, parts: int) -> Dict[Tuple[Key, ...], object]:
+        """Iterated reduced comultiplication of a basis key into ``parts``
+        cofactors.
 
         parts = 1 is the identity; coassociativity (validated) makes the
         bracketing irrelevant.
@@ -93,13 +144,13 @@ class PointedCoalgebra:
         F = self.field
         if parts < 1:
             raise ValueError("parts must be >= 1")
-        cur: Dict[Tuple[Key, ...], object] = {(k,): c for k, c in vec.items()}
+        cur: Dict[Tuple[Key, ...], object] = {(key,): F.one}
         for _ in range(parts - 1):
             nxt: Dict[Tuple[Key, ...], object] = {}
             for word, c in cur.items():
                 # expand the last factor; any bracketing gives the same map
                 head, last = word[:-1], word[-1]
-                for (a, b), c2 in self.comult.get(last, {}).items():
+                for (a, b), c2 in self.delta(last).items():
                     vec_bump(F, nxt, head + (a, b), F.mul(c, c2))
             cur = nxt
         return cur
@@ -152,14 +203,14 @@ class PointedCoalgebra:
 
         # coassociativity of the reduced comultiplication
         for k in keys:
-            delta = self.comult.get(k, {})
+            delta = self.delta(k)
             lhs: Dict[Tuple[Key, ...], object] = {}
             for (a, b), c in delta.items():
-                for (a1, a2), c2 in self.comult.get(a, {}).items():
+                for (a1, a2), c2 in self.delta(a).items():
                     vec_bump(F, lhs, (a1, a2, b), F.mul(c, c2))
             rhs: Dict[Tuple[Key, ...], object] = {}
             for (a, b), c in delta.items():
-                for (b1, b2), c2 in self.comult.get(b, {}).items():
+                for (b1, b2), c2 in self.delta(b).items():
                     vec_bump(F, rhs, (a, b1, b2), F.mul(c, c2))
             if lhs != rhs:
                 problems.append(f"reduced comultiplication not coassociative at {k}")
@@ -174,7 +225,7 @@ class PointedCoalgebra:
         for k in keys:
             lhs = self.reduced_comult(self.diff.get(k, {}))
             rhs: PairVec = {}
-            for (a, b), c in self.comult.get(k, {}).items():
+            for (a, b), c in self.delta(k).items():
                 for a2, c2 in self.diff.get(a, {}).items():
                     vec_bump(F, rhs, (a2, b), F.mul(c, c2))
                 sgn = F.coerce(-1) if a[2] % 2 else F.one
@@ -189,7 +240,7 @@ class PointedCoalgebra:
         for k in keys:
             dd = self.apply_d(self.diff.get(k, {}))
             want: Vec = {}
-            for (a, b), c in self.comult.get(k, {}).items():
+            for (a, b), c in self.delta(k).items():
                 ha = self.curv.get(a)
                 if ha is not None:
                     vec_bump(F, want, b, F.mul(c, ha))
@@ -259,7 +310,7 @@ class PointedCoalgebra:
             ncols = len(keys) + len(gens)
             entries = {}
             for k in keys:
-                for p, c in self.comult.get(k, {}).items():
+                for p, c in self.delta(k).items():
                     entries[(arow[p], kpos[k])] = c
             for j, g in enumerate(gens):
                 for p, c in g.items():
@@ -442,7 +493,7 @@ def tensor_coalgebras(
             return [(f, f, F.one)]
         x, y, _, _ = f
         return [(("G", x), f, F.one), (f, ("G", y), F.one)] + [
-            (a, b, cc) for (a, b), cc in coa.comult.get(f, {}).items()]
+            (a, b, cc) for (a, b), cc in coa.delta(f).items()]
 
     def pair_or_none(cf, df) -> Optional[Key]:
         # cf: reduced key of C or ("G", x); df likewise for D; grouplike (x)
@@ -496,10 +547,10 @@ def cotensor_coalgebra(
 
     Words are composable paths of generators, named by their tuples of
     generator names (``quiver.word_trie``); rDelta splits a word at
-    interior positions.  With a weight cap the span of words of length
-    <= max_weight is a subcoalgebra, so the cap loses nothing
-    structurally.  Without a cap the generator graph must be
-    acyclic (else the word basis is infinite).
+    interior positions, and is read off the trie key by key, not stored.
+    With a weight cap the span of words of length <= max_weight is a
+    subcoalgebra, so the cap loses nothing structurally.  Without a cap
+    the generator graph must be acyclic (else the word basis is infinite).
     """
     if max_weight is not None and max_weight < 0:
         raise ValueError(f"max_weight={max_weight} is negative; "
@@ -514,9 +565,10 @@ def cotensor_coalgebra(
     gen_keys = list(generators.keys())
     if len({k[3] for k in gen_keys}) != len(gen_keys):
         raise ValueError("cotensor generators need globally unique names")
-    quiver, comult, _, _ = word_trie(
-        field, generators.objects, gen_keys, max_weight)
-    return PointedCoalgebra(field, generators.objects, quiver, comult)
+    quiver, (keys, _, _, _, _, parent, tail), _ = word_trie(
+        generators.objects, gen_keys, max_weight)
+    return PointedCoalgebra(field, generators.objects, quiver,
+                            _WordDelta(field.one, keys, parent, tail))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +632,7 @@ class CoalgebraMorphism:
 
         act, twist = self.action, self.twist
         for k in src.reduced.keys():
-            delta = src.comult.get(k, {})
+            delta = src.delta(k)
             # comultiplicativity
             lhs = tgt.reduced_comult(act.get(k, {}))
             rhs: PairVec = {}

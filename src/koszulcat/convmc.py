@@ -464,7 +464,7 @@ def _mc_residual_row(coa: PointedCoalgebra, d: DgCategory, om: Dict,
     for ck2, coeff in coa.diff.get(ck, {}).items():
         # -(-1)^{|xi|} xi(dc) with |xi| = 1
         r = vec_addmul(F, r, coeff, xi.get(ck2, {}))
-    for (a, b), lam in coa.comult.get(ck, {}).items():
+    for (a, b), lam in coa.delta(ck).items():
         va, vb = xi.get(a), xi.get(b)
         if not va or not vb:
             continue
@@ -662,7 +662,7 @@ def mc_enumerate(c: PointedCoalgebra, d: DgCategory,
             for ck2, x in c.diff.get(ck, {}).items():
                 for mono, v in xi.get(ck2, {}).items():
                     _bump_poly(F, row, mono, v, x)
-            for (a, b), lam in c.comult.get(ck, {}).items():
+            for (a, b), lam in c.delta(ck).items():
                 for mono, v in _eval_word(d, om, xi, (a, b), None).items():
                     _bump_poly(F, row, mono, v, _pair_sign(F, lam, a, b))
             if ck in c.curv:
@@ -882,7 +882,7 @@ def _deconcat_chains(c: PointedCoalgebra, limit: int) -> Dict:
     for ck in c.reduced.keys():
         chains[ck] = []
         for w in range(1, limit + 2):
-            got = c.deconcat({ck: c.field.one}, w)
+            got = c.deconcat(ck, w)
             if not got:
                 break
             if w > limit:
@@ -1038,7 +1038,7 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
                 _bump_poly(F, row, mono, {"h": bar_coa.curvature_value(v)},
                            F.one)
             terms = [(ext[k2], (), x) for k2, x in c.diff.get(ck, {}).items()]
-            for (a, b), lam in c.comult.get(ck, {}).items():
+            for (a, b), lam in c.delta(ck).items():
                 if a in tw:
                     terms.append((ext[b], (tw[a],), lam))
                 if b in tw:

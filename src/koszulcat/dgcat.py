@@ -44,7 +44,7 @@ from .field import (Field, Vec, _apply, _compose, _normalize, _same_field,
                     vec_add, vec_addmul, vec_bump, vec_scale, vec_sub)
 from .matrix import SparseMatrix
 from .quiver import (GradedQuiver, Key, has_cycle, pair_key, quiver_tensor,
-                     word_trie)
+                     word_splits, word_trie)
 
 
 class DgCategory:
@@ -324,7 +324,8 @@ def _path_category(
     (src, tgt, sum of letter degrees, tuple of letter names); the
     listing is ``quiver.word_trie``, which builds no word past a cap.
     Words compose by concatenation, so the table holds the two unit ends
-    of each stored word and, transposed, each split of its rDelta.
+    of each stored word and, transposed, each of its ``word_splits``,
+    read off the trie by id.
     ``d_letter`` sends a letter name to its (replacement name tuple,
     coefficient) terms; d extends it as a derivation
 
@@ -339,18 +340,18 @@ def _path_category(
     term (None if none did).
     """
     F = field
-    _, splits, (words, first, _, _, grow), comp_truncated = word_trie(
-        F, objects, letters, max_len, weights, max_weight)
+    _, (words, first, _, _, grow, parent, tail), comp_truncated = word_trie(
+        objects, letters, max_len, weights, max_weight)
     units = {x: (x, x, 0, ()) for x in objects}
     slots = {(x, x, 0): [()] for x in objects}
     unit = {x: {u: F.one} for x, u in units.items()}
     comp = {(u, u): {u: F.one} for u in units.values()}
-    for k in words:
+    for w, k in enumerate(words):
         slots.setdefault(k[:3], []).append(k[3])
         # comp[(g, f)] = g after f
         comp[(k, units[k[0]])] = {k: F.one}
-        for f, g in splits.get(k, ()):
-            comp[(g, f)] = {k: F.one}
+        for f, g in word_splits(parent, tail, w):
+            comp[(words[g], words[f])] = {k: F.one}
         comp[(units[k[1]], k)] = {k: F.one}
 
     # d on word ids: the terms of d(p.a) are those of d(p), each word

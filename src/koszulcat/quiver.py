@@ -17,8 +17,9 @@ each:
   a grouplike leg ("G", y) on the right or ("G", x) on the left;
 - ``word_trie``: composable words of letters on an integer trie,
   shortest first, built only within a length cap and a letter weight
-  budget, with their deconcatenation.  Bar and cotensor coalgebras store
-  that as rDelta; cobar and free categories compose by its transpose;
+  budget.  ``word_splits`` reads a word's deconcatenation off its parent
+  and tail chains: bar and cotensor coalgebras take it as rDelta, and
+  cobar and free categories compose by its transpose;
 - ``object_maps``: every map of object sets in ``itertools.product``
   order, with the ``max_objects`` guard;
 - ``has_cycle``: the directed-cycle check behind every finiteness
@@ -30,8 +31,6 @@ from __future__ import annotations
 from itertools import product
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
-
-from .field import Field
 
 Slot = Tuple[object, object, int]  # (src, tgt, degree)
 Key = Tuple[object, object, int, object]  # (src, tgt, degree, name)
@@ -118,7 +117,7 @@ def rkey(x, dk: Key) -> Key:
     return ((x, dk[0]), (x, dk[1]), dk[2], (("G", x), (dk[2], dk[3])))
 
 
-def word_trie(field: Field, objects: Sequence, letters: Sequence[Key],
+def word_trie(objects: Sequence, letters: Sequence[Key],
               max_len: Optional[int] = None,
               weights: Optional[Mapping[Key, int]] = None,
               max_weight: Optional[int] = None):
@@ -126,9 +125,8 @@ def word_trie(field: Field, objects: Sequence, letters: Sequence[Key],
     shortest first, of at most ``max_len`` letters and ``max_weight``
     summed letter ``weights``, keyed (src, tgt, degree sum, tuple of
     names); letter names must tell letters apart.  Returns their quiver,
-    rDelta (a split at each interior position), the trie (keys, first,
-    out, rank, grow) and ``cut``: whether a cap dropped a letter or the
-    composite of two listed words.
+    the trie (keys, first, out, rank, grow, parent, tail) and ``cut``:
+    whether a cap dropped a letter or the composite of two listed words.
 
     ``keys`` lists the words by id.  Each object keeps one list of
     outgoing letters per remaining weight budget (up to the heaviest
@@ -136,15 +134,14 @@ def word_trie(field: Field, objects: Sequence, letters: Sequence[Key],
     by that list only, so no word past a cap is built, and h.a is
     ``first[h] + rank[b][a]``; ``grow[h]`` is that (list, rank[b]) pair
     for each word h below the length cap, in id order, so the words
-    h.a are ``first[h] + j`` for the j-th letter of the list.  The tail
-    of h.a is the tail of h extended by a; each word key is built once,
-    and the prefix and suffix key lists behind rDelta are kept below the
-    cap only, with the word's budget where it is not 0 (never without a
-    weight cap).  ``out`` (the letters leaving each object) and ``rank``
-    come back for the largest budget: with no weight cap that is the
-    only one, and letter i is word i.  Without ``max_len`` the letter
-    graph must be acyclic, or ``max_weight`` set and every weight at
-    least 1.
+    h.a are ``first[h] + j`` for the j-th letter of the list.
+    ``parent[w]`` is w without its last letter and ``tail[w]`` w without
+    its first, both -1 for a letter; each word key is built once.  The
+    splits of a word are its ``word_splits``.  ``out`` (the letters
+    leaving each object) and ``rank`` come back for the largest budget:
+    with no weight cap that is the only one, and letter i is word i.
+    Without ``max_len`` the letter graph must be acyclic, or
+    ``max_weight`` set and every weight at least 1.
     """
     top = max_weight or 0  # no weight cap: every weight counts as 0
     wt = [0 if max_weight is None else weights[k] for k in letters]
@@ -153,7 +150,6 @@ def word_trie(field: Field, objects: Sequence, letters: Sequence[Key],
     rank = [[None] * len(letters) for _ in range(heavy + 1)]
     keys: List[Key] = []
     lid: List[Optional[int]] = [None] * len(letters)  # word id of a letter
-    rows = []  # per word below the cap: tail, prefixes, suffixes
     rests = {}  # word id -> remaining weight budget, where it is not 0
     for i, (a, n) in enumerate(zip(letters, wt)):
         for b in range(n, heavy + 1):
@@ -164,9 +160,9 @@ def word_trie(field: Field, objects: Sequence, letters: Sequence[Key],
             if n < top:
                 rests[len(keys)] = top - n
             keys.append(a[:3] + ((a[3],),))
-            rows.append((None, keys[-1:], keys[-1:]))
     cut = len(keys) < len(letters)
-    comult: Dict[Key, Dict[Tuple[Key, Key], object]] = {}
+    parent = [-1] * len(keys)
+    tail = [-1] * len(keys)
     first: List[int] = []
     grow: List[Tuple[List[int], List[Optional[int]]]] = []
     for h, hk in enumerate(keys):  # keys grows as h runs: shortest first
@@ -174,29 +170,40 @@ def word_trie(field: Field, objects: Sequence, letters: Sequence[Key],
             cut = cut or any(fits[heavy][keys[i][1]]
                              for i in range(h, len(keys)))
             break
-        th, pre, _ = rows[h]
         rest = rests.get(h, 0)
         fit = fits[min(rest, heavy)][hk[1]]
         cut = cut or len(fit) < len(fits[heavy][hk[1]])
         # h's tail t (the empty word for a letter): t.a is base + trank[a]
-        base, trank = (0, lid) if th is None else (first[th], grow[th][1])
+        t = tail[h]
+        base, trank = (0, lid) if t < 0 else (first[t], grow[t][1])
         first.append(len(keys))
         grow.append((fit, rank[min(rest, heavy)]))
         for a in fit:
-            t = base + trank[a]
             _, y, n, name = letters[a]
-            key = (hk[0], y, hk[2] + n, hk[3] + (name,))
-            comult[key] = dict.fromkeys(zip(pre, rows[t][2]), field.one)
-            if max_len is None or len(key[3]) < max_len:
-                rows.append((t, pre + [key], [key] + rows[t][2]))
-                if rest > wt[a]:
-                    rests[len(keys)] = rest - wt[a]
-            keys.append(key)
+            if rest > wt[a]:
+                rests[len(keys)] = rest - wt[a]
+            parent.append(h)
+            tail.append(base + trank[a])
+            keys.append((hk[0], y, hk[2] + n, hk[3] + (name,)))
     slots: Dict[Slot, List] = {}
     for k in keys:
         slots.setdefault(k[:3], []).append(k[3])
-    return (GradedQuiver(objects, slots), comult,
-            (keys, first, fits[heavy], rank[heavy], grow), cut)
+    return (GradedQuiver(objects, slots),
+            (keys, first, fits[heavy], rank[heavy], grow, parent, tail), cut)
+
+
+def word_splits(parent: Sequence[int], tail: Sequence[int],
+                w: int) -> Iterator[Tuple[int, int]]:
+    """The splits of word w at its interior positions, as (prefix id,
+    suffix id) pairs, shortest prefix first: its ancestors on the
+    ``parent`` chain against its ``tail`` chain."""
+    pre, suf = [], []
+    p, t = parent[w], tail[w]
+    while p >= 0:
+        pre.append(p)
+        suf.append(t)
+        p, t = parent[p], tail[t]
+    return zip(reversed(pre), suf)
 
 
 def object_maps(sources: Sequence, targets: Sequence,

@@ -153,11 +153,11 @@ def test_deconcat_on_word_coalgebra():
     assert c.validate() == []
     ab = ("x", "z", 1, ("a", "b"))
     one = QQ.one
-    assert c.deconcat({ab: one}, 1) == {(ab,): one}
-    assert c.deconcat({ab: one}, 2) == {
+    assert c.deconcat(ab, 1) == {(ab,): one}
+    assert c.deconcat(ab, 2) == {
         ((("x", "y", 0, ("a",)), ("y", "z", 1, ("b",)))): one
     }
-    assert c.deconcat({ab: one}, 3) == {}
+    assert c.deconcat(ab, 3) == {}
 
 
 def test_cotensor_weight_cap_is_subcoalgebra():

@@ -115,7 +115,7 @@ def oracle_bar_words(c, p1):
         out = {}
         w = 1
         while True:
-            parts = c.deconcat({ck: F.one}, w)
+            parts = c.deconcat(ck, w)
             if not parts:
                 break
             for chain, lam in parts.items():

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulcat.field import QQ
-from koszulcat.quiver import GradedQuiver, quiver_tensor, word_trie
+from koszulcat.quiver import (GradedQuiver, quiver_tensor, word_splits,
+                              word_trie)
 
 
 def small_quiver(rng, max_objects=2, max_dim=2, degs=(-1, 0, 1)):
@@ -150,8 +150,8 @@ def trie_listing(letters, max_len, weights=None, max_weight=None):
     """``word_trie``'s words as tuples of letters, and its ``cut``."""
     objects = tuple(dict.fromkeys(x for a in letters for x in a[:2]))
     by_name = {a[3]: a for a in letters}
-    _, _, (keys, *_), cut = word_trie(QQ, objects, letters, max_len,
-                                      weights, max_weight)
+    _, (keys, *_), cut = word_trie(objects, letters, max_len, weights,
+                                   max_weight)
     return [tuple(by_name[n] for n in k[3]) for k in keys], cut
 
 
@@ -187,3 +187,26 @@ def test_word_trie_stops_at_caps():
         assert got == keep_listing([a, b, c], max_len, weights, 3)
     # weights count only under a weight cap
     assert trie_listing(letters, 3, weights) == trie_listing(letters, 3)
+
+
+def test_word_trie_parent_tail_and_splits():
+    # a -> b -> a and a loop at a, as above: words of every length
+    letters = [("a", "b", 0, "f"), ("b", "a", 1, "g"), ("a", "a", 0, "h"),
+               ("b", "c", 0, "x")]
+    weights = dict(zip(letters, [1, 2, 1, 3]))
+    objects = ("a", "b", "c")
+    # (caps, length of the longest word): a length cap, a weight cap, both
+    for max_len, max_weight, longest in [(3, None, 3), (None, 4, 4),
+                                         (3, 5, 3), (0, None, 0)]:
+        _, (keys, *_, parent, tail), _ = word_trie(
+            objects, letters, max_len, weights, max_weight)
+        ids = {k[3]: w for w, k in enumerate(keys)}
+        assert len(parent) == len(tail) == len(keys)
+        # the words at max_len, never extended, keep their parent and tail
+        assert max(map(len, ids), default=0) == longest
+        for w, (_, _, _, name) in enumerate(keys):
+            assert parent[w] == ids.get(name[:-1], -1)
+            assert tail[w] == ids.get(name[1:], -1)
+            assert [(keys[p][3], keys[t][3])
+                    for p, t in word_splits(parent, tail, w)] == [
+                (name[:i], name[i:]) for i in range(1, len(name))]
