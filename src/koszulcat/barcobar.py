@@ -16,10 +16,11 @@ unit and a reduced part, so a test corpus needs such samples on purpose.
 The differential never raises weight, so a weight cap always yields an
 honest subcoalgebra and materialization is exact per weight.
 
-Words come from the integer word trie of ``quiver.word_trie``, the one
-word lister of bar, cotensor, cobar and free categories; with no weight
-cap, h.a is ``first[h] + rank[a]``.  rDelta is not stored: it is read
-off the trie (a word's ancestors against its tail chain) key by key.
+Words come from the integer word trie ``quiver.WordTrie``, the one word
+lister of bar, cotensor, cobar and free categories; with no weight cap,
+h.a is ``first[h] + rank[a]``.  rDelta is not stored: the coalgebra
+holds the trie, which reads a word's splits (its ancestors against its
+tail chain) key by key.
 d is built on word ids, so each word key is hashed once, when its table
 entry is stored.  d of each letter and the merge of each two-letter word
 are split once, and d grows one letter at a time:
@@ -65,12 +66,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .coalgebra import (FinalCoalgebra, PointedCoalgebra, _WordDelta,
-                        zero_coalgebra)
+from .coalgebra import FinalCoalgebra, PointedCoalgebra, zero_coalgebra
 from .dgcat import DgCategory, _path_category, empty_category, zero_category
 from .field import Vec, vec_bump
 from .matrix import SparseMatrix
-from .quiver import Key, word_trie
+from .quiver import Key, WordTrie
 
 
 class Splitting:
@@ -198,9 +198,10 @@ def bar_construction(
 
     sp = splitting if splitting is not None else Splitting(cat)
     letters = sp.letters
-    quiver, (keys, first, out, rank, _, parent, tail), _ = word_trie(
-        cat.quiver.objects, [(k[0], k[1], k[2] - 1, k) for k in letters],
-        weight_cap)
+    trie = WordTrie(cat.quiver.objects,
+                    [(k[0], k[1], k[2] - 1, k) for k in letters], weight_cap)
+    keys, first, out, rank, parent = (trie.keys, trie.first, trie.out,
+                                      trie.rank, trie.parent)
     ids = {k: i for i, k in enumerate(letters)}
 
     def split(v: Vec):  # units, and the letter part as (id, rank, coefficient)
@@ -231,7 +232,8 @@ def bar_construction(
     for h, f in enumerate(first):
         x, y, kappa, _ = keys[h]  # kappa: shifted degree of h
         b, dh = rows[h]
-        base = h - rank[b] if h >= len(letters) else None  # h[:-1].k: + rank[k]
+        p = parent[h]
+        base = first[p] if p >= 0 else None  # h[:-1].k is base + rank[k]
         sgn = minus_one if kappa % 2 == 0 else F.one
         for r, a in enumerate(out[y]):
             dvec = {first[i] + r: c for i, c in dh.items()}
@@ -250,8 +252,8 @@ def bar_construction(
                 vec_bump(F, dvec, f + ri, F.mul(sgn, c))
             store(f + r, a, dvec)
 
-    return PointedCoalgebra(F, cat.quiver.objects, quiver,
-                            _WordDelta(F.one, keys, parent, tail), diff, curv)
+    return PointedCoalgebra(F, cat.quiver.objects, trie.quiver, trie, diff,
+                            curv)
 
 
 @dataclass

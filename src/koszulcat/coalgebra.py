@@ -43,44 +43,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .field import (Field, Vec, _apply, _evaluate, _normalize, _same_field,
                     vec_bump, vec_sub)
 from .matrix import SparseMatrix
-from .quiver import (GradedQuiver, Key, has_cycle, lkey, pair_key, rkey,
-                     word_splits, word_trie)
+from .quiver import (GradedQuiver, Key, WordTrie, has_cycle, lkey, pair_key,
+                     rkey)
 
 PairVec = Dict[Tuple[Key, Key], object]
-
-
-class _WordDelta:
-    """rDelta of a word coalgebra (bar, cotensor): the ``word_splits`` of
-    a word on the trie's key objects, all with coefficient ``one``.
-    ``get`` reads one key as a table would, through a key -> id index
-    built on the first read, and keeps what it has read; ``table`` lists
-    every word that has a split, in word-id order."""
-
-    def __init__(self, one, keys: List[Key], parent: List[int],
-                 tail: List[int]):
-        self.one, self.keys, self.parent, self.tail = one, keys, parent, tail
-        self.ids: Optional[Dict[Key, int]] = None
-        self.read: Dict[Key, PairVec] = {}
-
-    def pairs(self, w: int) -> PairVec:
-        keys = self.keys
-        return {(keys[p], keys[t]): self.one
-                for p, t in word_splits(self.parent, self.tail, w)}
-
-    def get(self, key: Key, default=None):
-        got = self.read.get(key)
-        if got is None:
-            if self.ids is None:
-                self.ids = {k: w for w, k in enumerate(self.keys)}
-            w = self.ids.get(key)
-            if w is None or self.parent[w] < 0:
-                return default
-            got = self.read[key] = self.pairs(w)
-        return got
-
-    def table(self) -> Dict[Key, PairVec]:
-        return {k: self.pairs(w) for w, k in enumerate(self.keys)
-                if self.parent[w] >= 0}
 
 
 class PointedCoalgebra:
@@ -89,21 +55,22 @@ class PointedCoalgebra:
         field: Field,
         objects: Iterable,
         reduced: GradedQuiver,
-        comult: Dict[Key, PairVec] | _WordDelta,
+        comult: Dict[Key, PairVec] | WordTrie,
         diff: Optional[Dict[Key, Vec]] = None,
         curv: Optional[Dict[Key, object]] = None,
     ):
         """Takes ownership of the table dicts and normalizes them in place
         (see ``field``); the caller edits them no further.  ``comult`` is
-        the rDelta table, or the ``_WordDelta`` of a word coalgebra (bar,
+        the rDelta table, or the ``WordTrie`` of a word coalgebra (bar,
         cotensor), whose entries are all ``one`` by construction: it
-        skips the zero scan and is read key by key off the trie."""
+        skips the zero scan and is read key by key off the trie
+        (``WordTrie.get``)."""
         self.field = field
         self.objects = tuple(objects)
         if reduced.objects != self.objects:
             raise ValueError("reduced quiver must live on the stated objects")
         self.reduced = reduced
-        self._rdelta = (comult if isinstance(comult, _WordDelta)
+        self._rdelta = (comult if isinstance(comult, WordTrie)
                         else _normalize(comult))
         self.diff = _normalize({} if diff is None else diff)
         self.curv = _normalize({} if curv is None else curv)
@@ -112,7 +79,7 @@ class PointedCoalgebra:
     def comult(self) -> Dict[Key, PairVec]:
         """rDelta as one table; a word coalgebra builds it off its trie
         on the first read, in word-id order."""
-        if isinstance(self._rdelta, _WordDelta):
+        if isinstance(self._rdelta, WordTrie):
             self._rdelta = self._rdelta.table()
         return self._rdelta
 
@@ -546,29 +513,18 @@ def cotensor_coalgebra(
     """Deconcatenation coalgebra on composable generator words.
 
     Words are composable paths of generators, named by their tuples of
-    generator names (``quiver.word_trie``); rDelta splits a word at
+    generator names (``quiver.WordTrie``); rDelta splits a word at
     interior positions, and is read off the trie key by key, not stored.
     With a weight cap the span of words of length <= max_weight is a
     subcoalgebra, so the cap loses nothing structurally.  Without a cap
-    the generator graph must be acyclic (else the word basis is infinite).
+    the generator graph must be acyclic (else the word basis is infinite),
+    and generator names must be globally unique; the trie refuses both.
     """
     if max_weight is not None and max_weight < 0:
         raise ValueError(f"max_weight={max_weight} is negative; "
                          "pass max_weight=0 or more")
-    if max_weight is None:
-        succ: Dict[object, set] = {x: set() for x in generators.objects}
-        for (x, y, _n) in generators.slots:
-            succ[x].add(y)
-        if has_cycle(succ):
-            raise ValueError("cyclic generator graph needs a weight cap")
-
-    gen_keys = list(generators.keys())
-    if len({k[3] for k in gen_keys}) != len(gen_keys):
-        raise ValueError("cotensor generators need globally unique names")
-    quiver, (keys, _, _, _, _, parent, tail), _ = word_trie(
-        generators.objects, gen_keys, max_weight)
-    return PointedCoalgebra(field, generators.objects, quiver,
-                            _WordDelta(field.one, keys, parent, tail))
+    trie = WordTrie(generators.objects, list(generators.keys()), max_weight)
+    return PointedCoalgebra(field, generators.objects, trie.quiver, trie)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ transport, so the three counts check one another.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -132,47 +133,41 @@ class ConvolutionCategory:
                 _om_tuple(c.objects, cat.quiver.objects, m)
                 for m in object_maps))
         self.object_maps = maps
-        self._dT: Optional[Dict] = None
-        self._deltaT: Optional[Dict] = None
-        self._ends: Optional[Dict] = None
 
     def om_value(self, fk: Tuple, x):
         return fk[self.index[x]]
 
     # -- transposed coalgebra tables (d and Delta read backwards) ----------
 
+    @cached_property
     def _diff_transpose(self) -> Dict:
-        if self._dT is None:
-            t: Dict = {}
-            for c, dv in self.coalgebra.diff.items():
-                for ck2, coeff in dv.items():
-                    t.setdefault(ck2, []).append((c, coeff))
-            self._dT = t
-        return self._dT
+        t: Dict = {}
+        for c, dv in self.coalgebra.diff.items():
+            for ck2, coeff in dv.items():
+                t.setdefault(ck2, []).append((c, coeff))
+        return t
 
+    @cached_property
     def _delta_transpose(self) -> Dict:
-        if self._deltaT is None:
-            t = {}
-            for c, terms in self.coalgebra.comult.items():
-                for (a, b), coeff in terms.items():
-                    t.setdefault((a, b), []).append((c, coeff))
-            self._deltaT = t
-        return self._deltaT
+        t: Dict = {}
+        for c, terms in self.coalgebra.comult.items():
+            for (a, b), coeff in terms.items():
+                t.setdefault((a, b), []).append((c, coeff))
+        return t
 
     # -- hom bases ---------------------------------------------------------
 
+    @cached_property
     def _dkeys_by_ends(self) -> Dict:
         """D's keys grouped by (source, target), each group in key order."""
-        if self._ends is None:
-            t: Dict = {}
-            for dk in self.cat.quiver.keys():
-                t.setdefault(dk[:2], []).append(dk)
-            self._ends = t
-        return self._ends
+        t: Dict = {}
+        for dk in self.cat.quiver.keys():
+            t.setdefault(dk[:2], []).append(dk)
+        return t
 
     def hom_keys(self, fk: Tuple, gk: Tuple) -> List[Key]:
         out = []
-        ends = self._dkeys_by_ends()
+        ends = self._dkeys_by_ends
         if not self.reduced:
             for i, x in enumerate(self.coalgebra.objects):
                 out += [(fk, gk, dk[2], ("o", x, dk))
@@ -197,7 +192,7 @@ class ConvolutionCategory:
             # -(-1)^n phi(dc): rows whose differential hits this one
             ck = name[1]
             s = F.coerce(-1) if n % 2 == 0 else F.one
-            for cprev, coeff in self._diff_transpose().get(ck, ()):
+            for cprev, coeff in self._diff_transpose.get(ck, ()):
                 vec_bump(F, out, (fk, gk, n + 1, ("r", cprev, dk)),
                          F.mul(s, coeff))
         return out
@@ -240,7 +235,7 @@ class ConvolutionCategory:
             return {(fk, hk, n, ("r", ck, dk2)): c for dk2, c in dd.items()}
         a, b = nphi[1], npsi[1]
         out: Vec = {}
-        for crow, lam in self._delta_transpose().get((a, b), ()):
+        for crow, lam in self._delta_transpose.get((a, b), ()):
             coeff = F.neg(lam) if ((p + a[2]) * b[2]) % 2 else lam
             for dk2, c in dd.items():
                 out[(fk, hk, n, ("r", crow, dk2))] = F.mul(coeff, c)
@@ -314,7 +309,7 @@ class ConvolutionCategory:
         for ck in self.coalgebra.reduced.keys():
             rows.setdefault(("o", ck[1]), []).append(("r", ck))
             rows.setdefault(("r", ck), []).append(("o", ck[0]))
-        for a, b in self._delta_transpose():
+        for a, b in self._delta_transpose:
             rows.setdefault(("r", b), []).append(("r", a))
         preceding: Dict[Tuple, List[Tuple]] = {}  # psi name -> phi names
         index = {pq: {k[3]: i for i, k in enumerate(ks)}

@@ -26,25 +26,24 @@ Composition is written ``compose(g, f)`` = "g after f" throughout; no
 Koszul sign lives here.  Signs enter in ``tensor_dg`` (interchanging a
 morphism past a morphism) and ``opposite`` (reversal).
 
-Path categories have one builder, ``_path_category``: the words of
-``quiver.word_trie`` (the lister of bar and cotensor words too),
-composition by the transpose of their deconcatenation, and the letter
-differential extended as a derivation.  ``free_category`` calls it on a
-generator quiver and ``barcobar.cobar_construction`` on the shifted
-reduced part of a coalgebra, under its length and weight caps.
+Path categories have one builder, ``_path_category``: the words of a
+``quiver.WordTrie`` (the lister of bar and cotensor words too),
+composition by the transpose of their deconcatenation (``splits``), and
+the letter differential extended as a derivation, one letter at a time
+(``steps`` and ``ext``).  ``free_category`` calls it on a generator
+quiver and ``barcobar.cobar_construction`` on the shifted reduced part
+of a coalgebra, under its length and weight caps.
 """
 
 from __future__ import annotations
 
-from itertools import chain, takewhile
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import BoundedComplex
 from .field import (Field, Vec, _apply, _compose, _normalize, _same_field,
                     vec_add, vec_addmul, vec_bump, vec_scale, vec_sub)
 from .matrix import SparseMatrix
-from .quiver import (GradedQuiver, Key, has_cycle, pair_key, quiver_tensor,
-                     word_splits, word_trie)
+from .quiver import GradedQuiver, Key, WordTrie, pair_key, quiver_tensor
 
 
 class DgCategory:
@@ -322,10 +321,10 @@ def _path_category(
     word (a_1, ..., a_n), a_1 applied first, of at most ``max_len``
     letters and at most ``max_weight`` summed letter ``weights``, keyed
     (src, tgt, sum of letter degrees, tuple of letter names); the
-    listing is ``quiver.word_trie``, which builds no word past a cap.
+    listing is ``quiver.WordTrie``, which builds no word past a cap.
     Words compose by concatenation, so the table holds the two unit ends
-    of each stored word and, transposed, each of its ``word_splits``,
-    read off the trie by id.
+    of each stored word and, transposed, each of its ``splits``, read
+    off the trie by id.
     ``d_letter`` sends a letter name to its (replacement name tuple,
     coefficient) terms; d extends it as a derivation
 
@@ -340,8 +339,8 @@ def _path_category(
     term (None if none did).
     """
     F = field
-    _, (words, first, _, _, grow, parent, tail), comp_truncated = word_trie(
-        objects, letters, max_len, weights, max_weight)
+    trie = WordTrie(objects, letters, max_len, weights, max_weight)
+    words, ext = trie.keys, trie.ext
     units = {x: (x, x, 0, ()) for x in objects}
     slots = {(x, x, 0): [()] for x in objects}
     unit = {x: {u: F.one} for x, u in units.items()}
@@ -350,7 +349,7 @@ def _path_category(
         slots.setdefault(k[:3], []).append(k[3])
         # comp[(g, f)] = g after f
         comp[(k, units[k[0]])] = {k: F.one}
-        for f, g in word_splits(parent, tail, w):
+        for f, g in trie.splits(w):
             comp[(words[g], words[f])] = {k: F.one}
         comp[(units[k[1]], k)] = {k: F.one}
 
@@ -359,17 +358,6 @@ def _path_category(
     # unsummed, as (word id or -1 for the unit, coefficient, odd sign), so
     # each word sums them in the order of the rule above.
     pos = {a[3]: i for i, a in enumerate(letters)}
-    lid: List[Optional[int]] = [None] * len(letters)  # word id of a letter
-    for w, k in enumerate(takewhile(lambda k: len(k[3]) == 1, words)):
-        lid[pos[k[3][0]]] = w
-
-    def ext(v: int, a: int) -> Optional[int]:
-        """The id of the stored word v.a (v = -1: the empty word), or None."""
-        if v < 0:
-            return lid[a]
-        if v < len(first) and grow[v][1][a] is not None:
-            return first[v] + grow[v][1][a]
-        return None
 
     def letter_ids(x, y, repl) -> Optional[List[int]]:
         """The letter ids of ``repl`` if it is a word from x to y."""
@@ -381,14 +369,10 @@ def _path_category(
 
     d_ids = [[(letter_ids(x, y, repl), c) for repl, c in d_letter.get(name, ())]
              for x, y, _, name in letters]
-    steps = chain(
-        ((w, -1, a) for a, w in enumerate(lid) if w is not None),
-        ((first[h] + j, h, a) for h, (fit, _) in enumerate(grow)
-         for j, a in enumerate(fit)))
     rows: List[list] = []  # the terms of each word below the length cap
     diff: Dict[Key, Vec] = {}
     trunc_min_len: Optional[int] = None
-    for w, p, a in steps:  # word w = p.a, in id order
+    for w, p, a in trie.steps():  # word w = p.a, in id order
         # whether a term of d(w) is lost; where d(p) lost one too,
         # trunc_min_len is already at most len(p)
         dropped = False
@@ -410,9 +394,9 @@ def _path_category(
                 dropped = True
             else:
                 new.append((u, c, 0))
-        if w < len(first):
-            rows.append(new)
         k = words[w]
+        if len(k[3]) != max_len:
+            rows.append(new)
         if dropped and trunc_min_len is None:
             trunc_min_len = len(k[3])  # words come shortest first
         out: Vec = {}
@@ -422,7 +406,7 @@ def _path_category(
         if out:
             diff[k] = out
     cat = DgCategory(F, GradedQuiver(objects, slots), unit, comp, diff=diff)
-    return cat, comp_truncated, trunc_min_len
+    return cat, trie.cut, trunc_min_len
 
 
 def free_category(
@@ -434,24 +418,12 @@ def free_category(
 
     Built by ``_path_category`` on the generators: the basis is the
     composable generator words, named by their tuples of generator names,
-    so names must be globally unique.  ``d_gen`` sends generator keys to
-    word vectors and extends as a derivation; a word key of a value is
-    read by its tuple of names, which must compose between the
-    generator's objects.  d^2 = 0 is the caller's obligation;
-    ``validate`` checks.
+    so names must be globally unique (the word trie refuses a cycle and
+    a repeated name).  ``d_gen`` sends generator keys to word vectors
+    and extends as a derivation; a word key of a value is read by its
+    tuple of names, which must compose between the generator's objects.
+    d^2 = 0 is the caller's obligation; ``validate`` checks.
     """
-    if len({k[3] for k in generators.keys()}) != generators.total_dim():
-        raise ValueError("free_category needs globally unique generator names")
-
-    # object-level acyclicity so the word basis is finite
-    succ: Dict[object, set] = {x: set() for x in generators.objects}
-    for x, y, _ in generators.slots:
-        if x == y:
-            raise ValueError(f"generator loop at {x!r}: word basis is infinite")
-        succ[x].add(y)
-    if has_cycle(succ):
-        raise ValueError("generator quiver has a directed cycle")
-
     d_letter = {}
     for k, v in (d_gen or {}).items():
         if not generators.has_key(k):

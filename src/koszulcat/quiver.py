@@ -15,10 +15,12 @@ each:
   ``quiver_tensor`` does, on pairwise objects with degree-tagged names;
   ``lkey(ck, y)`` and ``rkey(x, dk)`` are the pointed-coalgebra keys with
   a grouplike leg ("G", y) on the right or ("G", x) on the left;
-- ``word_trie``: composable words of letters on an integer trie,
+- ``WordTrie``: composable words of letters on an integer trie,
   shortest first, built only within a length cap and a letter weight
-  budget.  ``word_splits`` reads a word's deconcatenation off its parent
-  and tail chains: bar and cotensor coalgebras take it as rDelta, and
+  budget, with the guards that keep the listing finite.  ``ext`` and
+  ``steps`` walk it letter by letter, and ``splits`` reads a word's
+  deconcatenation off its parent and tail chains: bar and cotensor
+  coalgebras hold the trie itself as rDelta (``get``, ``table``), and
   cobar and free categories compose by its transpose;
 - ``object_maps``: every map of object sets in ``itertools.product``
   order, with the ``max_objects`` guard;
@@ -117,93 +119,143 @@ def rkey(x, dk: Key) -> Key:
     return ((x, dk[0]), (x, dk[1]), dk[2], (("G", x), (dk[2], dk[3])))
 
 
-def word_trie(objects: Sequence, letters: Sequence[Key],
-              max_len: Optional[int] = None,
-              weights: Optional[Mapping[Key, int]] = None,
-              max_weight: Optional[int] = None):
+class WordTrie:
     """Words of letters (src, tgt, degree, name) composable end to end,
     shortest first, of at most ``max_len`` letters and ``max_weight``
-    summed letter ``weights``, keyed (src, tgt, degree sum, tuple of
-    names); letter names must tell letters apart.  Returns their quiver,
-    the trie (keys, first, out, rank, grow, parent, tail) and ``cut``:
-    whether a cap dropped a letter or the composite of two listed words.
+    summed letter ``weights``, on an integer trie.  ``keys`` lists them
+    by id, keyed (src, tgt, degree sum, tuple of names), each key built
+    once; ``quiver`` is their quiver and ``cut`` whether a cap dropped a
+    letter or the composite of two listed words.  ``lid[i]`` is the id
+    of letter i (None if dropped); ``parent[w]`` is w without its last
+    letter and ``tail[w]`` w without its first, both -1 for a letter.
 
-    ``keys`` lists the words by id.  Each object keeps one list of
-    outgoing letters per remaining weight budget (up to the heaviest
-    letter's weight), in ``letters`` order.  A word h of budget b extends
-    by that list only, so no word past a cap is built, and h.a is
-    ``first[h] + rank[b][a]``; ``grow[h]`` is that (list, rank[b]) pair
-    for each word h below the length cap, in id order, so the words
-    h.a are ``first[h] + j`` for the j-th letter of the list.
-    ``parent[w]`` is w without its last letter and ``tail[w]`` w without
-    its first, both -1 for a letter; each word key is built once.  The
-    splits of a word are its ``word_splits``.  ``out`` (the letters
-    leaving each object) and ``rank`` come back for the largest budget:
-    with no weight cap that is the only one, and letter i is word i.
-    Without ``max_len`` the letter graph must be acyclic, or
-    ``max_weight`` set and every weight at least 1.
+    Each object keeps one list of outgoing letters per remaining weight
+    budget (up to the heaviest letter's weight), in ``letters`` order.
+    A word h of budget b extends by that list only, so no word past a
+    cap is built, and h.a is ``first[h] + rank[b][a]``; ``grow[h]`` is
+    that (list, rank[b]) pair for each word h below the length cap, in
+    id order.  ``out`` (the letters leaving each object) and ``rank``
+    are kept for the largest budget: with no weight cap that is the only
+    one, and letter i is word i.  Letter names must tell letters apart,
+    and without ``max_len`` the letters that weigh nothing (all of them
+    without ``max_weight``) must not run round a cycle.
     """
-    top = max_weight or 0  # no weight cap: every weight counts as 0
-    wt = [0 if max_weight is None else weights[k] for k in letters]
-    heavy = min(top, max(wt, default=0))  # budgets past it share a list
-    fits = [{x: [] for x in objects} for _ in range(heavy + 1)]
-    rank = [[None] * len(letters) for _ in range(heavy + 1)]
-    keys: List[Key] = []
-    lid: List[Optional[int]] = [None] * len(letters)  # word id of a letter
-    rests = {}  # word id -> remaining weight budget, where it is not 0
-    for i, (a, n) in enumerate(zip(letters, wt)):
-        for b in range(n, heavy + 1):
-            rank[b][i] = len(fits[b][a[0]])
-            fits[b][a[0]].append(i)
-        if n <= top and max_len != 0:
-            lid[i] = len(keys)
-            if n < top:
-                rests[len(keys)] = top - n
-            keys.append(a[:3] + ((a[3],),))
-    cut = len(keys) < len(letters)
-    parent = [-1] * len(keys)
-    tail = [-1] * len(keys)
-    first: List[int] = []
-    grow: List[Tuple[List[int], List[Optional[int]]]] = []
-    for h, hk in enumerate(keys):  # keys grows as h runs: shortest first
-        if len(hk[3]) == max_len:
-            cut = cut or any(fits[heavy][keys[i][1]]
-                             for i in range(h, len(keys)))
-            break
-        rest = rests.get(h, 0)
-        fit = fits[min(rest, heavy)][hk[1]]
-        cut = cut or len(fit) < len(fits[heavy][hk[1]])
-        # h's tail t (the empty word for a letter): t.a is base + trank[a]
-        t = tail[h]
-        base, trank = (0, lid) if t < 0 else (first[t], grow[t][1])
-        first.append(len(keys))
-        grow.append((fit, rank[min(rest, heavy)]))
-        for a in fit:
-            _, y, n, name = letters[a]
-            if rest > wt[a]:
-                rests[len(keys)] = rest - wt[a]
-            parent.append(h)
-            tail.append(base + trank[a])
-            keys.append((hk[0], y, hk[2] + n, hk[3] + (name,)))
-    slots: Dict[Slot, List] = {}
-    for k in keys:
-        slots.setdefault(k[:3], []).append(k[3])
-    return (GradedQuiver(objects, slots),
-            (keys, first, fits[heavy], rank[heavy], grow, parent, tail), cut)
 
+    def __init__(self, objects: Sequence, letters: Sequence[Key],
+                 max_len: Optional[int] = None,
+                 weights: Optional[Mapping[Key, int]] = None,
+                 max_weight: Optional[int] = None):
+        if len({a[3] for a in letters}) != len(letters):
+            raise ValueError("letter names must tell letters apart; "
+                             "rename the repeated ones")
+        top = max_weight or 0  # no weight cap: every weight counts as 0
+        wt = [0 if max_weight is None else weights[k] for k in letters]
+        heavy = min(top, max(wt, default=0))  # budgets past it share a list
+        fits = [{x: [] for x in objects} for _ in range(heavy + 1)]
+        rank = [[None] * len(letters) for _ in range(heavy + 1)]
+        keys: List[Key] = []
+        lid: List[Optional[int]] = [None] * len(letters)
+        rests = {}  # word id -> remaining weight budget, where it is not 0
+        for i, (a, n) in enumerate(zip(letters, wt)):
+            for b in range(n, heavy + 1):
+                rank[b][i] = len(fits[b][a[0]])
+                fits[b][a[0]].append(i)
+            if n <= top and max_len != 0:
+                lid[i] = len(keys)
+                if n < top:
+                    rests[len(keys)] = top - n
+                keys.append(a[:3] + ((a[3],),))
+        if max_len is None and has_cycle(  # fits[0]: the weightless letters
+                {x: [letters[i][1] for i in out] for x, out in fits[0].items()}):
+            raise ValueError("the letter graph has a directed cycle, so its "
+                             "words never end; set a length or weight cap, "
+                             "or break the cycle")
+        cut = len(keys) < len(letters)
+        parent = [-1] * len(keys)
+        tail = [-1] * len(keys)
+        first: List[int] = []
+        grow: List[Tuple[List[int], List[Optional[int]]]] = []
+        for h, hk in enumerate(keys):  # keys grows as h runs: shortest first
+            if len(hk[3]) == max_len:
+                cut = cut or any(fits[heavy][keys[i][1]]
+                                 for i in range(h, len(keys)))
+                break
+            rest = rests.get(h, 0)
+            fit = fits[min(rest, heavy)][hk[1]]
+            cut = cut or len(fit) < len(fits[heavy][hk[1]])
+            # h's tail t (the empty word for a letter): t.a is base + trank[a]
+            t = tail[h]
+            base, trank = (0, lid) if t < 0 else (first[t], grow[t][1])
+            first.append(len(keys))
+            grow.append((fit, rank[min(rest, heavy)]))
+            for a in fit:
+                _, y, n, name = letters[a]
+                if rest > wt[a]:
+                    rests[len(keys)] = rest - wt[a]
+                parent.append(h)
+                tail.append(base + trank[a])
+                keys.append((hk[0], y, hk[2] + n, hk[3] + (name,)))
+        slots: Dict[Slot, List] = {}
+        for k in keys:
+            slots.setdefault(k[:3], []).append(k[3])
+        self.quiver = GradedQuiver(objects, slots)
+        self.keys, self.cut, self.lid = keys, cut, lid
+        self.parent, self.tail, self.first, self.grow = parent, tail, first, grow
+        self.out, self.rank = fits[heavy], rank[heavy]
+        self._ids: Optional[Dict[Key, int]] = None
+        self._read: Dict[Key, Dict[Tuple[Key, Key], int]] = {}
 
-def word_splits(parent: Sequence[int], tail: Sequence[int],
-                w: int) -> Iterator[Tuple[int, int]]:
-    """The splits of word w at its interior positions, as (prefix id,
-    suffix id) pairs, shortest prefix first: its ancestors on the
-    ``parent`` chain against its ``tail`` chain."""
-    pre, suf = [], []
-    p, t = parent[w], tail[w]
-    while p >= 0:
-        pre.append(p)
-        suf.append(t)
-        p, t = parent[p], tail[t]
-    return zip(reversed(pre), suf)
+    def ext(self, v: int, a: int) -> Optional[int]:
+        """The id of the word v.a (v = -1: the empty word), or None."""
+        if v < 0:
+            return self.lid[a]
+        if v < len(self.first) and self.grow[v][1][a] is not None:
+            return self.first[v] + self.grow[v][1][a]
+        return None
+
+    def steps(self) -> Iterator[Tuple[int, int, int]]:
+        """(w, p, a) for each word w = p.a in id order, p = -1 for a letter."""
+        yield from ((w, -1, a) for a, w in enumerate(self.lid) if w is not None)
+        for h, (fit, _) in enumerate(self.grow):
+            for j, a in enumerate(fit):
+                yield self.first[h] + j, h, a
+
+    def splits(self, w: int) -> Iterator[Tuple[int, int]]:
+        """The splits of word w at its interior positions, as (prefix id,
+        suffix id) pairs, shortest prefix first: its ancestors on the
+        ``parent`` chain against its ``tail`` chain."""
+        parent, tail = self.parent, self.tail
+        pre, suf = [], []
+        p, t = parent[w], tail[w]
+        while p >= 0:
+            pre.append(p)
+            suf.append(t)
+            p, t = parent[p], tail[t]
+        return zip(reversed(pre), suf)
+
+    def _pairs(self, w: int) -> Dict[Tuple[Key, Key], int]:
+        keys = self.keys
+        return {(keys[p], keys[t]): 1 for p, t in self.splits(w)}
+
+    def get(self, key: Key, default=None):
+        """rDelta of a word key as a table reads it: its ``splits`` as key
+        pairs, each with coefficient 1 (the ``one`` of every field), or
+        ``default`` for a letter or a key that is no word.  A key -> id
+        index is built on the first read, and what was read is kept."""
+        got = self._read.get(key)
+        if got is None:
+            if self._ids is None:
+                self._ids = {k: w for w, k in enumerate(self.keys)}
+            w = self._ids.get(key)
+            if w is None or self.parent[w] < 0:
+                return default
+            got = self._read[key] = self._pairs(w)
+        return got
+
+    def table(self) -> Dict[Key, Dict[Tuple[Key, Key], int]]:
+        """``get`` of every word that has a split, in id order."""
+        return {k: self._pairs(w) for w, k in enumerate(self.keys)
+                if self.parent[w] >= 0}
 
 
 def object_maps(sources: Sequence, targets: Sequence,

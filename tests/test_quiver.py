@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulcat.quiver import (GradedQuiver, quiver_tensor, word_splits,
-                              word_trie)
+from koszulcat.quiver import GradedQuiver, WordTrie, quiver_tensor
 
 
 def small_quiver(rng, max_objects=2, max_dim=2, degs=(-1, 0, 1)):
@@ -117,7 +116,7 @@ def test_tensor_total_dim_multiplicative(seed):
 
 
 def keep_listing(letters, max_len, weights=None, max_weight=None):
-    """The words of ``word_trie`` as tuples of letters, by extending
+    """The words of ``WordTrie`` as tuples of letters, by extending
     every word by every letter that leaves its target and dropping the
     candidates ``keep`` refuses, each weight summed afresh.  A cap cut
     when a letter, or a stored word extended by a stored letter, fails
@@ -147,12 +146,11 @@ def keep_listing(letters, max_len, weights=None, max_weight=None):
 
 
 def trie_listing(letters, max_len, weights=None, max_weight=None):
-    """``word_trie``'s words as tuples of letters, and its ``cut``."""
+    """``WordTrie``'s words as tuples of letters, and its ``cut``."""
     objects = tuple(dict.fromkeys(x for a in letters for x in a[:2]))
     by_name = {a[3]: a for a in letters}
-    _, (keys, *_), cut = word_trie(objects, letters, max_len, weights,
-                                   max_weight)
-    return [tuple(by_name[n] for n in k[3]) for k in keys], cut
+    trie = WordTrie(objects, letters, max_len, weights, max_weight)
+    return [tuple(by_name[n] for n in k[3]) for k in trie.keys], trie.cut
 
 
 def test_word_trie_stops_at_caps():
@@ -198,15 +196,49 @@ def test_word_trie_parent_tail_and_splits():
     # (caps, length of the longest word): a length cap, a weight cap, both
     for max_len, max_weight, longest in [(3, None, 3), (None, 4, 4),
                                          (3, 5, 3), (0, None, 0)]:
-        _, (keys, *_, parent, tail), _ = word_trie(
-            objects, letters, max_len, weights, max_weight)
+        trie = WordTrie(objects, letters, max_len, weights, max_weight)
+        keys, parent, tail = trie.keys, trie.parent, trie.tail
         ids = {k[3]: w for w, k in enumerate(keys)}
+        pos = {a[3]: i for i, a in enumerate(letters)}
         assert len(parent) == len(tail) == len(keys)
         # the words at max_len, never extended, keep their parent and tail
         assert max(map(len, ids), default=0) == longest
+        # each word once, in id order, as its parent and last letter
+        assert list(trie.steps()) == [
+            (w, parent[w], pos[k[3][-1]]) for w, k in enumerate(keys)]
         for w, (_, _, _, name) in enumerate(keys):
             assert parent[w] == ids.get(name[:-1], -1)
             assert tail[w] == ids.get(name[1:], -1)
+            assert trie.ext(parent[w], pos[name[-1]]) == w
+            splits = [(name[:i], name[i:]) for i in range(1, len(name))]
             assert [(keys[p][3], keys[t][3])
-                    for p, t in word_splits(parent, tail, w)] == [
-                (name[:i], name[i:]) for i in range(1, len(name))]
+                    for p, t in trie.splits(w)] == splits
+            # rDelta as a table reads it: the splits as key pairs, all 1
+            got = trie.get(keys[w], "none")
+            if len(name) == 1:
+                assert got == "none"
+            else:
+                assert list(got.items()) == [
+                    ((keys[ids[p]], keys[ids[t]]), 1) for p, t in splits]
+            if len(name) == max_len:  # nothing is listed past the cap
+                assert all(trie.ext(w, a) is None
+                           for a in range(len(letters)))
+        assert trie.get(("a", "a", 0, ("nowhere",)), "none") == "none"
+
+
+def test_word_trie_refuses_repeated_names_and_endless_words():
+    f, g, h = ("a", "b", 0, "f"), ("b", "a", 1, "g"), ("a", "a", 0, "h")
+    with pytest.raises(ValueError, match="rename"):
+        WordTrie(("a", "b"), [f, ("a", "b", 1, "f")], 2)
+    # a loop, and a 2-cycle: with no cap at all the words never end
+    for letters in ([h], [f, g]):
+        with pytest.raises(ValueError, match="cap, or break the cycle"):
+            WordTrie(("a", "b"), letters)
+        # any cap makes the same letters list fine
+        weights = {a: 1 for a in letters}
+        assert WordTrie(("a", "b"), letters, 3).keys
+        assert WordTrie(("a", "b"), letters, None, weights, 3).keys
+        # a weight cap bounds only the letters that weigh something
+        with pytest.raises(ValueError, match="cap, or break the cycle"):
+            WordTrie(("a", "b"), letters, None, {a: 0 for a in letters}, 3)
+    assert len(WordTrie(("a", "b"), [f]).keys) == 1  # acyclic: no cap needed

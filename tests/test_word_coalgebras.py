@@ -1,6 +1,6 @@
 """Bar and cotensor coalgebras against their word-by-word reference loops.
 
-Both constructions share the word lister ``quiver.word_trie``.  It lists
+Both constructions share the word lister ``quiver.WordTrie``.  It lists
 the words on an integer trie (ids in word order, the extensions of a
 word in one block) and builds each word key once, and the bar builds
 d(w'.a) from d(w') on word ids, splitting each letter and each
@@ -11,9 +11,10 @@ comultiplication, differential and curvature must come out equal, in
 dict order, on the sample library (weight caps 0 to 3), on seeded random
 categories, under custom unit complements, on the bar of an MC category,
 and on cotensors of random and cyclic generator quivers.  Neither
-coalgebra stores its comultiplication: ``delta`` reads it off the trie
-key by key, and ``comult`` is built from it on the first read, so each
-case also checks ``delta`` against that table, read before and after.
+coalgebra stores its comultiplication: it holds the trie, ``delta``
+reads it key by key (``WordTrie.get``), and ``comult`` is built from
+it on the first read (``WordTrie.table``), so each case also checks
+``delta`` against that table, read before and after.
 The custom complements give words whose merge term hits a term of
 d(w').a, which pins the order in which the recursion adds terms.  Equal
 keys in the built tables must be one object.
