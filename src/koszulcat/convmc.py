@@ -18,9 +18,11 @@ differential twisted by the endpoint elements), the internal hom
 uHom(C, BD) = B MC*(C, D), and the Eilenberg-Zilber comparison functor
 Omega(C (x) C') -> Omega C (x) Omega C'.
 
-Cochains are spanned by ("o", x, dk) -- the grouplike row at x sent to the
-D-arrow dk -- and ("r", ck, dk), of degree |dk| - |ck|.  Both variants
-read a ``PointedCoalgebra``'s tables as they stand, and one materializer,
+Cochains are spanned by (tag, row, dk), the row sent to the D-arrow dk,
+of degree |dk| - |row|.  Rows are grouplikes ("o", x) of degree 0 and
+reduced keys ("r", ck), with Delta x = x (x) x and Delta c = x (x) c +
+c (x) y + rDelta(c).  Both variants read a ``PointedCoalgebra``'s tables
+as they stand, and one materializer,
 ``ConvolutionCategory.tables``, serves the dg category, the reduced
 validator, the MC category and the interchange check.  The kernel tensor
 C-bar (x) C' of the interchange is a restriction of the reduced
@@ -108,12 +110,12 @@ class ConvolutionCategory:
     """{C, D}, or the reduced {C-bar, D}, with the tables exposed per basis
     cochain.
 
-    Objects are object maps, stored as tuples in coalgebra-object order.
-    The coalgebra's ``reduced``, ``comult``, ``diff`` and ``curv`` are read
-    as they stand.  ``reduced`` drops the grouplike rows, and with them the
-    units and the h_D terms of the curvature.  ``tables`` materializes
-    either side; ``to_dg_category`` only the counital one, because the
-    reduced convolution has no units.
+    Objects are object maps, stored as tuples in coalgebra-object order;
+    ``max_objects`` bounds only the maps enumerated when no ``object_maps``
+    are given.  Every table derives from the row list ``_rows`` and the
+    transposed Delta over it; ``reduced`` drops the grouplike rows, and
+    with them the units and the h_D terms of the curvature.  ``tables``
+    materializes either side; ``to_dg_category`` only the counital one.
     """
 
     def __init__(self, c: PointedCoalgebra, cat: DgCategory,
@@ -125,6 +127,7 @@ class ConvolutionCategory:
         self.reduced = reduced
         self.cat = cat
         self.index = {x: i for i, x in enumerate(c.objects)}
+        self._grouplike = () if reduced else c.objects
         if object_maps is None:
             maps = list(all_object_maps(c.objects, cat.quiver.objects,
                                         max_objects))
@@ -137,22 +140,39 @@ class ConvolutionCategory:
     def om_value(self, fk: Tuple, x):
         return fk[self.index[x]]
 
-    # -- transposed coalgebra tables (d and Delta read backwards) ----------
+    # -- rows and the transposed coalgebra tables (d and Delta backwards) --
+
+    @cached_property
+    def _rows(self) -> List[Tuple]:
+        """(tag, row, (source, target, degree)) in hom-key order: each
+        grouplike ("o", x) in degree 0, then each reduced ("r", ck)."""
+        return ([("o", x, (x, x, 0)) for x in self._grouplike]
+                + [("r", ck, ck[:3]) for ck in self.coalgebra.reduced.keys()])
 
     @cached_property
     def _diff_transpose(self) -> Dict:
         t: Dict = {}
         for c, dv in self.coalgebra.diff.items():
             for ck2, coeff in dv.items():
-                t.setdefault(ck2, []).append((c, coeff))
+                t.setdefault(("r", ck2), []).append((("r", c), coeff))
         return t
 
     @cached_property
     def _delta_transpose(self) -> Dict:
+        """(row of c1) + (row of c2) -> [(row of c, coefficient)] over
+        Delta x = x (x) x and Delta c = x (x) c + c (x) y + rDelta(c),
+        keeping the terms whose two legs are both rows.  The key is one
+        flat (tag1, row1, tag2, row2), the cheapest for comp_vec to hash."""
+        one, rows = self.field.one, {r[:2] for r in self._rows}
         t: Dict = {}
+        for tag, row, (x, y, _) in self._rows:  # at c = x both are x (x) x
+            c = (tag, row)
+            for c1, c2 in ((("o", x), c), (c, ("o", y))):
+                if c1 in rows and c2 in rows:
+                    t[c1 + c2] = [(c, one)]
         for c, terms in self.coalgebra.comult.items():
             for (a, b), coeff in terms.items():
-                t.setdefault((a, b), []).append((c, coeff))
+                t.setdefault(("r", a, "r", b), []).append((("r", c), coeff))
         return t
 
     # -- hom bases ---------------------------------------------------------
@@ -166,18 +186,10 @@ class ConvolutionCategory:
         return t
 
     def hom_keys(self, fk: Tuple, gk: Tuple) -> List[Key]:
-        out = []
-        ends = self._dkeys_by_ends
-        if not self.reduced:
-            for i, x in enumerate(self.coalgebra.objects):
-                out += [(fk, gk, dk[2], ("o", x, dk))
-                        for dk in ends.get((fk[i], gk[i]), ())]
-        for ck in self.coalgebra.reduced.keys():
-            fx = self.om_value(fk, ck[0])
-            gy = self.om_value(gk, ck[1])
-            out += [(fk, gk, dk[2] - ck[2], ("r", ck, dk))
-                    for dk in ends.get((fx, gy), ())]
-        return out
+        ends, index = self._dkeys_by_ends, self.index
+        return [(fk, gk, dk[2] - n, (tag, row, dk))
+                for tag, row, (x, y, n) in self._rows
+                for dk in ends.get((fk[index[x]], gk[index[y]]), ())]
 
     # -- structure tables per basis cochain --------------------------------
 
@@ -188,57 +200,37 @@ class ConvolutionCategory:
         dk = name[2]
         for dk2, c in self.cat.diff.get(dk, {}).items():
             vec_bump(F, out, (fk, gk, n + 1, (name[0], name[1], dk2)), c)
-        if name[0] == "r":
-            # -(-1)^n phi(dc): rows whose differential hits this one
-            ck = name[1]
-            s = F.coerce(-1) if n % 2 == 0 else F.one
-            for cprev, coeff in self._diff_transpose.get(ck, ()):
-                vec_bump(F, out, (fk, gk, n + 1, ("r", cprev, dk)),
-                         F.mul(s, coeff))
+        # -(-1)^n phi(dc): rows whose differential hits this one
+        s = F.coerce(-1) if n % 2 == 0 else F.one
+        for cprev, coeff in self._diff_transpose.get(name[:2], ()):
+            vec_bump(F, out, (fk, gk, n + 1, cprev + (dk,)), F.mul(s, coeff))
         return out
 
     def comp_vec(self, kpsi: Key, kphi: Key) -> Vec:
         """psi * phi on basis cochains; key order matches comp[(g, f)].
 
-        Each case writes distinct keys with nonzero coefficients (D's and
-        Delta's stored ones, up to sign), so no entry needs summing.
+        One sum over the transposed Delta, signed (-1)^{(|phi| + |c1|) |c2|}
+        = (-1)^{|d_phi| (|d_psi| - |psi|)}.  Its keys are distinct and its
+        coefficients nonzero (D's and Delta's, up to sign): nothing to sum.
         """
-        fk, gmid, p, nphi = kphi
-        gmid2, hk, q, npsi = kpsi
+        fk, gmid, p, (tphi, rphi, dphi) = kphi
+        gmid2, hk, q, (tpsi, rpsi, dpsi) = kpsi
         if gmid2 != gmid:
             return {}
-        F = self.field
-        dphi, dpsi = nphi[2], npsi[2]
         if dphi[1] != dpsi[0]:
             return {}
         dd = self.cat.comp.get((dpsi, dphi))
         if not dd:
             return {}
+        F = self.field
         n = p + q
-        if nphi[0] == "o" and npsi[0] == "o":
-            if nphi[1] != npsi[1]:
-                return {}
-            return {(fk, hk, n, ("o", nphi[1], dk2)): c
-                    for dk2, c in dd.items()}
-        if nphi[0] == "o":
-            # phi eats the canonical grouplike at the source of psi's row
-            ck = npsi[1]
-            if self.reduced or nphi[1] != ck[0]:
-                return {}
-            neg = (p * ck[2]) % 2 == 1
-            return {(fk, hk, n, ("r", ck, dk2)): F.neg(c) if neg else c
-                    for dk2, c in dd.items()}
-        if npsi[0] == "o":
-            ck = nphi[1]
-            if self.reduced or npsi[1] != ck[1]:
-                return {}
-            return {(fk, hk, n, ("r", ck, dk2)): c for dk2, c in dd.items()}
-        a, b = nphi[1], npsi[1]
+        neg = (dphi[2] * (dpsi[2] - q)) % 2
         out: Vec = {}
-        for crow, lam in self._delta_transpose.get((a, b), ()):
-            coeff = F.neg(lam) if ((p + a[2]) * b[2]) % 2 else lam
+        legs = (tphi, rphi, tpsi, rpsi)
+        for crow, lam in self._delta_transpose.get(legs, ()):
+            coeff = F.neg(lam) if neg else lam
             for dk2, c in dd.items():
-                out[(fk, hk, n, ("r", crow, dk2))] = F.mul(coeff, c)
+                out[(fk, hk, n, crow + (dk2,))] = F.mul(coeff, c)
         return out
 
     def unit_vec(self, fk: Tuple) -> Vec:
@@ -259,10 +251,9 @@ class ConvolutionCategory:
             for dk, c in self.cat.unit_vec(fx).items():
                 vec_bump(F, out, (fk, fk, dk[2] - ck[2], ("r", ck, dk)),
                          F.mul(h, c))
-        if not self.reduced:
-            for i, x in enumerate(self.coalgebra.objects):
-                for dk, c in self.cat.curvature_vec(fk[i]).items():
-                    vec_bump(F, out, (fk, fk, dk[2], ("o", x, dk)), c)
+        for x in self._grouplike:
+            for dk, c in self.cat.curvature_vec(self.om_value(fk, x)).items():
+                vec_bump(F, out, (fk, fk, dk[2], ("o", x, dk)), c)
         return out
 
     # -- materialization and validation ------------------------------------
@@ -296,21 +287,16 @@ class ConvolutionCategory:
         unit = {} if self.reduced else {lf: at(lf, self.unit_vec(fk))
                                         for lf, fk in objects}
         # psi * phi can be nonzero only if (d_psi, d_phi) is stored in D
-        # and phi's row can precede psi's: o then o at one object, o at a
-        # row's source before it, a row before o at its target, and rows
-        # (a, b) paired by Delta.  Each psi name gets the names of its
-        # candidate phis once; comp_vec runs only on those found in the
-        # (lf, lg) hom, in hom order, so comp keeps the key-pair scan's order.
+        # and Delta has a term (phi's row) (x) (psi's row), a key of the
+        # transpose.  Each psi name gets the names of its candidate phis
+        # once; comp_vec runs only on those found in the (lf, lg) hom, in
+        # hom order, so comp keeps the key-pair scan's order.
         after: Dict[Key, List[Key]] = {}  # d_psi -> each stored d_phi
         for dpsi, dphi in self.cat.comp:
             after.setdefault(dpsi, []).append(dphi)
-        rows: Dict[Tuple, List[Tuple]] = {  # (tag, row) -> those before it
-            ("o", x): [("o", x)] for x in self.coalgebra.objects}
-        for ck in self.coalgebra.reduced.keys():
-            rows.setdefault(("o", ck[1]), []).append(("r", ck))
-            rows.setdefault(("r", ck), []).append(("o", ck[0]))
-        for a, b in self._delta_transpose:
-            rows.setdefault(("r", b), []).append(("r", a))
+        rows: Dict[Tuple, List[Tuple]] = {}  # psi's row -> phi's rows
+        for k in self._delta_transpose:
+            rows.setdefault(k[2:], []).append(k[:2])
         preceding: Dict[Tuple, List[Tuple]] = {}  # psi name -> phi names
         index = {pq: {k[3]: i for i, k in enumerate(ks)}
                  for pq, ks in keyed.items()}
@@ -324,8 +310,7 @@ class ConvolutionCategory:
                         names = preceding.get(name)
                         if names is None:
                             names = preceding[name] = [
-                                (tag, row, dphi)
-                                for tag, row in rows.get(name[:2], ())
+                                row + (dphi,) for row in rows.get(name[:2], ())
                                 for dphi in after.get(name[2], ())]
                         for i in sorted(i for i in map(where.get, names)
                                         if i is not None):
@@ -685,7 +670,7 @@ class MCCategory:
 
 def mc_category(c: PointedCoalgebra, d: DgCategory,
                 elements: Optional[List[MCElement]] = None,
-                budget: int = SEARCH_BUDGET, max_objects: int = MAX_OBJECTS) -> MCCategory:
+                budget: int = SEARCH_BUDGET) -> MCCategory:
     """MC*(C, D): homs from {C, D}, differential d + xi' . - (-1)^| | . xi.
 
     The twisted differential squares to zero only when D brings no
@@ -706,7 +691,7 @@ def mc_category(c: PointedCoalgebra, d: DgCategory,
                     f"supplied object fails the Maurer-Cartan equation at {bad}")
         elements = list(elements)
     oms = [tuple(m.object_map[x] for x in c.objects) for m in elements]
-    conv = ConvolutionCategory(c, d, object_maps=oms, max_objects=max_objects)
+    conv = ConvolutionCategory(c, d, object_maps=oms)
     labels = [("mc", i) for i in range(len(elements))]
     quiver, unit, comp, plain, _, keyed = conv.tables(list(zip(labels, oms)))
     xvs = {lab: {(lab, lab, 1, ("r", ck, dk)): coeff

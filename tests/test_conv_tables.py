@@ -1,14 +1,19 @@
 """Convolution composition tables against the key-pair scan.
 
-``ConvolutionCategory.tables`` calls ``comp_vec`` only on the pairs whose
-D-arrows compose in D's stored table and whose rows can follow one
-another, and ``hom_keys`` reads D's keys grouped by their ends.  The
-oracles below are the loops they replaced: a scan of D's keys per row
-for the hom bases, and ``comp_vec`` on every hom-key pair of every
-labelled object triple.  Hom bases and the composition table must come
-out equal, values and insertion order, with at most one ``comp_vec``
-call per stored entry.
+``ConvolutionCategory`` derives its tables from one row list and the
+transpose of Delta over it: ``hom_keys`` reads D's keys grouped by their
+ends, ``comp_vec`` is one sum over the transpose, and ``tables`` calls it
+only on the pairs whose D-arrows compose in D's stored table and whose
+rows are a key of the transpose.  The oracles below spell the rule out
+case by case: a scan of D's keys per row for the hom bases, the product
+split into grouplike and reduced rows, and that product on every hom-key
+pair of every labelled object triple.  Hom bases, products and the
+composition table must come out equal, values and insertion order, with
+at most one ``comp_vec`` call per stored entry.  The reduced tables are
+the counital ones restricted to the reduced rows.
 """
+
+from functools import lru_cache
 
 import pytest
 
@@ -22,6 +27,9 @@ from koszulcat.samples import (CATEGORY_LIBRARY, COALGEBRA_LIBRARY,
 from test_convmc import _PAIRS
 
 F3 = GF(3)
+# curved_chain_flipped is the one library source whose reduced products
+# carry an odd sign (-1)^{(|phi| + |c1|) |c2|}
+_CORPUS = _PAIRS + [("curved_chain_flipped", "exterior_line")]
 
 
 # -- the oracles -------------------------------------------------------------
@@ -44,18 +52,73 @@ def oracle_hom_keys(conv, fk, gk):
     return out
 
 
-def oracle_comp(conv, objects):
-    keyed = {(lf, lg): [(lf, lg) + k[2:] for k in oracle_hom_keys(conv, fk, gk)]
-             for lf, fk in objects for lg, gk in objects}
-    comp = {}
+@lru_cache(maxsize=4)
+def _rdelta_transpose(coalgebra):
+    t = {}
+    for c, terms in coalgebra.comult.items():
+        for (a, b), coeff in terms.items():
+            t.setdefault((a, b), []).append((c, coeff))
+    return t
+
+
+def oracle_comp_vec(conv, kpsi, kphi):
+    """psi * phi case by case: grouplike or reduced rows on either side."""
+    fk, gmid, p, nphi = kphi
+    gmid2, hk, q, npsi = kpsi
+    if gmid2 != gmid:
+        return {}
+    F = conv.field
+    dphi, dpsi = nphi[2], npsi[2]
+    if dphi[1] != dpsi[0]:
+        return {}
+    dd = conv.cat.comp.get((dpsi, dphi))
+    if not dd:
+        return {}
+    n = p + q
+    if nphi[0] == "o" and npsi[0] == "o":
+        if nphi[1] != npsi[1]:
+            return {}
+        return {(fk, hk, n, ("o", nphi[1], dk2)): c
+                for dk2, c in dd.items()}
+    if nphi[0] == "o":
+        # phi eats the canonical grouplike at the source of psi's row
+        ck = npsi[1]
+        if conv.reduced or nphi[1] != ck[0]:
+            return {}
+        neg = (p * ck[2]) % 2 == 1
+        return {(fk, hk, n, ("r", ck, dk2)): F.neg(c) if neg else c
+                for dk2, c in dd.items()}
+    if npsi[0] == "o":
+        ck = nphi[1]
+        if conv.reduced or npsi[1] != ck[1]:
+            return {}
+        return {(fk, hk, n, ("r", ck, dk2)): c for dk2, c in dd.items()}
+    a, b = nphi[1], npsi[1]
+    out = {}
+    for crow, lam in _rdelta_transpose(conv.coalgebra).get((a, b), ()):
+        coeff = F.neg(lam) if ((p + a[2]) * b[2]) % 2 else lam
+        for dk2, c in dd.items():
+            out[(fk, hk, n, ("r", crow, dk2))] = F.mul(coeff, c)
+    return out
+
+
+def _composable_pairs(keyed, objects):
     for lf, _ in objects:
         for lg, _ in objects:
             for lh, _ in objects:
                 for kpsi in keyed[(lg, lh)]:
                     for kphi in keyed[(lf, lg)]:
-                        v = conv.comp_vec(kpsi, kphi)
-                        if v:
-                            comp[(kpsi, kphi)] = v
+                        yield kpsi, kphi
+
+
+def oracle_comp(conv, objects):
+    keyed = {(lf, lg): [(lf, lg) + k[2:] for k in oracle_hom_keys(conv, fk, gk)]
+             for lf, fk in objects for lg, gk in objects}
+    comp = {}
+    for kpsi, kphi in _composable_pairs(keyed, objects):
+        v = oracle_comp_vec(conv, kpsi, kphi)
+        if v:
+            comp[(kpsi, kphi)] = v
     return keyed, comp
 
 
@@ -87,21 +150,86 @@ def _assert_matches_scan(conv, objects):
     return comp
 
 
-@pytest.mark.parametrize("cname,dname", _PAIRS)
+def _conv(cname, dname, field, reduced=False):
+    return convolution_category(COALGEBRA_LIBRARY[cname](field),
+                                CATEGORY_LIBRARY[dname](field), reduced=reduced)
+
+
+def _neg_primitive_mc_category():
+    # three MC elements on one object map: labels keep their homs apart
+    return mc_category(COALGEBRA_LIBRARY["neg_primitive"](F3),
+                       CATEGORY_LIBRARY["contractible_endo"](F3))
+
+
+def _assert_comp_vec_matches_oracle(conv, objects):
+    keyed, _ = oracle_comp(conv, objects)
+    for kpsi, kphi in _composable_pairs(keyed, objects):
+        assert list(conv.comp_vec(kpsi, kphi).items()) == \
+            list(oracle_comp_vec(conv, kpsi, kphi).items()), (kpsi, kphi)
+
+
+@pytest.mark.parametrize("cname,dname", _CORPUS)
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("field", [QQ, F3], ids=["q", "f3"])
+def test_comp_vec_matches_case_by_case_oracle(cname, dname, reduced, field):
+    conv = _conv(cname, dname, field, reduced)
+    _assert_comp_vec_matches_oracle(conv,
+                                    [(fk, fk) for fk in conv.object_maps])
+
+
+def test_comp_vec_matches_oracle_on_labelled_objects():
+    mcc = _neg_primitive_mc_category()
+    _assert_comp_vec_matches_oracle(
+        mcc.convolution,
+        [(("mc", i), om) for i, om in enumerate(mcc.object_maps)])
+
+
+def test_corpus_has_odd_reduced_pair_signs():
+    # a sign slip on reduced rows shows only where an entry is odd
+    odd = 0
+    for cname, dname in _CORPUS:
+        conv = _conv(cname, dname, F3, reduced=True)
+        _, _, comp, _, _, _ = conv._object_tables()
+        for kpsi, kphi in comp:
+            odd += (kphi[2] + kphi[3][1][2]) * kpsi[3][1][2] % 2
+    assert odd
+
+
+@pytest.mark.parametrize("cname,dname", _CORPUS)
+@pytest.mark.parametrize("field", [QQ, F3], ids=["q", "f3"])
+def test_reduced_tables_restrict_the_counital_ones(cname, dname, field):
+    """{C-bar, D} is {C, D} on the reduced rows: no product or
+    differential of reduced cochains reaches a grouplike row."""
+    _, _, comp, diff, curv, keyed = _conv(cname, dname, field)._object_tables()
+    _, unit, rcomp, rdiff, rcurv, rkeyed = _conv(
+        cname, dname, field, reduced=True)._object_tables()
+
+    def kept(k):
+        return k[3][0] == "r"
+
+    assert unit == {}
+    assert list(rkeyed.items()) == [
+        (pq, [k for k in ks if kept(k)]) for pq, ks in keyed.items()]
+    assert list(rcomp.items()) == [
+        (gf, v) for gf, v in comp.items() if kept(gf[0]) and kept(gf[1])]
+    assert list(rdiff.items()) == [(k, v) for k, v in diff.items() if kept(k)]
+    assert [(fk, list(v.items())) for fk, v in rcurv.items()] == [
+        (fk, [(k, c) for k, c in v.items() if kept(k)])
+        for fk, v in curv.items()]
+
+
+@pytest.mark.parametrize("cname,dname", _CORPUS)
 @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
 @pytest.mark.parametrize("field", [QQ, F3], ids=["q", "f3"])
 def test_comp_table_matches_key_pair_scan(cname, dname, reduced, field):
-    conv = convolution_category(COALGEBRA_LIBRARY[cname](field),
-                                CATEGORY_LIBRARY[dname](field), reduced=reduced)
+    conv = _conv(cname, dname, field, reduced)
     comp = _assert_matches_scan(conv, [(fk, fk) for fk in conv.object_maps])
     if not reduced:
         assert comp  # the units compose, so the table is never empty
 
 
 def test_comp_table_matches_scan_on_labelled_objects():
-    # three MC elements on one object map: labels keep their homs apart
-    mcc = mc_category(COALGEBRA_LIBRARY["neg_primitive"](F3),
-                      CATEGORY_LIBRARY["contractible_endo"](F3))
+    mcc = _neg_primitive_mc_category()
     objects = [(("mc", i), om) for i, om in enumerate(mcc.object_maps)]
     assert len(objects) == 3 and len(set(mcc.object_maps)) == 1
     comp = _assert_matches_scan(mcc.convolution, objects)
