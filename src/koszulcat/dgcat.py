@@ -13,10 +13,11 @@ stored tables:
 
 Each identity is linear in every argument and a missing entry is zero, so
 a case that no stored entry feeds reads 0 = 0; ``validate`` checks the
-other cases only.  Associativity and Leibniz are summed from the stored
-entries outward: per case, left side minus right side is a sparse join
-of the composition and differential tables on integer key ids, so no
-case is composed from basis vectors.
+other cases only, each read off stored entries, none composed from basis
+vectors: associativity and Leibniz as sparse joins of the composition
+and differential tables on integer key ids, the unit laws and
+d^2 = [h, -] by ``_products``, which composes a per-object element (the
+unit, the curvature) with every basis arrow.
 
 The uncurved case is h = 0.  A zero unit vector is rejected except in the
 one-object category with no morphisms at all (0 = 1 forces everything to
@@ -143,35 +144,38 @@ class DgCategory:
         if done():
             return problems
 
-        keys = list(Q.keys())
-
         # unit laws
-        for k in keys:
-            x, y, _, _ = k
-            v = self.basis_vec(k)
-            if self.compose(self.unit.get(y, {}), v) != v:
+        post, pre = _products(F, self.comp, self.unit)
+        for k in Q.keys():
+            v = {k: F.one}
+            if post.get(k, {}) != v:
                 problems.append(f"1 o {k} != {k}")
-            if self.compose(v, self.unit.get(x, {})) != v:
+            if pre.get(k, {}) != v:
                 problems.append(f"{k} o 1 != {k}")
             if done():
                 return problems
 
-        if self._composition_problems(problems, max_problems):
-            return problems
-
-        # d^2 = [h, -]
-        for f in keys:
-            x, y, _, _ = f
-            fv = self.basis_vec(f)
-            dd = self.apply_d(self.diff.get(f, {}))
-            want = vec_sub(F, self.compose(self.curvature.get(y, {}), fv),
-                           self.compose(fv, self.curvature.get(x, {})))
-            if dd != want:
-                problems.append(f"d^2 on {f} does not match curvature bracket")
-                if done():
-                    return problems
-
+        if not self._composition_problems(problems, max_problems):
+            self._d2_problems(problems, max_problems, Q.keys(),
+                              "d^2 on {} does not match curvature bracket")
         return problems
+
+    def _d2_problems(self, problems: List[str], max_problems: int, keys,
+                     message: str, outer=None) -> bool:
+        """Append ``message`` on each of ``keys`` where d(d f) is not
+        h_y o f - f o h_x (+ ``outer(f)``), read off ``_products``; True
+        once the problems reach ``max_problems``."""
+        F = self.field
+        post, pre = _products(F, self.comp, self.curvature)
+        for f in keys:
+            want = vec_sub(F, post.get(f, {}), pre.get(f, {}))
+            if outer is not None:
+                want = vec_add(F, want, outer(f))
+            if self.apply_d(self.diff.get(f, {})) != want:
+                problems.append(message.format(f))
+                if len(problems) >= max_problems:
+                    return True
+        return False
 
     def _composition_problems(self, problems: List[str],
                               max_problems: int) -> bool:
@@ -277,6 +281,25 @@ class DgCategory:
             f"DgCategory({kind}, {len(self.quiver.objects)} objects, "
             f"dim {self.quiver.total_dim()})"
         )
+
+
+def _products(field: Field, comp: Dict, v: Mapping[object, Vec]
+              ) -> Tuple[Dict[Key, Vec], Dict[Key, Vec]]:
+    """The tables f -> v[y] o f and f -> f o v[x] over f: x -> y, for an
+    element v[x] per object, summed from the stored entries of ``comp``;
+    a key missing from a table composes to 0 on that side."""
+    post: Dict[Key, Vec] = {}
+    pre: Dict[Key, Vec] = {}
+    if not any(v.values()):
+        return post, pre
+    for (g, f), gf in comp.items():
+        for out, k, c in ((post, f, v.get(f[1], {}).get(g)),
+                          (pre, g, v.get(g[0], {}).get(f))):
+            if c is not None:
+                vk = out.setdefault(k, {})
+                for k2, c2 in gf.items():
+                    vec_bump(field, vk, k2, field.mul(c, c2))
+    return post, pre
 
 
 def _in_scan_order(cases, pos: Dict[Key, int]) -> List[tuple]:
@@ -537,7 +560,8 @@ class DgFunctor:
     F(df) = d(F f), and F-image of curvature equals target curvature.
     Composition is checked from the tables: on every stored composite,
     and on every composable pair of live keys (nonzero action); on any
-    other pair both sides are 0.
+    other pair both sides are 0.  The cases are checked in any order and
+    only the failures sorted into the order of a scan over the basis.
     """
 
     def __init__(
@@ -579,8 +603,9 @@ class DgFunctor:
             hx = self.apply(src.curvature.get(x, {}))
             if hx != tgt.curvature.get(om[x], {}):
                 problems.append(f"curvature at {x!r} not preserved")
-        keys = list(src.quiver.keys())
-        for f in keys:
+        pos: Dict[Key, int] = {}
+        for f in src.quiver.keys():
+            pos[f] = len(pos)
             if (self.apply(src.diff.get(f, {}))
                     != tgt.apply_d(self.action.get(f, {}))):
                 problems.append(f"differential not preserved on {f}")
@@ -588,20 +613,20 @@ class DgFunctor:
                 return problems
         # F(g o f) = F(g) o F(f) is bilinear and a missing entry is zero:
         # the left side needs (g, f) stored, the right side two live keys
-        pos = {k: i for i, k in enumerate(keys)}
-        live: Dict[object, List[int]] = {}
+        live: Dict[object, List[Key]] = {}
         for k in self.action:
-            live.setdefault(k[0], []).append(pos.get(k, -1))
-        pairs = {(pos.get(f, -1), pos.get(g, -1)) for g, f in src.comp}
+            live.setdefault(k[0], []).append(k)
+        pairs = set(src.comp)
         for f in self.action:
-            pairs.update((pos.get(f, -1), g) for g in live.get(f[1], ()))
-        for f, g in _in_scan_order(pairs, pos):
-            lhs = self.apply(src.comp.get((g, f), {}))
-            rhs = tgt.compose(self.action.get(g, {}), self.action.get(f, {}))
-            if lhs != rhs:
-                problems.append(f"composition not preserved on ({g}, {f})")
-                if len(problems) >= max_problems:
-                    return problems
+            pairs.update((g, f) for g in live.get(f[1], ()))
+        act = self.action
+        failed = [(pos.get(f, -1), pos.get(g, -1)) for g, f in pairs
+                  if self.apply(src.comp.get((g, f), {}))
+                  != tgt.compose(act.get(g, {}), act.get(f, {}))]
+        for f, g in _in_scan_order(failed, pos):
+            problems.append(f"composition not preserved on ({g}, {f})")
+            if len(problems) >= max_problems:
+                break
         return problems
 
 

@@ -45,42 +45,19 @@ class SparseMatrix:
         return cls(field, nrows, ncols, ent)
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "SparseMatrix":
-        return cls(field, n, n, {(i, i): field.one for i in range(n)})
-
-    @classmethod
     def zero(cls, field: Field, nrows: int, ncols: int) -> "SparseMatrix":
         return cls(field, nrows, ncols)
 
     # -- basics --------------------------------------------------------------
 
-    def get(self, i: int, j: int):
-        return self.entries.get((i, j), self.field.zero)
-
     def is_zero(self) -> bool:
         return not self.entries
-
-    def copy(self) -> "SparseMatrix":
-        return SparseMatrix(self.field, self.nrows, self.ncols, self.entries)
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
             self.field, self.ncols, self.nrows,
             {(j, i): v for (i, j), v in self.entries.items()},
         )
-
-    def add(self, other: "SparseMatrix") -> "SparseMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        out = SparseMatrix(self.field, self.nrows, self.ncols, self.entries)
-        F = self.field
-        for k, v in other.entries.items():
-            s = F.add(out.entries.get(k, F.zero), v)
-            if F.is_zero(s):
-                out.entries.pop(k, None)
-            else:
-                out.entries[k] = s
-        return out
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:

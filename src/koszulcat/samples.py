@@ -18,7 +18,6 @@ def one_object_algebra(
     field: Field,
     basis: Dict[str, int],
     mult: Dict[tuple, Dict[str, object]],
-    unit_name: str = "e",
     diff: Optional[Dict[str, Dict[str, object]]] = None,
     curvature: Optional[Dict[str, object]] = None,
 ) -> DgCategory:
@@ -34,17 +33,17 @@ def one_object_algebra(
     def to_vec(d: Dict[str, object]) -> Vec:
         return {key(name): field.coerce(c) for name, c in d.items()}
 
-    unit = {ob: {key(unit_name): field.one}}
+    unit = {ob: {key("e"): field.one}}
     comp = {(key(a), key(b)): to_vec(val) for (a, b), val in mult.items()}
     dtab = {key(n): to_vec(v) for n, v in (diff or {}).items()}
     curv = {ob: to_vec(curvature)} if curvature else None
     return DgCategory(field, quiver, unit, comp, diff=dtab, curvature=curv)
 
 
-def _with_unit_row(names, unit="e"):
+def _with_unit_row(names):
     """Fill in the unit row/column of a multiplication table."""
-    mult = {(unit, n): {n: 1} for n in names}
-    mult.update({(n, unit): {n: 1} for n in names if n != unit})
+    mult = {("e", n): {n: 1} for n in names}
+    mult.update({(n, "e"): {n: 1} for n in names if n != "e"})
     return mult
 
 

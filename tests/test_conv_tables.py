@@ -10,7 +10,10 @@ split into grouplike and reduced rows, and that product on every hom-key
 pair of every labelled object triple.  Hom bases, products and the
 composition table must come out equal, values and insertion order, with
 at most one ``comp_vec`` call per stored entry.  The reduced tables are
-the counital ones restricted to the reduced rows.
+the counital ones restricted to the reduced rows.  The MC category's
+twisted differential, which ``mc_category`` reads off the stored
+composition entries, must equal the key-by-key loop that composes each
+basis cochain with the MC elements at its two ends.
 """
 
 from functools import lru_cache
@@ -21,7 +24,7 @@ from koszulcat.barcobar import Splitting, bar_construction
 from koszulcat.coalgebra import identity_morphism
 from koszulcat.convmc import (convolution_category, mc_category,
                               mc_from_morphism)
-from koszulcat.field import GF, QQ
+from koszulcat.field import GF, QQ, _compose, vec_addmul
 from koszulcat.samples import (CATEGORY_LIBRARY, COALGEBRA_LIBRARY,
                                _with_unit_row, one_object_algebra)
 from test_convmc import _PAIRS
@@ -100,6 +103,30 @@ def oracle_comp_vec(conv, kpsi, kphi):
         for dk2, c in dd.items():
             out[(fk, hk, n, ("r", crow, dk2))] = F.mul(coeff, c)
     return out
+
+
+def oracle_twisted_diff(mcc):
+    """d + xi' . phi - (-1)^|phi| phi . xi, two compositions of the basis
+    vector phi with the MC elements xi (source) and xi' (target) per
+    hom key."""
+    conv, F = mcc.convolution, mcc.convolution.field
+    labels = [("mc", i) for i in range(len(mcc.elements))]
+    _, _, comp, plain, _, keyed = conv.tables(
+        list(zip(labels, mcc.object_maps)))
+    xvs = {lab: {(lab, lab, 1, ("r", ck, dk)): coeff
+                 for ck, v in m.xi.items() for dk, coeff in v.items()}
+           for lab, m in zip(labels, mcc.elements)}
+    diff = {}
+    for (li, lj), ks in keyed.items():
+        for k in ks:
+            one = {k: F.one}
+            v = vec_addmul(F, plain.get(k, {}), F.one,
+                           _compose(F, comp, xvs[lj], one))
+            s = F.one if k[2] % 2 else F.coerce(-1)
+            v = vec_addmul(F, v, s, _compose(F, comp, one, xvs[li]))
+            if v:
+                diff[k] = v
+    return diff
 
 
 def _composable_pairs(keyed, objects):
@@ -234,6 +261,21 @@ def test_comp_table_matches_scan_on_labelled_objects():
     assert len(objects) == 3 and len(set(mcc.object_maps)) == 1
     comp = _assert_matches_scan(mcc.convolution, objects)
     assert list(comp.items()) == list(mcc.category.comp.items())
+
+
+@pytest.mark.parametrize("cname,dname", [
+    ("neg_primitive", "contractible_endo"),
+    ("curved_chain", "contractible_endo"),
+    ("dag", "contractible_arrow"),
+])
+def test_twisted_diff_matches_key_by_key_loop(cname, dname):
+    mcc = mc_category(COALGEBRA_LIBRARY[cname](F3),
+                      CATEGORY_LIBRARY[dname](F3))
+    assert len(mcc.elements) > 1
+    if cname == "curved_chain":  # a xi of several terms sums them per key
+        assert max(sum(map(len, m.xi.values())) for m in mcc.elements) == 3
+    assert list(mcc.category.diff.items()) == \
+        list(oracle_twisted_diff(mcc).items())
 
 
 def test_bar_mc_category_calls_comp_vec_once_per_entry():

@@ -11,18 +11,23 @@ The reduced convolution validator runs the same table-driven passes on
 its materialized tables; its oracle is the scan it replaced, over every
 pair, triple and quadruple of object maps through the per-cochain
 ``comp_vec`` and ``diff_vec``, extended to vectors by ``conv_d`` and
-``conv_star``.  There the two report the same failing cases, in their own
-orders.
+``conv_star``, and of the outer term h_D o phi - phi o h_D through
+``outer_curvature``, which composes basis arrows of D.  There the two
+report the same failing cases, in their own orders.  A curved target
+whose curvature is not central, ``noncentral_curvature``, keeps that
+outer term nonzero.
 """
 
 import pytest
 
+from koszulcat import convmc, dgcat
 from koszulcat.barcobar import cobar_construction
 from koszulcat.coalgebra import PointedCoalgebra
 from koszulcat.convmc import convolution_category, counit_data, mc_category
 from koszulcat.dgcat import DgCategory, DgFunctor, identity_functor
 from koszulcat.field import (GF, QQ, _apply, _compose, vec_add, vec_addmul,
                              vec_scale, vec_sub)
+from koszulcat.quiver import GradedQuiver
 from koszulcat.randgen import random_dg_category
 from koszulcat.samples import CATEGORY_LIBRARY, COALGEBRA_LIBRARY
 from test_convmc import _PAIRS
@@ -190,6 +195,22 @@ def conv_star(conv, psi, phi):
                                  for kp in psi for kf in phi}, psi, phi)
 
 
+def outer_curvature(conv, vec, post):
+    """h_D o phi (post) or phi o h_D (pre) on a cochain vector, applied to
+    its values one basis arrow of D at a time."""
+    F, cat = conv.field, conv.cat
+    out = {}
+    for (fk, gk, n, (tag, row, dk)), c in vec.items():
+        if post:
+            dd = cat.compose(cat.curvature_vec(dk[1]), cat.basis_vec(dk))
+        else:
+            dd = cat.compose(cat.basis_vec(dk), cat.curvature_vec(dk[0]))
+        for dk2, c2 in dd.items():
+            key = (fk, gk, n + 2, (tag, row, dk2))
+            out = vec_add(F, out, {key: F.mul(c, c2)})
+    return out
+
+
 def oracle_reduced_problems(conv, max_problems=25):
     """The full scan of the reduced convolution: d^2 identity per key,
     Leibniz per composable pair and associativity per composable triple
@@ -208,9 +229,9 @@ def oracle_reduced_problems(conv, max_problems=25):
             lhs = conv_d(conv, conv_d(conv, one))
             rhs = vec_sub(F, conv_star(conv, hg, one),
                           conv_star(conv, one, hf))
-            rhs = vec_addmul(F, rhs, F.one, conv._outer_curvature(one, True))
+            rhs = vec_addmul(F, rhs, F.one, outer_curvature(conv, one, True))
             rhs = vec_addmul(F, rhs, F.coerce(-1),
-                             conv._outer_curvature(one, False))
+                             outer_curvature(conv, one, False))
             if lhs != rhs:
                 problems.append(f"d^2 identity fails on {k}")
                 if len(problems) >= max_problems:
@@ -258,6 +279,32 @@ def oracle_reduced_problems(conv, max_problems=25):
 # -- the corpus --------------------------------------------------------------
 
 
+def noncentral_curvature(field):
+    """A curved target whose curvature does not commute with an arrow.
+
+    Objects 0 and 1; arrows f, m, g: 0 -> 1 in degrees 0, 1, 2 and
+    t: 1 -> 1 in degree 2, with t o f = g, d f = m, d m = g and curvature
+    h_1 = t, h_0 = 0.  Then h_1 o f - f o h_0 = g = d(d f): the outer
+    terms h_D o phi - phi o h_D of the reduced convolution are nonzero.
+    """
+    quiver = GradedQuiver(("0", "1"), {
+        ("0", "0", 0): ("e0",), ("1", "1", 0): ("e1",),
+        ("0", "1", 0): ("f",), ("0", "1", 1): ("m",), ("0", "1", 2): ("g",),
+        ("1", "1", 2): ("t",)})
+    e0, e1 = ("0", "0", 0, "e0"), ("1", "1", 0, "e1")
+    f, m, g = ("0", "1", 0, "f"), ("0", "1", 1, "m"), ("0", "1", 2, "g")
+    t = ("1", "1", 2, "t")
+    one = field.one
+    comp = {(e0, e0): {e0: one}, (e1, e1): {e1: one}, (e1, t): {t: one},
+            (t, e1): {t: one}, (t, f): {g: one}}
+    for a in (f, m, g):
+        comp[(e1, a)] = {a: one}
+        comp[(a, e0)] = {a: one}
+    return DgCategory(field, quiver, {"0": {e0: one}, "1": {e1: one}}, comp,
+                      diff={f: {m: one}, m: {g: one}},
+                      curvature={"1": {t: one}})
+
+
 def _bumped(table, field):
     """A copy of ``table`` with one coefficient of its middle entry + 1."""
     out = {k: dict(v) for k, v in table.items()}
@@ -303,6 +350,8 @@ def _categories():
     mcc = mc_category(COALGEBRA_LIBRARY["neg_primitive"](F3),
                       CATEGORY_LIBRARY["contractible_endo"](F3))
     yield "mc_category:neg_primitive:contractible_endo", mcc.category
+    for field, tag in ((QQ, "q"), (F3, "f3")):
+        yield f"noncentral_curvature:{tag}", noncentral_curvature(field)
 
 
 CATEGORIES = list(_categories())
@@ -387,7 +436,10 @@ def _each_bumped(table, field):
 def _reduced_cases():
     """The validator pairs over Q and GF(3), each as built and with one
     coefficient bumped in the comultiplication or the differential of
-    the coalgebra, or in the composition of the category."""
+    the coalgebra, or in the composition of the category; then the
+    non-central curved target, as built and with its curvature bumped,
+    under each one-object library coalgebra (the three objects of dag
+    make the oracle's scan over object-map quadruples slow)."""
     for field, tag in ((QQ, "q"), (F3, "f3")):
         for cname, dname in _PAIRS:
             c = COALGEBRA_LIBRARY[cname](field)
@@ -403,6 +455,15 @@ def _reduced_cases():
             for i, comp in enumerate(_each_bumped(d.comp, field)):
                 yield f"{name}:comp{i}", c, DgCategory(
                     field, d.quiver, d.unit, comp, d.diff, d.curvature)
+        d = noncentral_curvature(field)
+        bumped = DgCategory(field, d.quiver, d.unit, d.comp, d.diff,
+                            _bumped(d.curvature, field))
+        for cname in sorted(COALGEBRA_LIBRARY):
+            c = COALGEBRA_LIBRARY[cname](field)
+            if len(c.objects) == 1:
+                name = f"{cname}:noncentral_curvature:{tag}"
+                yield name, c, d
+                yield f"{name}:curvature", c, bumped
 
 
 REDUCED = list(_reduced_cases())
@@ -422,3 +483,56 @@ def test_reduced_corpus_exercises_failures():
     assert sum(map(bool, reports)) >= 30
     kinds = {m.split(" fails")[0] for r in reports for m in r}
     assert kinds == {"d^2 identity", "Leibniz", "associativity"}
+
+
+def test_noncentral_curvature_target():
+    """The target validates, so do both of its convolutions under every
+    library coalgebra, and its outer terms h_D o phi - phi o h_D are
+    nonzero: a sign slip in them shows in the reduced validator."""
+    for field in (QQ, F3):
+        d = noncentral_curvature(field)
+        assert d.validate() == []
+        for cname in sorted(COALGEBRA_LIBRARY):
+            c = COALGEBRA_LIBRARY[cname](field)
+            for reduced in (False, True):
+                conv = convolution_category(c, d, reduced=reduced)
+                assert conv.validate() == []
+        conv = convolution_category(COALGEBRA_LIBRARY["w"](field), d,
+                                    reduced=True)
+        one = {k: field.one for fk in conv.object_maps
+               for gk in conv.object_maps for k in conv.hom_keys(fk, gk)}
+        assert outer_curvature(conv, one, True) != \
+            outer_curvature(conv, one, False)
+
+
+# -- validators read entries -------------------------------------------------
+
+
+def test_validators_compose_no_basis_vector(monkeypatch):
+    """Every identity is read off stored entries, and so is the MC
+    category's twisted differential: no validator and no ``mc_category``
+    composes.  A per-basis-vector scan made 1,536 ``compose`` calls on
+    the mc_category(dag, contractible_arrow) category alone."""
+    dag = COALGEBRA_LIBRARY["dag"](F3)
+    arrow = CATEGORY_LIBRARY["contractible_arrow"](F3)
+    reduced = [convolution_category(COALGEBRA_LIBRARY["w"](field), d,
+                                    reduced=True)
+               for field in (QQ, F3)
+               for d in (CATEGORY_LIBRARY["curved_nilpotent"](field),
+                         noncentral_curvature(field))]
+    calls = []
+    for owner, name in ((DgCategory, "compose"), (dgcat, "_compose"),
+                        (convmc, "_compose")):
+        rule = getattr(owner, name)
+
+        def counted(*args, rule=rule, name=name):
+            calls.append(name)
+            return rule(*args)
+        monkeypatch.setattr(owner, name, counted)
+    mcc = mc_category(dag, arrow)
+    assert len(mcc.elements) > 1
+    for c in [mcc.category] + [c for _, c in CATEGORIES]:
+        c.validate()
+    for conv in reduced:
+        assert conv.validate() == []
+    assert calls == []
