@@ -281,16 +281,14 @@ class CobarResult:
             return None  # d complete everywhere
         return self.trunc_min_len - 2
 
-    def word_keys(self, max_len: Optional[int] = None):
-        for k in self.category.quiver.keys():
-            if max_len is None or len(k[3]) <= max_len:
-                yield k
-
     def d_squared_problems(self, max_problems: int = 25) -> List[str]:
         """d(d(word)) for every word in the guaranteed-exact region."""
         cat = self.category
+        cap = self.d_squared_len
         problems = []
-        for k in self.word_keys(self.d_squared_len):
+        for k in cat.quiver.keys():
+            if cap is not None and len(k[3]) > cap:
+                continue
             dd = cat.apply_d(cat.diff.get(k, {}))
             if dd:
                 problems.append(f"d^2 != 0 at {k}")

@@ -17,7 +17,10 @@ Conilpotence (iterated rDelta vanishes) is part of validation: a
 grouplike hiding inside the "reduced" part would otherwise poison every
 word construction built on top.  The factor graph (c -> its cofactors)
 being acyclic certifies it cheaply; the cyclic case falls back to the
-coradical filtration, which is also what the associated graded uses.
+coradical filtration, which is also what the associated graded uses:
+F_1 = ker rDelta and F_{k+1} = ker((id (x) pi_k) rDelta), pi_k the
+residue modulo F_k, which equals rDelta^{-1}(C (x) F_k).  Each stage is
+one kernel with one column per basis key.
 
 Morphisms are pairs (F, a): F a pointed graded coalgebra map, a a
 degree-+1 functional (supported on degree -1 elements whose endpoint
@@ -170,16 +173,11 @@ class PointedCoalgebra:
 
         # coassociativity of the reduced comultiplication
         for k in keys:
-            delta = self.delta(k)
-            lhs: Dict[Tuple[Key, ...], object] = {}
-            for (a, b), c in delta.items():
+            lhs: Dict[Tuple[Key, ...], object] = {}  # (rDelta (x) id) rDelta
+            for (a, b), c in self.delta(k).items():
                 for (a1, a2), c2 in self.delta(a).items():
                     vec_bump(F, lhs, (a1, a2, b), F.mul(c, c2))
-            rhs: Dict[Tuple[Key, ...], object] = {}
-            for (a, b), c in delta.items():
-                for (b1, b2), c2 in self.delta(b).items():
-                    vec_bump(F, rhs, (a, b1, b2), F.mul(c, c2))
-            if lhs != rhs:
+            if lhs != self.deconcat(k, 3):  # (id (x) rDelta) rDelta
                 problems.append(f"reduced comultiplication not coassociative at {k}")
                 if done():
                     return problems
@@ -240,59 +238,35 @@ class PointedCoalgebra:
 
     def coradical_filtration(self) -> List[List[Tuple[object, Vec]]]:
         """Adapted basis per stage: stage i spans F_{i+1}/F_i (F_0 = 0),
-        F_1 = ker rDelta, F_{k+1} = preimage of C (x) F_k.  (The symmetric
-        wedge gives the same filtration; one side is enough.)
+        F_{k+1} = ker((id (x) pi_k) rDelta) with pi_k the residue modulo
+        F_k, which is rDelta^{-1}(C (x) F_k); F_1 = ker rDelta.  (The
+        symmetric wedge gives the same filtration; one side is enough.)
 
-        Returns a list of stages, each a list of (name, vector); the
-        concatenation is a basis of the largest conilpotent subcoalgebra
-        (all of C when conilpotent).  Stops when the filtration stalls.
+        One matrix per stage, one column per key.  Returns a list of
+        stages, each a list of (name, vector); the concatenation is a
+        basis of the largest conilpotent subcoalgebra (all of C when
+        conilpotent).  Stops when the filtration stalls.
         """
         F = self.field
         keys = sorted(self.reduced.keys(), key=repr)
-        if not keys:
-            return []
-        kpos = {k: i for i, k in enumerate(keys)}
-
-        # ambient pair coordinates: everything rDelta or F (x) C can touch
-        pairs = set()
-        for ps in self.comult.values():
-            pairs.update(ps)
-
         stages: List[List[Tuple[object, Vec]]] = []
         flat: List[Vec] = []  # accumulated adapted basis
-        prev_dim = -1
-        while len(flat) > prev_dim:
-            prev_dim = len(flat)
-            # W = span(b (x) v) for v in F_k, b a basis key; generators
-            # with support outside the rDelta-reachable pairs still
-            # constrain correctly because the ambient includes them.
-            gens: List[Dict[Tuple[Key, Key], object]] = []
-            for v in flat:
-                for b in keys:
-                    gens.append({(b, a): c for a, c in v.items()})
-            ambient = set(pairs)
-            for g in gens:
-                ambient.update(g)
-            arow = {p: i for i, p in enumerate(sorted(ambient, key=repr))}
-            ncols = len(keys) + len(gens)
+        while keys:
+            # a (x) b minus a (x) (rref row of F_k at pivot b) is a (x) pi_k(b)
+            proj = _rref_rows(F, keys, flat)
+            rows: Dict[Tuple[Key, Key], int] = {}
             entries = {}
-            for k in keys:
-                for p, c in self.delta(k).items():
-                    entries[(arow[p], kpos[k])] = c
-            for j, g in enumerate(gens):
-                for p, c in g.items():
-                    entries[(arow[p], len(keys) + j)] = F.neg(c)
-            big = SparseMatrix(F, len(arow), ncols, entries)
-            stage_vecs: List[Vec] = []
-            for kv in big.kernel_basis():
-                v: Vec = {}
-                for j, c in kv.items():
-                    if j < len(keys):
-                        vec_bump(F, v, keys[j], c)
-                if v:
-                    stage_vecs.append(v)
-            # reduce stage_vecs modulo flat to get the new stage
-            new_stage = _complement_basis(F, keys, flat, stage_vecs)
+            for j, k in enumerate(keys):
+                col: PairVec = {}
+                for (a, b), c in self.delta(k).items():
+                    vec_bump(F, col, (a, b), c)
+                    for b2, c2 in proj.get(b, {}).items():
+                        vec_bump(F, col, (a, b2), F.neg(F.mul(c, c2)))
+                for p, c in col.items():
+                    entries[(rows.setdefault(p, len(rows)), j)] = c
+            kernel = SparseMatrix(F, len(rows), len(keys),
+                                  entries).kernel_basis(keys)
+            new_stage = _complement_basis(F, keys, flat, kernel)
             if not new_stage:
                 break
             stages.append(
@@ -302,31 +276,34 @@ class PointedCoalgebra:
         return stages
 
 
+def _rref_rows(field: Field, keys: List[Key], vecs: List[Vec]) -> Dict[Key, Vec]:
+    """Pivot key -> rref row of span(vecs), 1 there and 0 at the other
+    pivots; v minus its image under these rows is v's residue modulo
+    span(vecs), zero exactly on the span."""
+    kpos = {k: i for i, k in enumerate(keys)}
+    m = SparseMatrix(field, len(vecs), len(keys), {
+        (i, kpos[k]): c for i, v in enumerate(vecs) for k, c in v.items()})
+    R, pivots = m.rref()
+    rows: Dict[Key, Vec] = {keys[p]: {} for p in pivots}
+    for (i, j), c in R.entries.items():
+        rows[keys[pivots[i]]][keys[j]] = c
+    return rows
+
+
 def _complement_basis(
     field: Field, keys: List[Key], have: List[Vec], new: List[Vec]
 ) -> List[Vec]:
     """Extend span(have) by vectors from new; returns the added ones: the
     nonzero rref rows of new's residues modulo the rref rows of have."""
-    kpos = {k: i for i, k in enumerate(keys)}
-
-    def rref_rows(vecs: List[Vec]) -> Dict[Key, Vec]:
-        # pivot key -> its rref row, which is 1 there and 0 at other pivots
-        m = SparseMatrix(field, len(vecs), len(keys), {
-            (i, kpos[k]): c for i, v in enumerate(vecs) for k, c in v.items()})
-        R, pivots = m.rref()
-        rows: Dict[Key, Vec] = {keys[p]: {} for p in pivots}
-        for (i, j), c in R.entries.items():
-            rows[keys[pivots[i]]][keys[j]] = c
-        return rows
-
-    # v minus its projection onto span(have) along the non-pivot keys
-    proj = rref_rows(have)
+    proj = _rref_rows(field, keys, have)
     residues = [vec_sub(field, v, _apply(field, proj, v)) for v in new]
-    return list(rref_rows(residues).values())
+    return list(_rref_rows(field, keys, residues).values())
 
 
 def associated_graded(c: PointedCoalgebra) -> PointedCoalgebra:
-    """Associated graded along the coradical filtration, on an adapted
+    """Associated graded along the coradical filtration (F_{k+1} =
+    rDelta^{-1}(C (x) F_k), see ``coradical_filtration``), on an adapted
+    basis.  Each old key is solved once into its coordinates on that
     basis.  Comultiplication keeps only the weight-additive part (stage
     k -> stages i + j = k) and d the stage-preserving part.  The result
     carries *no* curvature: h eats at least one filtration weight, so
@@ -338,51 +315,40 @@ def associated_graded(c: PointedCoalgebra) -> PointedCoalgebra:
     if sum(len(s) for s in stages) != c.reduced.total_dim():
         raise ValueError("associated graded needs a conilpotent coalgebra")
 
-    # new basis: key -> (stage, name, vector); express old vectors in it
+    # new basis: key -> (stage, name, vector)
     slots: Dict[tuple, List] = {}
     new_keys: List[Tuple[Key, int, Vec]] = []
     for si, stage in enumerate(stages):
         for name, v in stage:
-            k0 = next(iter(v))
-            slot = (k0[0], k0[1], k0[2])
-            nm = (si, name)
-            slots.setdefault(slot, []).append(nm)
-            new_keys.append(((slot[0], slot[1], slot[2], nm), si, v))
+            slot = next(iter(v))[:3]
+            slots.setdefault(slot, []).append((si, name))
+            new_keys.append((slot + ((si, name),), si, v))
     quiver = GradedQuiver(c.objects, {s: tuple(v) for s, v in slots.items()})
 
+    # coordinates of each old key on the new basis
     keys = sorted(c.reduced.keys(), key=repr)
     kpos = {k: i for i, k in enumerate(keys)}
-    cols = {}
-    for j, (nk, _si, v) in enumerate(new_keys):
-        for k, cc in v.items():
-            cols[(kpos[k], j)] = cc
-    base = SparseMatrix(F, len(keys), len(new_keys), cols)
-
-    def to_new(vec: Vec) -> Optional[Vec]:
-        rhs = {kpos[k]: cc for k, cc in vec.items()}
-        sol = base.solve(rhs)
-        if sol is None:
-            return None
-        return {new_keys[j][0]: cc for j, cc in sol.items()}
-
+    base = SparseMatrix(F, len(keys), len(new_keys), {
+        (kpos[k], j): cc for j, (_nk, _si, v) in enumerate(new_keys)
+        for k, cc in v.items()})
+    coords = {k: {new_keys[j][0]: cc
+                  for j, cc in base.solve({kpos[k]: F.one}).items()}
+              for k in keys}
     stage_of = {nk: si for (nk, si, _v) in new_keys}
 
     comult: Dict[Key, PairVec] = {}
     diff: Dict[Key, Vec] = {}
     for nk, si, v in new_keys:
-        dm = c.reduced_comult(v)
         pv: PairVec = {}
-        for (a, b), cc in dm.items():
-            na = to_new({a: F.one})
-            nb = to_new({b: F.one})
-            for ka, ca in na.items():
-                for kb, cb in nb.items():
+        for (a, b), cc in c.reduced_comult(v).items():
+            for ka, ca in coords[a].items():
+                for kb, cb in coords[b].items():
                     if stage_of[ka] + stage_of[kb] + 2 == si + 1:
                         # stages are 0-indexed; filtration degrees are +1
                         vec_bump(F, pv, (ka, kb), F.mul(cc, F.mul(ca, cb)))
         if pv:
             comult[nk] = pv
-        dv = to_new(c.apply_d(v))
+        dv = _apply(F, coords, c.apply_d(v))
         dv = {k2: cc for k2, cc in dv.items() if stage_of[k2] == si}
         if dv:
             diff[nk] = dv

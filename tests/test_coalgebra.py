@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from koszulcat.barcobar import bar_construction
 from koszulcat.coalgebra import (
     CoalgebraMorphism,
     PointedCoalgebra,
@@ -22,9 +23,11 @@ from koszulcat.coalgebra import (
     zero_coalgebra,
 )
 from koszulcat.field import GF, QQ
+from koszulcat.matrix import SparseMatrix
 from koszulcat.quiver import GradedQuiver
 from koszulcat.randgen import random_coalgebra
 from koszulcat.samples import (
+    CATEGORY_LIBRARY,
     COALGEBRA_LIBRARY,
     _one_object_coalgebra,
     cancel_coalgebra,
@@ -205,6 +208,119 @@ def test_filtration_detects_grouplike():
     assert sum(len(s) for s in stages) == 0
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "f3"])
+def test_filtration_stalls_after_one_stage(field):
+    # p is primitive, g a grouplike hiding in the reduced part: F_1 =
+    # span(p) and F_2 = F_1, so the filtration stalls short of C
+    c = _one_object_coalgebra(field, {"p": 0, "g": 0},
+                              comult={"g": {("g", "g"): 1}})
+    assert [len(s) for s in c.coradical_filtration()] == [1]
+    assert not c._conilpotent()
+    assert any("not conilpotent" in m for m in c.validate())
+    with pytest.raises(ValueError, match="needs a conilpotent coalgebra"):
+        associated_graded(c)
+
+
+def oracle_coradical_filtration(c):
+    """Generator-column filtration: F_{k+1} is the key part of the kernel
+    of [rDelta | -(b (x) v)], one generator column b (x) v per basis key b
+    and vector v spanning F_k, over every pair coordinate either side can
+    touch.  Returns F_1, F_2, ... as spanning lists until the dimension
+    stalls."""
+    F = c.field
+    keys = sorted(c.reduced.keys(), key=repr)
+    kpos = {k: i for i, k in enumerate(keys)}
+    pairs = set()
+    for ps in c.comult.values():
+        pairs.update(ps)
+    spans, span = [], []
+    while keys:
+        gens = [{(b, a): x for a, x in v.items()} for v in span for b in keys]
+        ambient = set(pairs)
+        for g in gens:
+            ambient.update(g)
+        arow = {p: i for i, p in enumerate(sorted(ambient, key=repr))}
+        entries = {}
+        for k in keys:
+            for p, x in c.delta(k).items():
+                entries[(arow[p], kpos[k])] = x
+        for j, g in enumerate(gens):
+            for p, x in g.items():
+                entries[(arow[p], len(keys) + j)] = F.neg(x)
+        big = SparseMatrix(F, len(arow), len(keys) + len(gens), entries)
+        nxt = [{keys[j]: x for j, x in kv.items() if j < len(keys)}
+               for kv in big.kernel_basis()]
+        nxt = [v for v in nxt if v]
+        if len(span_rows(F, keys, nxt)) == len(span_rows(F, keys, span)):
+            break
+        spans.append(nxt)
+        span = nxt
+    return spans
+
+
+def span_rows(F, keys, vecs):
+    # rref rows of span(vecs) over the key order: equal spans, equal rows
+    kpos = {k: i for i, k in enumerate(keys)}
+    m = SparseMatrix(F, len(vecs), len(keys), {
+        (i, kpos[k]): x for i, v in enumerate(vecs) for k, x in v.items()})
+    R, pivots = m.rref()
+    rows = [{} for _ in pivots]
+    for (i, j), x in R.entries.items():
+        rows[i][keys[j]] = x
+    return rows
+
+
+def filtration_corpus(F):
+    for name in sorted(COALGEBRA_LIBRARY):
+        yield name, COALGEBRA_LIBRARY[name](F)
+    for seed in range(150):
+        yield f"random {seed}", random_coalgebra(F, seed, max_dim=6)
+    for name in ("trunc_poly3", "dual_numbers", "group_like",
+                 "contractible_endo"):
+        yield f"bar {name}", bar_construction(CATEGORY_LIBRARY[name](F), 3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["q", "f2", "f3"])
+def test_filtration_matches_generator_column_oracle(field):
+    cases = 0
+    for name, c in filtration_corpus(field):
+        keys = sorted(c.reduced.keys(), key=repr)
+        stages = c.coradical_filtration()
+        want = oracle_coradical_filtration(c)
+        assert len(stages) == len(want), name
+        flat = []
+        # oracle slot dimensions of gr: stage k of slot s has dimension
+        # dim(F_{k+1} in s) - dim(F_k in s), F_k being a sum over slots
+        slot_dims, below = {}, {}
+        for k, (stage, span) in enumerate(zip(stages, want)):
+            flat.extend(v for _, v in stage)
+            assert span_rows(field, keys, flat) == span_rows(
+                field, keys, span), (name, k)
+            for slot in {key[:3] for key in keys}:
+                part = [{key: x for key, x in v.items() if key[:3] == slot}
+                        for v in span]
+                dim = len(span_rows(field, keys, part))
+                if dim > below.get(slot, 0):
+                    slot_dims[(slot, k)] = dim - below.get(slot, 0)
+                below[slot] = dim
+        if len(flat) == c.reduced.total_dim():
+            g = associated_graded(c)
+            assert g.validate() == [], name
+            got = {}
+            for key in g.reduced.keys():
+                got[(key[:3], key[3][0])] = got.get((key[:3], key[3][0]), 0) + 1
+            assert got == slot_dims, name
+            # gr is weight-graded: rDelta adds the stages of its cofactors
+            # (0-indexed, so one less than the key's), d keeps the stage
+            for key, pv in g.comult.items():
+                assert all(a[3][0] + b[3][0] + 1 == key[3][0]
+                           for a, b in pv), name
+            for key, img in g.diff.items():
+                assert all(k2[3][0] == key[3][0] for k2 in img), name
+        cases += 1
+    assert cases == 161
+
+
 def test_associated_graded_of_cancel_is_word_coalgebra():
     c = cancel_coalgebra(QQ)
     g = associated_graded(c)
@@ -213,6 +329,23 @@ def test_associated_graded_of_cancel_is_word_coalgebra():
     # gr has one primitive and one element splitting over it
     stages = g.coradical_filtration()
     assert [len(s) for s in stages] == [1, 1]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "f3"])
+def test_associated_graded_drops_lower_weight_terms(field):
+    # T^c(v) up to vvv in the basis v, vv, x = vvv + vv: rDelta(x) has the
+    # weight-2 part v (x) vv + vv (x) v and the weight-1 part v (x) v,
+    # which gr drops
+    c = _one_object_coalgebra(
+        field, {"v": 0, "vv": 0, "x": 0},
+        comult={"vv": {("v", "v"): 1},
+                "x": {("v", "vv"): 1, ("vv", "v"): 1, ("v", "v"): 1}})
+    assert c.validate() == []
+    g = associated_graded(c)
+    assert g.validate() == []
+    f0, f1, f2 = (("*", "*", 0, (i, f"f{i}_0")) for i in range(3))
+    one = field.one
+    assert g.comult == {f1: {(f0, f0): one}, f2: {(f0, f1): one, (f1, f0): one}}
 
 
 def test_associated_graded_kills_curvature():

@@ -801,6 +801,41 @@ def test_comparison_graded_mode_for_curved_pair():
     assert r.mode == "graded" and r.equal
 
 
+# graded reports (cap, window homology per object pair of C) pinned from the
+# generator-column coradical filtration; the second factor is one-object,
+# so an object pair is ((x, "*"), (y, "*")), and pairs not listed are 0
+EZ_GRADED = {
+    ("w", "w", (-3, 0)): (4, {("*", "*"): (4, 3, 2, 1)}),
+    ("w", "w", (-1, 2)): (2, {("*", "*"): (2, 1, 0, 0)}),
+    ("cancel", "cancel", (-3, 0)): (1, {("*", "*"): (0, 0, 0, 1)}),
+    ("cancel", "cancel", (-1, 2)): (3, {("*", "*"): (0, 1, 2, 3)}),
+    ("dag", "cancel", (-3, 0)): (1, {("x", "x"): (0, 0, 0, 1),
+                                     ("y", "y"): (0, 0, 0, 1),
+                                     ("z", "z"): (0, 0, 0, 1)}),
+    ("dag", "cancel", (-1, 2)): (3, {("x", "x"): (0, 1, 1, 1),
+                                    ("x", "y"): (0, 0, 1, 1),
+                                    ("y", "y"): (0, 1, 1, 1),
+                                    ("y", "z"): (0, 0, 1, 1),
+                                    ("z", "z"): (0, 1, 1, 1)}),
+    ("primitive_pair", "cancel", (-3, 0)): (1, {("*", "*"): (0, 0, 0, 1)}),
+    ("primitive_pair", "cancel", (-1, 2)): (3, {("*", "*"): (0, 1, 1, 1)}),
+}
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["f2", "f3"])
+@pytest.mark.parametrize("cname,pname,window", sorted(EZ_GRADED))
+def test_graded_comparison_reports_pinned(field, cname, pname, window):
+    c = COALGEBRA_LIBRARY[cname](field)
+    r = ez_compare(c, COALGEBRA_LIBRARY[pname](field), window, mode="graded")
+    cap, dims = EZ_GRADED[(cname, pname, window)]
+    zero = (0,) * (window[1] - window[0] + 1)
+    want = [((x, "*"), (y, "*"), dims.get((x, y), zero),
+             dims.get((x, y), zero), True)
+            for x in c.objects for y in c.objects]
+    assert (r.mode, r.window, r.cap, r.equal) == ("graded", window, cap, True)
+    assert r.pairs == want
+
+
 def test_comparison_refuses_uncertifiable_windows():
     with pytest.raises(ValueError):
         ez_compare(COALGEBRA_LIBRARY["neg_primitive"](F2),
