@@ -19,11 +19,15 @@ honest subcoalgebra and materialization is exact per weight.
 Words come from the integer word trie ``quiver.WordTrie``, the one word
 lister of bar, cotensor, cobar and free categories; with no weight cap,
 h.a is ``first[h] + rank[a]``.  rDelta is not stored: the coalgebra
-holds the trie, which reads a word's splits (its ancestors against its
+keeps the listed words (``quiver.Words``, without the lists only
+listing reads), which read a word's splits (its ancestors against its
 tail chain) key by key.
-d is built on word ids, so each word key is hashed once, when its table
-entry is stored.  d of each letter and the merge of each two-letter word
-are split once, and d grows one letter at a time:
+d is built and kept on word ids, one row per word in id order in one
+flat table beside the words (``quiver.WordMap``): no word key is hashed
+while the bar is built, a row is named by word keys only when it is read
+(``PointedCoalgebra.d``), and the whole table only on the first read of
+``diff``.  d of each letter and the merge of each two-letter word are
+split once, and d grows one letter at a time:
 
     d(w'.a) = d(w').a + (merge of w'[-1], a) + (d a at the last position)
 
@@ -70,7 +74,7 @@ from .coalgebra import FinalCoalgebra, PointedCoalgebra, zero_coalgebra
 from .dgcat import DgCategory, _path_category, empty_category, zero_category
 from .field import Vec, vec_bump
 from .matrix import SparseMatrix
-from .quiver import Key, WordTrie
+from .quiver import Key, WordMap, WordTrie
 
 
 class Splitting:
@@ -213,30 +217,24 @@ def bar_construction(
                                              sp.letter_vec(letters[b])))
                    for b, f in enumerate(first[:len(letters)])
                    for r, a in enumerate(out[letters[b][1]])}
-    diff, curv = {}, {}
+    words = trie.words()
+    diff, curv = WordMap(words), {}  # d on word ids, a row per word in order
     minus_one = F.neg(F.one)
-    rows: List[Tuple[int, Dict[int, object]]] = []  # last letter, d by id
-
-    def store(w: int, a: int, dvec: Dict[int, object]) -> None:
-        if w < len(first):  # kept for the words below the cap only
-            rows.append((a, dvec))
-        if dvec:
-            diff[keys[w]] = {keys[i]: c for i, c in dvec.items()}
-
     for a, (units, red) in enumerate(d_split[:len(keys)]):
         if units:
             curv[keys[a]] = units[letters[a][0]]
-        store(a, a, {i: F.neg(c) for i, _, c in red})  # -(d a), kappa = 0
+        diff.append({i: F.neg(c) for i, _, c in red})  # -(d a), kappa = 0
 
     # d(h.a) = d(h).a + merge(h[-1], a) + d(a) at the last position
     for h, f in enumerate(first):
         x, y, kappa, _ = keys[h]  # kappa: shifted degree of h
-        b, dh = rows[h]
         p = parent[h]
         base = first[p] if p >= 0 else None  # h[:-1].k is base + rank[k]
+        b = h if base is None else out[keys[p][1]][h - base]  # h's last letter
+        dh = diff.ids(h)
         sgn = minus_one if kappa % 2 == 0 else F.one
         for r, a in enumerate(out[y]):
-            dvec = {first[i] + r: c for i, c in dh.items()}
+            dvec = {first[i] + r: c for i, c in dh}
             # (-1)^{kappa_b + |b| |s a|}, kappa_b = kappa - |s b|, is
             # (-1)^{kappa + 1 + |b| |a|}
             mexp = kappa + 1 + letters[b][2] * letters[a][2]
@@ -250,9 +248,9 @@ def bar_construction(
             # internal differential: -(-1)^kappa at the last letter
             for _, ri, c in d_split[a][1]:
                 vec_bump(F, dvec, f + ri, F.mul(sgn, c))
-            store(f + r, a, dvec)
+            diff.append(dvec)
 
-    return PointedCoalgebra(F, cat.quiver.objects, trie.quiver, trie, diff,
+    return PointedCoalgebra(F, cat.quiver.objects, trie.quiver, words, diff,
                             curv)
 
 
@@ -345,7 +343,7 @@ def cobar_construction(
     for a in letters:
         k = a[3]
         terms = [((k2,), c if a[2] % 2 == 0 else F.neg(c))
-                 for k2, c in coa.diff.get(k, {}).items()]
+                 for k2, c in coa.d(k).items()]
         terms += [((ka, kb), c if kb[2] % 2 == 0 else F.neg(c))
                   for (ka, kb), c in coa.delta(k).items()]
         h = coa.curv.get(k)

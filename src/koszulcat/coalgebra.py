@@ -46,8 +46,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .field import (Field, Vec, _apply, _evaluate, _normalize, _same_field,
                     vec_bump, vec_sub)
 from .matrix import SparseMatrix
-from .quiver import (GradedQuiver, Key, WordTrie, has_cycle, lkey, pair_key,
-                     rkey)
+from .quiver import (GradedQuiver, Key, WordMap, Words, WordTrie, has_cycle,
+                     lkey, pair_key, rkey)
 
 PairVec = Dict[Tuple[Key, Key], object]
 
@@ -58,37 +58,53 @@ class PointedCoalgebra:
         field: Field,
         objects: Iterable,
         reduced: GradedQuiver,
-        comult: Dict[Key, PairVec] | WordTrie,
-        diff: Optional[Dict[Key, Vec]] = None,
+        comult: Dict[Key, PairVec] | Words,
+        diff: Optional[Dict[Key, Vec] | WordMap] = None,
         curv: Optional[Dict[Key, object]] = None,
     ):
         """Takes ownership of the table dicts and normalizes them in place
-        (see ``field``); the caller edits them no further.  ``comult`` is
-        the rDelta table, or the ``WordTrie`` of a word coalgebra (bar,
-        cotensor), whose entries are all ``one`` by construction: it
-        skips the zero scan and is read key by key off the trie
-        (``WordTrie.get``)."""
+        (see ``field``); the caller edits them no further.  A word
+        coalgebra (bar, cotensor) hands over its ``Words`` as ``comult``:
+        every rDelta entry is ``one`` by construction, so there is no zero
+        scan, and rDelta is read key by key off the words (``Words.get``).
+        A bar hands over d the same way, as the ``WordMap`` it stored on
+        word ids beside them; it holds no zero either (each term was summed
+        by ``vec_bump`` or copied from one that was), and its rows are
+        named only when read (``WordMap.get``)."""
         self.field = field
         self.objects = tuple(objects)
         if reduced.objects != self.objects:
             raise ValueError("reduced quiver must live on the stated objects")
         self.reduced = reduced
-        self._rdelta = (comult if isinstance(comult, WordTrie)
+        self._rdelta = (comult if isinstance(comult, Words)
                         else _normalize(comult))
-        self.diff = _normalize({} if diff is None else diff)
+        self._diff = (diff if isinstance(diff, WordMap)
+                      else _normalize({} if diff is None else diff))
         self.curv = _normalize({} if curv is None else curv)
 
     @property
     def comult(self) -> Dict[Key, PairVec]:
-        """rDelta as one table; a word coalgebra builds it off its trie
+        """rDelta as one table; a word coalgebra builds it off its words
         on the first read, in word-id order."""
-        if isinstance(self._rdelta, WordTrie):
+        if isinstance(self._rdelta, Words):
             self._rdelta = self._rdelta.table()
         return self._rdelta
+
+    @property
+    def diff(self) -> Dict[Key, Vec]:
+        """d as one table; a bar builds it off its ``WordMap`` on the
+        first read, in word-id order."""
+        if isinstance(self._diff, WordMap):
+            self._diff = self._diff.table()
+        return self._diff
 
     def delta(self, key: Key) -> PairVec:
         """rDelta of one basis key, empty for a primitive; read only."""
         return self._rdelta.get(key, {})
+
+    def d(self, key: Key) -> Vec:
+        """d of one basis key, empty for a cycle; read only."""
+        return self._diff.get(key, {})
 
     # -- evaluation ---------------------------------------------------------
 
@@ -96,7 +112,7 @@ class PointedCoalgebra:
         return bool(self.curv)
 
     def apply_d(self, vec: Vec) -> Vec:
-        return _apply(self.field, self.diff, vec)
+        return _apply(self.field, self._diff, vec)
 
     def curvature_value(self, vec: Vec):
         return _evaluate(self.field, self.curv, vec)
@@ -188,13 +204,13 @@ class PointedCoalgebra:
 
         # co-Leibniz
         for k in keys:
-            lhs = self.reduced_comult(self.diff.get(k, {}))
+            lhs = self.reduced_comult(self.d(k))
             rhs: PairVec = {}
             for (a, b), c in self.delta(k).items():
-                for a2, c2 in self.diff.get(a, {}).items():
+                for a2, c2 in self.d(a).items():
                     vec_bump(F, rhs, (a2, b), F.mul(c, c2))
                 sgn = F.coerce(-1) if a[2] % 2 else F.one
-                for b2, c2 in self.diff.get(b, {}).items():
+                for b2, c2 in self.d(b).items():
                     vec_bump(F, rhs, (a, b2), F.mul(F.mul(sgn, c), c2))
             if lhs != rhs:
                 problems.append(f"co-Leibniz fails at {k}")
@@ -203,7 +219,7 @@ class PointedCoalgebra:
 
         # d^2 = (h (x) id - id (x) h) rDelta ; h o d = 0
         for k in keys:
-            dd = self.apply_d(self.diff.get(k, {}))
+            dd = self.apply_d(self.d(k))
             want: Vec = {}
             for (a, b), c in self.delta(k).items():
                 ha = self.curv.get(a)
@@ -216,7 +232,7 @@ class PointedCoalgebra:
                 problems.append(f"d^2 does not match the curvature coaction at {k}")
                 if done():
                     return problems
-            hd = self.curvature_value(self.diff.get(k, {}))
+            hd = self.curvature_value(self.d(k))
             if not F.is_zero(hd):
                 problems.append(f"h o d is nonzero at {k}")
                 if done():
@@ -300,10 +316,30 @@ def _complement_basis(
     return list(_rref_rows(field, keys, residues).values())
 
 
+def _coordinates(field: Field, keys: List[Key],
+                 basis: List[Tuple[object, Vec]]) -> Dict[Key, Vec]:
+    """Each key on ``basis`` (name, vector), a basis of the keys' span, as
+    name -> coefficient.  One elimination of [basis | I], pivots in the
+    basis block, leaves the inverse of the basis in the identity block:
+    one column per key, its entries in pivot order."""
+    kpos = {k: i for i, k in enumerate(keys)}
+    n = len(basis)
+    entries = {(kpos[k], j): c for j, (_name, v) in enumerate(basis)
+               for k, c in v.items()}
+    entries.update({(i, n + i): field.one for i in range(len(keys))})
+    inv, pivots = SparseMatrix(field, len(keys), n + len(keys), entries).rref(
+        allowed_cols=frozenset(range(n)))
+    coords: Dict[Key, Vec] = {k: {} for k in keys}
+    for (i, j), c in inv.entries.items():
+        if j >= n:
+            coords[keys[j - n]][basis[pivots[i]][0]] = c
+    return coords
+
+
 def associated_graded(c: PointedCoalgebra) -> PointedCoalgebra:
     """Associated graded along the coradical filtration (F_{k+1} =
     rDelta^{-1}(C (x) F_k), see ``coradical_filtration``), on an adapted
-    basis.  Each old key is solved once into its coordinates on that
+    basis.  One elimination gives every old key's coordinates on that
     basis.  Comultiplication keeps only the weight-additive part (stage
     k -> stages i + j = k) and d the stage-preserving part.  The result
     carries *no* curvature: h eats at least one filtration weight, so
@@ -325,15 +361,8 @@ def associated_graded(c: PointedCoalgebra) -> PointedCoalgebra:
             new_keys.append((slot + ((si, name),), si, v))
     quiver = GradedQuiver(c.objects, {s: tuple(v) for s, v in slots.items()})
 
-    # coordinates of each old key on the new basis
-    keys = sorted(c.reduced.keys(), key=repr)
-    kpos = {k: i for i, k in enumerate(keys)}
-    base = SparseMatrix(F, len(keys), len(new_keys), {
-        (kpos[k], j): cc for j, (_nk, _si, v) in enumerate(new_keys)
-        for k, cc in v.items()})
-    coords = {k: {new_keys[j][0]: cc
-                  for j, cc in base.solve({kpos[k]: F.one}).items()}
-              for k in keys}
+    coords = _coordinates(F, sorted(c.reduced.keys(), key=repr),
+                          [(nk, v) for nk, _si, v in new_keys])
     stage_of = {nk: si for (nk, si, _v) in new_keys}
 
     comult: Dict[Key, PairVec] = {}
@@ -454,13 +483,13 @@ def tensor_coalgebras(
                     continue  # a grouplike (x) grouplike leg: primitive part
                 sgn = F.coerce(-1) if (deg(d1) * deg(c2)) % 2 else F.one
                 vec_bump(F, pv, (left, right), F.mul(sgn, F.mul(cc, dd)))
-        # differential d (x) 1 + (-1)^{|c|} 1 (x) d; a grouplike leg has
-        # no entry in diff, so its term is empty
+        # differential d (x) 1 + (-1)^{|c|} 1 (x) d; a grouplike leg is
+        # no basis key, so its term is empty
         diff[key] = dv = {}
-        for k2, cc in c.diff.get(ck, {}).items():
+        for k2, cc in c.d(ck).items():
             vec_bump(F, dv, pair_or_none(k2, dk), cc)
         sgn = F.coerce(-1) if deg(ck) % 2 else F.one
-        for k2, cc in d.diff.get(dk, {}).items():
+        for k2, cc in d.d(dk).items():
             vec_bump(F, dv, pair_or_none(ck, k2), F.mul(sgn, cc))
         # curvature h (x) eps + eps (x) h: only a leg beside a grouplike
         hv = (c.curv.get(ck) if is_g(dk) else
@@ -480,7 +509,8 @@ def cotensor_coalgebra(
 
     Words are composable paths of generators, named by their tuples of
     generator names (``quiver.WordTrie``); rDelta splits a word at
-    interior positions, and is read off the trie key by key, not stored.
+    interior positions, and is read key by key off the listed ``Words``,
+    not stored.
     With a weight cap the span of words of length <= max_weight is a
     subcoalgebra, so the cap loses nothing structurally.  Without a cap
     the generator graph must be acyclic (else the word basis is infinite),
@@ -490,7 +520,8 @@ def cotensor_coalgebra(
         raise ValueError(f"max_weight={max_weight} is negative; "
                          "pass max_weight=0 or more")
     trie = WordTrie(generators.objects, list(generators.keys()), max_weight)
-    return PointedCoalgebra(field, generators.objects, trie.quiver, trie)
+    return PointedCoalgebra(field, generators.objects, trie.quiver,
+                            trie.words())
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +599,7 @@ class CoalgebraMorphism:
                     return problems
             # differential with twist
             left = tgt.apply_d(act.get(k, {}))
-            right = self.apply(src.diff.get(k, {}))
+            right = self.apply(src.d(k))
             for (a, b), c in delta.items():
                 ta = twist.get(a, F.zero)
                 if not F.is_zero(ta):
@@ -588,7 +619,7 @@ class CoalgebraMorphism:
             # curvature with twist
             hl = tgt.curvature_value(act.get(k, {}))
             hr = F.add(src.curv.get(k, F.zero),
-                       self.twist_value(src.diff.get(k, {})))
+                       self.twist_value(src.d(k)))
             for (a, b), c in delta.items():
                 q = F.mul(twist.get(a, F.zero), twist.get(b, F.zero))
                 hr = F.add(hr, F.mul(c, q))

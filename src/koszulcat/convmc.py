@@ -420,7 +420,7 @@ def _mc_residual_row(coa: PointedCoalgebra, d: DgCategory, om: Dict,
     """(d xi + xi * xi + h)(ck) in the reduced convolution."""
     F = coa.field
     r = d.apply_d(xi.get(ck, {}))
-    for ck2, coeff in coa.diff.get(ck, {}).items():
+    for ck2, coeff in coa.d(ck).items():
         # -(-1)^{|xi|} xi(dc) with |xi| = 1
         r = vec_addmul(F, r, coeff, xi.get(ck2, {}))
     for (a, b), lam in coa.delta(ck).items():
@@ -618,7 +618,7 @@ def mc_enumerate(c: PointedCoalgebra, d: DgCategory,
             row: Poly = {}
             for mono, v in xi.get(ck, {}).items():
                 _bump_poly(F, row, mono, d.apply_d(v), F.one)
-            for ck2, x in c.diff.get(ck, {}).items():
+            for ck2, x in c.d(ck).items():
                 for mono, v in xi.get(ck2, {}).items():
                     _bump_poly(F, row, mono, v, x)
             for (a, b), lam in c.delta(ck).items():
@@ -995,7 +995,7 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
                 _bump_poly(F, row, mono, bar_coa.apply_d(v), F.one)
                 _bump_poly(F, row, mono, {"h": bar_coa.curvature_value(v)},
                            F.one)
-            terms = [(ext[k2], (), x) for k2, x in c.diff.get(ck, {}).items()]
+            terms = [(ext[k2], (), x) for k2, x in c.d(ck).items()]
             for (a, b), lam in c.delta(ck).items():
                 if a in tw:
                     terms.append((ext[b], (tw[a],), lam))

@@ -19,9 +19,12 @@ each:
   shortest first, built only within a length cap and a letter weight
   budget, with the guards that keep the listing finite.  ``ext`` and
   ``steps`` walk it letter by letter, and ``splits`` reads a word's
-  deconcatenation off its parent and tail chains: bar and cotensor
-  coalgebras hold the trie itself as rDelta (``get``, ``table``), and
-  cobar and free categories compose by its transpose;
+  deconcatenation off its parent and tail chains.  Once listing is done
+  ``Words`` keeps only those chains, the keys and a key -> id index:
+  bar and cotensor coalgebras hold it as rDelta (``get``, ``table``),
+  and cobar and free categories compose by the transpose of ``splits``;
+- ``WordMap``: a linear map on words stored on word ids in one flat
+  table, its rows named by word keys only when read (a bar's d);
 - ``object_maps``: every map of object sets in ``itertools.product``
   order, with the ``max_objects`` guard;
 - ``has_cycle``: the directed-cycle check behind every finiteness
@@ -30,6 +33,7 @@ each:
 
 from __future__ import annotations
 
+from array import array
 from itertools import product
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -119,15 +123,122 @@ def rkey(x, dk: Key) -> Key:
     return ((x, dk[0]), (x, dk[1]), dk[2], (("G", x), (dk[2], dk[3])))
 
 
-class WordTrie:
+class Words:
+    """Listed words by id, as their readers need them once listing is
+    done: ``keys`` by id, and ``parent[w]`` (w without its last letter)
+    and ``tail[w]`` (w without its first), both -1 for a letter.  A
+    word coalgebra keeps this, not the ``WordTrie`` that listed it.
+
+    ``splits`` reads a word's deconcatenation off the two chains, and
+    ``get`` and ``table`` read rDelta off them as a table would.  ``id``
+    is the key -> id index, built on its first read.
+    """
+
+    def __init__(self, keys: List[Key], parent: List[int], tail: List[int]):
+        self.keys, self.parent, self.tail = keys, parent, tail
+        self._ids: Optional[Dict[Key, int]] = None
+        self._read: Dict[Key, Dict[Tuple[Key, Key], int]] = {}
+
+    def id(self, key: Key) -> Optional[int]:
+        """The id of a word key, or None for a key that is no word."""
+        if self._ids is None:
+            self._ids = {k: w for w, k in enumerate(self.keys)}
+        return self._ids.get(key)
+
+    def splits(self, w: int) -> Iterator[Tuple[int, int]]:
+        """The splits of word w at its interior positions, as (prefix id,
+        suffix id) pairs, shortest prefix first: its ancestors on the
+        ``parent`` chain against its ``tail`` chain."""
+        parent, tail = self.parent, self.tail
+        pre, suf = [], []
+        p, t = parent[w], tail[w]
+        while p >= 0:
+            pre.append(p)
+            suf.append(t)
+            p, t = parent[p], tail[t]
+        return zip(reversed(pre), suf)
+
+    def _pairs(self, w: int) -> Dict[Tuple[Key, Key], int]:
+        keys = self.keys
+        return {(keys[p], keys[t]): 1 for p, t in self.splits(w)}
+
+    def get(self, key: Key, default=None):
+        """rDelta of a word key as a table reads it: its ``splits`` as key
+        pairs, each with coefficient 1 (the ``one`` of every field), or
+        ``default`` for a letter or a key that is no word.  What was
+        read is kept."""
+        got = self._read.get(key)
+        if got is None:
+            w = self.id(key)
+            got = self._read[key] = (
+                {} if w is None or self.parent[w] < 0 else self._pairs(w))
+        return got or default
+
+    def table(self) -> Dict[Key, Dict[Tuple[Key, Key], int]]:
+        """``get`` of every word that has a split, in id order."""
+        return {k: self._pairs(w) for w, k in enumerate(self.keys)
+                if self.parent[w] >= 0}
+
+
+class WordMap:
+    """A linear map on the words of a ``Words``, kept on word ids in one
+    flat table: an offsets array, a word-id array and a coefficient
+    list, a row per word appended in id order (``append``), terms in the
+    order they were summed.  Row w is read back on ids by ``ids``.
+
+    ``get`` names one row as a table reads it, keyed by the words' own
+    keys, and keeps what it named; ``table`` names every nonzero row, in
+    id order.
+    """
+
+    def __init__(self, words: Words):
+        self.words = words
+        self._offsets, self._terms = array("q", [0]), array("q")
+        self._coeffs: List = []
+        self._read: Dict[Key, Dict[Key, object]] = {}
+
+    def append(self, row: Dict[int, object]) -> None:
+        """Store the image of the next word: word id -> coefficient, with
+        no zero coefficient."""
+        self._terms.extend(row)
+        self._coeffs.extend(row.values())
+        self._offsets.append(len(self._terms))
+
+    def ids(self, w: int) -> List[Tuple[int, object]]:
+        """The image of word w as (word id, coefficient) pairs, in order."""
+        lo, hi = self._offsets[w], self._offsets[w + 1]
+        return list(zip(self._terms[lo:hi], self._coeffs[lo:hi]))
+
+    def _row(self, w: int) -> Dict[Key, object]:
+        keys = self.words.keys
+        return {keys[i]: c for i, c in self.ids(w)}
+
+    def get(self, key: Key, default=None):
+        """The image of a word key, or ``default`` where it is zero or the
+        key is no word."""
+        got = self._read.get(key)
+        if got is None:
+            w = self.words.id(key)
+            got = self._read[key] = {} if w is None else self._row(w)
+        return got or default
+
+    def table(self) -> Dict[Key, Dict[Key, object]]:
+        """``get`` of every word with a nonzero image, in id order."""
+        offsets = self._offsets
+        return {k: self._row(w) for w, k in enumerate(self.words.keys)
+                if offsets[w] < offsets[w + 1]}
+
+
+class WordTrie(Words):
     """Words of letters (src, tgt, degree, name) composable end to end,
     shortest first, of at most ``max_len`` letters and ``max_weight``
     summed letter ``weights``, on an integer trie.  ``keys`` lists them
     by id, keyed (src, tgt, degree sum, tuple of names), each key built
     once; ``quiver`` is their quiver and ``cut`` whether a cap dropped a
     letter or the composite of two listed words.  ``lid[i]`` is the id
-    of letter i (None if dropped); ``parent[w]`` is w without its last
-    letter and ``tail[w]`` w without its first, both -1 for a letter.
+    of letter i (None if dropped); ``parent`` and ``tail`` are as in
+    ``Words``, and ``words()`` is the ``Words`` without the lists below,
+    which only listing reads.
 
     Each object keeps one list of outgoing letters per remaining weight
     budget (up to the heaviest letter's weight), in ``letters`` order.
@@ -199,11 +310,13 @@ class WordTrie:
         for k in keys:
             slots.setdefault(k[:3], []).append(k[3])
         self.quiver = GradedQuiver(objects, slots)
-        self.keys, self.cut, self.lid = keys, cut, lid
-        self.parent, self.tail, self.first, self.grow = parent, tail, first, grow
+        super().__init__(keys, parent, tail)
+        self.cut, self.lid, self.first, self.grow = cut, lid, first, grow
         self.out, self.rank = fits[heavy], rank[heavy]
-        self._ids: Optional[Dict[Key, int]] = None
-        self._read: Dict[Key, Dict[Tuple[Key, Key], int]] = {}
+
+    def words(self) -> Words:
+        """The listed words without the lists that only listing reads."""
+        return Words(self.keys, self.parent, self.tail)
 
     def ext(self, v: int, a: int) -> Optional[int]:
         """The id of the word v.a (v = -1: the empty word), or None."""
@@ -219,43 +332,6 @@ class WordTrie:
         for h, (fit, _) in enumerate(self.grow):
             for j, a in enumerate(fit):
                 yield self.first[h] + j, h, a
-
-    def splits(self, w: int) -> Iterator[Tuple[int, int]]:
-        """The splits of word w at its interior positions, as (prefix id,
-        suffix id) pairs, shortest prefix first: its ancestors on the
-        ``parent`` chain against its ``tail`` chain."""
-        parent, tail = self.parent, self.tail
-        pre, suf = [], []
-        p, t = parent[w], tail[w]
-        while p >= 0:
-            pre.append(p)
-            suf.append(t)
-            p, t = parent[p], tail[t]
-        return zip(reversed(pre), suf)
-
-    def _pairs(self, w: int) -> Dict[Tuple[Key, Key], int]:
-        keys = self.keys
-        return {(keys[p], keys[t]): 1 for p, t in self.splits(w)}
-
-    def get(self, key: Key, default=None):
-        """rDelta of a word key as a table reads it: its ``splits`` as key
-        pairs, each with coefficient 1 (the ``one`` of every field), or
-        ``default`` for a letter or a key that is no word.  A key -> id
-        index is built on the first read, and what was read is kept."""
-        got = self._read.get(key)
-        if got is None:
-            if self._ids is None:
-                self._ids = {k: w for w, k in enumerate(self.keys)}
-            w = self._ids.get(key)
-            if w is None or self.parent[w] < 0:
-                return default
-            got = self._read[key] = self._pairs(w)
-        return got
-
-    def table(self) -> Dict[Key, Dict[Tuple[Key, Key], int]]:
-        """``get`` of every word that has a split, in id order."""
-        return {k: self._pairs(w) for w, k in enumerate(self.keys)
-                if self.parent[w] >= 0}
 
 
 def object_maps(sources: Sequence, targets: Sequence,

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from koszulcat import coalgebra
 from koszulcat.barcobar import bar_construction
 from koszulcat.coalgebra import (
     CoalgebraMorphism,
@@ -317,6 +318,46 @@ def test_filtration_matches_generator_column_oracle(field):
                            for a, b in pv), name
             for key, img in g.diff.items():
                 assert all(k2[3][0] == key[3][0] for k2 in img), name
+        cases += 1
+    assert cases == 161
+
+
+def per_key_coordinates(F, keys, basis):
+    """``coalgebra._coordinates`` one ``SparseMatrix.solve`` per key."""
+    kpos = {k: i for i, k in enumerate(keys)}
+    base = SparseMatrix(F, len(keys), len(basis), {
+        (kpos[k], j): x for j, (_, v) in enumerate(basis)
+        for k, x in v.items()})
+    return {k: {basis[j][0]: x
+                for j, x in base.solve({kpos[k]: F.one}).items()}
+            for k in keys}
+
+
+def in_order(table):
+    return [(k, list(v.items()) if isinstance(v, dict) else v)
+            for k, v in table.items()]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["q", "f2", "f3"])
+def test_gr_coordinates_match_per_key_solves(field, monkeypatch):
+    """gr's coordinate table, from one elimination, equals one solve per
+    old key in value and order, and so gr's tables are those the per-key
+    solves give, in dict order too."""
+    cases = 0
+    for name, c in filtration_corpus(field):
+        basis = [nv for stage in c.coradical_filtration() for nv in stage]
+        if len(basis) != c.reduced.total_dim():
+            continue
+        keys = sorted(c.reduced.keys(), key=repr)
+        assert in_order(coalgebra._coordinates(field, keys, basis)) == \
+            in_order(per_key_coordinates(field, keys, basis)), name
+        g = associated_graded(c)
+        with monkeypatch.context() as m:
+            m.setattr(coalgebra, "_coordinates", per_key_coordinates)
+            want = associated_graded(c)
+        for got, table in ((g.reduced.slots, want.reduced.slots),
+                           (g.comult, want.comult), (g.diff, want.diff)):
+            assert in_order(got) == in_order(table), name
         cases += 1
     assert cases == 161
 

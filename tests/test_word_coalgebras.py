@@ -11,24 +11,28 @@ comultiplication, differential and curvature must come out equal, in
 dict order, on the sample library (weight caps 0 to 3), on seeded random
 categories, under custom unit complements, on the bar of an MC category,
 and on cotensors of random and cyclic generator quivers.  Neither
-coalgebra stores its comultiplication: it holds the trie, ``delta``
-reads it key by key (``WordTrie.get``), and ``comult`` is built from
-it on the first read (``WordTrie.table``), so each case also checks
-``delta`` against that table, read before and after.
+coalgebra stores its comultiplication: it keeps its listed words
+(``quiver.Words``), ``delta`` reads them key by key (``Words.get``),
+and ``comult`` is built from them on the first read (``Words.table``).
+A bar keeps d on word ids too (``quiver.WordMap``): ``d`` names one
+row when it is read, and ``diff`` is built on its first read.  So each
+case also checks ``delta`` and ``d`` against those tables, read before
+and after, and that reading rows builds no whole table.
 The custom complements give words whose merge term hits a term of
 d(w').a, which pins the order in which the recursion adds terms.  Equal
-keys in the built tables must be one object.
+keys in the built tables and in the rows read must be one object.
 """
 
 import random
 
 import pytest
 
-from koszulcat.barcobar import Splitting, bar_construction
+from koszulcat.barcobar import Splitting, bar_construction, cobar_construction
 from koszulcat.coalgebra import PointedCoalgebra, cotensor_coalgebra
-from koszulcat.convmc import mc_category
+from koszulcat.convmc import (enumerate_coalgebra_morphisms, mc_category,
+                              mc_check, mc_enumerate)
 from koszulcat.field import GF, QQ, vec_bump
-from koszulcat.quiver import GradedQuiver
+from koszulcat.quiver import GradedQuiver, WordMap
 from koszulcat.randgen import random_dg_category, random_word_coalgebra
 from koszulcat.samples import CATEGORY_LIBRARY, COALGEBRA_LIBRARY, dual_numbers
 from test_quiver import keep_listing
@@ -132,16 +136,24 @@ def tables(coa):
 
 def word_tables(coa):
     """``tables`` of a freshly built word coalgebra.  On every reduced key,
-    ``delta`` read off the trie before ``comult`` is first read, and again
-    after, must equal the entry of ``comult``, in order too; the keys in
-    its pairs are the coalgebra's own."""
+    ``delta`` read off the words before ``comult`` is first read, and
+    again after, must equal the entry of ``comult``, in order too; so
+    must ``d``, read before and after ``diff`` is first built, equal the
+    entry of ``diff``; a row read twice is one dict.  The keys they
+    return are the coalgebra's own."""
     keys = list(coa.reduced.keys())
     before = [coa.delta(k) for k in keys]
+    d_before = [coa.d(k) for k in keys]
+    # a row is named once and kept
+    assert all(a is coa.d(k) for a, k in zip(d_before, keys) if a)
     got = tables(coa)
     for table in ([coa.comult.get(k, {}) for k in keys],
                   [coa.delta(k) for k in keys]):
         assert [ordered(v) for v in before] == [ordered(v) for v in table]
-    assert_keys_shared(coa, before)
+    for table in ([coa.diff.get(k, {}) for k in keys],
+                  [coa.d(k) for k in keys]):
+        assert [ordered(v) for v in d_before] == [ordered(v) for v in table]
+    assert_keys_shared(coa, before, d_before)
     return got
 
 
@@ -155,8 +167,9 @@ def assert_bar_matches(cat, cap, splitting=None):
     assert word_tables(bar) == tables(oracle_bar(cat, cap, sp))
 
 
-def assert_keys_shared(coa, deltas=()):
+def assert_keys_shared(coa, deltas=(), rows=()):
     occ = [k for pairs in deltas for pair in pairs for k in pair]
+    occ += [k for row in rows for k in row]
     for k, pairs in coa.comult.items():
         occ.append(k)
         for pair in pairs:
@@ -255,6 +268,31 @@ def test_custom_splittings_match_oracle():
 def test_mc_category_bars_match_oracle(c, d, cap):
     mcc = mc_category(COALGEBRA_LIBRARY[c](F3), CATEGORY_LIBRARY[d](F3))
     assert_bar_matches(mcc.category, cap)
+
+
+def test_reading_bar_rows_builds_no_d_table(monkeypatch):
+    """``apply_d``, the cobar, the MC search and check on the bar, and a
+    morphism search into it read d row by row; only ``diff`` (here the
+    validator's) builds the whole table, once."""
+    built = []
+    table = WordMap.table
+
+    def counted(self):
+        built.append(self)
+        return table(self)
+    monkeypatch.setattr(WordMap, "table", counted)
+    d = CATEGORY_LIBRARY["trunc_poly3"](F3)
+    bar = bar_construction(d, 3)
+    for k in bar.reduced.keys():
+        bar.apply_d({k: F3.one})
+    assert cobar_construction(bar, length_cap=2).category.quiver.total_dim()
+    els = mc_enumerate(bar, d)
+    assert els and all(mc_check(bar, d, m)[0] for m in els)
+    assert enumerate_coalgebra_morphisms(COALGEBRA_LIBRARY["neg_primitive"](F3),
+                                         bar, weight_cap=3)
+    assert built == []
+    assert bar.validate() == []
+    assert len(built) == 1
 
 
 # -- cotensors ---------------------------------------------------------------
