@@ -72,8 +72,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .coalgebra import FinalCoalgebra, PointedCoalgebra, zero_coalgebra
 from .dgcat import DgCategory, _path_category, empty_category, zero_category
-from .field import Vec, vec_bump
-from .matrix import SparseMatrix
+from .field import Vec, _normalize, vec_bump
+from .matrix import _coordinates
 from .quiver import Key, WordMap, WordTrie
 
 
@@ -86,10 +86,12 @@ class Splitting:
     arrow of the slot except the unit's first key (by repr); it takes the
     same path as a supplied one.
 
-    At construction each basis key of such a slot is solved once for its
-    coordinates in the basis [unit | complement].  ``split`` sums those
-    coordinates to write a vector as unit coefficients plus a letter part,
-    which is all the bar construction ever needs.
+    At construction one elimination per such slot gives each basis key's
+    coordinates in the basis [unit | complement] (``matrix._coordinates``).
+    ``split`` sums those coordinates to write a vector as unit
+    coefficients plus a letter part, which is all the bar construction
+    ever needs.  A complement on an object that has no nonzero unit is
+    refused.
     """
 
     def __init__(
@@ -99,6 +101,11 @@ class Splitting:
     ):
         self.cat = cat
         F = cat.field
+        complement = {} if complement is None else complement
+        for x in complement:
+            if x not in cat.quiver.objects or not cat.unit_vec(x):
+                raise ValueError(f"complement at {x!r}, which is not an "
+                                 "object with a nonzero unit")
         self.letters: List[Key] = []
         self._vecs: Dict[Key, Vec] = {}
         # degree-0 endo basis key at x -> (its unit coefficient, its letter
@@ -111,8 +118,7 @@ class Splitting:
             if not u:
                 continue
             slot_keys = [(x, x, 0, a) for a in cat.quiver.slot(x, x, 0)]
-            index = {k: i for i, k in enumerate(slot_keys)}
-            given = (complement or {}).get(x)
+            given = complement.get(x)
             if given is None:
                 pivot = min(u, key=repr)
                 letter_keys = [k for k in slot_keys if k != pivot]
@@ -123,24 +129,17 @@ class Splitting:
                         f"complement at {x!r} must have {len(slot_keys) - 1} vectors"
                     )
                 letter_keys = [(x, x, 0, ("split", i)) for i in range(len(given))]
-            entries = {}
-            for j, v in enumerate([u] + given):
-                for k, c in v.items():
-                    if k not in index:
-                        raise ValueError(f"complement vector at {x!r} leaves slot")
-                    entries[(index[k], j)] = c
-            m = SparseMatrix(F, len(slot_keys), len(slot_keys), entries)
-            for lk in letter_keys:
-                self._vecs[lk] = {}
-            for (i, j), c in m.entries.items():
-                if j:
-                    self._vecs[letter_keys[j - 1]][slot_keys[i]] = c
-            for i, k in enumerate(slot_keys):
-                sol = m.solve({i: F.one})
-                if sol is None:
-                    raise ValueError(f"unit and complement do not span the slot at {x!r}")
-                self._coords[k] = (sol.get(0, F.zero),
-                                   {letter_keys[j - 1]: c for j, c in sol.items() if j})
+            if any(k not in slot_keys for v in given for k in v):
+                raise ValueError(f"complement vector at {x!r} leaves slot")
+            for lk, v in zip(letter_keys, given):
+                self._vecs[lk] = _normalize({k: F.coerce(c) for k, c in v.items()})
+            # the unit is named None, the letters by their keys
+            coords = _coordinates(F, slot_keys, [(None, u)] + list(
+                zip(letter_keys, given)))
+            if coords is None:
+                raise ValueError(f"unit and complement do not span the slot at {x!r}")
+            for k, cs in coords.items():
+                self._coords[k] = (cs.pop(None, F.zero), cs)
             endo_letters.extend(letter_keys)
 
         for (sx, sy, sn), names in cat.quiver.slots.items():

@@ -22,6 +22,12 @@ F_1 = ker rDelta and F_{k+1} = ker((id (x) pi_k) rDelta), pi_k the
 residue modulo F_k, which equals rDelta^{-1}(C (x) F_k).  Each stage is
 one kernel with one column per basis key.
 
+Every identity checked here is (T (x) id) rDelta or (id (x) T) rDelta
+for a table T, and goes through ``field._on_leg``, as do the
+filtration's columns and gr's coordinates.  ``deconcat`` keeps its own
+loop: it splits a key into any number of parts as flat tuples, for the
+morphism search, where repeated legs would nest pairs.
+
 Morphisms are pairs (F, a): F a pointed graded coalgebra map, a a
 degree-+1 functional (supported on degree -1 elements whose endpoint
 objects F identifies) twisting the compatibility with d and h:
@@ -43,9 +49,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .field import (Field, Vec, _apply, _evaluate, _normalize, _same_field,
-                    vec_bump, vec_sub)
-from .matrix import SparseMatrix
+from .field import (Field, Vec, _apply, _evaluate, _normalize, _on_leg,
+                    _same_field, vec_bump, vec_sub)
+from .matrix import SparseMatrix, _coordinates
 from .quiver import (GradedQuiver, Key, WordMap, Words, WordTrie, has_cycle,
                      lkey, pair_key, rkey)
 
@@ -186,14 +192,15 @@ class PointedCoalgebra:
             return problems
 
         keys = list(Q.keys())
+        rdelta, diff, curv = self.comult, self.diff, self.curv
 
-        # coassociativity of the reduced comultiplication
+        # coassociativity: (rDelta (x) id) rDelta, reassociated, against
+        # (id (x) rDelta) rDelta
         for k in keys:
-            lhs: Dict[Tuple[Key, ...], object] = {}  # (rDelta (x) id) rDelta
-            for (a, b), c in self.delta(k).items():
-                for (a1, a2), c2 in self.delta(a).items():
-                    vec_bump(F, lhs, (a1, a2, b), F.mul(c, c2))
-            if lhs != self.deconcat(k, 3):  # (id (x) rDelta) rDelta
+            pv = self.delta(k)
+            lhs = {(a1, (a2, b)): c for ((a1, a2), b), c
+                   in _on_leg(F, rdelta, pv, 0).items()}
+            if lhs != _on_leg(F, rdelta, pv, 1):
                 problems.append(f"reduced comultiplication not coassociative at {k}")
                 if done():
                     return problems
@@ -202,33 +209,20 @@ class PointedCoalgebra:
         if not self._conilpotent():
             problems.append("reduced part is not conilpotent")
 
-        # co-Leibniz
+        # co-Leibniz: rDelta d = (d (x) id + id (x) d) rDelta, d odd
         for k in keys:
-            lhs = self.reduced_comult(self.d(k))
-            rhs: PairVec = {}
-            for (a, b), c in self.delta(k).items():
-                for a2, c2 in self.d(a).items():
-                    vec_bump(F, rhs, (a2, b), F.mul(c, c2))
-                sgn = F.coerce(-1) if a[2] % 2 else F.one
-                for b2, c2 in self.d(b).items():
-                    vec_bump(F, rhs, (a, b2), F.mul(F.mul(sgn, c), c2))
-            if lhs != rhs:
+            pv = self.delta(k)
+            rhs = _on_leg(F, diff, pv, 1, True, _on_leg(F, diff, pv, 0))
+            if self.reduced_comult(self.d(k)) != rhs:
                 problems.append(f"co-Leibniz fails at {k}")
                 if done():
                     return problems
 
         # d^2 = (h (x) id - id (x) h) rDelta ; h o d = 0
         for k in keys:
-            dd = self.apply_d(self.d(k))
-            want: Vec = {}
-            for (a, b), c in self.delta(k).items():
-                ha = self.curv.get(a)
-                if ha is not None:
-                    vec_bump(F, want, b, F.mul(c, ha))
-                hb = self.curv.get(b)
-                if hb is not None:
-                    vec_bump(F, want, a, F.neg(F.mul(c, hb)))
-            if dd != want:
+            pv = self.delta(k)
+            dd = _on_leg(F, curv, pv, 1, out=self.apply_d(self.d(k)))
+            if dd != _on_leg(F, curv, pv, 0):
                 problems.append(f"d^2 does not match the curvature coaction at {k}")
                 if done():
                     return problems
@@ -268,17 +262,15 @@ class PointedCoalgebra:
         stages: List[List[Tuple[object, Vec]]] = []
         flat: List[Vec] = []  # accumulated adapted basis
         while keys:
-            # a (x) b minus a (x) (rref row of F_k at pivot b) is a (x) pi_k(b)
-            proj = _rref_rows(F, keys, flat)
+            # pi_k: a key's residue modulo F_k, which for a pivot of the
+            # rref rows of F_k is minus the rest of its row
+            pi = {k: {k: F.one} for k in keys}
+            for p, row in _rref_rows(F, keys, flat).items():
+                pi[p] = {k: F.neg(c) for k, c in row.items() if k != p}
             rows: Dict[Tuple[Key, Key], int] = {}
             entries = {}
             for j, k in enumerate(keys):
-                col: PairVec = {}
-                for (a, b), c in self.delta(k).items():
-                    vec_bump(F, col, (a, b), c)
-                    for b2, c2 in proj.get(b, {}).items():
-                        vec_bump(F, col, (a, b2), F.neg(F.mul(c, c2)))
-                for p, c in col.items():
+                for p, c in _on_leg(F, pi, self.delta(k), 1).items():
                     entries[(rows.setdefault(p, len(rows)), j)] = c
             kernel = SparseMatrix(F, len(rows), len(keys),
                                   entries).kernel_basis(keys)
@@ -316,26 +308,6 @@ def _complement_basis(
     return list(_rref_rows(field, keys, residues).values())
 
 
-def _coordinates(field: Field, keys: List[Key],
-                 basis: List[Tuple[object, Vec]]) -> Dict[Key, Vec]:
-    """Each key on ``basis`` (name, vector), a basis of the keys' span, as
-    name -> coefficient.  One elimination of [basis | I], pivots in the
-    basis block, leaves the inverse of the basis in the identity block:
-    one column per key, its entries in pivot order."""
-    kpos = {k: i for i, k in enumerate(keys)}
-    n = len(basis)
-    entries = {(kpos[k], j): c for j, (_name, v) in enumerate(basis)
-               for k, c in v.items()}
-    entries.update({(i, n + i): field.one for i in range(len(keys))})
-    inv, pivots = SparseMatrix(field, len(keys), n + len(keys), entries).rref(
-        allowed_cols=frozenset(range(n)))
-    coords: Dict[Key, Vec] = {k: {} for k in keys}
-    for (i, j), c in inv.entries.items():
-        if j >= n:
-            coords[keys[j - n]][basis[pivots[i]][0]] = c
-    return coords
-
-
 def associated_graded(c: PointedCoalgebra) -> PointedCoalgebra:
     """Associated graded along the coradical filtration (F_{k+1} =
     rDelta^{-1}(C (x) F_k), see ``coradical_filtration``), on an adapted
@@ -368,13 +340,10 @@ def associated_graded(c: PointedCoalgebra) -> PointedCoalgebra:
     comult: Dict[Key, PairVec] = {}
     diff: Dict[Key, Vec] = {}
     for nk, si, v in new_keys:
-        pv: PairVec = {}
-        for (a, b), cc in c.reduced_comult(v).items():
-            for ka, ca in coords[a].items():
-                for kb, cb in coords[b].items():
-                    if stage_of[ka] + stage_of[kb] + 2 == si + 1:
-                        # stages are 0-indexed; filtration degrees are +1
-                        vec_bump(F, pv, (ka, kb), F.mul(cc, F.mul(ca, cb)))
+        pv = _on_leg(F, coords, _on_leg(F, coords, c.reduced_comult(v), 0), 1)
+        # stages are 0-indexed; filtration degrees are +1
+        pv = {(ka, kb): x for (ka, kb), x in pv.items()
+              if stage_of[ka] + stage_of[kb] + 2 == si + 1}
         if pv:
             comult[nk] = pv
         dv = _apply(F, coords, c.apply_d(v))
@@ -585,45 +554,24 @@ class CoalgebraMorphism:
 
         act, twist = self.action, self.twist
         for k in src.reduced.keys():
-            delta = src.delta(k)
-            # comultiplicativity
-            lhs = tgt.reduced_comult(act.get(k, {}))
-            rhs: PairVec = {}
-            for (a, b), c in delta.items():
-                for ka, ca in act.get(a, {}).items():
-                    for kb, cb in act.get(b, {}).items():
-                        vec_bump(F, rhs, (ka, kb), F.mul(c, F.mul(ca, cb)))
-            if lhs != rhs:
+            pv = src.delta(k)
+            fk = act.get(k, {})
+            # comultiplicativity: (F (x) F) rDelta
+            fpv = _on_leg(F, act, pv, 0)
+            if tgt.reduced_comult(fk) != _on_leg(F, act, fpv, 1):
                 problems.append(f"comultiplication not respected at {k}")
                 if len(problems) >= max_problems:
                     return problems
-            # differential with twist
-            left = tgt.apply_d(act.get(k, {}))
-            right = self.apply(src.d(k))
-            for (a, b), c in delta.items():
-                ta = twist.get(a, F.zero)
-                if not F.is_zero(ta):
-                    for kb, cb in act.get(b, {}).items():
-                        vec_bump(F, right, kb, F.mul(c, F.mul(ta, cb)))
-                tb = twist.get(b, F.zero)
-                if not F.is_zero(tb):
-                    sgn = F.one if a[2] % 2 else F.coerce(-1)
-                    for ka, ca in act.get(a, {}).items():
-                        vec_bump(
-                            F, right, ka, F.mul(sgn, F.mul(c, F.mul(ca, tb)))
-                        )
-            if left != right:
+            # d and h with twist share u = dc + sum a(c')c''; d moves
+            # its odd term, (F (x) a) rDelta, to the left
+            u = _on_leg(F, twist, pv, 0, out=dict(src.d(k)))
+            left = _on_leg(F, twist, fpv, 1, True, tgt.apply_d(fk))
+            if left != self.apply(u):
                 problems.append(f"differential not respected at {k}")
                 if len(problems) >= max_problems:
                     return problems
-            # curvature with twist
-            hl = tgt.curvature_value(act.get(k, {}))
-            hr = F.add(src.curv.get(k, F.zero),
-                       self.twist_value(src.d(k)))
-            for (a, b), c in delta.items():
-                q = F.mul(twist.get(a, F.zero), twist.get(b, F.zero))
-                hr = F.add(hr, F.mul(c, q))
-            if hl != hr:
+            hr = F.add(src.curv.get(k, F.zero), self.twist_value(u))
+            if tgt.curvature_value(fk) != hr:
                 problems.append(f"curvature not respected at {k}")
                 if len(problems) >= max_problems:
                     return problems

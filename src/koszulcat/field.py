@@ -23,7 +23,9 @@ category, coalgebra, functor, morphism or Maurer-Cartan element stores:
   a key reads its entry instead of applying the table to a basis vector.
 
 A table is applied by one kernel per shape: ``_apply`` (linear),
-``_evaluate`` (functional) and ``_compose`` (bilinear).
+``_evaluate`` (functional), ``_compose`` (bilinear) and ``_on_leg`` (one
+leg of a vector on key pairs, as in (T (x) id) rDelta: a vector entry
+maps the leg, a scalar entry contracts it).
 """
 
 from __future__ import annotations
@@ -323,4 +325,30 @@ def _compose(field: Field, table: Dict, g: Vec, f: Vec) -> Vec:
                 c = field.mul(gc, fc)
                 for k2, c2 in entry.items():
                     vec_bump(field, out, k2, field.mul(c, c2))
+    return out
+
+
+def _on_leg(field: Field, table, pv: Vec, leg: int, odd: bool = False,
+            out: Vec | None = None) -> Vec:
+    """``table`` on leg ``leg`` (0 or 1) of ``pv``, a vector on key pairs.
+    A vector entry maps the leg, so the result stays on pairs; a scalar
+    entry contracts it, leaving a vector on the other leg.  ``odd`` signs
+    leg-1 terms by (-1)^{|left key|}.  Only ``table.get`` is read (a
+    ``quiver.Words`` or ``WordMap`` serves too); given ``out``, the
+    terms are summed into it."""
+    if out is None:
+        out = {}
+    for pair, c in pv.items():
+        entry = table.get(pair[leg])
+        if not entry:
+            continue
+        a, b = pair
+        if odd and leg and a[2] % 2:
+            c = field.neg(c)
+        if isinstance(entry, dict):
+            for k, c2 in entry.items():
+                vec_bump(field, out, (a, k) if leg else (k, b),
+                         field.mul(c, c2))
+        else:
+            vec_bump(field, out, a if leg else b, field.mul(c, entry))
     return out

@@ -1,12 +1,12 @@
 """Sparse exact matrices: rank, reduced row echelon form, kernels, solving.
 
 Entries live in a dict keyed by (row, col); zeros are never stored.  There
-is one elimination, ``rref``, and rank, kernels and solving all read its
-result, in every field alike.  Pivots are chosen Markowitz-style (least
-fill-in estimate, a function of row supports only), which keeps elimination
-cheap on the block-sparse matrices the category machinery produces.  Each
-pivot row is scaled to 1 at its pivot as soon as it is chosen; nothing is
-integerized.
+is one elimination, ``rref``, and rank, kernels, solving and basis
+coordinates (``_coordinates``) all read its result, in every field alike.
+Pivots are chosen Markowitz-style (least fill-in estimate, a function of
+row supports only), which keeps elimination cheap on the block-sparse
+matrices the category machinery produces.  Each pivot row is scaled to 1
+at its pivot as soon as it is chosen; nothing is integerized.
 """
 
 from __future__ import annotations
@@ -231,3 +231,25 @@ class SparseMatrix:
                if self.ncols in row}
         return sol, list(kernel.values())
 
+
+def _coordinates(field: Field, keys: Sequence,
+                 basis: Sequence[Tuple[object, Vec]]) -> Optional[Dict[object, Vec]]:
+    """Each key on ``basis`` (name, vector) as name -> coefficient, or
+    None when the basis does not span the keys.  One elimination of
+    [basis | I], pivots in the basis block, leaves the inverse of the
+    basis in the identity block: one column per key, its entries in
+    pivot order."""
+    kpos = {k: i for i, k in enumerate(keys)}
+    n = len(basis)
+    entries = {(kpos[k], j): c for j, (_name, v) in enumerate(basis)
+               for k, c in v.items()}
+    entries.update({(i, n + i): field.one for i in range(len(keys))})
+    inv, pivots = SparseMatrix(field, len(keys), n + len(keys), entries).rref(
+        allowed_cols=frozenset(range(n)))
+    if len(pivots) < len(keys):
+        return None
+    coords: Dict[object, Vec] = {k: {} for k in keys}
+    for (i, j), c in inv.entries.items():
+        if j >= n:
+            coords[keys[j - n]][basis[pivots[i]][0]] = c
+    return coords

@@ -11,7 +11,7 @@ axiom suites iterate over basis triples.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from .dgcat import DgCategory, free_category, opposite, tensor_dg
 from .field import Field

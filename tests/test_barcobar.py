@@ -559,8 +559,17 @@ def test_custom_splitting_still_validates_and_agrees():
 def test_splitting_rejects_degenerate_complement():
     dual = dual_numbers(QQ)
     unit_again = {("*", "*", 0, "e"): QQ.one}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="do not span the slot at '\\*'"):
         Splitting(dual, complement={"*": [unit_again]})
+
+
+def test_splitting_refuses_a_complement_it_cannot_use():
+    # a misspelled object, or one whose unit is zero, has no slot to split
+    x = {("*", "*", 0, "x"): F3.one}
+    with pytest.raises(ValueError, match="complement at 'typo'"):
+        Splitting(dual_numbers(F3), complement={"typo": [x]})
+    with pytest.raises(ValueError, match="complement at '\\*'"):
+        Splitting(zero_category(F3), complement={"*": []})
 
 
 @settings(max_examples=25, deadline=None)

@@ -323,7 +323,7 @@ def test_filtration_matches_generator_column_oracle(field):
 
 
 def per_key_coordinates(F, keys, basis):
-    """``coalgebra._coordinates`` one ``SparseMatrix.solve`` per key."""
+    """``matrix._coordinates`` one ``SparseMatrix.solve`` per key."""
     kpos = {k: i for i, k in enumerate(keys)}
     base = SparseMatrix(F, len(keys), len(basis), {
         (kpos[k], j): x for j, (_, v) in enumerate(basis)

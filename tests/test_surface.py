@@ -2,9 +2,11 @@
 
 The package docstring names each module at the head of a bullet; every
 such name must import, and every ``[project.scripts]`` target in
-``pyproject.toml`` must resolve to a callable.
+``pyproject.toml`` must resolve to a callable.  No module imports a name
+it never uses.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 import koszulcat
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = Path(koszulcat.__file__).resolve().parent
 
 
 def documented_modules():
@@ -39,3 +42,43 @@ def test_documented_modules_import():
     assert {"field", "quiver", "barcobar", "convmc"} <= set(names)
     for name in names:
         importlib.import_module(f"koszulcat.{name}")
+
+
+def unused_imports(source: str):
+    """Names a module imports and never reads.  A name read counts as an
+    ``ast.Name`` anywhere in the module (annotations included) or an
+    entry of ``__all__``; ``from __future__`` imports are exempt."""
+    tree = ast.parse(source)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_imports_are_caught():
+    assert unused_imports(
+        "from __future__ import annotations\n"
+        "import os.path, sys\n"
+        "from typing import Dict, Optional\n"
+        "from .field import Vec as V, vec_bump\n"
+        "__all__ = ['vec_bump']\n"
+        "def f(x: Dict) -> V:\n"
+        "    return os.path.join(x)\n") == [(2, "sys"), (3, "Optional")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
