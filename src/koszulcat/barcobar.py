@@ -22,12 +22,13 @@ h.a is ``first[h] + rank[a]``.  rDelta is not stored: the coalgebra
 keeps the listed words (``quiver.Words``, without the lists only
 listing reads), which read a word's splits (its ancestors against its
 tail chain) key by key.
-d is built and kept on word ids, one row per word in id order in one
-flat table beside the words (``quiver.WordMap``): no word key is hashed
-while the bar is built, a row is named by word keys only when it is read
-(``PointedCoalgebra.d``), and the whole table only on the first read of
-``diff``.  d of each letter and the merge of each two-letter word are
-split once, and d grows one letter at a time:
+d is derived on read (``quiver.WordMap``): a row is computed on word
+ids when first read and kept, so building the bar hashes no word key
+and a row no reader asks for is never computed.  ``d`` names one row by
+word keys, ``diff`` every row.  d of each letter and the merge of each
+two-letter word are split once, with the curvature they alone carry,
+and row w'.a is read off the row of its parent w', whose id is smaller
+(so a row read computes at most one row per letter of its word):
 
     d(w'.a) = d(w').a + (merge of w'[-1], a) + (d a at the last position)
 
@@ -216,41 +217,41 @@ def bar_construction(
                                              sp.letter_vec(letters[b])))
                    for b, f in enumerate(first[:len(letters)])
                    for r, a in enumerate(out[letters[b][1]])}
-    words = trie.words()
-    diff, curv = WordMap(words), {}  # d on word ids, a row per word in order
+    # curvature: units of d on letters, minus units of merges on pairs
+    curv = {keys[a]: units[letters[a][0]]
+            for a, (units, _) in enumerate(d_split[:len(keys)]) if units}
+    curv.update((keys[w], F.neg(units[keys[w][0]]))
+                for w, (units, _) in merge_split.items() if units)
     minus_one = F.neg(F.one)
-    for a, (units, red) in enumerate(d_split[:len(keys)]):
-        if units:
-            curv[keys[a]] = units[letters[a][0]]
-        diff.append({i: F.neg(c) for i, _, c in red})  # -(d a), kappa = 0
 
-    # d(h.a) = d(h).a + merge(h[-1], a) + d(a) at the last position
-    for h, f in enumerate(first):
-        x, y, kappa, _ = keys[h]  # kappa: shifted degree of h
+    def rule(w: int, row) -> Dict[int, object]:
+        # d(h.a) = d(h).a + merge(h[-1], a) + d(a) at the last position
+        h = parent[w]
+        if h < 0:  # -(d a), kappa = 0
+            return {i: F.neg(c) for i, _, c in d_split[w][1]}
+        f, r = first[h], w - first[h]
+        _, y, kappa, _ = keys[h]  # kappa: shifted degree of h
+        a = out[y][r]
         p = parent[h]
         base = first[p] if p >= 0 else None  # h[:-1].k is base + rank[k]
         b = h if base is None else out[keys[p][1]][h - base]  # h's last letter
-        dh = diff.ids(h)
+        dvec = {first[i] + r: c for i, c in row(h).items()}
+        # (-1)^{kappa_b + |b| |s a|}, kappa_b = kappa - |s b|, is
+        # (-1)^{kappa + 1 + |b| |a|}
+        mexp = kappa + 1 + letters[b][2] * letters[a][2]
+        msgn = F.one if mexp % 2 == 0 else minus_one
+        for i, ri, c in merge_split[first[b] + r][1]:
+            vec_bump(F, dvec, i if base is None else base + ri,
+                     F.mul(msgn, c))
+        # internal differential: -(-1)^kappa at the last letter
         sgn = minus_one if kappa % 2 == 0 else F.one
-        for r, a in enumerate(out[y]):
-            dvec = {first[i] + r: c for i, c in dh}
-            # (-1)^{kappa_b + |b| |s a|}, kappa_b = kappa - |s b|, is
-            # (-1)^{kappa + 1 + |b| |a|}
-            mexp = kappa + 1 + letters[b][2] * letters[a][2]
-            msgn = F.one if mexp % 2 == 0 else minus_one
-            munits, mred = merge_split[first[b] + r]
-            for i, ri, c in mred:
-                vec_bump(F, dvec, i if base is None else base + ri,
-                         F.mul(msgn, c))
-            if base is None and munits:  # weight 2: minus the unit part
-                curv[keys[f + r]] = F.neg(munits[x])
-            # internal differential: -(-1)^kappa at the last letter
-            for _, ri, c in d_split[a][1]:
-                vec_bump(F, dvec, f + ri, F.mul(sgn, c))
-            diff.append(dvec)
+        for _, ri, c in d_split[a][1]:
+            vec_bump(F, dvec, f + ri, F.mul(sgn, c))
+        return dvec
 
-    return PointedCoalgebra(F, cat.quiver.objects, trie.quiver, words, diff,
-                            curv)
+    words = trie.words()
+    return PointedCoalgebra(F, cat.quiver.objects, trie.quiver, words,
+                            WordMap(words, rule), curv)
 
 
 @dataclass

@@ -73,10 +73,10 @@ class PointedCoalgebra:
         coalgebra (bar, cotensor) hands over its ``Words`` as ``comult``:
         every rDelta entry is ``one`` by construction, so there is no zero
         scan, and rDelta is read key by key off the words (``Words.get``).
-        A bar hands over d the same way, as the ``WordMap`` it stored on
-        word ids beside them; it holds no zero either (each term was summed
-        by ``vec_bump`` or copied from one that was), and its rows are
-        named only when read (``WordMap.get``)."""
+        A bar hands over d the same way, as a ``WordMap`` beside them: a
+        row is computed on word ids when first read and named then
+        (``WordMap.get``), and holds no zero either (each term was summed
+        by ``vec_bump`` or copied from one that was)."""
         self.field = field
         self.objects = tuple(objects)
         if reduced.objects != self.objects:
@@ -98,7 +98,7 @@ class PointedCoalgebra:
 
     @property
     def diff(self) -> Dict[Key, Vec]:
-        """d as one table; a bar builds it off its ``WordMap`` on the
+        """d as one table; a bar computes it off its ``WordMap`` on the
         first read, in word-id order."""
         if isinstance(self._diff, WordMap):
             self._diff = self._diff.table()

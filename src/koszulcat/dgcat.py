@@ -188,9 +188,10 @@ class DgCategory:
         stored; (h o g) o f from (h, g) stored, a term k, and (k, f)
         stored; the Leibniz terms likewise through the stored d.  A case
         fails where its sum is nonzero; a case no join reaches reads 0 = 0
-        (see the module docstring).  Failures are reported in the order of
-        a scan over the basis.  Neither pass reads a unit, so the unitless
-        reduced convolution uses them too.
+        (see the module docstring).  Associativity sums the cases of one
+        middle key g at a time and keeps the failing ones only.  Failures
+        are reported in the order of a scan over the basis.  Neither pass
+        reads a unit, so the unitless reduced convolution uses them too.
         """
         F = self.field
         pos = {k: i for i, k in enumerate(self.quiver.keys())}
@@ -216,13 +217,18 @@ class DgCategory:
             for t, c2 in terms:
                 vec_bump(F, out, t, F.mul(c, c2))
 
-        assoc: Dict[tuple, Vec] = {}  # (f, g, h) -> h(gf) - (hg)f
-        for b, a, ba in comp:
-            for k, c in ba:
-                for h, hk in after.get(k, ()):
-                    bump(assoc, (a, b, h), c, hk)
-                for f, kf in before.get(k, ()):
-                    bump(assoc, (f, a, b), F.neg(c), kf)
+        assoc: Dict[tuple, Vec] = {}  # failing (f, g, h) -> h(gf) - (hg)f
+        for g in before.keys() | after.keys():  # one middle key at a time
+            sums: Dict[tuple, Vec] = {}  # (f, h) -> the case (f, g, h)
+            for f, gf in before.get(g, ()):
+                for k, c in gf:
+                    for h, hk in after.get(k, ()):
+                        bump(sums, (f, h), c, hk)
+            for h, hg in after.get(g, ()):
+                for k, c in hg:
+                    for f, kf in before.get(k, ()):
+                        bump(sums, (f, h), F.neg(c), kf)
+            assoc.update(((f, g, h), v) for (f, h), v in sums.items() if v)
         leibniz: Dict[tuple, Vec] = {}  # (f, g) -> d(gf) - dg f - ±g df
         for g, f, gf in comp:
             for k, c in gf:

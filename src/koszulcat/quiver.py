@@ -23,8 +23,8 @@ each:
   ``Words`` keeps only those chains, the keys and a key -> id index:
   bar and cotensor coalgebras hold it as rDelta (``get``, ``table``),
   and cobar and free categories compose by the transpose of ``splits``;
-- ``WordMap``: a linear map on words stored on word ids in one flat
-  table, its rows named by word keys only when read (a bar's d);
+- ``WordMap``: a linear map on words, each row computed by a rule when
+  first read, kept on word ids and named by word keys (a bar's d);
 - ``object_maps``: every map of object sets in ``itertools.product``
   order, with the ``max_objects`` guard;
 - ``has_cycle``: the directed-cycle check behind every finiteness
@@ -33,10 +33,9 @@ each:
 
 from __future__ import annotations
 
-from array import array
 from itertools import product
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 Slot = Tuple[object, object, int]  # (src, tgt, degree)
 Key = Tuple[object, object, int, object]  # (src, tgt, degree, name)
@@ -181,37 +180,32 @@ class Words:
 
 
 class WordMap:
-    """A linear map on the words of a ``Words``, kept on word ids in one
-    flat table: an offsets array, a word-id array and a coefficient
-    list, a row per word appended in id order (``append``), terms in the
-    order they were summed.  Row w is read back on ids by ``ids``.
+    """A linear map on the words of a ``Words``, derived on read: row w
+    (word id -> coefficient, no zero) is ``rule(w, row)``, computed on
+    its first read (``ids``) and kept.  The rule reads other rows through
+    ``row``; one closing over this map would make a reference cycle that
+    only a full garbage collection frees.
 
     ``get`` names one row as a table reads it, keyed by the words' own
     keys, and keeps what it named; ``table`` names every nonzero row, in
     id order.
     """
 
-    def __init__(self, words: Words):
-        self.words = words
-        self._offsets, self._terms = array("q", [0]), array("q")
-        self._coeffs: List = []
+    def __init__(self, words: Words, rule: Callable):
+        self.words, self._rule = words, rule
+        self._rows: Dict[int, Dict[int, object]] = {}
         self._read: Dict[Key, Dict[Key, object]] = {}
 
-    def append(self, row: Dict[int, object]) -> None:
-        """Store the image of the next word: word id -> coefficient, with
-        no zero coefficient."""
-        self._terms.extend(row)
-        self._coeffs.extend(row.values())
-        self._offsets.append(len(self._terms))
-
-    def ids(self, w: int) -> List[Tuple[int, object]]:
-        """The image of word w as (word id, coefficient) pairs, in order."""
-        lo, hi = self._offsets[w], self._offsets[w + 1]
-        return list(zip(self._terms[lo:hi], self._coeffs[lo:hi]))
+    def ids(self, w: int) -> Dict[int, object]:
+        """The image of word w on word ids; read only."""
+        row = self._rows.get(w)
+        if row is None:
+            row = self._rows[w] = self._rule(w, self.ids)
+        return row
 
     def _row(self, w: int) -> Dict[Key, object]:
         keys = self.words.keys
-        return {keys[i]: c for i, c in self.ids(w)}
+        return {keys[i]: c for i, c in self.ids(w).items()}
 
     def get(self, key: Key, default=None):
         """The image of a word key, or ``default`` where it is zero or the
@@ -224,9 +218,8 @@ class WordMap:
 
     def table(self) -> Dict[Key, Dict[Key, object]]:
         """``get`` of every word with a nonzero image, in id order."""
-        offsets = self._offsets
-        return {k: self._row(w) for w, k in enumerate(self.words.keys)
-                if offsets[w] < offsets[w + 1]}
+        rows = ((k, self._row(w)) for w, k in enumerate(self.words.keys))
+        return {k: row for k, row in rows if row}
 
 
 class WordTrie(Words):

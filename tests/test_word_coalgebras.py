@@ -2,35 +2,43 @@
 
 Both constructions share the word lister ``quiver.WordTrie``.  It lists
 the words on an integer trie (ids in word order, the extensions of a
-word in one block) and builds each word key once, and the bar builds
-d(w'.a) from d(w') on word ids, splitting each letter and each
-two-letter word once.  The oracles below list their words with
-``keep_listing``, which uses no trie, and recompute everything at every
-position of every word, with every word degree summed afresh.  Slots,
-comultiplication, differential and curvature must come out equal, in
-dict order, on the sample library (weight caps 0 to 3), on seeded random
-categories, under custom unit complements, on the bar of an MC category,
-and on cotensors of random and cyclic generator quivers.  Neither
+word in one block) and builds each word key once, and the bar derives
+the row d(w'.a) from the row d(w') on word ids when it is first read,
+splitting each letter and each two-letter word once.  The oracles
+below list their words with ``keep_listing``, which uses no trie, and
+recompute everything at every position of every word, with every word
+degree summed afresh.  Slots, comultiplication, differential and
+curvature must come out equal, in dict order, on the sample library
+(weight caps 0 to 3), on seeded random categories, under custom unit
+complements, on the bar of an MC category, and on cotensors of random
+and cyclic generator quivers.  Neither
 coalgebra stores its comultiplication: it keeps its listed words
 (``quiver.Words``), ``delta`` reads them key by key (``Words.get``),
 and ``comult`` is built from them on the first read (``Words.table``).
-A bar keeps d on word ids too (``quiver.WordMap``): ``d`` names one
-row when it is read, and ``diff`` is built on its first read.  So each
-case also checks ``delta`` and ``d`` against those tables, read before
-and after, and that reading rows builds no whole table.
+A bar keeps d on word ids too (``quiver.WordMap``): a row is computed
+when first read, ``d`` names one row, and ``diff`` computes and names
+them all on its first read.  So each case also checks ``delta`` and
+``d`` against those tables, read before and after, and on a second bar
+reads every row deepest word first, before its parent's row exists.
+Separate tests pin that reading rows builds no whole table, that
+building a bar computes no row and reading one computes at most its
+parent chain, and that the map is freed with its bar without the cycle
+collector.
 The custom complements give words whose merge term hits a term of
 d(w').a, which pins the order in which the recursion adds terms.  Equal
 keys in the built tables and in the rows read must be one object.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from koszulcat.barcobar import Splitting, bar_construction, cobar_construction
 from koszulcat.coalgebra import PointedCoalgebra, cotensor_coalgebra
-from koszulcat.convmc import (enumerate_coalgebra_morphisms, mc_category,
-                              mc_check, mc_enumerate)
+from koszulcat.convmc import (enumerate_coalgebra_morphisms, internal_hom,
+                              mc_category, mc_check, mc_enumerate)
 from koszulcat.field import GF, QQ, vec_bump
 from koszulcat.quiver import GradedQuiver, WordMap
 from koszulcat.randgen import random_dg_category, random_word_coalgebra
@@ -164,7 +172,14 @@ def assert_bar_matches(cat, cap, splitting=None):
         return
     sp = splitting if splitting is not None else Splitting(cat)
     bar = bar_construction(cat, cap, splitting)
-    assert word_tables(bar) == tables(oracle_bar(cat, cap, sp))
+    want = tables(oracle_bar(cat, cap, sp))
+    assert word_tables(bar) == want
+    # rows read deepest word first, each before its parent's row exists
+    deep = bar_construction(cat, cap, splitting)
+    keys = sorted(deep.reduced.keys(), key=lambda k: -len(k[3]))
+    rows = {k: ordered(deep.d(k)) for k in keys}
+    assert tables(deep) == want
+    assert all(ordered(deep.diff.get(k, {})) == v for k, v in rows.items())
 
 
 def assert_keys_shared(coa, deltas=(), rows=()):
@@ -270,10 +285,27 @@ def test_mc_category_bars_match_oracle(c, d, cap):
     assert_bar_matches(mcc.category, cap)
 
 
+def count_rows(monkeypatch):
+    """Patch every ``WordMap`` built from here on to list the word ids of
+    the rows it computes, and return that list; the patch holds no map."""
+    computed = []
+    init = WordMap.__init__
+
+    def counting_init(self, words, rule):
+        def counted(w, row):
+            computed.append(w)
+            return rule(w, row)
+        init(self, words, counted)
+    monkeypatch.setattr(WordMap, "__init__", counting_init)
+    return computed
+
+
 def test_reading_bar_rows_builds_no_d_table(monkeypatch):
     """``apply_d``, the cobar, the MC search and check on the bar, and a
     morphism search into it read d row by row; only ``diff`` (here the
-    validator's) builds the whole table, once."""
+    validator's) builds the whole table, once.  No row is computed
+    twice."""
+    computed = count_rows(monkeypatch)
     built = []
     table = WordMap.table
 
@@ -293,6 +325,47 @@ def test_reading_bar_rows_builds_no_d_table(monkeypatch):
     assert built == []
     assert bar.validate() == []
     assert len(built) == 1
+    assert sorted(computed) == list(range(bar.reduced.total_dim()))
+
+
+def test_bar_rows_are_computed_when_read(monkeypatch):
+    """Building the internal hom computes no d row of its bar, and reading
+    the row of a word of length L computes at most L rows: the word's
+    own and those of its parent chain not yet computed."""
+    computed = count_rows(monkeypatch)
+    F5 = GF(5)
+    uh = internal_hom(COALGEBRA_LIBRARY["neg_primitive"](F5),
+                      CATEGORY_LIBRARY["contractible_endo"](F5), 3)
+    assert computed == []
+    keys = sorted(uh.reduced.keys(), key=lambda k: -len(k[3]))
+    assert len(keys[0][3]) == 3
+    uh.d(keys[0])
+    assert len(computed) == 3
+    for k in keys[::97]:
+        before = len(computed)
+        uh.d(k)
+        assert len(computed) - before <= len(k[3])
+    assert len(set(computed)) == len(computed) < len(keys)
+
+
+def test_bar_rows_hold_no_reference_cycle(monkeypatch):
+    """A bar's d is freed with the bar, without the cycle collector."""
+    maps = []
+    init = WordMap.__init__
+
+    def recording_init(self, words, rule):
+        maps.append(weakref.ref(self))
+        init(self, words, rule)
+    monkeypatch.setattr(WordMap, "__init__", recording_init)
+    gc.disable()
+    try:
+        bar = bar_construction(CATEGORY_LIBRARY["trunc_poly3"](F3), 3)
+        assert bar.d(max(bar.reduced.keys(), key=lambda k: len(k[3])))
+        assert len(maps) == 1 and maps[0]() is not None
+        del bar
+        assert maps[0]() is None
+    finally:
+        gc.enable()
 
 
 # -- cotensors ---------------------------------------------------------------
