@@ -69,6 +69,7 @@ the cobar of that sentinel is the zero category again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .coalgebra import FinalCoalgebra, PointedCoalgebra, zero_coalgebra
@@ -280,19 +281,13 @@ class CobarResult:
         return self.trunc_min_len - 2
 
     def d_squared_problems(self, max_problems: int = 25) -> List[str]:
-        """d(d(word)) for every word in the guaranteed-exact region."""
-        cat = self.category
+        """d(d(word)) != 0 in the guaranteed-exact region, by the curvature
+        check of ``DgCategory._d2_problems`` (a cobar has none)."""
         cap = self.d_squared_len
-        problems = []
-        for k in cat.quiver.keys():
-            if cap is not None and len(k[3]) > cap:
-                continue
-            dd = cat.apply_d(cat.diff.get(k, {}))
-            if dd:
-                problems.append(f"d^2 != 0 at {k}")
-                if len(problems) >= max_problems:
-                    break
-        return problems
+        keys = (k for k in self.category.quiver.keys()
+                if cap is None or len(k[3]) <= cap)
+        return list(islice(self.category._d2_problems(keys, "d^2 != 0 at {}"),
+                           max_problems))
 
 
 def _letter_weight(k: Key) -> int:

@@ -47,13 +47,14 @@ lives in the bar/cobar test suite).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .field import (Field, Vec, _apply, _evaluate, _normalize, _on_leg,
                     _same_field, vec_bump, vec_sub)
 from .matrix import SparseMatrix, _coordinates
-from .quiver import (GradedQuiver, Key, WordMap, Words, WordTrie, has_cycle,
-                     lkey, pair_key, rkey)
+from .quiver import (GradedQuiver, Key, WordMap, Words, WordTrie,
+                     _object_map_problems, has_cycle, lkey, pair_key, rkey)
 
 PairVec = Dict[Tuple[Key, Key], object]
 
@@ -150,46 +151,42 @@ class PointedCoalgebra:
     # -- validation ---------------------------------------------------------
 
     def validate(self, max_problems: int = 25) -> List[str]:
-        problems: List[str] = []
+        return list(islice(self._problems(), max_problems))
+
+    def _problems(self) -> Iterator[str]:
         F = self.field
         Q = self.reduced
-
-        def done():
-            return len(problems) >= max_problems
 
         # table hygiene and degree bookkeeping
         for key, pairs in self.comult.items():
             if not Q.has_key(key):
-                problems.append(f"comultiplication of unknown key {key}")
+                yield f"comultiplication of unknown key {key}"
                 continue
             x, y, n, _ = key
             for (a, b) in pairs:
                 if not Q.has_key(a) or not Q.has_key(b):
-                    problems.append(f"cofactor of {key} is unknown: ({a}, {b})")
+                    yield f"cofactor of {key} is unknown: ({a}, {b})"
                     continue
                 if a[0] != x or b[1] != y or a[1] != b[0]:
-                    problems.append(f"cofactors of {key} not composable: ({a}, {b})")
+                    yield f"cofactors of {key} not composable: ({a}, {b})"
                 elif a[2] + b[2] != n:
-                    problems.append(f"cofactors of {key} have wrong total degree")
+                    yield f"cofactors of {key} have wrong total degree"
         for key, img in self.diff.items():
             if not Q.has_key(key):
-                problems.append(f"differential of unknown key {key}")
+                yield f"differential of unknown key {key}"
                 continue
             x, y, n, _ = key
             for k2 in img:
                 if (k2[0], k2[1], k2[2]) != (x, y, n + 1) or not Q.has_key(k2):
-                    problems.append(f"d{key} leaves slot ({x}, {y}, {n + 1})")
+                    yield f"d{key} leaves slot ({x}, {y}, {n + 1})"
         for key, c in self.curv.items():
             if not Q.has_key(key):
-                problems.append(f"curvature on unknown key {key}")
+                yield f"curvature on unknown key {key}"
                 continue
             x, y, n, _ = key
             if x != y or n != -2:
-                problems.append(
-                    f"curvature supported outside degree -2 endomorphisms: {key}"
-                )
-        if done():
-            return problems
+                yield ("curvature supported outside degree -2 "
+                       f"endomorphisms: {key}")
 
         keys = list(Q.keys())
         rdelta, diff, curv = self.comult, self.diff, self.curv
@@ -201,38 +198,28 @@ class PointedCoalgebra:
             lhs = {(a1, (a2, b)): c for ((a1, a2), b), c
                    in _on_leg(F, rdelta, pv, 0).items()}
             if lhs != _on_leg(F, rdelta, pv, 1):
-                problems.append(f"reduced comultiplication not coassociative at {k}")
-                if done():
-                    return problems
+                yield f"reduced comultiplication not coassociative at {k}"
 
         # conilpotence
         if not self._conilpotent():
-            problems.append("reduced part is not conilpotent")
+            yield "reduced part is not conilpotent"
 
         # co-Leibniz: rDelta d = (d (x) id + id (x) d) rDelta, d odd
         for k in keys:
             pv = self.delta(k)
             rhs = _on_leg(F, diff, pv, 1, True, _on_leg(F, diff, pv, 0))
             if self.reduced_comult(self.d(k)) != rhs:
-                problems.append(f"co-Leibniz fails at {k}")
-                if done():
-                    return problems
+                yield f"co-Leibniz fails at {k}"
 
         # d^2 = (h (x) id - id (x) h) rDelta ; h o d = 0
         for k in keys:
             pv = self.delta(k)
             dd = _on_leg(F, curv, pv, 1, out=self.apply_d(self.d(k)))
             if dd != _on_leg(F, curv, pv, 0):
-                problems.append(f"d^2 does not match the curvature coaction at {k}")
-                if done():
-                    return problems
+                yield f"d^2 does not match the curvature coaction at {k}"
             hd = self.curvature_value(self.d(k))
             if not F.is_zero(hd):
-                problems.append(f"h o d is nonzero at {k}")
-                if done():
-                    return problems
-
-        return problems
+                yield f"h o d is nonzero at {k}"
 
     def _factor_graph_acyclic(self) -> bool:
         return not has_cycle({key: {k for pair in pairs for k in pair}
@@ -523,34 +510,33 @@ class CoalgebraMorphism:
         return _evaluate(self.source.field, self.twist, vec)
 
     def validate(self, max_problems: int = 25) -> List[str]:
-        problems: List[str] = []
+        return list(islice(self._problems(), max_problems))
+
+    def _problems(self) -> Iterator[str]:
         src, tgt = self.source, self.target
         F = src.field
         om = self.object_map
-        for x in src.objects:
-            if om.get(x) not in tgt.objects:
-                problems.append(f"object {x!r} has no valid image")
-        if problems:
-            return problems
+        bad = list(_object_map_problems(om, src.objects, tgt.objects))
+        yield from bad
+        if bad:
+            return
         for k, img in self.action.items():
             if not src.reduced.has_key(k):
-                problems.append(f"action on unknown key {k}")
+                yield f"action on unknown key {k}"
                 continue
             x, y, n, _ = k
             for k2 in img:
                 if (k2[0], k2[1], k2[2]) != (om[x], om[y], n) or not tgt.reduced.has_key(k2):
-                    problems.append(f"image of {k} leaves its slot")
+                    yield f"image of {k} leaves its slot"
         for k, c in self.twist.items():
             if not src.reduced.has_key(k):
-                problems.append(f"twist on unknown key {k}")
+                yield f"twist on unknown key {k}"
                 continue
             x, y, n, _ = k
             if n != -1:
-                problems.append(f"twist supported off degree -1: {k}")
+                yield f"twist supported off degree -1: {k}"
             if om[x] != om[y]:
-                problems.append(f"twist at {k} where F separates the endpoints")
-        if len(problems) >= max_problems:
-            return problems
+                yield f"twist at {k} where F separates the endpoints"
 
         act, twist = self.action, self.twist
         for k in src.reduced.keys():
@@ -559,23 +545,16 @@ class CoalgebraMorphism:
             # comultiplicativity: (F (x) F) rDelta
             fpv = _on_leg(F, act, pv, 0)
             if tgt.reduced_comult(fk) != _on_leg(F, act, fpv, 1):
-                problems.append(f"comultiplication not respected at {k}")
-                if len(problems) >= max_problems:
-                    return problems
+                yield f"comultiplication not respected at {k}"
             # d and h with twist share u = dc + sum a(c')c''; d moves
             # its odd term, (F (x) a) rDelta, to the left
             u = _on_leg(F, twist, pv, 0, out=dict(src.d(k)))
             left = _on_leg(F, twist, fpv, 1, True, tgt.apply_d(fk))
             if left != self.apply(u):
-                problems.append(f"differential not respected at {k}")
-                if len(problems) >= max_problems:
-                    return problems
+                yield f"differential not respected at {k}"
             hr = F.add(src.curv.get(k, F.zero), self.twist_value(u))
             if tgt.curvature_value(fk) != hr:
-                problems.append(f"curvature not respected at {k}")
-                if len(problems) >= max_problems:
-                    return problems
-        return problems
+                yield f"curvature not respected at {k}"
 
     def __eq__(self, other) -> bool:
         return (

@@ -47,13 +47,13 @@ transport, so the three counts check one another.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, islice, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import (Field, Vec, _compose, _normalize, _same_field,
                     vec_addmul, vec_bump, vec_scale, vec_sub)
-from .quiver import (GradedQuiver, Key, lkey, object_maps as all_object_maps,
-                     pair_key, rkey)
+from .quiver import (GradedQuiver, Key, _object_map_problems, lkey,
+                     object_maps as all_object_maps, pair_key, rkey)
 from .dgcat import DgCategory, DgFunctor, _products, tensor_dg
 from .matrix import SparseMatrix
 from .coalgebra import (
@@ -90,15 +90,9 @@ def _om_tuple(objects: Sequence, targets: Sequence, m) -> Tuple:
             raise ValueError(f"object map gives {len(m)} values for the "
                              f"objects {tuple(objects)!r}")
         m = dict(zip(objects, m))
-    for x in m:
-        if x not in objects:
-            raise ValueError(f"object map names unknown object {x!r}")
-    for x in objects:
-        if x not in m:
-            raise ValueError(f"object map misses a value on {x!r}")
-        if m[x] not in targets:
-            raise ValueError(f"object map sends {x!r} to unknown object "
-                             f"{m[x]!r}")
+    bad = next(_object_map_problems(m, objects, targets), None)
+    if bad:
+        raise ValueError(f"bad object map: {bad}")
     return tuple(m[x] for x in objects)
 
 
@@ -363,12 +357,10 @@ class ConvolutionCategory:
                 fk, gk, n, (tag, row, dk) = k
                 return {(fk, gk, n + 2, (tag, row, dk2)): c for dk2, c in
                         vec_sub(F, post.get(dk, {}), pre.get(dk, {})).items()}
-        problems: List[str] = []
-        if not tabled._d2_problems(problems, max_problems,
-                                   (k for ks in keyed.values() for k in ks),
-                                   "d^2 identity fails on {}", outer):
-            tabled._composition_problems(problems, max_problems)
-        return problems
+        d2 = tabled._d2_problems((k for ks in keyed.values() for k in ks),
+                                 "d^2 identity fails on {}", outer)
+        return list(islice(chain(d2, tabled._composition_problems()),
+                           max_problems))
 
 
 def convolution_category(c: PointedCoalgebra, d: DgCategory,

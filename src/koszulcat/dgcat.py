@@ -17,7 +17,11 @@ other cases only, each read off stored entries, none composed from basis
 vectors: associativity and Leibniz as sparse joins of the composition
 and differential tables on integer key ids, the unit laws and
 d^2 = [h, -] by ``_products``, which composes a per-object element (the
-unit, the curvature) with every basis arrow.
+unit, the curvature) with every basis arrow.  d^2 has one pass,
+``_d2_problems``, which the reduced convolution and a cobar's
+``d_squared_problems`` run too.  Every validator, here and in
+``coalgebra``, yields its problems from ``_problems`` in a fixed order and
+``validate(n)`` keeps the first n, by one ``islice``.
 
 The uncurved case is h = 0.  A zero unit vector is rejected except in the
 one-object category with no morphisms at all (0 = 1 forces everything to
@@ -38,13 +42,15 @@ of a coalgebra, under its length and weight caps.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import BoundedComplex
 from .field import (Field, Vec, _apply, _compose, _normalize, _same_field,
                     vec_add, vec_addmul, vec_bump, vec_scale, vec_sub)
 from .matrix import SparseMatrix
-from .quiver import GradedQuiver, Key, WordTrie, pair_key, quiver_tensor
+from .quiver import (GradedQuiver, Key, WordTrie, _object_map_problems,
+                     pair_key, quiver_tensor)
 
 
 class DgCategory:
@@ -89,82 +95,73 @@ class DgCategory:
 
     # -- validation ---------------------------------------------------------
 
-    def _vec_ok(self, vec: Vec, slot, problems: List[str], what: str) -> None:
+    def _vec_ok(self, vec: Vec, slot, what: str) -> Iterator[str]:
         for k in vec:
             if (k[0], k[1], k[2]) != slot or not self.quiver.has_key(k):
-                problems.append(f"{what}: component {k} outside slot {slot}")
+                yield f"{what}: component {k} outside slot {slot}"
 
     def validate(self, max_problems: int = 25) -> List[str]:
-        problems: List[str] = []
+        return list(islice(self._problems(), max_problems))
+
+    def _problems(self) -> Iterator[str]:
         F = self.field
         Q = self.quiver
-
-        def done():
-            return len(problems) >= max_problems
 
         # units exist, sit in degree-0 endo slots, are closed
         for x in Q.objects:
             u = self.unit.get(x, {})
             if not u:
                 if Q.total_dim() > 0:
-                    problems.append(
-                        f"unit at {x!r} is zero in a nonzero category"
-                    )
+                    yield f"unit at {x!r} is zero in a nonzero category"
                 continue
-            self._vec_ok(u, (x, x, 0), problems, f"unit at {x!r}")
+            yield from self._vec_ok(u, (x, x, 0), f"unit at {x!r}")
             if self.apply_d(u):
-                problems.append(f"unit at {x!r} is not closed")
-        if done():
-            return problems
+                yield f"unit at {x!r} is not closed"
+        for x in self.unit:
+            if x not in Q.objects:
+                yield f"unit at unknown object {x!r}"
 
         # table hygiene: domains exist, images land in forced slots
         for key, img in self.diff.items():
             if not Q.has_key(key):
-                problems.append(f"differential of unknown key {key}")
+                yield f"differential of unknown key {key}"
                 continue
             x, y, n, _ = key
-            self._vec_ok(img, (x, y, n + 1), problems, f"d{key}")
+            yield from self._vec_ok(img, (x, y, n + 1), f"d{key}")
         for (gk, fk), img in self.comp.items():
             if not Q.has_key(gk) or not Q.has_key(fk):
-                problems.append(f"composition entry on unknown keys {gk}, {fk}")
+                yield f"composition entry on unknown keys {gk}, {fk}"
                 continue
             fx, fy, fn, _ = fk
             gx, gy, gn, _ = gk
             if fy != gx:
-                problems.append(f"composition of non-composable pair {gk} o {fk}")
+                yield f"composition of non-composable pair {gk} o {fk}"
                 continue
-            self._vec_ok(img, (fx, gy, fn + gn), problems, f"{gk} o {fk}")
+            yield from self._vec_ok(img, (fx, gy, fn + gn), f"{gk} o {fk}")
         for x, h in self.curvature.items():
             if x not in Q.objects:
-                problems.append(f"curvature at unknown object {x!r}")
+                yield f"curvature at unknown object {x!r}"
                 continue
-            self._vec_ok(h, (x, x, 2), problems, f"curvature at {x!r}")
+            yield from self._vec_ok(h, (x, x, 2), f"curvature at {x!r}")
             if self.apply_d(h):
-                problems.append(f"curvature at {x!r} is not closed")
-        if done():
-            return problems
+                yield f"curvature at {x!r} is not closed"
 
         # unit laws
         post, pre = _products(F, self.comp, self.unit)
         for k in Q.keys():
             v = {k: F.one}
             if post.get(k, {}) != v:
-                problems.append(f"1 o {k} != {k}")
+                yield f"1 o {k} != {k}"
             if pre.get(k, {}) != v:
-                problems.append(f"{k} o 1 != {k}")
-            if done():
-                return problems
+                yield f"{k} o 1 != {k}"
 
-        if not self._composition_problems(problems, max_problems):
-            self._d2_problems(problems, max_problems, Q.keys(),
-                              "d^2 on {} does not match curvature bracket")
-        return problems
+        yield from self._composition_problems()
+        yield from self._d2_problems(
+            Q.keys(), "d^2 on {} does not match curvature bracket")
 
-    def _d2_problems(self, problems: List[str], max_problems: int, keys,
-                     message: str, outer=None) -> bool:
-        """Append ``message`` on each of ``keys`` where d(d f) is not
-        h_y o f - f o h_x (+ ``outer(f)``), read off ``_products``; True
-        once the problems reach ``max_problems``."""
+    def _d2_problems(self, keys, message: str, outer=None) -> Iterator[str]:
+        """``message`` on each of ``keys`` where d(d f) is not
+        h_y o f - f o h_x (+ ``outer(f)``), read off ``_products``."""
         F = self.field
         post, pre = _products(F, self.comp, self.curvature)
         for f in keys:
@@ -172,15 +169,10 @@ class DgCategory:
             if outer is not None:
                 want = vec_add(F, want, outer(f))
             if self.apply_d(self.diff.get(f, {})) != want:
-                problems.append(message.format(f))
-                if len(problems) >= max_problems:
-                    return True
-        return False
+                yield message.format(f)
 
-    def _composition_problems(self, problems: List[str],
-                              max_problems: int) -> bool:
-        """Append associativity, then Leibniz failures to ``problems``;
-        True once they reach ``max_problems``.
+    def _composition_problems(self) -> Iterator[str]:
+        """Associativity, then Leibniz failures.
 
         Each identity is summed as left side minus right side per case, by
         sparse joins over the stored entries on the integer ids of
@@ -243,10 +235,7 @@ class DgCategory:
         for sums, message in ((assoc, "associativity fails on ({2}, {1}, {0})"),
                               (leibniz, "Leibniz fails on ({1}, {0})")):
             for case in _in_scan_order([c for c, v in sums.items() if v], pos):
-                problems.append(message.format(*case))
-                if len(problems) >= max_problems:
-                    return True
-        return False
+                yield message.format(*case)
 
     # -- hom complexes ------------------------------------------------------
 
@@ -587,36 +576,35 @@ class DgFunctor:
         return _apply(self.target.field, self.action, vec)
 
     def validate(self, max_problems: int = 25) -> List[str]:
-        problems: List[str] = []
+        return list(islice(self._problems(), max_problems))
+
+    def _problems(self) -> Iterator[str]:
         src, tgt = self.source, self.target
         om = self.object_map
-        for x in src.quiver.objects:
-            if om.get(x) not in tgt.quiver.objects:
-                problems.append(f"object {x!r} has no valid image")
-        if problems:
-            return problems
+        bad = list(_object_map_problems(om, src.quiver.objects,
+                                        tgt.quiver.objects))
+        yield from bad
+        if bad:
+            return
         for k, img in self.action.items():
             if not src.quiver.has_key(k):
-                problems.append(f"action on unknown key {k}")
+                yield f"action on unknown key {k}"
                 continue
             x, y, n, _ = k
             for k2 in img:
                 if (k2[0], k2[1], k2[2]) != (om[x], om[y], n) or not tgt.quiver.has_key(k2):
-                    problems.append(f"image of {k} leaves its slot")
+                    yield f"image of {k} leaves its slot"
         for x in src.quiver.objects:
             if self.apply(src.unit.get(x, {})) != tgt.unit.get(om[x], {}):
-                problems.append(f"unit at {x!r} not preserved")
+                yield f"unit at {x!r} not preserved"
             hx = self.apply(src.curvature.get(x, {}))
             if hx != tgt.curvature.get(om[x], {}):
-                problems.append(f"curvature at {x!r} not preserved")
-        pos: Dict[Key, int] = {}
-        for f in src.quiver.keys():
-            pos[f] = len(pos)
+                yield f"curvature at {x!r} not preserved"
+        pos = {f: i for i, f in enumerate(src.quiver.keys())}
+        for f in pos:
             if (self.apply(src.diff.get(f, {}))
                     != tgt.apply_d(self.action.get(f, {}))):
-                problems.append(f"differential not preserved on {f}")
-            if len(problems) >= max_problems:
-                return problems
+                yield f"differential not preserved on {f}"
         # F(g o f) = F(g) o F(f) is bilinear and a missing entry is zero:
         # the left side needs (g, f) stored, the right side two live keys
         live: Dict[object, List[Key]] = {}
@@ -630,10 +618,7 @@ class DgFunctor:
                   if self.apply(src.comp.get((g, f), {}))
                   != tgt.compose(act.get(g, {}), act.get(f, {}))]
         for f, g in _in_scan_order(failed, pos):
-            problems.append(f"composition not preserved on ({g}, {f})")
-            if len(problems) >= max_problems:
-                break
-        return problems
+            yield f"composition not preserved on ({g}, {f})"
 
 
 def identity_functor(c: DgCategory) -> DgFunctor:

@@ -26,7 +26,9 @@ each:
 - ``WordMap``: a linear map on words, each row computed by a rule when
   first read, kept on word ids and named by word keys (a bar's d);
 - ``object_maps``: every map of object sets in ``itertools.product``
-  order, with the ``max_objects`` guard;
+  order, with the ``max_objects`` guard, and ``_object_map_problems``:
+  what the functor and morphism validators report on a given one, and
+  what the convolution's reader of one refuses;
 - ``has_cycle``: the directed-cycle check behind every finiteness
   argument (acyclic generators, conilpotence by the factor graph).
 """
@@ -338,6 +340,18 @@ def object_maps(sources: Sequence, targets: Sequence,
             f"{count} object maps exceed the cap {max_objects}; "
             "raise max_objects=")
     return product(targets, repeat=len(sources))
+
+
+def _object_map_problems(om: Mapping, sources: Sequence,
+                         targets: Sequence) -> Iterator[str]:
+    """Each object of ``sources`` that ``om`` sends to no object of
+    ``targets``, then each object ``om`` names outside ``sources``."""
+    for x in sources:
+        if om.get(x) not in targets:
+            yield f"object {x!r} has no valid image"
+    for x in om:
+        if x not in sources:
+            yield f"object map names unknown object {x!r}"
 
 
 def has_cycle(succ: Mapping[object, Iterable]) -> bool:

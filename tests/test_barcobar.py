@@ -511,6 +511,33 @@ def test_weight_cap_keeps_differential_complete():
     assert res.d_squared_problems() == []
 
 
+@pytest.mark.parametrize("field", [QQ, F3], ids=["q", "f3"])
+def test_cobar_dsquare_reports_a_bumped_word(field):
+    """d^2 != 0 is found: one coefficient of d(u) bumped onto a word v
+    with d(v) != 0 puts d(v) into d^2(u), for two words u.  The report
+    names them, and every word whose d reaches them, as a scan of
+    d(d(word)) over the basis does; a cut keeps its start."""
+    res = cobar_construction(bar_construction(dual_numbers(field), 4),
+                             weight_cap=4)
+    cat = res.category
+    assert res.trunc_min_len is None and res.d_squared_problems() == []
+    keys = list(cat.quiver.keys())
+    bumped = []
+    for u in keys:
+        v = next((v for v in keys if v[:3] == (u[0], u[1], u[2] + 1)
+                  and cat.diff.get(v)), None)
+        if v is not None and len(bumped) < 2:
+            vec_bump(field, cat.diff.setdefault(u, {}), v, field.one)
+            bumped.append(u)
+    assert len(bumped) == 2
+    full = res.d_squared_problems(10**9)
+    assert full == [f"d^2 != 0 at {k}" for k in keys
+                    if cat.apply_d(cat.diff.get(k, {}))]
+    assert {f"d^2 != 0 at {u}" for u in bumped} <= set(full)
+    for n in range(3):
+        assert res.d_squared_problems(n) == full[:n]
+
+
 # -- cobar of bar: homology recovers the category ---------------------------
 
 

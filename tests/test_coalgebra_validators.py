@@ -274,6 +274,8 @@ def test_coalgebra_validate_matches_oracle(F):
         got = c.validate(max_problems=NO_CAP)
         assert got == oracle_coalgebra_problems(c, NO_CAP), name
         assert c.validate(max_problems=2) == oracle_coalgebra_problems(c, 2), name
+        for n in (0, 1, 2):
+            assert c.validate(n) == got[:n], name
         seen.update(msg.split(" at ")[0] for msg in got)
         cases += 1
         failing += bool(got)
@@ -290,6 +292,8 @@ def test_morphism_validate_matches_oracle(F):
         got = m.validate(max_problems=NO_CAP)
         assert got == oracle_morphism_problems(m, NO_CAP), name
         assert m.validate(max_problems=2) == oracle_morphism_problems(m, 2), name
+        for n in (0, 1, 2):
+            assert m.validate(n) == got[:n], name
         seen.update(msg.split(" at ")[0] for msg in got)
         cases += 1
         failing += bool(got)
@@ -297,3 +301,40 @@ def test_morphism_validate_matches_oracle(F):
             "curvature not respected"} <= seen
     assert cases == {"q": 146, "f2": 221, "f3": 244}[F.name]
     assert failing >= 68
+
+
+# -- the cut and hygiene -----------------------------------------------------
+
+
+def _malformed_coalgebra():
+    """dag with rDelta entries on three unknown keys."""
+    c = COALGEBRA_LIBRARY["dag"](QQ)
+    a, b = ("x", "y", 0, "a"), ("y", "z", 0, "b")
+    for i in range(3):
+        c.comult[("x", "z", 0, f"ghost{i}")] = {(a, b): QQ.one}
+    return c
+
+
+def _malformed_morphism():
+    """The identity of dag with an action on three unknown keys."""
+    m = identity_morphism(COALGEBRA_LIBRARY["dag"](QQ))
+    for i in range(3):
+        m.action[("x", "z", 0, f"ghost{i}")] = {("x", "z", 0, "m"): QQ.one}
+    return m
+
+
+@pytest.mark.parametrize("build", [_malformed_coalgebra, _malformed_morphism])
+def test_cut_is_a_prefix_of_the_whole_report(build):
+    """Hygiene failures past the cut are cut too: the report under any cap
+    is the start of the report with none."""
+    v = build()
+    full = v.validate(NO_CAP)
+    assert len(full) >= 3
+    for n in range(4):
+        assert v.validate(n) == full[:n]
+
+
+def test_object_map_on_unknown_object_is_reported():
+    m = identity_morphism(COALGEBRA_LIBRARY["dag"](QQ))
+    m.object_map["ghost"] = "x"
+    assert m.validate() == ["object map names unknown object 'ghost'"]

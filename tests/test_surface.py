@@ -3,7 +3,9 @@
 The package docstring names each module at the head of a bullet; every
 such name must import, and every ``[project.scripts]`` target in
 ``pyproject.toml`` must resolve to a callable.  No module imports a name
-it never uses.
+it never uses, and none compares anything with ``max_problems``: a
+validator yields its problems and ``validate`` cuts the stream once, by
+``itertools.islice``.
 """
 
 import ast
@@ -82,3 +84,28 @@ def test_unused_imports_are_caught():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def cap_comparisons(source: str):
+    """Lines that compare something with ``max_problems``: a cut written
+    by hand instead of an ``islice`` of the problem stream."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(x, ast.Name) and x.id == "max_problems"
+                          for x in [node.left] + node.comparators))
+
+
+def test_cap_comparisons_are_caught():
+    assert cap_comparisons(
+        "def validate(self, max_problems=25):\n"
+        "    problems = list(islice(self._problems(), max_problems))\n"
+        "    if len(problems) >= max_problems:\n"
+        "        return problems\n"
+        "    return [p for p in problems if max_problems > 1 and p]\n"
+        ) == [3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_hand_written_cut(path):
+    assert cap_comparisons(path.read_text()) == []

@@ -29,7 +29,8 @@ from koszulcat.field import (GF, QQ, _apply, _compose, vec_add, vec_addmul,
                              vec_scale, vec_sub)
 from koszulcat.quiver import GradedQuiver
 from koszulcat.randgen import random_dg_category
-from koszulcat.samples import CATEGORY_LIBRARY, COALGEBRA_LIBRARY
+from koszulcat.samples import (CATEGORY_LIBRARY, COALGEBRA_LIBRARY,
+                               truncated_polynomial)
 from test_convmc import _PAIRS
 
 F3 = GF(3)
@@ -364,6 +365,8 @@ def test_category_validate_matches_full_scan(name, c):
         assert v.validate() == full
         if len(full) >= 2:  # else a cut at 2 never bites
             assert v.validate(2) == oracle_category_problems(v, 2)
+        for n in (0, 1, 2):
+            assert v.validate(n) == full[:n]
 
 
 def _functors():
@@ -397,6 +400,8 @@ def test_functor_validate_matches_full_scan(name, fn):
     assert fn.validate() == full
     if len(full) >= 2:
         assert fn.validate(2) == oracle_functor_problems(fn, 2)
+    for n in (0, 1, 2):
+        assert fn.validate(n) == full[:n]
 
 
 def test_corpus_exercises_failures():
@@ -419,6 +424,48 @@ def test_entry_on_unknown_key_is_reported_not_raised():
     assert any(m.startswith("composition entry on unknown keys")
                for m in c.validate())
     assert identity_functor(c).validate() == []
+
+
+def test_unit_and_object_map_on_unknown_object_are_reported():
+    c = CATEGORY_LIBRARY["dual_numbers"](QQ)
+    e = ("*", "*", 0, "e")
+    c.unit["ghost"] = {e: QQ.one}
+    assert c.validate() == ["unit at unknown object 'ghost'"]
+    d = CATEGORY_LIBRARY["dual_numbers"](QQ)
+    fn = identity_functor(d)
+    fn.object_map["ghost"] = "*"
+    assert fn.validate() == ["object map names unknown object 'ghost'"]
+
+
+# -- the cut: validate(n) is the first n problems of the whole stream -------
+
+
+def _malformed_category():
+    """dual_numbers with d entries on three unknown keys."""
+    c = CATEGORY_LIBRARY["dual_numbers"](QQ)
+    x = ("*", "*", 0, "x")
+    for i in range(3):
+        c.diff[("*", "*", 0, f"ghost{i}")] = {x: QQ.one}
+    return c
+
+
+def _malformed_functor():
+    """The identity of k[x]/(x^4) with three images off their slots."""
+    fn = identity_functor(truncated_polynomial(QQ, 4))
+    for k in list(fn.action)[1:4]:
+        fn.action[k] = {("*", "*", 1, "ghost"): QQ.one}
+    return fn
+
+
+@pytest.mark.parametrize("build", [_malformed_category, _malformed_functor])
+def test_cut_is_a_prefix_of_the_whole_report(build):
+    """Hygiene failures past the cut are cut too: the report under any cap
+    is the start of the report with none."""
+    v = build()
+    full = v.validate(10**9)
+    assert len(full) >= 3
+    for n in range(4):
+        assert v.validate(n) == full[:n]
 
 
 # -- the reduced convolution -------------------------------------------------
@@ -473,8 +520,11 @@ REDUCED = list(_reduced_cases())
 def test_reduced_validate_matches_full_scan(name, c, d):
     conv = convolution_category(c, d, reduced=True)
     full = oracle_reduced_problems(conv, max_problems=10**9)
-    assert sorted(conv.validate(max_problems=10**9)) == sorted(full)
+    got = conv.validate(max_problems=10**9)
+    assert sorted(got) == sorted(full)
     assert bool(conv.validate()) == bool(oracle_reduced_problems(conv))
+    for n in (0, 1, 2):
+        assert conv.validate(n) == got[:n]
 
 
 def test_reduced_corpus_exercises_failures():
