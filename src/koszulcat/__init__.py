@@ -3,7 +3,7 @@
 The layers, bottom up:
 
 - ``field``, ``matrix``, ``complexes``: exact scalars (Q, GF(p)), sparse
-  elimination, bounded cochain complexes with labelled bases.
+  elimination, bounded cochain complexes.
 - ``quiver``: graded quivers with named basis arrows and their tensor.
   It also owns the vocabulary every later layer shares: tensor keys
   (``pair_key``, ``lkey``, ``rkey``), the one word lister of bar, cotensor,

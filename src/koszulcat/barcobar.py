@@ -259,20 +259,24 @@ def bar_construction(
 class CobarResult:
     """A materialized cobar category plus the region where it is exact.
 
-    ``exact`` means no letter, no composition pair and no differential
-    term was dropped: the category is the whole cobar construction and
-    validates outright.  Otherwise ``trunc_min_len`` is the shortest word
-    whose differential lost a term, so d is complete below it and d^2 = 0
-    is guaranteed on words of length <= trunc_min_len - 2 (d of such a
-    word only reaches words one letter longer).
+    ``exact`` (neither ``comp_truncated`` nor a ``trunc_min_len``) means
+    no letter, no composition pair and no differential term was dropped:
+    the category is the whole cobar construction and validates outright.
+    Otherwise ``trunc_min_len`` is the shortest word whose differential
+    lost a term, so d is complete below it and d^2 = 0 is guaranteed on
+    words of length <= trunc_min_len - 2 (d of such a word only reaches
+    words one letter longer).
     """
 
     category: DgCategory
     length_cap: Optional[int]
     weight_cap: Optional[int] = None
-    exact: bool = True
     trunc_min_len: Optional[int] = None
     comp_truncated: bool = False
+
+    @property
+    def exact(self) -> bool:
+        return not (self.comp_truncated or self.trunc_min_len is not None)
 
     @property
     def d_squared_len(self) -> Optional[int]:
@@ -348,11 +352,5 @@ def cobar_construction(
 
     catout, comp_truncated, trunc_min_len = _path_category(
         F, coa.objects, letters, d_letter, length_cap, wt, weight_cap)
-    return CobarResult(
-        catout,
-        length_cap,
-        weight_cap,
-        exact=not (comp_truncated or trunc_min_len is not None),
-        trunc_min_len=trunc_min_len,
-        comp_truncated=comp_truncated,
-    )
+    return CobarResult(catout, length_cap, weight_cap, trunc_min_len,
+                       comp_truncated)

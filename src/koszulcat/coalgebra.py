@@ -54,7 +54,8 @@ from .field import (Field, Vec, _apply, _evaluate, _normalize, _on_leg,
                     _same_field, vec_bump, vec_sub)
 from .matrix import SparseMatrix, _coordinates
 from .quiver import (GradedQuiver, Key, WordMap, Words, WordTrie,
-                     _object_map_problems, has_cycle, lkey, pair_key, rkey)
+                     _image_problems, _object_map_problems, has_cycle, lkey,
+                     pair_key, rkey)
 
 PairVec = Dict[Tuple[Key, Key], object]
 
@@ -520,14 +521,7 @@ class CoalgebraMorphism:
         yield from bad
         if bad:
             return
-        for k, img in self.action.items():
-            if not src.reduced.has_key(k):
-                yield f"action on unknown key {k}"
-                continue
-            x, y, n, _ = k
-            for k2 in img:
-                if (k2[0], k2[1], k2[2]) != (om[x], om[y], n) or not tgt.reduced.has_key(k2):
-                    yield f"image of {k} leaves its slot"
+        yield from _image_problems(self.action, om, src.reduced, tgt.reduced)
         for k, c in self.twist.items():
             if not src.reduced.has_key(k):
                 yield f"twist on unknown key {k}"

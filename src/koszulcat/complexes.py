@@ -1,4 +1,4 @@
-"""Bounded cochain complexes with labelled bases and exact homology.
+"""Bounded cochain complexes and their exact homology.
 
 Cohomological convention throughout: the differential has degree +1, so
 ``d[n]`` maps the degree-n piece to the degree-(n+1) piece.  Matrices act on
@@ -14,7 +14,7 @@ bar/cobar layer are what certify that.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .field import Field
 from .matrix import SparseMatrix
@@ -26,12 +26,10 @@ class BoundedComplex:
         field: Field,
         dims: Dict[int, int],
         differentials: Dict[int, SparseMatrix],
-        labels: Optional[Dict[int, Sequence]] = None,
     ):
         self.field = field
         self.dims = {n: d for n, d in dims.items() if d}
         self.d = dict(differentials)
-        self.labels = {n: tuple(v) for n, v in (labels or {}).items()}
         for n, m in self.d.items():
             want = (self.dim(n + 1), self.dim(n))
             if (m.nrows, m.ncols) != want:

@@ -52,8 +52,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import (Field, Vec, _compose, _normalize, _same_field,
                     vec_addmul, vec_bump, vec_scale, vec_sub)
-from .quiver import (GradedQuiver, Key, _object_map_problems, lkey,
-                     object_maps as all_object_maps, pair_key, rkey)
+from .quiver import (GradedQuiver, Key, _image_problems, _object_map_problems,
+                     lkey, object_maps as all_object_maps, pair_key, rkey)
 from .dgcat import DgCategory, DgFunctor, _products, tensor_dg
 from .matrix import SparseMatrix
 from .coalgebra import (
@@ -432,28 +432,20 @@ def mc_check(c: PointedCoalgebra, d: DgCategory,
              cand: MCElement) -> Tuple[bool, Dict[Key, Vec]]:
     """Evaluate d xi + xi * xi + h row by row; returns (flag, residual).
 
-    Raises if the candidate is not an honest degree-1 cochain (wrong slot
-    or degree shift other than +1) -- that is malformed input, not a failed
-    equation.
+    Raises if the candidate is not an honest degree-1 cochain (a row that
+    is no reduced key, or a value off the slot its row forces, one degree
+    up) -- that is malformed input, not a failed equation.
     """
     _same_field(c, d, "mc_check")
     om = dict(zip(c.objects, _om_tuple(c.objects, d.quiver.objects,
                                        cand.object_map)))
-    xi: Dict[Key, Vec] = {}
-    for ck, v in cand.xi.items():
-        if not c.reduced.has_key(ck):
-            raise ValueError(f"unknown coalgebra key {ck}")
-        for dk in v:
-            if not d.quiver.has_key(dk):
-                raise ValueError(f"unknown target arrow {dk}")
-            if dk[0] != om[ck[0]] or dk[1] != om[ck[1]]:
-                raise ValueError(f"value of {ck} leaves its slot")
-            if dk[2] != ck[2] + 1:
-                raise ValueError("twisting cochain must have degree 1")
-        xi[ck] = dict(v)
+    bad = next(_image_problems(cand.xi, om, c.reduced, d.quiver, shift=1),
+               None)
+    if bad:
+        raise ValueError(f"not a degree-1 cochain: {bad}")
     residual = {}
     for ck in c.reduced.keys():
-        r = _mc_residual_row(c, d, om, xi, ck)
+        r = _mc_residual_row(c, d, om, cand.xi, ck)
         if r:
             residual[ck] = r
     return (not residual), residual
@@ -754,20 +746,16 @@ def _word_functor(src: DgCategory, d: DgCategory, om: Dict,
         if (v := _eval_word(d, om, consts, k[3], k[0]).get(()))})
 
 
-def universal_cochain(c: PointedCoalgebra, length_cap: Optional[int] = None,
-                      weight_cap: Optional[int] = None
-                      ) -> Tuple[CobarResult, MCElement]:
+def universal_cochain(c: PointedCoalgebra) -> Tuple[CobarResult, MCElement]:
     """The tautological element of MC{C, Omega C}.
 
     Each reduced row goes to its own one-letter word, dressed so that the
     Maurer-Cartan equation becomes the cobar differential of the letter.
-    Returns the cobar materialization used alongside the element; the
-    default caps are just deep enough for ``mc_check`` (residuals never
+    Returns the cobar materialization used alongside the element; its
+    length cap 2 is just deep enough for ``mc_check`` (residuals never
     reach past two-letter words).
     """
-    if length_cap is None and weight_cap is None:
-        length_cap = 2
-    cobar = cobar_construction(c, length_cap=length_cap, weight_cap=weight_cap)
+    cobar = cobar_construction(c, length_cap=2)
     F = c.field
     xi: Dict[Key, Vec] = {}
     for ck in c.reduced.keys():
@@ -824,10 +812,14 @@ def mc_from_morphism(mor: CoalgebraMorphism, splitting: Splitting) -> MCElement:
     return MCElement(om, xi)
 
 
-def _deconcat_chains(c: PointedCoalgebra, limit: int) -> Dict:
+def _deconcat_chains(c: PointedCoalgebra, limit: Optional[int] = None
+                     ) -> Dict:
     """Each reduced row's iterated deconcatenation into 1, 2, ... parts, as
     (chain of cofactors, coefficient) pairs; refuses when a chain of more
-    than ``limit`` parts survives."""
+    than ``limit`` parts survives.  The default limit, one more than the
+    reduced dimension, lets every chain of a conilpotent C through."""
+    if limit is None:
+        limit = c.reduced.total_dim() + 1
     chains: Dict[Key, List] = {}
     for ck in c.reduced.keys():
         chains[ck] = []
@@ -886,7 +878,7 @@ def morphism_from_mc(m: MCElement, c: PointedCoalgebra,
         units, red = splitting.split(m.xi.get(ck, {}))
         twist[ck] = units.get(om[ck[0]], F.zero)
         p1[ck] = {(): vec_scale(F, F.coerce(-1), red)}
-    chains = _deconcat_chains(c, c.reduced.total_dim() + 1)
+    chains = _deconcat_chains(c)
     img = _bar_image_polys(bar_coa, chains, p1)
     return CoalgebraMorphism(c, bar_coa, om, {
         ck: poly.get((), {}) for ck, poly in img.items()}, twist)
@@ -951,8 +943,10 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
     coordinates, so the differential and curvature conditions of
     ``CoalgebraMorphism.validate`` are polynomial rows.  A twist sits on
     each degree -1 row whose ends the object map identifies.  Each
-    solution is validated, and a failure raises.  Pass the weight cap the
-    bar was built with -- images must provably fit under it.
+    solution is validated, and a failure raises.  An image word the bar
+    lacks is refused, so a finite bar needs no ``weight_cap``; one that
+    is passed also refuses C when a chain of more than ``weight_cap``
+    parts survives its iterated coproduct.
     """
     _same_field(c, bar_coa, "morphism enumeration")
     F = c.field
@@ -960,9 +954,6 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
     for wk in bar_coa.reduced.keys():
         if len(wk[3]) == 1:
             slots.setdefault(wk[:3], []).append(wk[3][0])
-    if weight_cap is None:
-        weight_cap = max((len(wk[3]) for wk in bar_coa.reduced.keys()),
-                         default=0)
     chains = _deconcat_chains(c, weight_cap)
     rows = list(c.reduced.keys())
     out: List[CoalgebraMorphism] = []
@@ -1024,17 +1015,17 @@ class CounitData:
 
 
 def counit_data(d: DgCategory, bar_weight_cap: int,
-                length_cap: Optional[int] = None,
-                weight_cap: Optional[int] = None) -> CounitData:
+                length_cap: Optional[int] = None) -> CounitData:
     """The identity of BD pushed through the adjunction.
 
     Its cochain projects one-letter words to minus their letter and kills
     everything longer, so the functor evaluates words of letters-of-words
-    by composing in D.  Weight-capping the cobar keeps its differential
-    complete, which makes windowed homology trustworthy even on a finite
-    materialization.
+    by composing in D.  Unless ``length_cap`` is given, the cobar is
+    weight-capped at ``bar_weight_cap``, the same resolution depth both
+    ways; that keeps its differential complete, which makes windowed
+    homology trustworthy even on a finite materialization.
 
-    Under the default weight cap the counit is a functor exactly when
+    Under that weight cap the counit is a functor exactly when
     every product of more than ``bar_weight_cap`` reduced arrows of D
     vanishes: a composite of cobar words past the cap is dropped, while
     the images of the two words still compose in D to such a product.
@@ -1044,11 +1035,8 @@ def counit_data(d: DgCategory, bar_weight_cap: int,
     sp = Splitting(d)
     bar = bar_construction(d, bar_weight_cap, splitting=sp)
     m = mc_from_morphism(identity_morphism(bar), sp)
-    if length_cap is None and weight_cap is None:
-        # same resolution depth both ways; weight capping keeps d complete
-        weight_cap = bar_weight_cap
-    cobar = cobar_construction(bar, length_cap=length_cap,
-                               weight_cap=weight_cap)
+    cobar = cobar_construction(bar, length_cap=length_cap, weight_cap=(
+        bar_weight_cap if length_cap is None else None))
     return CounitData(sp, bar, cobar, m,
                       adjunction_functor_from_mc(cobar, d, m))
 

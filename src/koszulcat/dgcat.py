@@ -49,8 +49,8 @@ from .complexes import BoundedComplex
 from .field import (Field, Vec, _apply, _compose, _normalize, _same_field,
                     vec_add, vec_addmul, vec_bump, vec_scale, vec_sub)
 from .matrix import SparseMatrix
-from .quiver import (GradedQuiver, Key, WordTrie, _object_map_problems,
-                     pair_key, quiver_tensor)
+from .quiver import (GradedQuiver, Key, WordTrie, _image_problems,
+                     _object_map_problems, pair_key, quiver_tensor)
 
 
 class DgCategory:
@@ -259,7 +259,7 @@ class DgCategory:
                     if k2 in pos:
                         entries[(pos[k2], j)] = c
             diffs[n] = SparseMatrix(F, len(tgt), len(src), entries)
-        cx = BoundedComplex(F, dims, diffs, labels=labels)
+        cx = BoundedComplex(F, dims, diffs)
         bad = cx.validate()
         if bad:
             raise ValueError(f"hom({x!r}, {y!r}) is not a complex: {bad[0]}")
@@ -371,10 +371,9 @@ def _path_category(
             comp[(words[g], words[f])] = {k: F.one}
         comp[(units[k[1]], k)] = {k: F.one}
 
-    # d on word ids: the terms of d(p.a) are those of d(p), each word
-    # extended by a and its sign flipped by |a|, then p.d(a).  They stay
-    # unsummed, as (word id or -1 for the unit, coefficient, odd sign), so
-    # each word sums them in the order of the rule above.
+    # d on word ids, -1 for the unit: d(p.a) is d(p).a, signed by
+    # (-1)^{|a|}, plus p.d(a).  Extending by a keeps distinct words
+    # distinct, so only the p.d(a) terms are summed.
     pos = {a[3]: i for i, a in enumerate(letters)}
 
     def letter_ids(x, y, repl) -> Optional[List[int]]:
@@ -387,7 +386,7 @@ def _path_category(
 
     d_ids = [[(letter_ids(x, y, repl), c) for repl, c in d_letter.get(name, ())]
              for x, y, _, name in letters]
-    rows: List[list] = []  # the terms of each word below the length cap
+    rows: List[Dict[int, object]] = []  # d of each word below the length cap
     diff: Dict[Key, Vec] = {}
     trunc_min_len: Optional[int] = None
     for w, p, a in trie.steps():  # word w = p.a, in id order
@@ -395,13 +394,13 @@ def _path_category(
         # trunc_min_len is already at most len(p)
         dropped = False
         odd = letters[a][2] % 2
-        new = []
-        for v, c, s in rows[p] if p >= 0 else ():
+        new: Dict[int, object] = {}
+        for v, c in rows[p].items() if p >= 0 else ():
             u = ext(v, a)
             if u is None:
                 dropped = True
             else:
-                new.append((u, c, s ^ odd))
+                new[u] = F.neg(c) if odd else c
         for ids, c in d_ids[a]:
             u = p
             for b in ids or ():
@@ -411,18 +410,15 @@ def _path_category(
             if ids is None or u is None:
                 dropped = True
             else:
-                new.append((u, c, 0))
+                vec_bump(F, new, u, c)
         k = words[w]
         if len(k[3]) != max_len:
             rows.append(new)
         if dropped and trunc_min_len is None:
             trunc_min_len = len(k[3])  # words come shortest first
-        out: Vec = {}
-        for v, c, s in new:
-            vec_bump(F, out, words[v] if v >= 0 else units[k[0]],
-                     F.neg(c) if s else c)
-        if out:
-            diff[k] = out
+        if new:
+            diff[k] = {words[v] if v >= 0 else units[k[0]]: c
+                       for v, c in new.items()}
     cat = DgCategory(F, GradedQuiver(objects, slots), unit, comp, diff=diff)
     return cat, trie.cut, trunc_min_len
 
@@ -586,14 +582,7 @@ class DgFunctor:
         yield from bad
         if bad:
             return
-        for k, img in self.action.items():
-            if not src.quiver.has_key(k):
-                yield f"action on unknown key {k}"
-                continue
-            x, y, n, _ = k
-            for k2 in img:
-                if (k2[0], k2[1], k2[2]) != (om[x], om[y], n) or not tgt.quiver.has_key(k2):
-                    yield f"image of {k} leaves its slot"
+        yield from _image_problems(self.action, om, src.quiver, tgt.quiver)
         for x in src.quiver.objects:
             if self.apply(src.unit.get(x, {})) != tgt.unit.get(om[x], {}):
                 yield f"unit at {x!r} not preserved"

@@ -29,6 +29,10 @@ each:
   order, with the ``max_objects`` guard, and ``_object_map_problems``:
   what the functor and morphism validators report on a given one, and
   what the convolution's reader of one refuses;
+- ``_image_problems``: the slot rule of every map of basis keys, each
+  image in the slot its key's ends and degree force, shared by the
+  functor and morphism validators and ``mc_check`` (a twisting cochain
+  raises degrees by one);
 - ``has_cycle``: the directed-cycle check behind every finiteness
   argument (acyclic generators, conilpotence by the factor graph).
 """
@@ -352,6 +356,23 @@ def _object_map_problems(om: Mapping, sources: Sequence,
     for x in om:
         if x not in sources:
             yield f"object map names unknown object {x!r}"
+
+
+def _image_problems(table: Mapping[Key, Mapping[Key, object]], om: Mapping,
+                    sources: GradedQuiver, targets: GradedQuiver,
+                    shift: int = 0) -> Iterator[str]:
+    """Each key of ``table`` that ``sources`` lacks, else each term of its
+    image that is no key of ``targets`` in the slot (om[x], om[y], n +
+    ``shift``) forced by its key (x, y, n); ``om`` must map every object
+    of ``sources``."""
+    for k, img in table.items():
+        if not sources.has_key(k):
+            yield f"action on unknown key {k}"
+            continue
+        slot = (om[k[0]], om[k[1]], k[2] + shift)
+        for k2 in img:
+            if k2[:3] != slot or not targets.has_key(k2):
+                yield f"image of {k} leaves its slot"
 
 
 def has_cycle(succ: Mapping[object, Iterable]) -> bool:

@@ -11,6 +11,7 @@ by element through the transports, not merely in cardinality.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -340,6 +341,24 @@ def test_malformed_candidates_raise():
                                  {row: {("*", "*", 0, "no"): F2.one}}))
 
 
+@pytest.mark.parametrize("case", ["degree", "row", "target"])
+def test_malformed_candidates_name_their_row(case):
+    """Each malformed value of ``test_malformed_candidates_raise`` is
+    refused by a message that names its row: one off its degree, one on
+    a key that is no reduced row, and one on an arrow D lacks."""
+    c = COALGEBRA_LIBRARY["neg_primitive"](F2)
+    d = CATEGORY_LIBRARY["contractible_endo"](F2)
+    row = next(iter(c.reduced.keys()))
+    e, y = ("*", "*", 0, "e"), ("*", "*", -1, "y")
+    xi = {"degree": {row: {y: F2.one}},
+          "row": {("*", "*", 5, "no"): {e: F2.one}},
+          "target": {row: {("*", "*", 0, "no"): F2.one}}}[case]
+    (bad,) = xi
+    with pytest.raises(ValueError, match="not a degree-1 cochain: .*"
+                       + re.escape(str(bad))):
+        mc_check(c, d, MCElement({"*": "*"}, xi))
+
+
 @pytest.mark.parametrize("field,size", [(F2, 2), (F3, 3)], ids=["f2", "f3"])
 def test_hand_counted_solution_sets(field, size):
     """d(xi w) + h(w) eta = 0 forces xi(w) = -y against a contracted unit;
@@ -621,6 +640,37 @@ def test_morphism_enumeration_refuses_small_cap():
     bar = bar_construction(CATEGORY_LIBRARY["a2"](F2), 1)
     with pytest.raises(ValueError):
         enumerate_coalgebra_morphisms(c, bar, weight_cap=1)
+
+
+def test_morphism_enumeration_takes_a_complete_bar_uncapped():
+    """B(a2) has no word of two letters, so it is complete at any cap and
+    its longest word caps nothing: dag's three-part chains land on words
+    that vanish, and the default chain limit lets them through."""
+    c = COALGEBRA_LIBRARY["dag"](F3)
+    d = CATEGORY_LIBRARY["a2"](F3)
+    bar = bar_construction(d, 3)
+    assert max(len(k[3]) for k in bar.reduced.keys()) == 1
+    got = enumerate_coalgebra_morphisms(c, bar)
+    assert len(got) == len(mc_enumerate(c, d)) == 8
+    assert ([_mor_print(m) for m in got] == [
+        _mor_print(m) for m in enumerate_coalgebra_morphisms(
+            c, bar, weight_cap=3)])
+
+
+def test_morphism_enumeration_default_cap_on_the_sweep():
+    """On the mc_search sweep corpus (bars at cap 2) the default chain
+    limit finds the morphisms that ``weight_cap=2`` finds, in order."""
+    F = GF(3)
+    for s in range(120):
+        rng = random.Random(f"mc_search:{s}")
+        c = _random_path_coalgebra(F, rng)
+        d = random_dg_category(F, rng.randrange(1 << 30), max_dim=3,
+                               allow_curved=False)
+        bar = bar_construction(d, 2)
+        got = enumerate_coalgebra_morphisms(c, bar, budget=1 << 22)
+        want = enumerate_coalgebra_morphisms(c, bar, weight_cap=2,
+                                             budget=1 << 22)
+        assert [_mor_print(m) for m in got] == [_mor_print(m) for m in want], s
 
 
 # -- the internal hom -------------------------------------------------------
