@@ -184,7 +184,8 @@ def bar_construction(
     """Materialize the bar coalgebra of an uncurved dg category.
 
     Exact per weight: every word of weight <= weight_cap carries its full
-    differential, comultiplication, and curvature.
+    differential, comultiplication, and curvature.  A bar with objects
+    records its ``Splitting`` (whose ``.cat`` is D) as ``.splitting``.
     """
     F = cat.field
     if weight_cap < 0:
@@ -251,8 +252,10 @@ def bar_construction(
         return dvec
 
     words = trie.words()
-    return PointedCoalgebra(F, cat.quiver.objects, trie.quiver, words,
-                            WordMap(words, rule), curv)
+    bar = PointedCoalgebra(F, cat.quiver.objects, trie.quiver, words,
+                           WordMap(words, rule), curv)
+    bar.splitting = sp
+    return bar
 
 
 @dataclass
@@ -265,7 +268,7 @@ class CobarResult:
     Otherwise ``trunc_min_len`` is the shortest word whose differential
     lost a term, so d is complete below it and d^2 = 0 is guaranteed on
     words of length <= trunc_min_len - 2 (d of such a word only reaches
-    words one letter longer).
+    words one letter longer).  ``category.coalgebra`` is the input coalgebra.
     """
 
     category: DgCategory
@@ -320,10 +323,10 @@ def cobar_construction(
         if cap is not None and cap < 0:
             raise ValueError(f"{name}={cap} is negative; pass {name}=0 or more")
     if isinstance(coa, FinalCoalgebra):
-        return CobarResult(zero_category(coa.field), length_cap, weight_cap)
+        return _cobar_of(coa, zero_category(coa.field), length_cap, weight_cap)
     F = coa.field
     if not coa.objects:
-        return CobarResult(empty_category(F), length_cap, weight_cap)
+        return _cobar_of(coa, empty_category(F), length_cap, weight_cap)
     if length_cap is None and weight_cap is None:
         raise ValueError("cobar needs a length cap or a weight cap")
 
@@ -352,5 +355,11 @@ def cobar_construction(
 
     catout, comp_truncated, trunc_min_len = _path_category(
         F, coa.objects, letters, d_letter, length_cap, wt, weight_cap)
-    return CobarResult(catout, length_cap, weight_cap, trunc_min_len,
-                       comp_truncated)
+    return _cobar_of(coa, catout, length_cap, weight_cap, trunc_min_len,
+                     comp_truncated)
+
+
+def _cobar_of(coa, cat: DgCategory, *caps) -> CobarResult:
+    """``CobarResult(cat, *caps)``, its category recording ``coa``."""
+    cat.coalgebra = coa
+    return CobarResult(cat, *caps)

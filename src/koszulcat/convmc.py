@@ -37,12 +37,13 @@ indices, () for the constant term) to vectors, and must vanish.  A
 monomial is linear once all of its factors but one are fixed.  Fully
 fixed rows are checked, all rows whose monomials are linear are solved
 as one linear system, and only where neither applies does the search
-branch.  Each enumerator writes its own rows: ``mc_enumerate`` the
-residual d xi + xi * xi + h on each reduced row, ``enumerate_dg_functors``
-d_D F(g) - F(dg) on each cobar generator, ``enumerate_coalgebra_morphisms``
-the differential and curvature conditions of a morphism, with each
-higher bar weight a product of one-letter coordinates.  None calls a
-transport, so the three counts check one another.
+branch.  The rows are written once, by ``_mc_solve``: d xi + xi * xi + h
+on each reduced row of C, xi spanned by coordinates (row, D-vector) that
+each search picks.  ``mc_enumerate`` takes D's basis keys,
+``enumerate_dg_functors`` the generator values times the transport sign
+(xi = theta F), ``enumerate_coalgebra_morphisms`` minus the letters of
+the one-letter components, then the unit for each twist; every solved
+morphism is still validated on the bar's own tables.
 """
 
 from dataclasses import dataclass
@@ -454,11 +455,11 @@ def mc_check(c: PointedCoalgebra, d: DgCategory,
 Poly = Dict[Tuple[int, ...], Vec]  # sorted coordinate indices -> vector
 
 
-def _coordinate_polys(F: Field, coords: Sequence) -> Dict[Key, Poly]:
-    """Per row, its value sum x_i dk_i over its coordinates (row, dk_i)."""
+def _coordinate_polys(coords: Sequence) -> Dict[Key, Poly]:
+    """Per row, its value sum x_i v_i over its coordinates (row, v_i)."""
     out: Dict[Key, Poly] = {}
-    for i, (ck, dk) in enumerate(coords):
-        out.setdefault(ck, {})[(i,)] = {dk: F.one}
+    for i, (ck, v) in enumerate(coords):
+        out.setdefault(ck, {})[(i,)] = v
     return out
 
 
@@ -569,25 +570,51 @@ def _solve(F: Field, n: int, rows: List[Poly], spent: int,
     return found, spent
 
 
+def _mc_solve(c: PointedCoalgebra, d: DgCategory, om: Dict,
+              coords: Sequence[Tuple[Key, Vec]], spent: int,
+              budget: int) -> Tuple[List[List], int]:
+    """``_solve`` on the terms of ``_mc_residual_row`` for xi = sum x_i v_i
+    over the coordinates (row, D-vector v_i) on the object map ``om``:
+    the points x, sorted, and the budget spent so far."""
+    F = c.field
+    xi = _coordinate_polys(coords)
+    rows = []
+    for ck in c.reduced.keys():
+        row: Poly = {}
+        for mono, v in xi.get(ck, {}).items():
+            _bump_poly(F, row, mono, d.apply_d(v), F.one)
+        for ck2, x in c.d(ck).items():
+            for mono, v in xi.get(ck2, {}).items():
+                _bump_poly(F, row, mono, v, x)
+        for (a, b), lam in c.delta(ck).items():
+            s = _pair_sign(F, lam, a, b)
+            for ma, va in xi.get(a, {}).items():
+                for mb, vb in xi.get(b, {}).items():
+                    _bump_poly(F, row, ma + mb, _compose(F, d.comp, vb, va), s)
+        if ck in c.curv:
+            _bump_poly(F, row, (), d.unit_vec(om[ck[0]]), c.curv[ck])
+        rows.append(_normalize(row))
+    return _solve(F, len(coords), rows, spent, budget)
+
+
 def mc_enumerate(c: PointedCoalgebra, d: DgCategory,
                  object_maps: Optional[Sequence] = None,
                  budget: int = SEARCH_BUDGET) -> List[MCElement]:
-    """All Maurer-Cartan elements, by ``_solve``.
+    """All Maurer-Cartan elements, by ``_mc_solve``.
 
-    The unknowns are the coordinates of xi on each reduced row, and the
-    residual d_D xi(c) + xi(dc) + sum +-xi(c2) o xi(c1) + h(c) of a row
-    has degree at most 2 in them.  Solving weight by weight along the
+    The unknowns are the coordinates of xi on each reduced row, one per
+    basis key of D in the row's slot.  Solving weight by weight along the
     coradical filtration would not cut the search: d lowers weight
     through the merge term, so in B(trunc_poly3) the weight-2 row [x|x]
     constrains the weight-1 coordinate xi[x^2].  Over an infinite field
     the forced solutions come back and a branch is refused.  Elements
-    come per object map in coordinate order; an object map given twice
-    is searched once.
+    come per object map in product order, each map's sorted by coordinate
+    tuple; an object map given twice is searched once.
     """
     _same_field(c, d, "mc_enumerate")
     if object_maps is None:
         object_maps = all_object_maps(c.objects, d.quiver.objects)
-    F = c.field
+    one = c.field.one
     out: List[MCElement] = []
     spent = 0
     for key in dict.fromkeys(_om_tuple(c.objects, d.quiver.objects, om)
@@ -596,22 +623,8 @@ def mc_enumerate(c: PointedCoalgebra, d: DgCategory,
         coords = [(ck, (om[ck[0]], om[ck[1]], ck[2] + 1, name))
                   for ck in c.reduced.keys()
                   for name in d.quiver.slot(om[ck[0]], om[ck[1]], ck[2] + 1)]
-        xi = _coordinate_polys(F, coords)
-        rows = []  # the terms of _mc_residual_row
-        for ck in c.reduced.keys():
-            row: Poly = {}
-            for mono, v in xi.get(ck, {}).items():
-                _bump_poly(F, row, mono, d.apply_d(v), F.one)
-            for ck2, x in c.d(ck).items():
-                for mono, v in xi.get(ck2, {}).items():
-                    _bump_poly(F, row, mono, v, x)
-            for (a, b), lam in c.delta(ck).items():
-                for mono, v in _eval_word(d, om, xi, (a, b), None).items():
-                    _bump_poly(F, row, mono, v, _pair_sign(F, lam, a, b))
-            if ck in c.curv:
-                _bump_poly(F, row, (), d.unit_vec(om[ck[0]]), c.curv[ck])
-            rows.append(_normalize(row))
-        sols, spent = _solve(F, len(coords), rows, spent, budget)
+        sols, spent = _mc_solve(c, d, om, [
+            (ck, {dk: one}) for ck, dk in coords], spent, budget)
         out += [MCElement(om, _at_point(coords, vals)) for vals in sols]
     return out
 
@@ -717,33 +730,19 @@ def _single_word(ck: Key) -> Key:
     return (ck[0], ck[1], ck[2] + 1, (ck,))
 
 
-def _eval_word(d: DgCategory, om: Dict, images: Dict[Key, Poly],
-               letters: Tuple, x) -> Poly:
-    """The letters' images composed in path order; the unit on no letters.
-
-    An image is a polynomial in some coordinates (a fixed cochain gives
-    constant ones), and so is the composite.
-    """
-    if not letters:
-        return {(): d.unit_vec(om[x])}
-    F = d.field
-    out = images.get(letters[0], {})
-    for ck in letters[1:]:
-        nxt: Poly = {}
-        for m, v in out.items():
-            for m2, w in images.get(ck, {}).items():
-                _bump_poly(F, nxt, m + m2, _compose(F, d.comp, w, v), F.one)
-        out = nxt  # may hold empty entries
-    return out
-
-
 def _word_functor(src: DgCategory, d: DgCategory, om: Dict,
                   images: Dict[Key, Vec]) -> DgFunctor:
-    """The generator images extended multiplicatively over src's words."""
-    consts = {ck: {(): v} for ck, v in images.items()}
-    return DgFunctor(src, d, {x: om[x] for x in src.quiver.objects}, {
-        k: v for k in src.quiver.keys()
-        if (v := _eval_word(d, om, consts, k[3], k[0]).get(()))})
+    """The generator images composed along src's words in path order;
+    the unit on the empty words."""
+    F = d.field
+    action: Dict[Key, Vec] = {}
+    for k in src.quiver.keys():
+        v = images.get(k[3][0], {}) if k[3] else d.unit_vec(om[k[0]])
+        for ck in k[3][1:]:
+            v = _compose(F, d.comp, images.get(ck, {}), v)
+        if v:
+            action[k] = v
+    return DgFunctor(src, d, {x: om[x] for x in src.quiver.objects}, action)
 
 
 def universal_cochain(c: PointedCoalgebra) -> Tuple[CobarResult, MCElement]:
@@ -894,9 +893,12 @@ def enumerate_dg_functors(cobar, d: DgCategory,
 
     The category is free on its one-letter words, so a functor is any
     generator assignment with d_D F(g) = F(dg); multiplicativity does the
-    rest.  dg has words of 0, 1 and 2 letters, so these rows have degree
-    at most 2.  Truncated materializations are refused -- a dropped
-    differential term would silently weaken the generator check.
+    rest.  Those are the Maurer-Cartan equations of xi = theta F on the
+    coalgebra the cobar records, solved with one coordinate per generator
+    and D-key in its slot.  F(1) = 1 sends a zero unit (the zero
+    category's) to a zero unit only.  Truncated materializations are
+    refused: they are not the cobar category.  Functors come per object
+    map in product order, each map's sorted by coordinate tuple.
     """
     if isinstance(cobar, CobarResult) and not cobar.exact:
         raise ValueError(
@@ -904,29 +906,26 @@ def enumerate_dg_functors(cobar, d: DgCategory,
     src = cobar.category if isinstance(cobar, CobarResult) else cobar
     _same_field(src, d, "functor enumeration")
     F = src.field
+    c = src.coalgebra
+    if isinstance(c, FinalCoalgebra):
+        c = zero_coalgebra(F)  # its cobar, the zero category, has no rows
     gens = [k for k in src.quiver.keys() if len(k[3]) == 1]
     objs = src.quiver.objects
     out: List[DgFunctor] = []
     spent = 0
     for pick in all_object_maps(objs, d.quiver.objects):
         om = dict(zip(objs, pick))
-        # the source has zero curvature, so curved image objects are out
-        if any(d.curvature_vec(om[x]) for x in objs):
+        # the source has zero curvature, so curved image objects are out,
+        # and F(1) = 1 sends a zero unit to a zero unit only
+        if any(d.curvature_vec(om[x]) or (d.unit_vec(om[x]) and not
+                                          src.unit_vec(x)) for x in objs):
             continue
         # keyed by the underlying row, the spelling of the cobar words
         coords = [(g[3][0], (om[g[0]], om[g[1]], g[2], name)) for g in gens
                   for name in d.quiver.slot(om[g[0]], om[g[1]], g[2])]
-        images = _coordinate_polys(F, coords)
-        rows = []
-        for g in gens:
-            row: Poly = {}
-            for mono, v in images.get(g[3][0], {}).items():
-                _bump_poly(F, row, mono, d.apply_d(v), F.one)
-            for wk, x in src.diff.get(g, {}).items():
-                for mono, v in _eval_word(d, om, images, wk[3], wk[0]).items():
-                    _bump_poly(F, row, mono, v, F.neg(x))
-            rows.append(_normalize(row))
-        sols, spent = _solve(F, len(coords), rows, spent, budget)
+        sols, spent = _mc_solve(c, d, om, [
+            (ck, {dk: _sign(F, _theta(ck[2]))}) for ck, dk in coords],
+            spent, budget)
         out += [_word_functor(src, d, om, _at_point(coords, vals))
                 for vals in sols]
     return out
@@ -939,61 +938,50 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
                                   ) -> List[CoalgebraMorphism]:
     """All pointed morphisms C -> BD, solving for (one-letter, twist).
 
-    Comultiplicativity makes each image a polynomial in the one-letter
-    coordinates, so the differential and curvature conditions of
-    ``CoalgebraMorphism.validate`` are polynomial rows.  A twist sits on
-    each degree -1 row whose ends the object map identifies.  Each
-    solution is validated, and a failure raises.  An image word the bar
-    lacks is refused, so a finite bar needs no ``weight_cap``; one that
-    is passed also refuses C when a chain of more than ``weight_cap``
-    parts survives its iterated coproduct.
+    The Maurer-Cartan equations on D, the category of the splitting the
+    bar records, are solved as ``mc_from_morphism`` reads a morphism:
+    one coordinate per row and one-letter word in its slot, standing for
+    minus the letter, then a twist on each degree -1 row whose ends the
+    object map identifies, standing for the unit.  Each image is the
+    comultiplicative extension of the one-letter part, and each solution
+    is validated on the bar's tables.  An image word the bar lacks is
+    refused, so a finite bar needs no ``weight_cap``; one that is passed
+    also refuses C when a chain of more than ``weight_cap`` parts
+    survives its iterated coproduct.  Morphisms come per object map in
+    product order, each map's sorted by coordinate tuple.
     """
+    if isinstance(bar_coa, FinalCoalgebra):
+        raise ValueError("a CoalgebraMorphism cannot target the final "
+                         "coalgebra; every coalgebra has exactly one "
+                         "morphism into it")
     _same_field(c, bar_coa, "morphism enumeration")
-    F = c.field
-    slots: Dict[Tuple[object, object, int], List[Key]] = {}
+    if not bar_coa.objects:  # the zero coalgebra takes the empty C only
+        return [] if c.objects else [CoalgebraMorphism(c, bar_coa, {}, {})]
+    sp = bar_coa.splitting
+    F, d = c.field, sp.cat
+    minus = F.coerce(-1)
+    slots: Dict[Tuple[object, object, int], List[Tuple[Key, Vec]]] = {}
     for wk in bar_coa.reduced.keys():
         if len(wk[3]) == 1:
-            slots.setdefault(wk[:3], []).append(wk[3][0])
+            slots.setdefault(wk[:3], []).append(
+                (wk[3][0], vec_scale(F, minus, sp.letter_vec(wk[3][0]))))
     chains = _deconcat_chains(c, weight_cap)
     rows = list(c.reduced.keys())
     out: List[CoalgebraMorphism] = []
     spent = 0
     for pick in all_object_maps(c.objects, bar_coa.objects):
         om = dict(zip(c.objects, pick))
-        coords = [(ck, letter) for ck in rows
-                  for letter in slots.get((om[ck[0]], om[ck[1]], ck[2]), [])]
+        letters = [(ck, lk, v) for ck in rows
+                   for lk, v in slots.get((om[ck[0]], om[ck[1]], ck[2]), [])]
         twisted = [ck for ck in rows if ck[2] == -1 and om[ck[0]] == om[ck[1]]]
-        tw = {ck: len(coords) + j for j, ck in enumerate(twisted)}
-        img = _bar_image_polys(bar_coa, chains, _coordinate_polys(F, coords))
-        ext = {ck: dict(img[ck]) for ck in rows}  # F plus the twist at "h"
-        for ck, i in tw.items():
-            ext[ck][(i,)] = {"h": F.one}
-        eqs: List[Poly] = []
-        for ck in rows:
-            # validate's conditions, the curvature one at "h":
-            # (d_B + h_B) F(c) - h(c) - ext(dc) - sum a(c') ext(c'')
-            #                                  + sum (-1)^|c'| F(c') a(c'')
-            row: Poly = {(): {"h": F.neg(c.curv.get(ck, F.zero))}}
-            for mono, v in img[ck].items():
-                _bump_poly(F, row, mono, bar_coa.apply_d(v), F.one)
-                _bump_poly(F, row, mono, {"h": bar_coa.curvature_value(v)},
-                           F.one)
-            terms = [(ext[k2], (), x) for k2, x in c.d(ck).items()]
-            for (a, b), lam in c.delta(ck).items():
-                if a in tw:
-                    terms.append((ext[b], (tw[a],), lam))
-                if b in tw:
-                    terms.append((img[a], (tw[b],),
-                                  lam if a[2] % 2 else F.neg(lam)))
-            for poly, extra, x in terms:
-                for mono, v in poly.items():
-                    _bump_poly(F, row, mono + extra, v, F.neg(x))
-            eqs.append(_normalize(row))
-        sols, spent = _solve(F, len(coords) + len(tw), eqs, spent, budget)
+        img = _bar_image_polys(bar_coa, chains, _coordinate_polys(
+            [(ck, {lk: F.one}) for ck, lk, _ in letters]))
+        sols, spent = _mc_solve(c, d, om, [(ck, v) for ck, _, v in letters] + [
+            (ck, d.unit_vec(om[ck[0]])) for ck in twisted], spent, budget)
         for vals in sols:
             mor = CoalgebraMorphism(c, bar_coa, om, {
                 ck: _substitute(F, poly, vals)[0] for ck, poly in img.items()},
-                {ck: vals[i] for ck, i in tw.items()})
+                dict(zip(twisted, vals[len(letters):])))
             bad = mor.validate(max_problems=1)
             if bad:
                 raise ValueError(f"solved morphism fails validation: {bad[0]}")

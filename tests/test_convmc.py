@@ -673,6 +673,52 @@ def test_morphism_enumeration_default_cap_on_the_sweep():
         assert [_mor_print(m) for m in got] == [_mor_print(m) for m in want], s
 
 
+def test_functors_out_of_the_zero_category():
+    """The cobar of the final coalgebra is the zero category, whose object
+    has a zero unit: F(1) = 1 lets it go only to an object with zero unit.
+    The empty category (the cobar of the zero coalgebra) has the one empty
+    functor into anything."""
+    zero_src = cobar_construction(FinalCoalgebra(F3), length_cap=2)
+    assert enumerate_dg_functors(zero_src, CATEGORY_LIBRARY["a2"](F3)) == []
+    funs = enumerate_dg_functors(zero_src, zero_category(F3))
+    assert [f.object_map for f in funs] == [{"*": "*"}]
+    assert funs[0].validate() == []
+    empty_src = cobar_construction(zero_coalgebra(F3), length_cap=2)
+    for d in (CATEGORY_LIBRARY["a2"](F3), zero_category(F3),
+              empty_category(F3)):
+        funs = enumerate_dg_functors(empty_src, d)
+        assert [(f.object_map, f.action) for f in funs] == [({}, {})]
+
+
+def test_morphism_enumeration_refuses_the_final_coalgebra():
+    """A CoalgebraMorphism cannot target the formal final coalgebra, the
+    bar of the zero category; the zero coalgebra, the bar of the empty
+    category, takes no morphism from a coalgebra with objects."""
+    c = COALGEBRA_LIBRARY["dag"](F3)
+    for target in (FinalCoalgebra(F3), bar_construction(zero_category(F3), 2)):
+        with pytest.raises(ValueError, match="cannot target the final"):
+            enumerate_coalgebra_morphisms(c, target)
+    for target in (zero_coalgebra(F3), bar_construction(empty_category(F3), 2)):
+        assert enumerate_coalgebra_morphisms(c, target) == []
+    mors = enumerate_coalgebra_morphisms(zero_coalgebra(F3), zero_coalgebra(F3))
+    assert len(mors) == 1 and mors[0].validate() == []
+
+
+def test_bar_and_cobar_record_their_inputs():
+    """Functors are solved on the coalgebra a cobar records, morphisms on
+    the category of the splitting a bar records; a category or coalgebra
+    without that record is refused."""
+    c = COALGEBRA_LIBRARY["dag"](F3)
+    d = CATEGORY_LIBRARY["a2"](F3)
+    with pytest.raises(AttributeError, match="coalgebra"):
+        enumerate_dg_functors(d, d)
+    with pytest.raises(AttributeError, match="splitting"):
+        enumerate_coalgebra_morphisms(c, c)
+    sp = Splitting(d)
+    assert bar_construction(d, 2, splitting=sp).splitting is sp
+    assert cobar_construction(c, length_cap=2).category.coalgebra is c
+
+
 # -- the internal hom -------------------------------------------------------
 
 

@@ -347,3 +347,67 @@ def test_budget_counts_branch_values_and_family_points():
         for search in _three_searches(coa, d, need - 1):
             with pytest.raises(ValueError, match="budget="):
                 search()
+
+
+def test_negated_theta_fails_the_functor_oracle(monkeypatch):
+    """The functor search reads xi = theta F; with theta negated it solves
+    the rows of -xi, which differ wherever curvature or a product meets a
+    coordinate, and the oracle sees it."""
+    from koszulcat import convmc
+    theta = convmc._theta
+    monkeypatch.setattr(convmc, "_theta", lambda n: -theta(n))
+    F = GF(3)
+    failed = []
+    for cname in sorted(COALGEBRA_LIBRARY):
+        src = cobar_construction(COALGEBRA_LIBRARY[cname](F),
+                                 length_cap=3).category
+        for dname in UNCURVED:
+            try:
+                assert_functors_match_oracle(src, CATEGORY_LIBRARY[dname](F))
+            except AssertionError:
+                failed.append((cname, dname))
+    assert ("w", "contractible_endo") in failed
+
+
+def test_negated_letters_fail_the_morphism_oracle(monkeypatch):
+    """The morphism search reads a one-letter coordinate as minus its
+    letter.  With the letters negated, the validation of each solution
+    refuses a solved morphism; with that check skipped as well, the
+    oracle sees the wrong morphisms."""
+    from koszulcat import convmc
+    from koszulcat.barcobar import Splitting
+    F = GF(3)
+    bars = {n: bar_construction(CATEGORY_LIBRARY[n](F), 3) for n in UNCURVED}
+    letter_vec = Splitting.letter_vec
+    monkeypatch.setattr(Splitting, "letter_vec", lambda self, k: {
+        a: F.neg(x) for a, x in letter_vec(self, k).items()})
+    w = COALGEBRA_LIBRARY["w"](F)
+    with pytest.raises(ValueError, match="fails validation"):
+        enumerate_coalgebra_morphisms(w, bars["contractible_endo"], 3)
+
+    class Unchecked(CoalgebraMorphism):
+        def validate(self, max_problems=25):
+            return []
+
+    monkeypatch.setattr(convmc, "CoalgebraMorphism", Unchecked)
+    failed = []
+    for cname in sorted(COALGEBRA_LIBRARY):
+        for dname in UNCURVED:
+            try:
+                assert_morphisms_match_oracle(COALGEBRA_LIBRARY[cname](F),
+                                              bars[dname], 3)
+            except AssertionError:
+                failed.append((cname, dname))
+    assert ("w", "contractible_endo") in failed
+
+
+def test_sweep_functors_validate():
+    F = GF(3)
+    for s in range(120):
+        rng = random.Random(f"mc_search:{s}")
+        c = path_coalgebra(F, rng)
+        d = random_dg_category(F, rng.randrange(1 << 30), max_dim=3,
+                               allow_curved=False)
+        for f in enumerate_dg_functors(cobar_construction(c, length_cap=3), d,
+                                       budget=1 << 22):
+            assert f.validate() == [], s

@@ -5,7 +5,9 @@ such name must import, and every ``[project.scripts]`` target in
 ``pyproject.toml`` must resolve to a callable.  No module imports a name
 it never uses, and none compares anything with ``max_problems``: a
 validator yields its problems and ``validate`` cuts the stream once, by
-``itertools.islice``.
+``itertools.islice``.  The propagation solver ``convmc._solve`` has one
+caller, ``convmc._mc_solve``: every hom-set search solves the one
+Maurer-Cartan equation system.
 """
 
 import ast
@@ -109,3 +111,40 @@ def test_cap_comparisons_are_caught():
                          ids=lambda p: p.name)
 def test_no_hand_written_cut(path):
     assert cap_comparisons(path.read_text()) == []
+
+
+def solve_callers(source: str):
+    """(enclosing function, line) of each call of ``_solve``."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "_solve"):
+                out.append((where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return sorted(out, key=lambda x: x[1])
+
+
+def test_solve_callers_are_caught():
+    assert solve_callers(
+        "def _mc_solve(c):\n"
+        "    def inner():\n"
+        "        return _solve(c)\n"
+        "    return _solve(c), inner\n"
+        "x = _solve(1)\n"
+        "def search(c):\n"
+        "    return other._solve(c), _solve_all(c)\n"
+        ) == [("inner", 3), ("_mc_solve", 4), (None, 5)]
+
+
+def test_one_caller_of_the_solver():
+    callers = [(path.name,) + call for path in sorted(SRC.glob("*.py"))
+               for call in solve_callers(path.read_text())]
+    assert [c[:2] for c in callers] == [("convmc.py", "_mc_solve")]
