@@ -20,7 +20,7 @@ The layers, bottom up:
   library for tests and benchmarks.
 """
 
-from .field import QQ, GF, Field, field_by_name
+from .field import QQ, GF, Field
 from .matrix import SparseMatrix
 from .complexes import BoundedComplex
 
@@ -28,7 +28,6 @@ __all__ = [
     "QQ",
     "GF",
     "Field",
-    "field_by_name",
     "SparseMatrix",
     "BoundedComplex",
 ]

@@ -136,8 +136,8 @@ class Splitting:
             for lk, v in zip(letter_keys, given):
                 self._vecs[lk] = _normalize({k: F.coerce(c) for k, c in v.items()})
             # the unit is named None, the letters by their keys
-            coords = _coordinates(F, slot_keys, [(None, u)] + list(
-                zip(letter_keys, given)))
+            coords = _coordinates(F, slot_keys, [(None, u)] + [
+                (lk, self._vecs[lk]) for lk in letter_keys])
             if coords is None:
                 raise ValueError(f"unit and complement do not span the slot at {x!r}")
             for k, cs in coords.items():

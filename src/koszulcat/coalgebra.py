@@ -51,8 +51,8 @@ from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .field import (Field, Vec, _apply, _evaluate, _normalize, _on_leg,
-                    _same_field, vec_bump, vec_sub)
-from .matrix import SparseMatrix, _coordinates
+                    _same_field, vec_bump)
+from .matrix import _coordinates, _rref_rows, _solution_space
 from .quiver import (GradedQuiver, Key, WordMap, Words, WordTrie,
                      _image_problems, _object_map_problems, has_cycle, lkey,
                      pair_key, rkey)
@@ -240,7 +240,10 @@ class PointedCoalgebra:
         F_k, which is rDelta^{-1}(C (x) F_k); F_1 = ker rDelta.  (The
         symmetric wedge gives the same filtration; one side is enough.)
 
-        One matrix per stage, one column per key.  Returns a list of
+        Three eliminations per stage (``matrix._eliminate``), on rows with
+        one column per key: the rref rows of F_k give pi_k, a kernel gives
+        F_{k+1}, and the rref rows of pi_k applied to that kernel, whose
+        residues span F_{k+1}/F_k, are the stage.  Returns a list of
         stages, each a list of (name, vector); the concatenation is a
         basis of the largest conilpotent subcoalgebra (all of C when
         conilpotent).  Stops when the filtration stalls.
@@ -255,14 +258,14 @@ class PointedCoalgebra:
             pi = {k: {k: F.one} for k in keys}
             for p, row in _rref_rows(F, keys, flat).items():
                 pi[p] = {k: F.neg(c) for k, c in row.items() if k != p}
-            rows: Dict[Tuple[Key, Key], int] = {}
-            entries = {}
+            rows: Dict[Tuple[Key, Key], Dict[int, object]] = {}
             for j, k in enumerate(keys):
                 for p, c in _on_leg(F, pi, self.delta(k), 1).items():
-                    entries[(rows.setdefault(p, len(rows)), j)] = c
-            kernel = SparseMatrix(F, len(rows), len(keys),
-                                  entries).kernel_basis(keys)
-            new_stage = _complement_basis(F, keys, flat, kernel)
+                    rows.setdefault(p, {})[j] = c
+            kernel = _solution_space(F, list(rows.values()), len(keys))[1]
+            new_stage = list(_rref_rows(F, keys, [
+                _apply(F, pi, {keys[j]: c for j, c in v.items()})
+                for v in kernel]).values())
             if not new_stage:
                 break
             stages.append(
@@ -270,30 +273,6 @@ class PointedCoalgebra:
             )
             flat.extend(new_stage)
         return stages
-
-
-def _rref_rows(field: Field, keys: List[Key], vecs: List[Vec]) -> Dict[Key, Vec]:
-    """Pivot key -> rref row of span(vecs), 1 there and 0 at the other
-    pivots; v minus its image under these rows is v's residue modulo
-    span(vecs), zero exactly on the span."""
-    kpos = {k: i for i, k in enumerate(keys)}
-    m = SparseMatrix(field, len(vecs), len(keys), {
-        (i, kpos[k]): c for i, v in enumerate(vecs) for k, c in v.items()})
-    R, pivots = m.rref()
-    rows: Dict[Key, Vec] = {keys[p]: {} for p in pivots}
-    for (i, j), c in R.entries.items():
-        rows[keys[pivots[i]]][keys[j]] = c
-    return rows
-
-
-def _complement_basis(
-    field: Field, keys: List[Key], have: List[Vec], new: List[Vec]
-) -> List[Vec]:
-    """Extend span(have) by vectors from new; returns the added ones: the
-    nonzero rref rows of new's residues modulo the rref rows of have."""
-    proj = _rref_rows(field, keys, have)
-    residues = [vec_sub(field, v, _apply(field, proj, v)) for v in new]
-    return list(_rref_rows(field, keys, residues).values())
 
 
 def associated_graded(c: PointedCoalgebra) -> PointedCoalgebra:

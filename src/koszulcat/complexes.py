@@ -49,7 +49,7 @@ class BoundedComplex:
     def differential(self, n: int) -> SparseMatrix:
         if n in self.d:
             return self.d[n]
-        return SparseMatrix.zero(self.field, self.dim(n + 1), self.dim(n))
+        return SparseMatrix(self.field, self.dim(n + 1), self.dim(n))
 
     def validate(self) -> List[str]:
         """d∘d = 0 wherever both factors exist; returns failure messages."""
@@ -57,7 +57,7 @@ class BoundedComplex:
         for n in self.d:
             if (n + 1) in self.d or self.dim(n + 2):
                 sq = self.differential(n + 1).matmul(self.d[n])
-                if not sq.is_zero():
+                if sq.entries:
                     problems.append(f"d^2 != 0 from degree {n}")
         return problems
 

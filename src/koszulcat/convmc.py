@@ -56,7 +56,7 @@ from .field import (Field, Vec, _compose, _normalize, _same_field,
 from .quiver import (GradedQuiver, Key, _image_problems, _object_map_problems,
                      lkey, object_maps as all_object_maps, pair_key, rkey)
 from .dgcat import DgCategory, DgFunctor, _products, tensor_dg
-from .matrix import SparseMatrix
+from .matrix import _solution_space
 from .coalgebra import (
     CoalgebraMorphism,
     FinalCoalgebra,
@@ -515,7 +515,7 @@ def _solve(F: Field, n: int, rows: List[Poly], spent: int,
     def visit(vals, pending):
         nonlocal spent
         # (row, vector key) -> equation; unfixed coordinate -> column
-        eqs, cols, entries, rhs, rest = {}, {}, {}, {}, []
+        eqs, cols, rhs, rest = {}, {}, {}, []
         for r in pending:
             got = _substitute(F, rows[r], vals)
             if got is None:
@@ -527,16 +527,18 @@ def _solve(F: Field, n: int, rows: List[Poly], spent: int,
                     return  # a checked row fails
                 continue
             for k, c in const.items():
-                rhs[eqs.setdefault((r, k), len(eqs))] = F.neg(c)
+                eqs.setdefault((r, k), {})
+                rhs[(r, k)] = F.neg(c)
             for i, v in lin.items():
                 j = cols.setdefault(i, len(cols))
                 for k, c in v.items():
-                    entries[(eqs.setdefault((r, k), len(eqs)), j)] = c
+                    eqs.setdefault((r, k), {})[j] = c
         if cols:
             # every affine row at once: x = particular + kernel span
             ids = list(cols)
-            sol, kernel = SparseMatrix(F, len(eqs), len(ids),
-                                       entries).solution_space(rhs)
+            for e, c in rhs.items():
+                eqs[e][len(ids)] = c
+            sol, kernel = _solution_space(F, list(eqs.values()), len(ids))
             if sol is None:
                 return
         else:
@@ -897,7 +899,8 @@ def enumerate_dg_functors(cobar, d: DgCategory,
     coalgebra the cobar records, solved with one coordinate per generator
     and D-key in its slot.  F(1) = 1 sends a zero unit (the zero
     category's) to a zero unit only.  Truncated materializations are
-    refused: they are not the cobar category.  Functors come per object
+    refused: they are not the cobar category; so is a category that
+    ``cobar_construction`` did not build.  Functors come per object
     map in product order, each map's sorted by coordinate tuple.
     """
     if isinstance(cobar, CobarResult) and not cobar.exact:
@@ -906,7 +909,10 @@ def enumerate_dg_functors(cobar, d: DgCategory,
     src = cobar.category if isinstance(cobar, CobarResult) else cobar
     _same_field(src, d, "functor enumeration")
     F = src.field
-    c = src.coalgebra
+    c = getattr(src, "coalgebra", None)
+    if c is None:
+        raise ValueError("functor enumeration solves on the coalgebra a "
+                         "cobar records; pass a cobar_construction result")
     if isinstance(c, FinalCoalgebra):
         c = zero_coalgebra(F)  # its cobar, the zero category, has no rows
     gens = [k for k in src.quiver.keys() if len(k[3]) == 1]
@@ -947,8 +953,10 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
     is validated on the bar's tables.  An image word the bar lacks is
     refused, so a finite bar needs no ``weight_cap``; one that is passed
     also refuses C when a chain of more than ``weight_cap`` parts
-    survives its iterated coproduct.  Morphisms come per object map in
-    product order, each map's sorted by coordinate tuple.
+    survives its iterated coproduct.  A target that ``bar_construction``
+    did not build is refused, the final and zero coalgebras apart.
+    Morphisms come per object map in product order, each map's sorted by
+    coordinate tuple.
     """
     if isinstance(bar_coa, FinalCoalgebra):
         raise ValueError("a CoalgebraMorphism cannot target the final "
@@ -957,7 +965,10 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
     _same_field(c, bar_coa, "morphism enumeration")
     if not bar_coa.objects:  # the zero coalgebra takes the empty C only
         return [] if c.objects else [CoalgebraMorphism(c, bar_coa, {}, {})]
-    sp = bar_coa.splitting
+    sp = getattr(bar_coa, "splitting", None)
+    if sp is None:
+        raise ValueError("morphism enumeration solves on the splitting a bar "
+                         "records; pass a bar_construction result")
     F, d = c.field, sp.cat
     minus = F.coerce(-1)
     slots: Dict[Tuple[object, object, int], List[Tuple[Key, Vec]]] = {}

@@ -72,13 +72,6 @@ class Field:
     def random(self, rng, nonzero: bool = False):
         raise NotImplementedError
 
-    def to_json(self, a):
-        """JSON-friendly form; parse() inverts it."""
-        raise NotImplementedError
-
-    def parse(self, s):
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return self.name
 
@@ -130,12 +123,6 @@ class _Rationals(Field):
             if v != 0 or not nonzero:
                 return v.numerator if v.denominator == 1 else v
 
-    def to_json(self, a):
-        return str(a) if a.denominator != 1 else a.numerator
-
-    def parse(self, s):
-        return self.coerce(s)
-
 
 class _PrimeField(Field):
     def __init__(self, p: int):
@@ -178,12 +165,6 @@ class _PrimeField(Field):
     def random(self, rng, nonzero: bool = False):
         return rng.randint(1 if nonzero else 0, self.char - 1)
 
-    def to_json(self, a):
-        return a
-
-    def parse(self, s):
-        return self.coerce(s if isinstance(s, int) else Fraction(s))
-
 
 QQ = _Rationals()
 
@@ -194,16 +175,6 @@ def GF(p: int) -> Field:
     if p not in _gf_cache:
         _gf_cache[p] = _PrimeField(p)
     return _gf_cache[p]
-
-
-def field_by_name(name: str) -> Field:
-    """Resolve 'q', 'f2', 'f3', 'f5', ... to a Field instance."""
-    name = name.strip().lower()
-    if name in ("q", "qq", "rational", "rationals"):
-        return QQ
-    if name.startswith("f") and name[1:].isdigit():
-        return GF(int(name[1:]))
-    raise ValueError(f"unknown field {name!r} (expected q or f<prime>)")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,20 @@
 """Sparse exact matrices: rank, reduced row echelon form, kernels, solving.
 
-Entries live in a dict keyed by (row, col); zeros are never stored.  There
-is one elimination, ``rref``, and rank, kernels, solving and basis
-coordinates (``_coordinates``) all read its result, in every field alike.
-Pivots are chosen Markowitz-style (least fill-in estimate, a function of
-row supports only), which keeps elimination cheap on the block-sparse
+There is one elimination, ``_eliminate``, on a list of row dicts (column
+index -> nonzero entry), and only this module calls it.  Rank,
+``SparseMatrix.rref``, kernels and solving (``_solution_space``), the
+rref rows of a span (``_rref_rows``) and basis coordinates
+(``_coordinates``) all read its result, in every field alike; library
+callers hand their rows to these helpers and build no matrix.  Pivots
+are chosen Markowitz-style (least fill-in estimate, a function of row
+supports only), which keeps elimination cheap on the block-sparse
 matrices the category machinery produces.  Each pivot row is scaled to 1
 at its pivot as soon as it is chosen; nothing is integerized.
+
+Entries are coerced once, at the boundary: ``SparseMatrix.__init__``
+coerces and bounds-checks what comes from outside (tests, the hom
+complexes of ``dgcat``), and so does ``solve`` its right-hand side.  Rows
+built inside the library already hold field elements and no zeros.
 """
 
 from __future__ import annotations
@@ -14,6 +22,95 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import Field, Vec
+
+Row = Dict[int, object]
+
+
+def _eliminate(F: Field, rows: Sequence[Row], ncols: int
+               ) -> Tuple[List[Row], List[int], List[Row]]:
+    """Gauss-Jordan elimination of ``rows``, pivoting only in columns
+    below ``ncols``; returns (pivot rows, pivot columns, leftover rows)
+    and leaves ``rows`` as they are.
+
+    Each pivot row is 1 at its pivot and 0 at every other pivot.  Pivot
+    columns are chosen by Markowitz cost, so the pivot *set* is one valid
+    greedy basis of the column matroid, not the canonical leftmost one.
+    Leftover rows are the nonzero rows with support only from column
+    ``ncols`` on; rows that reduce to zero are dropped.
+    """
+    done: List[Row] = []
+    stuck: List[Row] = []
+    pivots: List[int] = []
+    live = [r for r in rows if r]
+    while live:
+        col_count: Dict[int, int] = {}
+        for r in live:
+            for j in r:
+                col_count[j] = col_count.get(j, 0) + 1
+        # cheapest elimination step first (Markowitz estimate)
+        best = None
+        for idx, r in enumerate(live):
+            for j in r:
+                if j >= ncols:
+                    continue
+                cost = (len(r) - 1) * (col_count[j] - 1)
+                key = (cost, j, idx)
+                if best is None or key < best[0]:
+                    best = (key, idx, j)
+        if best is None:
+            stuck.extend(live)
+            break
+        _, ri, pj = best
+        prow = live.pop(ri)
+        pinv = F.inv(prow[pj])
+        prow = {j: F.mul(pinv, v) for j, v in prow.items()}
+
+        def eliminate(r):
+            f = F.neg(r[pj])
+            new = dict(r)
+            for j, v in prow.items():
+                s = F.add(new.get(j, F.zero), F.mul(f, v))
+                if F.is_zero(s):
+                    new.pop(j, None)
+                else:
+                    new[j] = s
+            return new
+
+        nxt = []
+        for r in live:
+            if pj in r:
+                new = eliminate(r)
+                if new:
+                    nxt.append(new)
+            else:
+                nxt.append(r)
+        live = nxt
+        # clear the pivot column from the finished rows too
+        for k, r in enumerate(done):
+            if pj in r:
+                done[k] = eliminate(r)
+        done.append(prow)
+        pivots.append(pj)
+    return done, pivots, stuck
+
+
+def _solution_space(F: Field, rows: Sequence[Row], ncols: int
+                    ) -> Tuple[Optional[Row], List[Row]]:
+    """(one solution of A x = b or None, right-kernel basis of A) for the
+    augmented rows [A | b]: A in the columns below ``ncols``, b in column
+    ``ncols``.  One elimination, pivoting in A only, serves both: with
+    b = 0 it is the rref of A."""
+    done, pivots, stuck = _eliminate(F, rows, ncols)
+    # free column fj: x_fj = 1 and x_pj = -R[i, fj] on each pivot row i
+    pivot_set = set(pivots)
+    kernel = {j: {j: F.one} for j in range(ncols) if j not in pivot_set}
+    for row, pj in zip(done, pivots):
+        for j, v in row.items():
+            if j in kernel:
+                kernel[j][pj] = F.neg(v)
+    sol = None if stuck else {  # a leftover row reads 0 = nonzero b
+        pj: row[ncols] for row, pj in zip(done, pivots) if ncols in row}
+    return sol, list(kernel.values())
 
 
 class SparseMatrix:
@@ -44,14 +141,7 @@ class SparseMatrix:
                 ent[(i, j)] = v
         return cls(field, nrows, ncols, ent)
 
-    @classmethod
-    def zero(cls, field: Field, nrows: int, ncols: int) -> "SparseMatrix":
-        return cls(field, nrows, ncols)
-
     # -- basics --------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
@@ -103,87 +193,22 @@ class SparseMatrix:
 
     # -- elimination ---------------------------------------------------------
 
-    def _rows_as_dicts(self) -> List[Dict[int, object]]:
-        rows: List[Dict[int, object]] = [dict() for _ in range(self.nrows)]
+    def _rows_as_dicts(self) -> List[Row]:
+        rows: List[Row] = [dict() for _ in range(self.nrows)]
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         return rows
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_eliminate(self.field, self._rows_as_dicts(), self.ncols)[1])
 
-    def rref(self, allowed_cols=None) -> Tuple["SparseMatrix", List[int]]:
-        """Reduced row echelon form; returns (R, pivot column list).
-
-        Pivot columns are chosen by Markowitz cost, so the pivot *set* is one
-        valid greedy basis of the column matroid, not the canonical
-        leftmost one.  ``allowed_cols`` restricts which columns may serve as
-        pivots (used for solving with an augmented column); rows left with
-        support only outside the allowed set are appended unreduced.
-        """
-        F = self.field
-        rows = self._rows_as_dicts()
-        done: List[Dict[int, object]] = []
-        stuck: List[Dict[int, object]] = []
-        pivots: List[int] = []
-        live = [r for r in rows if r]
-        while live:
-            col_count: Dict[int, int] = {}
-            for r in live:
-                for j in r:
-                    col_count[j] = col_count.get(j, 0) + 1
-            # cheapest elimination step first (Markowitz estimate)
-            best = None
-            for idx, r in enumerate(live):
-                for j in r:
-                    if allowed_cols is not None and j not in allowed_cols:
-                        continue
-                    cost = (len(r) - 1) * (col_count[j] - 1)
-                    key = (cost, j, idx)
-                    if best is None or key < best[0]:
-                        best = (key, idx, j)
-            if best is None:
-                stuck.extend(live)
-                break
-            _, ri, pj = best
-            prow = live.pop(ri)
-            pinv = F.inv(prow[pj])
-            prow = {j: F.mul(pinv, v) for j, v in prow.items()}
-
-            def eliminate(r):
-                f = F.neg(r[pj])
-                new = dict(r)
-                for j, v in prow.items():
-                    s = F.add(new.get(j, F.zero), F.mul(f, v))
-                    if F.is_zero(s):
-                        new.pop(j, None)
-                    else:
-                        new[j] = s
-                return new
-
-            nxt = []
-            for r in live:
-                if pj in r:
-                    new = eliminate(r)
-                    if new:
-                        nxt.append(new)
-                else:
-                    nxt.append(r)
-            live = nxt
-            # clear the pivot column from the finished rows too
-            for k, r in enumerate(done):
-                if pj in r:
-                    done[k] = eliminate(r)
-            done.append(prow)
-            pivots.append(pj)
-        ent = {}
-        for i, r in enumerate(done):
-            for j, v in r.items():
-                ent[(i, j)] = v
-        for k, r in enumerate(stuck):
-            for j, v in r.items():
-                ent[(len(done) + k, j)] = v
-        R = SparseMatrix(F, len(done) + len(stuck), self.ncols, ent)
+    def rref(self) -> Tuple["SparseMatrix", List[int]]:
+        """Reduced row echelon form; returns (R, pivot column list), the
+        pivot rows of ``_eliminate`` in pivot order."""
+        done, pivots, _ = _eliminate(self.field, self._rows_as_dicts(),
+                                     self.ncols)
+        R = SparseMatrix(self.field, len(done), self.ncols)
+        R.entries = {(i, j): v for i, r in enumerate(done) for j, v in r.items()}
         return R, pivots
 
     def kernel_basis(self, labels: Optional[Sequence] = None) -> List[Vec]:
@@ -192,7 +217,7 @@ class SparseMatrix:
         With ``labels`` (len == ncols) the dicts are keyed by label instead of
         column index, so named bases survive end to end.
         """
-        basis = self.solution_space({})[1]
+        basis = _solution_space(self.field, self._rows_as_dicts(), self.ncols)[1]
         if labels is not None:
             basis = [{labels[j]: c for j, c in v.items()} for v in basis]
         return basis
@@ -203,33 +228,25 @@ class SparseMatrix:
 
     def solution_space(self, rhs: Dict[int, object]
                        ) -> Tuple[Optional[Dict[int, object]], List[Vec]]:
-        """(one solution of self * x = rhs or None, right-kernel basis).
-
-        One elimination of the augmented matrix serves both: its pivots
-        stay in self's columns, so with rhs = 0 it is the rref of self.
-        """
+        """(one solution of self * x = rhs or None, right-kernel basis)."""
         F = self.field
-        aug = SparseMatrix(F, self.nrows, self.ncols + 1, dict(self.entries))
+        rows = self._rows_as_dicts()
         for i, v in rhs.items():
             v = F.coerce(v)
             if not F.is_zero(v):
-                aug.entries[(i, self.ncols)] = v
-        R, pivots = aug.rref(allowed_cols=frozenset(range(self.ncols)))
-        rows: List[Dict[int, object]] = [dict() for _ in range(R.nrows)]
-        for (i, j), v in R.entries.items():
-            rows[i][j] = v
-        # free column fj: x_fj = 1 and x_pj = -R[i, fj] on each pivot row i
-        pivot_set = set(pivots)
-        kernel = {j: {j: F.one} for j in range(self.ncols) if j not in pivot_set}
-        for row, pj in zip(rows, pivots):
-            for j, v in row.items():
-                if j in kernel:
-                    kernel[j][pj] = F.neg(v)
-        if any(rows[len(pivots):]):
-            return None, list(kernel.values())  # a row reduced to 0 = nonzero rhs
-        sol = {pj: row[self.ncols] for row, pj in zip(rows, pivots)
-               if self.ncols in row}
-        return sol, list(kernel.values())
+                rows[i][self.ncols] = v
+        return _solution_space(F, rows, self.ncols)
+
+
+def _rref_rows(field: Field, keys: Sequence, vecs: Sequence[Vec]
+               ) -> Dict[object, Vec]:
+    """Pivot key -> rref row of span(vecs), one column per key in
+    ``keys``: 1 at its pivot and 0 at the other pivots."""
+    kpos = {k: i for i, k in enumerate(keys)}
+    done, pivots, _ = _eliminate(field, [
+        {kpos[k]: c for k, c in v.items()} for v in vecs], len(keys))
+    return {keys[p]: {keys[j]: c for j, c in row.items()}
+            for row, p in zip(done, pivots)}
 
 
 def _coordinates(field: Field, keys: Sequence,
@@ -241,15 +258,18 @@ def _coordinates(field: Field, keys: Sequence,
     pivot order."""
     kpos = {k: i for i, k in enumerate(keys)}
     n = len(basis)
-    entries = {(kpos[k], j): c for j, (_name, v) in enumerate(basis)
-               for k, c in v.items()}
-    entries.update({(i, n + i): field.one for i in range(len(keys))})
-    inv, pivots = SparseMatrix(field, len(keys), n + len(keys), entries).rref(
-        allowed_cols=frozenset(range(n)))
+    rows: List[Row] = [dict() for _ in keys]
+    for j, (_name, v) in enumerate(basis):
+        for k, c in v.items():
+            rows[kpos[k]][j] = c
+    for i, row in enumerate(rows):
+        row[n + i] = field.one
+    done, pivots, _ = _eliminate(field, rows, n)
     if len(pivots) < len(keys):
         return None
     coords: Dict[object, Vec] = {k: {} for k in keys}
-    for (i, j), c in inv.entries.items():
-        if j >= n:
-            coords[keys[j - n]][basis[pivots[i]][0]] = c
+    for row, pj in zip(done, pivots):
+        for j, c in row.items():
+            if j >= n:
+                coords[keys[j - n]][basis[pj][0]] = c
     return coords

@@ -1,4 +1,4 @@
-"""Small stock categories used across tests, the corpus, and the CLI.
+"""Small stock categories and coalgebras used by the tests and perfbench.
 
 Everything here is finite-dimensional and validates; one-object examples
 are algebras written as categories on the object "*".  ``mult[(a, b)]``

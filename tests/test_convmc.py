@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from koszulcat import convmc
 from koszulcat.barcobar import Splitting, bar_construction, cobar_construction
 from koszulcat.coalgebra import (
     FinalCoalgebra,
@@ -710,9 +711,9 @@ def test_bar_and_cobar_record_their_inputs():
     without that record is refused."""
     c = COALGEBRA_LIBRARY["dag"](F3)
     d = CATEGORY_LIBRARY["a2"](F3)
-    with pytest.raises(AttributeError, match="coalgebra"):
+    with pytest.raises(ValueError, match="pass a cobar_construction"):
         enumerate_dg_functors(d, d)
-    with pytest.raises(AttributeError, match="splitting"):
+    with pytest.raises(ValueError, match="pass a bar_construction"):
         enumerate_coalgebra_morphisms(c, c)
     sp = Splitting(d)
     assert bar_construction(d, 2, splitting=sp).splitting is sp
@@ -869,6 +870,27 @@ def test_comparison_on_generators_sees_missing_shuffle_word():
     assert all(p.startswith("shuffle word missing at") for p in problems)
 
 
+def test_broken_one_letter_image_is_reported_and_refused(monkeypatch):
+    # a comparison functor with one one-letter image cleared: the generator
+    # check reports it, and the window comparison refuses to run on it
+    real = convmc.ez_data
+
+    def broken(*args, **kwargs):
+        ez = real(*args, **kwargs)
+        word = min((k for k in ez.functor.action if len(k[3]) == 1), key=repr)
+        ez.functor.action[word] = {}
+        return ez
+
+    c = COALGEBRA_LIBRARY["dag"](F2)
+    cp = COALGEBRA_LIBRARY["primitive_pair"](F2)
+    problems = ez_generator_problems(broken(c, cp, length_cap=3))
+    assert problems == ["one-letter image off at (('G', 'x'), (1, 's'))"]
+    monkeypatch.setattr(convmc, "ez_data", broken)
+    with pytest.raises(ValueError, match="comparison functor is off: "
+                       "one-letter image off"):
+        ez_compare(c, cp, (-1, 2))
+
+
 def test_comparison_against_point_is_functor():
     ez = ez_data(COALGEBRA_LIBRARY["dag"](QQ), point_coalgebra(QQ),
                  length_cap=3)
@@ -977,6 +999,30 @@ def test_interchange_reduced_outer(cname, pname, dname, field):
                                 COALGEBRA_LIBRARY[pname](field),
                                 CATEGORY_LIBRARY[dname](field),
                                 reduced_outer=True) == []
+
+
+@pytest.mark.parametrize("table,message", [
+    ("comult", "products differ at "),
+    ("diff", "differentials differ at "),
+])
+def test_interchange_sees_a_broken_tensor(monkeypatch, table, message):
+    # one coefficient of the tensor's rDelta or d negated: the left side's
+    # products or differentials no longer match the curried right side
+    c, cp = COALGEBRA_LIBRARY["dag"](F3), COALGEBRA_LIBRARY["primitive_pair"](F3)
+    d = CATEGORY_LIBRARY["a2"](F3)
+    assert interchange_problems(c, cp, d) == []
+    real = convmc.tensor_coalgebras
+
+    def broken(a, b):
+        t = real(a, b)
+        entry = min(getattr(t, table).items(), key=lambda kv: repr(kv[0]))[1]
+        k = min(entry, key=repr)
+        entry[k] = F3.neg(entry[k])
+        return t
+
+    monkeypatch.setattr(convmc, "tensor_coalgebras", broken)
+    problems = interchange_problems(c, cp, d)
+    assert problems and all(p.startswith(message) for p in problems)
 
 
 def test_interchange_object_cap():

@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from koszulcat.barcobar import Splitting
 from koszulcat.convmc import counit_data
-from koszulcat.field import (QQ, GF, field_by_name, vec_add, vec_bump,
-                             vec_scale)
+from koszulcat.field import QQ, GF, vec_add, vec_bump, vec_scale
 from koszulcat.samples import CATEGORY_LIBRARY, truncated_polynomial
 from koszulcat.matrix import SparseMatrix
 from koszulcat.complexes import BoundedComplex
@@ -55,21 +54,10 @@ def kernel_by_enumeration(field, rows, ncols):
 # ---------------------------------------------------------------------------
 # fields
 
-def test_field_lookup():
-    assert field_by_name("q") is QQ
-    assert field_by_name("f2") is GF(2)
-    assert field_by_name("F5") is GF(5)
-    with pytest.raises(ValueError):
-        field_by_name("f4")  # not prime
-    with pytest.raises(ValueError):
-        field_by_name("c")
-
-
 def test_rational_arithmetic():
     a = QQ.coerce("2/3")
     assert QQ.add(a, QQ.coerce(Fraction(1, 3))) == 1
     assert QQ.mul(a, QQ.inv(a)) == QQ.one
-    assert QQ.parse(QQ.to_json(a)) == a
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -113,7 +101,7 @@ def test_rationals_match_fraction_arithmetic(a, b, raw, seed):
     A, B = Fraction(a), Fraction(b)
     got = [
         (QQ.add(a, b), A + B), (QQ.sub(a, b), A - B), (QQ.mul(a, b), A * B),
-        (QQ.neg(a), -A), (QQ.parse(QQ.to_json(a)), A),
+        (QQ.neg(a), -A),
         (QQ.coerce(raw), Fraction(raw)), (QQ.coerce(str(raw)), Fraction(raw)),
         (QQ.coerce(A), A), (QQ.zero, 0), (QQ.one, 1),
     ]
@@ -150,7 +138,6 @@ def test_prime_fields_read_canonical_rationals_as_before(a):
             continue
         want = A.numerator * pow(A.denominator, -1, p) % p
         assert F.coerce(a) == F.coerce(A) == want
-        assert F.parse(QQ.to_json(a)) == want
 
 
 def test_fraction_into_prime_field():
@@ -158,6 +145,8 @@ def test_fraction_into_prime_field():
     assert F.coerce(Fraction(1, 2)) == 3  # 2*3 = 6 = 1 mod 5
     with pytest.raises(ZeroDivisionError):
         F.coerce(Fraction(1, 5))
+    with pytest.raises(ValueError, match="not prime"):
+        GF(4)
 
 
 def test_vec_helpers_drop_zeros():

@@ -7,7 +7,10 @@ it never uses, and none compares anything with ``max_problems``: a
 validator yields its problems and ``validate`` cuts the stream once, by
 ``itertools.islice``.  The propagation solver ``convmc._solve`` has one
 caller, ``convmc._mc_solve``: every hom-set search solves the one
-Maurer-Cartan equation system.
+Maurer-Cartan equation system.  Only ``matrix`` calls the elimination
+``matrix._eliminate``, and no other module calls ``.rref(``: library
+callers hand their rows to ``matrix``'s private helpers instead of
+building a ``SparseMatrix``.
 """
 
 import ast
@@ -148,3 +151,34 @@ def test_one_caller_of_the_solver():
     callers = [(path.name,) + call for path in sorted(SRC.glob("*.py"))
                for call in solve_callers(path.read_text())]
     assert [c[:2] for c in callers] == [("convmc.py", "_mc_solve")]
+
+
+def elimination_calls(source: str):
+    """(name, line) of each call of ``_eliminate``, bare or as an
+    attribute, and of each ``.rref`` method call."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "_eliminate":
+            out.append(("_eliminate", node.lineno))
+        elif isinstance(f, ast.Attribute) and f.attr in ("_eliminate", "rref"):
+            out.append((f.attr, node.lineno))
+    return sorted(out, key=lambda x: x[1])
+
+
+def test_elimination_calls_are_caught():
+    assert elimination_calls(
+        "from .matrix import _eliminate\n"
+        "def f(m, rows):\n"
+        "    R, pivots = m.rref()\n"
+        "    return _eliminate(F, rows, 3), matrix._eliminate(F, rows, 3)\n"
+        "x = rref(m), _eliminate_all(rows), m.rank(), m.rref\n"
+        ) == [("rref", 3), ("_eliminate", 4), ("_eliminate", 4)]
+
+
+def test_elimination_is_called_in_matrix_only():
+    calls = [(path.name,) + call for path in sorted(SRC.glob("*.py"))
+             for call in elimination_calls(path.read_text())]
+    assert calls and [c for c in calls if c[0] != "matrix.py"] == []

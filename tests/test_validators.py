@@ -353,6 +353,13 @@ def _categories():
     yield "mc_category:neg_primitive:contractible_endo", mcc.category
     for field, tag in ((QQ, "q"), (F3, "f3")):
         yield f"noncentral_curvature:{tag}", noncentral_curvature(field)
+    # hand-broken: d of the unit, and curvature at an unknown object
+    c = CATEGORY_LIBRARY["odd_pair_diff"](QQ)
+    c.diff[("*", "*", 0, "e")] = {("*", "*", 1, "x"): QQ.one}
+    yield "broken:unit_not_closed", c
+    c = CATEGORY_LIBRARY["dual_numbers"](QQ)
+    c.curvature["ghost"] = {("*", "*", 0, "x"): QQ.one}
+    yield "broken:curvature_at_unknown_object", c
 
 
 CATEGORIES = list(_categories())
@@ -389,6 +396,15 @@ def _functors():
     del action[min((k for k in action if k[3]), key=lambda k: len(k[3]))]
     yield "counit:trunc_poly3:3:dropped", \
         DgFunctor(fn.source, fn.target, fn.object_map, action)
+    # hand-broken: units doubled, and the curvature arrow dropped
+    fn = identity_functor(CATEGORY_LIBRARY["a2"](QQ))
+    for k in fn.action:
+        if k[3] in ("e0", "e1"):
+            fn.action[k] = {k: QQ.coerce(2)}
+    yield "broken:unit_not_preserved", fn
+    fn = identity_functor(CATEGORY_LIBRARY["curved_nilpotent"](QQ))
+    del fn.action[("*", "*", 2, "w")]
+    yield "broken:curvature_not_preserved", fn
 
 
 FUNCTORS = list(_functors())
@@ -409,8 +425,11 @@ def test_corpus_exercises_failures():
     failing = [v for _, c in CATEGORIES for v in _variants(c) if v.validate()]
     assert len(failing) >= 40
     kinds = {m.split(" fails")[0] for v in failing for m in v.validate()}
-    assert {"associativity", "Leibniz"} <= kinds
-    assert any(fn.validate() for _, fn in FUNCTORS)
+    assert {"associativity", "Leibniz", "unit at '*' is not closed",
+            "curvature at unknown object 'ghost'"} <= kinds
+    reported = {m for _, fn in FUNCTORS for m in fn.validate()}
+    assert {"unit at '0' not preserved",
+            "curvature at '*' not preserved"} <= reported
 
 
 # -- hygiene: reported entries are not visited -------------------------------
