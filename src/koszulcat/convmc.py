@@ -63,7 +63,6 @@ from .coalgebra import (
     PointedCoalgebra,
     identity_morphism,
     tensor_coalgebras,
-    associated_graded,
     zero_coalgebra,
 )
 from .barcobar import (
@@ -1152,14 +1151,13 @@ def ez_generator_problems(ez: EZData) -> List[str]:
 @dataclass
 class EZReport:
     window: Tuple[int, int]
-    mode: str
     cap: int
     pairs: List[Tuple]
     equal: bool
 
 
 def ez_compare(c: PointedCoalgebra, cp: PointedCoalgebra,
-               window: Tuple[int, int], mode: str = "direct") -> EZReport:
+               window: Tuple[int, int]) -> EZReport:
     """Hom homology on a window, both sides of the comparison.
 
     Certifies finiteness first: with every cobar letter in degree >= 1 a
@@ -1168,16 +1166,12 @@ def ez_compare(c: PointedCoalgebra, cp: PointedCoalgebra,
     cap under which the materialized differential is the true one.  Mixed
     signs or degree-0 letters leave infinitely many words in the window,
     so the comparison refuses.  Curved inputs only make sense through the
-    associated graded (``mode="graded"``).
+    associated graded: pass ``associated_graded(c)`` and
+    ``associated_graded(cp)``.
     """
-    if mode == "graded":
-        c = associated_graded(c)
-        cp = associated_graded(cp)
-    elif mode != "direct":
-        raise ValueError(f"unknown mode {mode!r}")
     if c.curv or cp.curv:
         raise ValueError("curved comparison only settles the associated "
-                         "graded; rerun with mode='graded'")
+                         "graded; pass the associated graded coalgebras")
     lo, hi = window
     degs = [k[2] for k in c.reduced.keys()] + [k[2] for k in cp.reduced.keys()]
     if all(n >= 0 for n in degs):
@@ -1204,7 +1198,7 @@ def ez_compare(c: PointedCoalgebra, cp: PointedCoalgebra,
             ok = da == db
             equal = equal and ok
             pairs.append((x, y, da, db, ok))
-    return EZReport(window, mode, cap, pairs, equal)
+    return EZReport(window, cap, pairs, equal)
 
 
 # ---------------------------------------------------------------------------

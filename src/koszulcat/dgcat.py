@@ -47,7 +47,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import BoundedComplex
 from .field import (Field, Vec, _apply, _compose, _normalize, _same_field,
-                    vec_add, vec_addmul, vec_bump, vec_scale, vec_sub)
+                    vec_add, vec_bump, vec_neg, vec_sub)
 from .matrix import SparseMatrix
 from .quiver import (GradedQuiver, Key, WordTrie, _image_problems,
                      _object_map_problems, pair_key, quiver_tensor)
@@ -450,6 +450,15 @@ def free_category(
     return cat
 
 
+def _stored_products(c: DgCategory) -> List[Tuple]:
+    """c's stored composable entries (i, j, g, f, g o f), with i and j the
+    positions of g and f in ``c.quiver.keys()``, sorted: the order of a
+    scan over g, then f."""
+    pos = {k: i for i, k in enumerate(c.quiver.keys())}
+    return sorted((pos[g], pos[f], g, f, v) for (g, f), v in c.comp.items()
+                  if g in pos and f in pos and f[1] == g[0])
+
+
 def tensor_dg(c: DgCategory, d: DgCategory) -> DgCategory:
     """C (x) D: pairwise objects, Koszul sign when a morphism crosses one.
 
@@ -462,11 +471,9 @@ def tensor_dg(c: DgCategory, d: DgCategory) -> DgCategory:
     quiver = quiver_tensor(c.quiver, d.quiver)
 
     def pair_vec(v1: Vec, v2: Vec) -> Vec:
-        out: Vec = {}
-        for k1, a in v1.items():
-            for k2, b in v2.items():
-                vec_bump(F, out, pair_key(k1, k2), F.mul(a, b))
-        return out
+        # distinct key pairs name distinct keys: there is nothing to sum
+        return {pair_key(k1, k2): F.mul(a, b)
+                for k1, a in v1.items() for k2, b in v2.items()}
 
     unit: Dict[object, Vec] = {}
     curvature: Dict[object, Vec] = {}
@@ -479,35 +486,23 @@ def tensor_dg(c: DgCategory, d: DgCategory) -> DgCategory:
                 pair_vec(ux, d.curvature_vec(xp)))
 
     comp: Dict[Tuple[Key, Key], Vec] = {}
-    ckeys = list(c.quiver.keys())
-    dkeys = list(d.quiver.keys())
-    for g1 in ckeys:
-        for f1 in ckeys:
-            if f1[1] != g1[0]:
-                continue
-            base = c.comp.get((g1, f1))
-            if not base:
-                continue
-            for g2 in dkeys:
-                for f2 in dkeys:
-                    if f2[1] != g2[0]:
-                        continue
-                    base2 = d.comp.get((g2, f2))
-                    if not base2:
-                        continue
-                    sgn = F.coerce(-1) if (g2[2] * f1[2]) % 2 else F.one
-                    comp[(pair_key(g1, g2), pair_key(f1, f2))] = vec_scale(
-                        F, sgn, pair_vec(base, base2)
-                    )
+    dcomp = _stored_products(d)
+    for _, _, g1, f1, base in _stored_products(c):
+        for _, _, g2, f2, base2 in dcomp:
+            v = pair_vec(base, base2)
+            comp[(pair_key(g1, g2), pair_key(f1, f2))] = (
+                vec_neg(F, v) if (g2[2] * f1[2]) % 2 else v)
 
     diff: Dict[Key, Vec] = {}
-    for k1 in ckeys:
+    dkeys = list(d.quiver.keys())
+    for k1 in c.quiver.keys():
         d1 = c.diff.get(k1, {})
-        sgn = F.coerce(-1) if k1[2] % 2 else F.one
+        odd = k1[2] % 2
         for k2 in dkeys:
-            diff[pair_key(k1, k2)] = vec_addmul(
-                F, pair_vec(d1, {k2: F.one}),
-                sgn, pair_vec({k1: F.one}, d.diff.get(k2, {})))
+            row = {pair_key(a, k2): ca for a, ca in d1.items()}
+            row.update({pair_key(k1, b): F.neg(cb) if odd else cb
+                        for b, cb in d.diff.get(k2, {}).items()})
+            diff[pair_key(k1, k2)] = row
     return DgCategory(F, quiver, unit, comp, diff=diff, curvature=curvature)
 
 

@@ -6,6 +6,14 @@ on acyclic quivers, library samples, opposites, small tensors), so the
 validators are exercised as checks rather than filters.  Everything is
 driven by a caller-supplied seed; total dimension stays small because the
 axiom suites iterate over basis triples.
+
+Algebras and primitive coalgebras are built by names, through the
+``samples`` builders ``category_by_names`` and ``coalgebra_by_names``.
+The unit laws fill in the unit rows: the unit is the first degree-0
+endomorphism listed, ``e``, and a reduced product left out is zero.
+``_paired_differential`` reads a quiver (spanned by
+``samples.named_keys``, or a free category's generators) and gives d by
+names.
 """
 
 from __future__ import annotations
@@ -13,32 +21,29 @@ from __future__ import annotations
 import random
 from typing import Dict, List
 
+from .barcobar import bar_construction
+from .coalgebra import cotensor_coalgebra, tensor_coalgebras
 from .dgcat import DgCategory, free_category, opposite, tensor_dg
 from .field import Field
 from .quiver import GradedQuiver
 from . import samples
 
 
-def _paired_differential(rng, field, keys_by_slot):
-    """Pick disjoint pairs (s, f) with deg f = deg s + 1 in matching
-    hom-slots and set d(s) = c f; squares to zero by construction."""
+def _paired_differential(rng, field, quiver):
+    """Pick disjoint pairs (s, f) of arrows of ``quiver`` with deg f =
+    deg s + 1 in matching hom-slots and set d(s) = c f, by names;
+    squares to zero by construction."""
     diff = {}
     used = set()
-    flat = [k for ks in keys_by_slot.values() for k in ks]
+    flat = list(quiver.keys())
     rng.shuffle(flat)
-    for s in flat:
+    for x, y, n, s in flat:
         if s in used:
             continue
-        x, y, n, _ = s
-        targets = [
-            t
-            for t in keys_by_slot.get((x, y, n + 1), ())
-            if t not in used and t != s
-        ]
+        targets = [f for f in quiver.slot(x, y, n + 1) if f not in used]
         if targets and rng.random() < 0.6:
             f = rng.choice(targets)
-            used.add(s)
-            used.add(f)
+            used.update((s, f))
             diff[s] = {f: field.random(rng, nonzero=True)}
     return diff
 
@@ -50,37 +55,18 @@ def random_square_zero_algebra(
     central curvature (any closed reduced degree-2 element works)."""
     extra = rng.randint(1, max_extra)
     degree_pool = [-1, 0, 1, 2]
-    basis = {"e": 0}
-    for i in range(extra):
-        basis[f"r{i}"] = rng.choice(degree_pool)
-    if curved and not any(d == 2 for n, d in basis.items() if n != "e"):
-        basis[f"r{extra - 1}"] = 2
-    names = list(basis)
-    mult = {(("e"), n): {n: 1} for n in names}
-    mult.update({(n, "e"): {n: 1} for n in names if n != "e"})
-    for a in names:
-        for b in names:
-            if a != "e" and b != "e":
-                mult[(a, b)] = {}
-
-    keys_by_slot: Dict[tuple, List[tuple]] = {}
-    for n, d in basis.items():
-        if n != "e":
-            keys_by_slot.setdefault(("*", "*", d), []).append(("*", "*", d, n))
-    diff_keys = _paired_differential(rng, field, keys_by_slot)
-    diff = {k[3]: {k2[3]: c for k2, c in v.items()} for k, v in diff_keys.items()}
+    reduced = {f"r{i}": rng.choice(degree_pool) for i in range(extra)}
+    if curved and 2 not in reduced.values():
+        reduced[f"r{extra - 1}"] = 2
+    diff = _paired_differential(rng, field, samples.named_keys(reduced)[1])
 
     curvature = None
     if curved:
-        closed2 = [
-            n
-            for n, d in basis.items()
-            if n != "e" and d == 2 and n not in diff
-        ]
+        closed2 = [n for n, d in reduced.items() if d == 2 and n not in diff]
         if closed2:
             curvature = {rng.choice(closed2): field.random(rng, nonzero=True)}
-    return samples.one_object_algebra(
-        field, basis, mult, diff=diff, curvature=curvature
+    return samples.category_by_names(
+        field, {"e": 0, **reduced}, diff=diff, curvature=curvature
     )
 
 
@@ -99,16 +85,12 @@ def random_free_category(field: Field, rng: random.Random) -> DgCategory:
             a, b = b, a  # edges go upward: acyclic
         deg = rng.choice([-1, 0, 1])
         slots.setdefault((objects[a], objects[b], deg), []).append(f"g{i}")
-    gen = GradedQuiver(objects, {k: tuple(v) for k, v in slots.items()})
-    keys_by_slot = {
-        (x, y, n): [(x, y, n, a) for a in names]
-        for (x, y, n), names in gen.slots.items()
-    }
-    d_gen = _paired_differential(rng, field, keys_by_slot)
-    # generator keys map to length-1 word keys of the free category
+    gen = GradedQuiver(objects, slots)
+    key = {k[3]: k for k in gen.keys()}
+    # generator names map to length-1 word keys of the free category
     d_gen = {
-        k: {(k2[0], k2[1], k2[2], (k2[3],)): c for k2, c in v.items()}
-        for k, v in d_gen.items()
+        key[s]: {key[f][:3] + ((f,),): c for f, c in v.items()}
+        for s, v in _paired_differential(rng, field, gen).items()
     }
     return free_category(field, gen, d_gen)
 
@@ -119,41 +101,24 @@ def random_primitive_coalgebra(
     """Primitives only (rDelta = 0) with a paired differential; co-Leibniz
     and conilpotence hold vacuously.  A curvature functional on a
     degree -2 element away from the differential's image stays valid."""
-    from .coalgebra import PointedCoalgebra
-
     extra = rng.randint(1, max_extra)
     pool = [-3, -2, -1, 0, 1]
     basis = {f"p{i}": rng.choice(pool) for i in range(extra)}
     if curved:
         basis["p0"] = -2
-    keys_by_slot: Dict[tuple, List[tuple]] = {}
-    for n, d in basis.items():
-        keys_by_slot.setdefault(("*", "*", d), []).append(("*", "*", d, n))
-    diff = _paired_differential(rng, field, keys_by_slot)
+    diff = _paired_differential(rng, field, samples.named_keys(basis)[1])
     curv = {}
     if curved:
-        touched = set(diff)
-        for img in diff.values():
-            touched.update(img)
-        free2 = [
-            ("*", "*", -2, n)
-            for n, d in basis.items()
-            if d == -2 and ("*", "*", -2, n) not in touched
-        ]
+        touched = set(diff).union(*diff.values())
+        free2 = [n for n, d in basis.items() if d == -2 and n not in touched]
         if free2:
             curv[rng.choice(free2)] = field.random(rng, nonzero=True)
-    slots: Dict[tuple, List[str]] = {}
-    for n, d in basis.items():
-        slots.setdefault(("*", "*", d), []).append(n)
-    quiver = GradedQuiver(("*",), {k: tuple(v) for k, v in slots.items()})
-    return PointedCoalgebra(field, ("*",), quiver, {}, diff=diff, curv=curv)
+    return samples.coalgebra_by_names(field, basis, diff=diff, curv=curv)
 
 
 def random_word_coalgebra(field: Field, rng: random.Random):
     """Deconcatenation coalgebra on a small random generator quiver,
     weight-capped, with no differential."""
-    from .coalgebra import cotensor_coalgebra
-
     nob = rng.randint(1, 2)
     objects = tuple(f"v{i}" for i in range(nob))
     slots: Dict[tuple, List[str]] = {}
@@ -162,7 +127,7 @@ def random_word_coalgebra(field: Field, rng: random.Random):
         b = objects[rng.randrange(nob)]
         deg = rng.choice([-1, 0, 1])
         slots.setdefault((a, b, deg), []).append(f"g{i}")
-    gen = GradedQuiver(objects, {k: tuple(v) for k, v in slots.items()})
+    gen = GradedQuiver(objects, slots)
     return cotensor_coalgebra(field, gen, max_weight=2)
 
 
@@ -184,8 +149,6 @@ def random_coalgebra(
     allow_curved: bool = True,
 ):
     """Seeded valid pointed coalgebra with reduced dimension <= max_dim."""
-    from .coalgebra import tensor_coalgebras
-
     rng = random.Random(f"ptdcoa:{seed}")
     for _ in range(60):
         kind = rng.choice(
@@ -201,12 +164,8 @@ def random_coalgebra(
         elif kind == "word":
             c = random_word_coalgebra(field, rng)
         elif kind == "library":
-            from . import samples as s
-
-            c = s.COALGEBRA_LIBRARY[rng.choice(_COALGEBRA_PICKS)](field)
+            c = samples.COALGEBRA_LIBRARY[rng.choice(_COALGEBRA_PICKS)](field)
         elif kind == "bar":
-            from .barcobar import bar_construction
-
             base = random_dg_category(
                 field, rng.randrange(1 << 30), max_dim=3, allow_curved=False
             )
@@ -219,9 +178,8 @@ def random_coalgebra(
             if not allow_curved and c.is_curved():
                 continue
             return c
-    from . import samples as s
-
-    return s.w_coalgebra(field) if allow_curved else s.primitive_pair(field)
+    fallback = samples.w_coalgebra if allow_curved else samples.primitive_pair
+    return fallback(field)
 
 
 _LIBRARY_PICKS = [

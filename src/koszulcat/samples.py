@@ -1,99 +1,141 @@
 """Small stock categories and coalgebras used by the tests and perfbench.
 
 Everything here is finite-dimensional and validates; one-object examples
-are algebras written as categories on the object "*".  ``mult[(a, b)]``
-means "a after b" to match compose(g, f).
+are algebras written as categories on the object "*".
+
+Every instance is built by names, through one builder per structure:
+``category_by_names`` and ``coalgebra_by_names``.  Both read
+``named_keys``, which maps each arrow name to its key and spans the
+graded quiver; an arrow is given by its degree on "*" or by its
+(source, target, degree).  The category builder fills in the units and
+the unit-law rows 1 o f and f o 1 itself: the unit at each object is the
+first degree-0 endomorphism listed there (``e`` in every one-object
+sample).  It takes only the other products, d and h, and a product left
+out is zero; ``products[(g, f)]`` means "g after f" to match
+compose(g, f).  The coalgebra builder takes rDelta, d and h by names.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from .coalgebra import PointedCoalgebra
 from .dgcat import DgCategory
 from .field import Field, Vec
-from .quiver import GradedQuiver
+from .quiver import GradedQuiver, Key
 
 
-def one_object_algebra(
+def named_keys(
+    arrows: Dict[str, object],
+) -> Tuple[Dict[str, Key], GradedQuiver]:
+    """name -> key for ``arrows``, and the quiver the keys span.
+
+    ``arrows`` maps each arrow name to its degree on the one object
+    ``"*"`` or to its (source, target, degree); names are distinct across
+    the quiver.  The objects come in the order the arrows first name them.
+    """
+    keys: Dict[str, Key] = {}
+    slots: Dict[tuple, list] = {}
+    for name, spec in arrows.items():
+        x, y, n = ("*", "*", spec) if isinstance(spec, int) else spec
+        keys[name] = (x, y, n, name)
+        slots.setdefault((x, y, n), []).append(name)
+    objects = dict.fromkeys(x for k in keys.values() for x in k[:2])
+    return keys, GradedQuiver(objects, slots)
+
+
+def _on_keys(field: Field, keys: Dict[str, Key], vec: Optional[Dict]) -> Vec:
+    return {keys[name]: field.coerce(c) for name, c in (vec or {}).items()}
+
+
+def _diff_on_keys(field: Field, keys: Dict[str, Key], diff) -> Dict[Key, Vec]:
+    return {keys[n]: _on_keys(field, keys, v) for n, v in (diff or {}).items()}
+
+
+def category_by_names(
     field: Field,
-    basis: Dict[str, int],
-    mult: Dict[tuple, Dict[str, object]],
+    arrows: Dict[str, object],
+    products: Optional[Dict[tuple, Dict[str, object]]] = None,
     diff: Optional[Dict[str, Dict[str, object]]] = None,
     curvature: Optional[Dict[str, object]] = None,
 ) -> DgCategory:
-    ob = "*"
-    slots: Dict[tuple, list] = {}
-    for name, deg in basis.items():
-        slots.setdefault((ob, ob, deg), []).append(name)
-    quiver = GradedQuiver((ob,), {k: tuple(v) for k, v in slots.items()})
+    """The dg category on ``arrows`` (see ``named_keys``), its tables
+    given by names: ``products[(g, f)]`` is g after f, ``diff[f]`` is d f
+    and ``curvature[w]`` the coefficient of w in h at w's object.
 
-    def key(name) -> tuple:
-        return (ob, ob, basis[name], name)
+    The unit at each object is the first degree-0 endomorphism listed
+    there, and the unit laws fill in the rows 1 o f and f o 1, ahead of
+    ``products``; a product left out is zero.
+    """
+    keys, quiver = named_keys(arrows)
+    one = field.one
+    unit: Dict[object, Key] = {}
+    for k in keys.values():
+        if k[0] == k[1] and k[2] == 0:
+            unit.setdefault(k[0], k)
+    comp = {(unit[k[1]], k): {k: one} for k in keys.values()}
+    comp.update({(k, unit[k[0]]): {k: one}
+                 for k in keys.values() if k != unit[k[0]]})
+    for (g, f), v in (products or {}).items():
+        comp[(keys[g], keys[f])] = _on_keys(field, keys, v)
+    h: Dict[object, Vec] = {}
+    for name, c in (curvature or {}).items():
+        h.setdefault(keys[name][0], {})[keys[name]] = field.coerce(c)
+    return DgCategory(
+        field, quiver, {x: {k: one} for x, k in unit.items()}, comp,
+        diff=_diff_on_keys(field, keys, diff), curvature=h)
 
-    def to_vec(d: Dict[str, object]) -> Vec:
-        return {key(name): field.coerce(c) for name, c in d.items()}
 
-    unit = {ob: {key("e"): field.one}}
-    comp = {(key(a), key(b)): to_vec(val) for (a, b), val in mult.items()}
-    dtab = {key(n): to_vec(v) for n, v in (diff or {}).items()}
-    curv = {ob: to_vec(curvature)} if curvature else None
-    return DgCategory(field, quiver, unit, comp, diff=dtab, curvature=curv)
-
-
-def _with_unit_row(names):
-    """Fill in the unit row/column of a multiplication table."""
-    mult = {("e", n): {n: 1} for n in names}
-    mult.update({(n, "e"): {n: 1} for n in names if n != "e"})
-    return mult
+def coalgebra_by_names(
+    field: Field,
+    arrows: Dict[str, object],
+    comult: Optional[Dict[str, Dict[tuple, object]]] = None,
+    diff: Optional[Dict[str, Dict[str, object]]] = None,
+    curv: Optional[Dict[str, object]] = None,
+) -> PointedCoalgebra:
+    """The pointed coalgebra on the objects and reduced arrows of
+    ``arrows`` (see ``named_keys``), its tables given by names:
+    ``comult[c]`` maps name pairs (c', c'') to the coefficient of
+    c' (x) c'' in rDelta c, ``diff[c]`` is d c and ``curv[c]`` is h(c).
+    """
+    keys, quiver = named_keys(arrows)
+    cm = {keys[n]: {(keys[a], keys[b]): field.coerce(c)
+                    for (a, b), c in pairs.items()}
+          for n, pairs in (comult or {}).items()}
+    return PointedCoalgebra(
+        field, quiver.objects, quiver, cm,
+        diff=_diff_on_keys(field, keys, diff),
+        curv=_on_keys(field, keys, curv))
 
 
 def k_category(field: Field) -> DgCategory:
-    return one_object_algebra(field, {"e": 0}, {("e", "e"): {"e": 1}})
+    return category_by_names(field, {"e": 0})
 
 
 def a2_category(field: Field) -> DgCategory:
     """Two objects, one arrow between them."""
-    quiver = GradedQuiver(
-        ("0", "1"),
-        {("0", "0", 0): ("e0",), ("1", "1", 0): ("e1",), ("0", "1", 0): ("a",)},
-    )
-    e0, e1, a = ("0", "0", 0, "e0"), ("1", "1", 0, "e1"), ("0", "1", 0, "a")
-    one = field.one
-    comp = {
-        (e0, e0): {e0: one},
-        (e1, e1): {e1: one},
-        (a, e0): {a: one},
-        (e1, a): {a: one},
-    }
-    return DgCategory(field, quiver, {"0": {e0: one}, "1": {e1: one}}, comp)
+    return category_by_names(
+        field, {"e0": ("0", "0", 0), "e1": ("1", "1", 0), "a": ("0", "1", 0)})
 
 
 def dual_numbers(field: Field) -> DgCategory:
     """k[x]/(x^2) with x in degree 0."""
-    mult = _with_unit_row(["e", "x"])
-    mult[("x", "x")] = {}
-    return one_object_algebra(field, {"e": 0, "x": 0}, mult)
+    return category_by_names(field, {"e": 0, "x": 0})
 
 
 def exterior_line(field: Field) -> DgCategory:
     """k[x]/(x^2) with x in degree 1 (an exterior generator)."""
-    mult = _with_unit_row(["e", "x"])
-    mult[("x", "x")] = {}
-    return one_object_algebra(field, {"e": 0, "x": 1}, mult)
+    return category_by_names(field, {"e": 0, "x": 1})
 
 
 def truncated_polynomial(field: Field, n: int, gen_degree: int = 0) -> DgCategory:
-    """k[x]/(x^n) with |x| = gen_degree; basis e, x1, .., x{n-1}."""
-    if n < 2:
-        return k_category(field)
-    names = ["e"] + [f"x{i}" for i in range(1, n)]
+    """k[x]/(x^n) with |x| = gen_degree; basis e, x1, .., x{n-1}, and k
+    itself for n < 2."""
     basis = {"e": 0}
     basis.update({f"x{i}": i * gen_degree for i in range(1, n)})
-    mult = _with_unit_row(names)
-    for i in range(1, n):
-        for j in range(1, n):
-            mult[(f"x{i}", f"x{j}")] = {f"x{i+j}": 1} if i + j < n else {}
-    return one_object_algebra(field, basis, mult)
+    mult = {(f"x{i}", f"x{j}"): {f"x{i+j}": 1}
+            for i in range(1, n) for j in range(1, n - i)}
+    return category_by_names(field, basis, mult)
 
 
 def group_like(field: Field) -> DgCategory:
@@ -103,35 +145,16 @@ def group_like(field: Field) -> DgCategory:
     t.t = 1, so its reduced multiplication hits the unit line: the bar
     construction of this algebra is genuinely curved.
     """
-    mult = _with_unit_row(["e", "t"])
-    mult[("t", "t")] = {"e": 1}
-    return one_object_algebra(field, {"e": 0, "t": 0}, mult)
+    return category_by_names(field, {"e": 0, "t": 0}, {("t", "t"): {"e": 1}})
 
 
 def contractible_arrow(field: Field) -> DgCategory:
     """Two objects, an arrow f and a degree -1 arrow s with ds = f."""
-    quiver = GradedQuiver(
-        ("0", "1"),
-        {
-            ("0", "0", 0): ("e0",),
-            ("1", "1", 0): ("e1",),
-            ("0", "1", 0): ("f",),
-            ("0", "1", -1): ("s",),
-        },
-    )
-    e0, e1 = ("0", "0", 0, "e0"), ("1", "1", 0, "e1")
-    f, s = ("0", "1", 0, "f"), ("0", "1", -1, "s")
-    one = field.one
-    comp = {
-        (e0, e0): {e0: one},
-        (e1, e1): {e1: one},
-        (f, e0): {f: one},
-        (e1, f): {f: one},
-        (s, e0): {s: one},
-        (e1, s): {s: one},
-    }
-    return DgCategory(
-        field, quiver, {"0": {e0: one}, "1": {e1: one}}, comp, diff={s: {f: one}}
+    return category_by_names(
+        field,
+        {"e0": ("0", "0", 0), "e1": ("1", "1", 0), "f": ("0", "1", 0),
+         "s": ("0", "1", -1)},
+        diff={"s": {"f": 1}},
     )
 
 
@@ -141,13 +164,9 @@ def curved_nilpotent(field: Field) -> DgCategory:
     The curvature is central (u.w = w.u = 0), so d^2 = [h, -] = 0 holds
     while h itself is nonzero: the smallest honestly curved sample.
     """
-    mult = _with_unit_row(["e", "u", "w"])
-    mult[("u", "u")] = {"w": 1}
-    mult[("u", "w")] = {}
-    mult[("w", "u")] = {}
-    mult[("w", "w")] = {}
-    return one_object_algebra(
-        field, {"e": 0, "u": 1, "w": 2}, mult, curvature={"w": 1}
+    return category_by_names(
+        field, {"e": 0, "u": 1, "w": 2}, {("u", "u"): {"w": 1}},
+        curvature={"w": 1},
     )
 
 
@@ -158,11 +177,7 @@ def contractible_endo(field: Field) -> DgCategory:
     line, so the bar construction picks up weight-one curvature; Leibniz
     still closes because e.y - y.e cancels.
     """
-    mult = _with_unit_row(["e", "y"])
-    mult[("y", "y")] = {}
-    return one_object_algebra(
-        field, {"e": 0, "y": -1}, mult, diff={"y": {"e": 1}}
-    )
+    return category_by_names(field, {"e": 0, "y": -1}, diff={"y": {"e": 1}})
 
 
 def odd_truncated_polynomial(field: Field) -> DgCategory:
@@ -173,17 +188,17 @@ def odd_truncated_polynomial(field: Field) -> DgCategory:
     exactly the regime where bar-differential sign conventions diverge;
     this sample exists to keep that regime covered.
     """
-    mult = _with_unit_row(["e", "a", "a2", "a3", "a4"])
-    mult[("a", "a")] = {"a2": 1}
-    mult[("a", "a2")] = {"a3": 1}
-    mult[("a2", "a")] = {"a3": 1}
-    mult[("a", "a3")] = {"a4": 1}
-    mult[("a3", "a")] = {"a4": 1}
-    mult[("a2", "a2")] = {"a4": 1}
-    return one_object_algebra(
+    return category_by_names(
         field,
         {"e": 0, "a": 1, "a2": 2, "a3": 3, "a4": 4},
-        mult,
+        {
+            ("a", "a"): {"a2": 1},
+            ("a", "a2"): {"a3": 1},
+            ("a2", "a"): {"a3": 1},
+            ("a", "a3"): {"a4": 1},
+            ("a3", "a"): {"a4": 1},
+            ("a2", "a2"): {"a4": 1},
+        },
         diff={"a": {"a2": 1}, "a3": {"a4": 1}},
     )
 
@@ -197,13 +212,10 @@ def odd_pair_differential(field: Field) -> DgCategory:
     the two-letter word (x|y).  Uniform-parity samples can never see
     this (a global weight-parity twist absorbs the difference).
     """
-    mult = _with_unit_row(["e", "x", "y", "p", "m", "t"])
-    mult[("y", "x")] = {"m": 1}
-    mult[("y", "p")] = {"t": 1}
-    return one_object_algebra(
+    return category_by_names(
         field,
         {"e": 0, "x": 1, "y": 1, "p": 2, "m": 2, "t": 3},
-        mult,
+        {("y", "x"): {"m": 1}, ("y", "p"): {"t": 1}},
         diff={"x": {"p": 1}, "m": {"t": -1}},
     )
 
@@ -216,75 +228,37 @@ def contractible_pair(field: Field) -> DgCategory:
     Leibniz forces d(w) = -z and y.z = -w.  Exercises the weight-one
     curvature of the bar construction against actual merge terms.
     """
-    mult = _with_unit_row(["e", "y", "z", "w"])
-    mult[("z", "y")] = {"w": 1}
-    mult[("y", "z")] = {"w": -1}
-    mult[("y", "y")] = {}
-    return one_object_algebra(
+    return category_by_names(
         field,
         {"e": 0, "y": -1, "z": -1, "w": -2},
-        mult,
+        {("z", "y"): {"w": 1}, ("y", "z"): {"w": -1}},
         diff={"y": {"e": 1}, "w": {"z": -1}},
     )
 
 
 def polynomial_differential(field: Field) -> DgCategory:
-    """k[x]/(x^3), |x| = 1 odd case is dull; this is the d(x)=x^2 exterior
-    variant: basis e, x (deg 0), y (deg 1) with x.y = y.x = 0, x.x = 0,
-    y.y = 0 and d(x) = y.  Leibniz forces d(x.x) = dx.x + x.dx = y.x + x.y
-    = 0, consistent with x.x = 0."""
-    mult = _with_unit_row(["e", "x", "y"])
-    for pair in [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]:
-        mult[pair] = {}
-    return one_object_algebra(
-        field, {"e": 0, "x": 0, "y": 1}, mult, diff={"x": {"y": 1}}
-    )
+    """The square-zero algebra on x (deg 0) and y (deg 1) with d(x) = y:
+    basis e, x, y, every product of x and y zero.  Leibniz holds on
+    x.x = 0 because d(x.x) = y.x + x.y = 0."""
+    return category_by_names(
+        field, {"e": 0, "x": 0, "y": 1}, diff={"x": {"y": 1}})
 
 
 # ---------------------------------------------------------------------------
 # stock coalgebras
 
 
-def _one_object_coalgebra(field, basis, comult=None, diff=None, curv=None):
-    """Coalgebra on a single point with named reduced basis.
-
-    basis: name -> degree; comult entries are name -> {(name, name): coeff};
-    diff: name -> {name: coeff}; curv: name -> coeff.
-    """
-    from .coalgebra import PointedCoalgebra
-
-    ob = "*"
-    slots = {}
-    for name, deg in basis.items():
-        slots.setdefault((ob, ob, deg), []).append(name)
-    quiver = GradedQuiver((ob,), {k: tuple(v) for k, v in slots.items()})
-
-    def key(name):
-        return (ob, ob, basis[name], name)
-
-    cm = {}
-    for name, pairs in (comult or {}).items():
-        cm[key(name)] = {
-            (key(a), key(b)): field.coerce(c) for (a, b), c in pairs.items()
-        }
-    df = {}
-    for name, img in (diff or {}).items():
-        df[key(name)] = {key(n): field.coerce(c) for n, c in img.items()}
-    cv = {key(n): field.coerce(c) for n, c in (curv or {}).items()}
-    return PointedCoalgebra(field, (ob,), quiver, cm, diff=df, curv=cv)
-
-
-def w_coalgebra(field: Field):
+def w_coalgebra(field: Field) -> PointedCoalgebra:
     """Single primitive w in degree -2 with h(w) = 1; the smallest
     genuinely curved coalgebra."""
-    return _one_object_coalgebra(field, {"w": -2}, curv={"w": 1})
+    return coalgebra_by_names(field, {"w": -2}, curv={"w": 1})
 
 
-def curved_chain(field: Field):
+def curved_chain(field: Field) -> PointedCoalgebra:
     """c (-3) -> e (-2) -> u (-1) under d, with rDelta(c) = u (x) w and
     h(w) = 1: here d^2(c) = -u comes entirely from the curvature
     coaction (h applied to the right cofactor, with its sign)."""
-    return _one_object_coalgebra(
+    return coalgebra_by_names(
         field,
         {"c": -3, "e": -2, "u": -1, "w": -2},
         comult={"c": {("u", "w"): 1}},
@@ -293,10 +267,10 @@ def curved_chain(field: Field):
     )
 
 
-def curved_chain_flipped(field: Field):
+def curved_chain_flipped(field: Field) -> PointedCoalgebra:
     """Mirror of curved_chain: rDelta(c) = w (x) u, so d^2(c) = +u via
     the left-cofactor curvature term."""
-    return _one_object_coalgebra(
+    return coalgebra_by_names(
         field,
         {"c": -3, "e": -2, "u": -1, "w": -2},
         comult={"c": {("w", "u"): 1}},
@@ -305,42 +279,35 @@ def curved_chain_flipped(field: Field):
     )
 
 
-def dag_coalgebra(field: Field):
+def dag_coalgebra(field: Field) -> PointedCoalgebra:
     """Three points x -> y -> z with m splitting as a (x) b; its cobar
     is finite."""
-    from .coalgebra import PointedCoalgebra
-
-    quiver = GradedQuiver(
-        ("x", "y", "z"),
-        {("x", "y", 0): ("a",), ("y", "z", 0): ("b",), ("x", "z", 0): ("m",)},
-    )
-    a, b, m = ("x", "y", 0, "a"), ("y", "z", 0, "b"), ("x", "z", 0, "m")
-    return PointedCoalgebra(
-        field, ("x", "y", "z"), quiver, {m: {(a, b): field.one}}
+    return coalgebra_by_names(
+        field,
+        {"a": ("x", "y", 0), "b": ("y", "z", 0), "m": ("x", "z", 0)},
+        comult={"m": {("a", "b"): 1}},
     )
 
 
-def primitive_pair(field: Field):
+def primitive_pair(field: Field) -> PointedCoalgebra:
     """Two primitives s -> t under d; no comultiplication at all."""
-    return _one_object_coalgebra(
-        field, {"s": 1, "t": 2}, diff={"s": {"t": 1}}
-    )
+    return coalgebra_by_names(field, {"s": 1, "t": 2}, diff={"s": {"t": 1}})
 
 
-def neg_primitive(field: Field):
+def neg_primitive(field: Field) -> PointedCoalgebra:
     """Single primitive u in degree -1, nothing else: its cobar is the
     polynomial algebra on one degree-0 endomorphism with d = 0."""
-    return _one_object_coalgebra(field, {"u": -1})
+    return coalgebra_by_names(field, {"u": -1})
 
 
-def cancel_coalgebra(field: Field):
+def cancel_coalgebra(field: Field) -> PointedCoalgebra:
     """T^c(v)/words>2 written in the basis u1 = v + vv, u2 = vv: both
     basis elements comultiply to w (x) w with w = u1 - u2, so the factor
     graph has cycles while the coalgebra is conilpotent -- only the
     coradical filtration certifies it."""
     ww = {("u1", "u1"): 1, ("u1", "u2"): -1, ("u2", "u1"): -1, ("u2", "u2"): 1}
-    return _one_object_coalgebra(
-        field, {"u1": 0, "u2": 0}, comult={"u1": dict(ww), "u2": dict(ww)}
+    return coalgebra_by_names(
+        field, {"u1": 0, "u2": 0}, comult={"u1": ww, "u2": ww}
     )
 
 

@@ -31,7 +31,6 @@ from koszulcat.randgen import (random_coalgebra, random_dg_category,
 from koszulcat.samples import (
     CATEGORY_LIBRARY,
     COALGEBRA_LIBRARY,
-    _one_object_coalgebra,
     a2_category,
     contractible_endo,
     dual_numbers,

@@ -30,8 +30,8 @@ from koszulcat.randgen import random_coalgebra
 from koszulcat.samples import (
     CATEGORY_LIBRARY,
     COALGEBRA_LIBRARY,
-    _one_object_coalgebra,
     cancel_coalgebra,
+    coalgebra_by_names,
     curved_chain,
     dag_coalgebra,
     primitive_pair,
@@ -70,7 +70,7 @@ def test_curvature_coaction_sign(field):
     # flipping the differential sign on e must break validation: d^2(c)
     # = -u is forced by rDelta(c) = u (x) w, h(w) = 1 (right cofactor,
     # minus sign)
-    bad = _one_object_coalgebra(
+    bad = coalgebra_by_names(
         field,
         {"c": -3, "e": -2, "u": -1, "w": -2},
         comult={"c": {("u", "w"): 1}},
@@ -83,7 +83,7 @@ def test_curvature_coaction_sign(field):
 
 
 def test_h_after_d_vanishes_checked():
-    bad = _one_object_coalgebra(
+    bad = coalgebra_by_names(
         QQ,
         {"s": -3, "w": -2},
         diff={"s": {"w": 1}},
@@ -93,7 +93,7 @@ def test_h_after_d_vanishes_checked():
 
 
 def test_curvature_support_checked():
-    bad = _one_object_coalgebra(QQ, {"u": -1}, curv={"u": 1})
+    bad = coalgebra_by_names(QQ, {"u": -1}, curv={"u": 1})
     assert any("degree -2" in m for m in bad.validate())
 
 
@@ -101,7 +101,7 @@ def test_curvature_support_checked():
 
 
 def test_validator_catches_noncoassociative():
-    c = _one_object_coalgebra(
+    c = coalgebra_by_names(
         QQ,
         {"m": 0, "a": 0},
         comult={"m": {("a", "m"): 1}},  # (D(x)1)D(m) = 0 but (1(x)D)D(m) != 0
@@ -113,12 +113,12 @@ def test_validator_catches_noncoassociative():
 def test_validator_catches_grouplike_in_reduced():
     # rDelta(g) = g (x) g is the classic grouplike hiding in the
     # "reduced" part; conilpotence rejects it
-    c = _one_object_coalgebra(QQ, {"g": 0}, comult={"g": {("g", "g"): 1}})
+    c = coalgebra_by_names(QQ, {"g": 0}, comult={"g": {("g", "g"): 1}})
     assert any("conilpotent" in m for m in c.validate())
 
 
 def test_validator_catches_co_leibniz():
-    c = _one_object_coalgebra(
+    c = coalgebra_by_names(
         QQ,
         {"m": 0, "a": 0, "b": 1},
         comult={"m": {("a", "a"): 1}},
@@ -128,7 +128,7 @@ def test_validator_catches_co_leibniz():
 
 
 def test_validator_catches_degree_drift():
-    c = _one_object_coalgebra(
+    c = coalgebra_by_names(
         QQ, {"m": 0, "a": 1}, comult={"m": {("a", "a"): 1}}
     )
     assert any("degree" in m for m in c.validate())
@@ -204,7 +204,7 @@ def test_filtration_certifies_cancel_coalgebra():
 
 
 def test_filtration_detects_grouplike():
-    c = _one_object_coalgebra(QQ, {"g": 0}, comult={"g": {("g", "g"): 1}})
+    c = coalgebra_by_names(QQ, {"g": 0}, comult={"g": {("g", "g"): 1}})
     stages = c.coradical_filtration()
     assert sum(len(s) for s in stages) == 0
 
@@ -213,7 +213,7 @@ def test_filtration_detects_grouplike():
 def test_filtration_stalls_after_one_stage(field):
     # p is primitive, g a grouplike hiding in the reduced part: F_1 =
     # span(p) and F_2 = F_1, so the filtration stalls short of C
-    c = _one_object_coalgebra(field, {"p": 0, "g": 0},
+    c = coalgebra_by_names(field, {"p": 0, "g": 0},
                               comult={"g": {("g", "g"): 1}})
     assert [len(s) for s in c.coradical_filtration()] == [1]
     assert not c._conilpotent()
@@ -377,7 +377,7 @@ def test_associated_graded_drops_lower_weight_terms(field):
     # T^c(v) up to vvv in the basis v, vv, x = vvv + vv: rDelta(x) has the
     # weight-2 part v (x) vv + vv (x) v and the weight-1 part v (x) v,
     # which gr drops
-    c = _one_object_coalgebra(
+    c = coalgebra_by_names(
         field, {"v": 0, "vv": 0, "x": 0},
         comult={"vv": {("v", "v"): 1},
                 "x": {("v", "vv"): 1, ("vv", "v"): 1, ("v", "v"): 1}})
@@ -429,7 +429,7 @@ def test_tensor_comult_koszul_sign():
     # two odd primitives s (deg 1): in C (x) C', rDelta(s (x) s') =
     # -(s (x) g)((x))(g (x) s') + (g (x) s')((x))(s (x) g) pattern with the
     # sign on the term where s' passes s
-    c = _one_object_coalgebra(QQ, {"s": 1})
+    c = coalgebra_by_names(QQ, {"s": 1})
     t = tensor_coalgebras(c, c)
     (bk,) = [k for k in t.reduced.keys() if k[2] == 2]
     pairs = t.comult[bk]
@@ -481,7 +481,7 @@ def test_projection_fails_comultiplicativity():
 def test_twisted_morphism_to_point():
     # C = primitive s in degree -1 with d(s) = 0, target = point; a
     # twist a(s) = 1 must satisfy h-compat: 0 = 0 + a(ds) - a(s')a(s'')
-    c = _one_object_coalgebra(QQ, {"s": -1})
+    c = coalgebra_by_names(QQ, {"s": -1})
     pt = point_coalgebra(QQ, name="p")
     m = CoalgebraMorphism(
         c, pt, {"*": "p"}, {}, twist={("*", "*", -1, "s"): QQ.one}
@@ -490,7 +490,7 @@ def test_twisted_morphism_to_point():
 
 
 def test_twist_support_rules():
-    c = _one_object_coalgebra(QQ, {"s": 0})
+    c = coalgebra_by_names(QQ, {"s": 0})
     pt = point_coalgebra(QQ, name="p")
     m = CoalgebraMorphism(
         c, pt, {"*": "p"}, {}, twist={("*", "*", 0, "s"): QQ.one}
@@ -512,7 +512,7 @@ def test_twisted_morphism_with_quadratic_term():
     # source: u (deg -1), m (deg -2) with rDelta(m) = u (x) u; target:
     # point.  A twist a(u) = t needs h-compat on m: 0 = h_C(m) + a(dm)
     # + a(u)a(u) = t^2, so only t = 0 validates; over GF(2) t = 0 too.
-    c = _one_object_coalgebra(
+    c = coalgebra_by_names(
         QQ,
         {"u": -1, "m": -2},
         comult={"m": {("u", "u"): 1}},
@@ -529,7 +529,7 @@ def test_twisted_morphism_with_quadratic_term():
 def test_composition_of_twisted_morphisms_valid():
     # compose (inclusion with twist) after identity keeps validity and
     # twists add along the composition rule
-    c = _one_object_coalgebra(QQ, {"s": -1})
+    c = coalgebra_by_names(QQ, {"s": -1})
     pt = point_coalgebra(QQ, name="p")
     m = CoalgebraMorphism(
         c, pt, {"*": "p"}, {}, twist={("*", "*", -1, "s"): QQ.one}

@@ -26,7 +26,7 @@ from koszulcat.convmc import (convolution_category, mc_category,
                               mc_from_morphism)
 from koszulcat.field import GF, QQ, _compose, vec_addmul
 from koszulcat.samples import (CATEGORY_LIBRARY, COALGEBRA_LIBRARY,
-                               _with_unit_row, one_object_algebra)
+                               category_by_names)
 from test_convmc import _PAIRS
 
 F3 = GF(3)
@@ -283,9 +283,7 @@ def test_bar_mc_category_calls_comp_vec_once_per_entry():
     A = k<x,y>/(x^2, y^2, yx) at its universal twisting cochain: the scan
     made 484^2 = 234,256 comp_vec calls for 4,376 entries."""
     names = ["e", "x", "y", "xy"]
-    mult = _with_unit_row(names)
-    mult[("x", "y")] = {"xy": 1}
-    a = one_object_algebra(F3, {n: 0 for n in names}, mult)
+    a = category_by_names(F3, {n: 0 for n in names}, {("x", "y"): {"xy": 1}})
     sp = Splitting(a)
     bar = bar_construction(a, 4, splitting=sp)
     m = mc_from_morphism(identity_morphism(bar), sp)

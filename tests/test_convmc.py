@@ -22,6 +22,7 @@ from koszulcat.barcobar import Splitting, bar_construction, cobar_construction
 from koszulcat.coalgebra import (
     FinalCoalgebra,
     PointedCoalgebra,
+    associated_graded,
     cotensor_coalgebra,
     point_coalgebra,
     tensor_coalgebras,
@@ -911,12 +912,11 @@ def test_window_homology_agrees(cname, pname):
 
 
 def test_comparison_graded_mode_for_curved_pair():
-    with pytest.raises(ValueError):
-        ez_compare(COALGEBRA_LIBRARY["w"](F2), COALGEBRA_LIBRARY["w"](F2),
-                   (-3, 0))
-    r = ez_compare(COALGEBRA_LIBRARY["w"](F2), COALGEBRA_LIBRARY["w"](F2),
-                   (-3, 0), mode="graded")
-    assert r.mode == "graded" and r.equal
+    w = COALGEBRA_LIBRARY["w"](F2)
+    with pytest.raises(ValueError, match="pass the associated graded"):
+        ez_compare(w, w, (-3, 0))
+    gw = associated_graded(w)
+    assert ez_compare(gw, gw, (-3, 0)).equal
 
 
 # graded reports (cap, window homology per object pair of C) pinned from the
@@ -944,13 +944,14 @@ EZ_GRADED = {
 @pytest.mark.parametrize("cname,pname,window", sorted(EZ_GRADED))
 def test_graded_comparison_reports_pinned(field, cname, pname, window):
     c = COALGEBRA_LIBRARY[cname](field)
-    r = ez_compare(c, COALGEBRA_LIBRARY[pname](field), window, mode="graded")
+    r = ez_compare(associated_graded(c),
+                   associated_graded(COALGEBRA_LIBRARY[pname](field)), window)
     cap, dims = EZ_GRADED[(cname, pname, window)]
     zero = (0,) * (window[1] - window[0] + 1)
     want = [((x, "*"), (y, "*"), dims.get((x, y), zero),
              dims.get((x, y), zero), True)
             for x in c.objects for y in c.objects]
-    assert (r.mode, r.window, r.cap, r.equal) == ("graded", window, cap, True)
+    assert (r.window, r.cap, r.equal) == (window, cap, True)
     assert r.pairs == want
 
 
@@ -959,11 +960,8 @@ def test_comparison_refuses_uncertifiable_windows():
         ez_compare(COALGEBRA_LIBRARY["neg_primitive"](F2),
                    point_coalgebra(F2), (-2, 0))
     with pytest.raises(ValueError):
-        ez_compare(COALGEBRA_LIBRARY["dag"](F2), COALGEBRA_LIBRARY["w"](F2),
-                   (-1, 1), mode="graded")
-    with pytest.raises(ValueError):
-        ez_compare(COALGEBRA_LIBRARY["dag"](F2), COALGEBRA_LIBRARY["dag"](F2),
-                   (-1, 1), mode="sideways")
+        ez_compare(associated_graded(COALGEBRA_LIBRARY["dag"](F2)),
+                   associated_graded(COALGEBRA_LIBRARY["w"](F2)), (-1, 1))
 
 
 # -- hom-tensor interchange -------------------------------------------------
@@ -1001,13 +999,33 @@ def test_interchange_reduced_outer(cname, pname, dname, field):
                                 reduced_outer=True) == []
 
 
+def without(t, objects, gone):
+    """``t`` on ``objects`` with the reduced keys ``gone`` and every table
+    term on them dropped."""
+    slots = {}
+    for k in t.reduced.keys():
+        if k not in gone:
+            slots.setdefault(k[:3], []).append(k[3])
+    comult = {k: {p: c for p, c in v.items() if not gone & set(p)}
+              for k, v in t.comult.items() if k not in gone}
+    diff = {k: {j: c for j, c in v.items() if j not in gone}
+            for k, v in t.diff.items() if k not in gone}
+    curv = {k: c for k, c in t.curv.items() if k not in gone}
+    return PointedCoalgebra(t.field, objects, GradedQuiver(objects, slots),
+                            comult, diff=diff, curv=curv)
+
+
 @pytest.mark.parametrize("table,message", [
     ("comult", "products differ at "),
     ("diff", "differentials differ at "),
+    ("key", "hom bases differ at "),
+    ("object", "object maps do not correspond"),
 ])
 def test_interchange_sees_a_broken_tensor(monkeypatch, table, message):
     # one coefficient of the tensor's rDelta or d negated: the left side's
-    # products or differentials no longer match the curried right side
+    # products or differentials no longer match the curried right side; a
+    # reduced key dropped: its hom bases lose rows; an object and its keys
+    # dropped: its object maps lose a coordinate
     c, cp = COALGEBRA_LIBRARY["dag"](F3), COALGEBRA_LIBRARY["primitive_pair"](F3)
     d = CATEGORY_LIBRARY["a2"](F3)
     assert interchange_problems(c, cp, d) == []
@@ -1015,6 +1033,12 @@ def test_interchange_sees_a_broken_tensor(monkeypatch, table, message):
 
     def broken(a, b):
         t = real(a, b)
+        if table == "key":
+            return without(t, t.objects, {min(t.reduced.keys(), key=repr)})
+        if table == "object":
+            x = t.objects[-1]
+            return without(t, t.objects[:-1],
+                           {k for k in t.reduced.keys() if x in k[:2]})
         entry = min(getattr(t, table).items(), key=lambda kv: repr(kv[0]))[1]
         k = min(entry, key=repr)
         entry[k] = F3.neg(entry[k])

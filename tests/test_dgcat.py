@@ -28,12 +28,12 @@ from koszulcat.randgen import random_dg_category
 from koszulcat.samples import (
     CATEGORY_LIBRARY,
     a2_category,
+    category_by_names,
     contractible_arrow,
     curved_nilpotent,
     dual_numbers,
     exterior_line,
     k_category,
-    one_object_algebra,
     polynomial_differential,
     truncated_polynomial,
 )
@@ -87,7 +87,7 @@ def test_validator_catches_broken_associativity():
     mult[("u", "w")] = {"u": 1}
     mult[("w", "u")] = {}
     mult[("w", "w")] = {}
-    c = one_object_algebra(F, {"e": 0, "u": 0, "w": 0}, mult)
+    c = category_by_names(F, {"e": 0, "u": 0, "w": 0}, mult)
     assert any("associativity" in m for m in c.validate())
 
 

@@ -7,7 +7,10 @@ it never uses, and none compares anything with ``max_problems``: a
 validator yields its problems and ``validate`` cuts the stream once, by
 ``itertools.islice``.  The propagation solver ``convmc._solve`` has one
 caller, ``convmc._mc_solve``: every hom-set search solves the one
-Maurer-Cartan equation system.  Only ``matrix`` calls the elimination
+Maurer-Cartan equation system.  In ``samples``, only the builders by
+names (``named_keys``, ``category_by_names``, ``coalgebra_by_names``)
+call ``GradedQuiver``, ``DgCategory`` or ``PointedCoalgebra``: every
+stock instance is built by names.  Only ``matrix`` calls the elimination
 ``matrix._eliminate``, and no other module calls ``.rref(``: library
 callers hand their rows to ``matrix``'s private helpers instead of
 building a ``SparseMatrix``.
@@ -116,8 +119,9 @@ def test_no_hand_written_cut(path):
     assert cap_comparisons(path.read_text()) == []
 
 
-def solve_callers(source: str):
-    """(enclosing function, line) of each call of ``_solve``."""
+def callers(source: str, names):
+    """(enclosing function, line) of each call of a bare name in
+    ``names``."""
     out = []
 
     def visit(node, where):
@@ -127,7 +131,7 @@ def solve_callers(source: str):
                 continue
             if (isinstance(child, ast.Call)
                     and isinstance(child.func, ast.Name)
-                    and child.func.id == "_solve"):
+                    and child.func.id in names):
                 out.append((where, child.lineno))
             visit(child, where)
 
@@ -136,21 +140,40 @@ def solve_callers(source: str):
 
 
 def test_solve_callers_are_caught():
-    assert solve_callers(
+    assert callers(
         "def _mc_solve(c):\n"
         "    def inner():\n"
         "        return _solve(c)\n"
         "    return _solve(c), inner\n"
         "x = _solve(1)\n"
         "def search(c):\n"
-        "    return other._solve(c), _solve_all(c)\n"
-        ) == [("inner", 3), ("_mc_solve", 4), (None, 5)]
+        "    return other._solve(c), _solve_all(c)\n",
+        {"_solve"}) == [("inner", 3), ("_mc_solve", 4), (None, 5)]
 
 
 def test_one_caller_of_the_solver():
-    callers = [(path.name,) + call for path in sorted(SRC.glob("*.py"))
-               for call in solve_callers(path.read_text())]
-    assert [c[:2] for c in callers] == [("convmc.py", "_mc_solve")]
+    calls = [(path.name,) + call for path in sorted(SRC.glob("*.py"))
+             for call in callers(path.read_text(), {"_solve"})]
+    assert [c[:2] for c in calls] == [("convmc.py", "_mc_solve")]
+
+
+STRUCTURES = {"GradedQuiver", "DgCategory", "PointedCoalgebra"}
+BUILDERS = {"named_keys", "category_by_names", "coalgebra_by_names"}
+
+
+def test_structure_constructors_are_caught():
+    assert callers(
+        "def named_keys(arrows):\n"
+        "    return GradedQuiver(objects, slots)\n"
+        "def a2_category(field):\n"
+        "    return DgCategory(field, q, {}, {}), build(field)\n"
+        "c = PointedCoalgebra(F, (), q, {})\n",
+        STRUCTURES) == [("named_keys", 2), ("a2_category", 4), (None, 5)]
+
+
+def test_samples_are_built_by_names():
+    calls = callers((SRC / "samples.py").read_text(), STRUCTURES)
+    assert calls and {where for where, _ in calls} <= BUILDERS
 
 
 def elimination_calls(source: str):
