@@ -6,8 +6,9 @@ The layers, bottom up:
   elimination, bounded cochain complexes.
 - ``quiver``: graded quivers with named basis arrows and their tensor.
   It also owns the vocabulary every later layer shares: tensor keys
-  (``pair_key``, ``lkey``, ``rkey``), the one word lister of bar, cotensor,
-  cobar and free categories, object maps and the directed-cycle check.
+  (``pair_key``, ``lkey``, ``rkey``), the ranked words of bar and cotensor
+  coalgebras, the word lister of cobar and free categories, object maps
+  and the directed-cycle check.
 - ``dgcat``: dg / curved categories as finite structure tables, validation,
   free categories, tensor, opposite, hom homology.
 - ``coalgebra``: pointed curved coalgebras, morphisms, tensor, cofree.

@@ -16,19 +16,18 @@ unit and a reduced part, so a test corpus needs such samples on purpose.
 The differential never raises weight, so a weight cap always yields an
 honest subcoalgebra and materialization is exact per weight.
 
-Words come from the integer word trie ``quiver.WordTrie``, the one word
-lister of bar, cotensor, cobar and free categories; with no weight cap,
-h.a is ``first[h] + rank[a]``.  rDelta is not stored: the coalgebra
-keeps the listed words (``quiver.Words``, without the lists only
-listing reads), which read a word's splits (its ancestors against its
-tail chain) key by key.
+Words are ranked, not listed (``quiver.Words``): a word's id is
+counted, its key built on its first read, h.a is ``first[h] + rank[a]``,
+and the bar's quiver counts its slot dimensions (``quiver.WordQuiver``),
+so building a bar lists no word.  rDelta is not stored: the coalgebra
+keeps the words, which read a word's splits key by key.
 d is derived on read (``quiver.WordMap``): a row is computed on word
-ids when first read and kept, so building the bar hashes no word key
-and a row no reader asks for is never computed.  ``d`` names one row by
-word keys, ``diff`` every row.  d of each letter and the merge of each
-two-letter word are split once, with the curvature they alone carry,
-and row w'.a is read off the row of its parent w', whose id is smaller
-(so a row read computes at most one row per letter of its word):
+ids when first read and kept, so a row no reader asks for is never
+computed.  ``d`` names one row by word keys, ``diff`` every row.  d of
+each letter and the merge of each two-letter word are split once, with
+the curvature they alone carry, and row w'.a is read off the row of its
+parent w', whose id is smaller (so a row read computes at most one row
+per letter of its word):
 
     d(w'.a) = d(w').a + (merge of w'[-1], a) + (d a at the last position)
 
@@ -37,8 +36,9 @@ only the letters left of position i, and appending a changes none.
 
 cobar(C) is the path category (``dgcat._path_category``) on the reduced
 arrows of C shifted up one degree, each letter named by its reduced key.
-Its words come from the same trie, which extends a word only by the
-letters that fit its remaining length and weight budget.
+Its words are listed on the word trie ``quiver.WordTrie``, which
+extends a word only by the letters that fit its remaining length and
+weight budget.
 On a single letter
 
     d(c) = (-1)^{|c|+1} (internal d of c)
@@ -76,7 +76,7 @@ from .coalgebra import FinalCoalgebra, PointedCoalgebra, zero_coalgebra
 from .dgcat import DgCategory, _path_category, empty_category, zero_category
 from .field import Vec, _normalize, vec_bump
 from .matrix import _coordinates
-from .quiver import Key, WordMap, WordTrie
+from .quiver import Key, WordMap, WordQuiver, Words
 
 
 class Splitting:
@@ -204,10 +204,10 @@ def bar_construction(
 
     sp = splitting if splitting is not None else Splitting(cat)
     letters = sp.letters
-    trie = WordTrie(cat.quiver.objects,
-                    [(k[0], k[1], k[2] - 1, k) for k in letters], weight_cap)
-    keys, first, out, rank, parent = (trie.keys, trie.first, trie.out,
-                                      trie.rank, trie.parent)
+    words = Words(cat.quiver.objects,
+                  [(k[0], k[1], k[2] - 1, k) for k in letters], weight_cap)
+    keys, first, out, rank, parent = (words.keys, words.first, words.out,
+                                      words.rank, words.parent)
     ids = {k: i for i, k in enumerate(letters)}
 
     def split(v: Vec):  # units, and the letter part as (id, rank, coefficient)
@@ -217,8 +217,8 @@ def bar_construction(
     d_split = [split(cat.apply_d(sp.letter_vec(k))) for k in letters]
     merge_split = {f + r: split(cat.compose(sp.letter_vec(letters[a]),  # b.a
                                              sp.letter_vec(letters[b])))
-                   for b, f in enumerate(first[:len(letters)])
-                   for r, a in enumerate(out[letters[b][1]])}
+                   for b, f in enumerate(islice(first, len(letters)))
+                   if f >= 0 for r, a in enumerate(out[letters[b][1]])}
     # curvature: units of d on letters, minus units of merges on pairs
     curv = {keys[a]: units[letters[a][0]]
             for a, (units, _) in enumerate(d_split[:len(keys)]) if units}
@@ -231,7 +231,8 @@ def bar_construction(
         h = parent[w]
         if h < 0:  # -(d a), kappa = 0
             return {i: F.neg(c) for i, _, c in d_split[w][1]}
-        f, r = first[h], w - first[h]
+        f = first[h]
+        r = w - f
         _, y, kappa, _ = keys[h]  # kappa: shifted degree of h
         a = out[y][r]
         p = parent[h]
@@ -251,8 +252,7 @@ def bar_construction(
             vec_bump(F, dvec, f + ri, F.mul(sgn, c))
         return dvec
 
-    words = trie.words()
-    bar = PointedCoalgebra(F, cat.quiver.objects, trie.quiver, words,
+    bar = PointedCoalgebra(F, cat.quiver.objects, WordQuiver(words), words,
                            WordMap(words, rule), curv)
     bar.splitting = sp
     return bar

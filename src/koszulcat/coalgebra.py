@@ -53,7 +53,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from .field import (Field, Vec, _apply, _evaluate, _normalize, _on_leg,
                     _same_field, vec_bump)
 from .matrix import _coordinates, _rref_rows, _solution_space
-from .quiver import (GradedQuiver, Key, WordMap, Words, WordTrie,
+from .quiver import (GradedQuiver, Key, WordMap, WordQuiver, Words,
                      _image_problems, _object_map_problems, has_cycle, lkey,
                      pair_key, rkey)
 
@@ -444,20 +444,20 @@ def cotensor_coalgebra(
     """Deconcatenation coalgebra on composable generator words.
 
     Words are composable paths of generators, named by their tuples of
-    generator names (``quiver.WordTrie``); rDelta splits a word at
-    interior positions, and is read key by key off the listed ``Words``,
-    not stored.
+    generator names, and ranked, not listed (``quiver.Words``, with the
+    counted ``quiver.WordQuiver``); rDelta splits a word at interior
+    positions, and is read key by key off the words, not stored.
     With a weight cap the span of words of length <= max_weight is a
     subcoalgebra, so the cap loses nothing structurally.  Without a cap
     the generator graph must be acyclic (else the word basis is infinite),
-    and generator names must be globally unique; the trie refuses both.
+    and generator names must be globally unique; ``Words`` refuses both.
     """
     if max_weight is not None and max_weight < 0:
         raise ValueError(f"max_weight={max_weight} is negative; "
                          "pass max_weight=0 or more")
-    trie = WordTrie(generators.objects, list(generators.keys()), max_weight)
-    return PointedCoalgebra(field, generators.objects, trie.quiver,
-                            trie.words())
+    words = Words(generators.objects, list(generators.keys()), max_weight)
+    return PointedCoalgebra(field, generators.objects, WordQuiver(words),
+                            words)
 
 
 # ---------------------------------------------------------------------------

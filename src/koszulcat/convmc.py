@@ -971,10 +971,11 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
     F, d = c.field, sp.cat
     minus = F.coerce(-1)
     slots: Dict[Tuple[object, object, int], List[Tuple[Key, Vec]]] = {}
-    for wk in bar_coa.reduced.keys():
-        if len(wk[3]) == 1:
-            slots.setdefault(wk[:3], []).append(
-                (wk[3][0], vec_scale(F, minus, sp.letter_vec(wk[3][0]))))
+    # the one-letter words (x, y, n - 1, (k,)): a bar with any word has
+    # every letter k of its splitting as one
+    for k in sp.letters if bar_coa.reduced.total_dim() else ():
+        slots.setdefault((k[0], k[1], k[2] - 1), []).append(
+            (k, vec_scale(F, minus, sp.letter_vec(k))))
     chains = _deconcat_chains(c, weight_cap)
     rows = list(c.reduced.keys())
     out: List[CoalgebraMorphism] = []

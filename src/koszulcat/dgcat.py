@@ -32,12 +32,12 @@ Koszul sign lives here.  Signs enter in ``tensor_dg`` (interchanging a
 morphism past a morphism) and ``opposite`` (reversal).
 
 Path categories have one builder, ``_path_category``: the words of a
-``quiver.WordTrie`` (the lister of bar and cotensor words too),
-composition by the transpose of their deconcatenation (``splits``), and
-the letter differential extended as a derivation, one letter at a time
-(``steps`` and ``ext``).  ``free_category`` calls it on a generator
-quiver and ``barcobar.cobar_construction`` on the shifted reduced part
-of a coalgebra, under its length and weight caps.
+``quiver.WordTrie`` (the one word lister; bar and cotensor words are
+ranked instead), composition by the transpose of their deconcatenation
+(``splits``), and the letter differential extended as a derivation, one
+letter at a time (``steps`` and ``ext``).  ``free_category`` calls it on
+a generator quiver and ``barcobar.cobar_construction`` on the shifted
+reduced part of a coalgebra, under its length and weight caps.
 """
 
 from __future__ import annotations
@@ -469,10 +469,13 @@ def tensor_dg(c: DgCategory, d: DgCategory) -> DgCategory:
     _same_field(c, d, "tensor")
     F = c.field
     quiver = quiver_tensor(c.quiver, d.quiver)
+    dkeys = list(d.quiver.keys())
+    # each pair key built once: pk[k1][k2] is k1 (x) k2
+    pk = {k1: {k2: pair_key(k1, k2) for k2 in dkeys} for k1 in c.quiver.keys()}
 
     def pair_vec(v1: Vec, v2: Vec) -> Vec:
         # distinct key pairs name distinct keys: there is nothing to sum
-        return {pair_key(k1, k2): F.mul(a, b)
+        return {pk[k1][k2]: F.mul(a, b)
                 for k1, a in v1.items() for k2, b in v2.items()}
 
     unit: Dict[object, Vec] = {}
@@ -488,21 +491,21 @@ def tensor_dg(c: DgCategory, d: DgCategory) -> DgCategory:
     comp: Dict[Tuple[Key, Key], Vec] = {}
     dcomp = _stored_products(d)
     for _, _, g1, f1, base in _stored_products(c):
+        g, f = pk[g1], pk[f1]
         for _, _, g2, f2, base2 in dcomp:
             v = pair_vec(base, base2)
-            comp[(pair_key(g1, g2), pair_key(f1, f2))] = (
+            comp[(g[g2], f[f2])] = (
                 vec_neg(F, v) if (g2[2] * f1[2]) % 2 else v)
 
     diff: Dict[Key, Vec] = {}
-    dkeys = list(d.quiver.keys())
-    for k1 in c.quiver.keys():
+    for k1, row1 in pk.items():
         d1 = c.diff.get(k1, {})
         odd = k1[2] % 2
         for k2 in dkeys:
-            row = {pair_key(a, k2): ca for a, ca in d1.items()}
-            row.update({pair_key(k1, b): F.neg(cb) if odd else cb
+            row = {pk[a][k2]: ca for a, ca in d1.items()}
+            row.update({row1[b]: F.neg(cb) if odd else cb
                         for b, cb in d.diff.get(k2, {}).items()})
-            diff[pair_key(k1, k2)] = row
+            diff[row1[k2]] = row
     return DgCategory(F, quiver, unit, comp, diff=diff, curvature=curvature)
 
 

@@ -15,14 +15,18 @@ each:
   ``quiver_tensor`` does, on pairwise objects with degree-tagged names;
   ``lkey(ck, y)`` and ``rkey(x, dk)`` are the pointed-coalgebra keys with
   a grouplike leg ("G", y) on the right or ("G", x) on the left;
-- ``WordTrie``: composable words of letters on an integer trie,
-  shortest first, built only within a length cap and a letter weight
-  budget, with the guards that keep the listing finite.  ``ext`` and
-  ``steps`` walk it letter by letter, and ``splits`` reads a word's
-  deconcatenation off its parent and tail chains.  Once listing is done
-  ``Words`` keeps only those chains, the keys and a key -> id index:
-  bar and cotensor coalgebras hold it as rDelta (``get``, ``table``),
-  and cobar and free categories compose by the transpose of ``splits``;
+- words: composable words of letters, shortest first, with the guards
+  that keep a word basis finite and its keys distinct.  ``Words`` ranks
+  the words within a length cap instead of listing them: a word's id is
+  counted off the number of words of each length from each object, its
+  key is built from its id on the first read, and ``WordQuiver`` is
+  their quiver, its slot dimensions counted.  Bar and cotensor
+  coalgebras hold ``Words`` as rDelta (``get``, ``table``), so a reader
+  of a few words pays for those only.  ``WordTrie`` lists the words on
+  an integer trie, within a length cap and a letter weight budget, for
+  the cobar and free categories, whose readers walk every word: ``ext``
+  and ``steps`` walk it letter by letter, and they compose by the
+  transpose of ``splits``;
 - ``WordMap``: a linear map on words, each row computed by a rule when
   first read, kept on word ids and named by word keys (a bar's d);
 - ``object_maps``: every map of object sets in ``itertools.product``
@@ -39,9 +43,12 @@ each:
 
 from __future__ import annotations
 
-from itertools import product
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import accumulate, islice, product
+from operator import itemgetter
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple)
+                    Optional, Tuple)
 
 Slot = Tuple[object, object, int]  # (src, tgt, degree)
 Key = Tuple[object, object, int, object]  # (src, tgt, degree, name)
@@ -128,44 +135,241 @@ def rkey(x, dk: Key) -> Key:
     return ((x, dk[0]), (x, dk[1]), dk[2], (("G", x), (dk[2], dk[3])))
 
 
-class Words:
-    """Listed words by id, as their readers need them once listing is
-    done: ``keys`` by id, and ``parent[w]`` (w without its last letter)
-    and ``tail[w]`` (w without its first), both -1 for a letter.  A
-    word coalgebra keeps this, not the ``WordTrie`` that listed it.
+class _Column(Sequence):
+    """Item ``i`` of each word's record (``Words._word``), by word id: read
+    off the words' memo, or computed there on the first read.  Iterating
+    walks the words in id order (``Words._walk``); there are no slices."""
 
-    ``splits`` reads a word's deconcatenation off the two chains, and
-    ``get`` and ``table`` read rDelta off them as a table would.  ``id``
-    is the key -> id index, built on its first read.
+    def __init__(self, words: "Words", i: int, n: int):
+        self._got, self._word, self._walk = (words._got, words._word,
+                                             words._walk)
+        self._i, self._n = i, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, w: int):
+        try:
+            return self._got[w][self._i]
+        except KeyError:  # not read yet, or negative
+            if not -self._n <= w < self._n:
+                raise IndexError(w) from None
+            return self._word(w % self._n)[self._i]
+
+    def __iter__(self) -> Iterator:
+        return map(itemgetter(self._i), self._walk())
+
+
+def _splits(parent: Sequence[int], tail: Sequence[int],
+            w: int) -> Iterator[Tuple[int, int]]:
+    """The splits of word w at its interior positions, as (prefix id,
+    suffix id) pairs, shortest prefix first: its ancestors on the
+    ``parent`` chain against its ``tail`` chain."""
+    pre, suf = [], []
+    p, t = parent[w], tail[w]
+    while p >= 0:
+        pre.append(p)
+        suf.append(t)
+        p, t = parent[p], tail[t]
+    return zip(reversed(pre), suf)
+
+
+def _refuse_bad_letters(letters: Sequence[Key], max_len: Optional[int],
+                        out: Mapping[object, Iterable[int]]) -> None:
+    """The guards that keep a word basis finite and its keys distinct:
+    letter names tell letters apart, and without ``max_len`` the letters
+    of ``out`` (object -> ids of the letters leaving it) run round no
+    cycle."""
+    if len({a[3] for a in letters}) != len(letters):
+        raise ValueError("letter names must tell letters apart; "
+                         "rename the repeated ones")
+    if max_len is None and has_cycle(
+            {x: [letters[i][1] for i in o] for x, o in out.items()}):
+        raise ValueError("the letter graph has a directed cycle, so its "
+                         "words never end; set a length or weight cap, "
+                         "or break the cycle")
+
+
+class Words:
+    """The composable words of ``letters`` (src, tgt, degree, name), of at
+    most ``max_len`` letters, ranked, not listed.  Word w is keyed
+    (src, tgt, degree sum, tuple of names), and ids run shortest first,
+    then lexicographically by letter index, as ``WordTrie`` lists them
+    (so letter i is word i).
+
+    Ids are arithmetic (transfer-matrix counting, Stanley, EC1 4.7;
+    ranking and unranking, Nijenhuis-Wilf 1978): with the number of
+    words of r letters from each object counted for every r up to the
+    cap, the words of m letters before w are summed letter by letter,
+    each position adding the words that share w's prefix but take an
+    earlier letter there.  ``id`` ranks a key.  ``keys[w]`` unranks w,
+    building its record once, on its first read: its key, and
+    ``parent[w]`` (w without its last letter), ``tail[w]`` (w without its
+    first), both -1 for a letter, and ``first[h]`` (h.a is
+    ``first[h] + rank[a]`` for a letter a of ``out[y]``, y where h ends;
+    -1 for h at the length cap), each a rank.  Iterating ``keys`` (or the
+    other three) walks the words in id order, growing each record from
+    its parent's as ``WordTrie`` lists them; no other read lists a word.
+
+    ``splits`` reads a word's deconcatenation off its parent and tail
+    chains, and ``get`` and ``table`` read rDelta off them as a table
+    would; ``WordQuiver`` is the words' quiver, counted.  Letter names
+    must tell letters apart, and without ``max_len`` the letters must run
+    round no cycle (then the longest path is the cap).
     """
 
-    def __init__(self, keys: List[Key], parent: List[int], tail: List[int]):
-        self.keys, self.parent, self.tail = keys, parent, tail
-        self._ids: Optional[Dict[Key, int]] = None
+    def __init__(self, objects: Sequence, letters: Sequence[Key],
+                 max_len: Optional[int] = None):
+        self.objects, self.letters = tuple(objects), list(letters)
+        out: Dict[object, List[int]] = {x: [] for x in self.objects}
+        self.rank = []
+        for i, a in enumerate(self.letters):
+            self.rank.append(len(out[a[0]]))
+            out[a[0]].append(i)
+        _refuse_bad_letters(self.letters, max_len, out)
+        self.out = out
+        self._pos = {a[3]: i for i, a in enumerate(self.letters)}
+        tgt = self._tgt = [a[1] for a in self.letters]
+        self._deg, self._name = ([a[i] for a in self.letters] for i in (2, 3))
+        # cum[y][r]: the running count of words of r + 1 letters that
+        # start with each letter of out[y] (y = None: every letter) in turn
+        out[None] = range(len(tgt))
+        self._cum: Dict[object, List[List[int]]] = {y: [] for y in out}
+        self._off = [0, 0]  # _off[m]: the id of the first word of m letters
+        count = dict.fromkeys(self.objects, 1)  # words of r letters from x
+        while max_len is None or len(self._off) <= max_len + 1:
+            after = [count[t] for t in tgt]  # words of r letters after each
+            for y, o in out.items():
+                self._cum[y].append(list(accumulate(
+                    map(after.__getitem__, o), initial=0)))
+            count = {x: self._cum[x][-1][-1] for x in self.objects}
+            if max_len is None and not self._cum[None][-1][-1]:
+                break  # no word of this length, nor any longer
+            self._off.append(self._off[-1] + self._cum[None][-1][-1])
+        del out[None]
+        self.max_len = len(self._off) - 2
+        # what was read: id -> record (``_word``), key -> id, key -> rDelta
+        self._got: Dict[int, Tuple] = {}
+        self._ids: Dict[Key, int] = {}
         self._read: Dict[Key, Dict[Tuple[Key, Key], int]] = {}
+        self._levels: Optional[List[Dict[Slot, int]]] = None
+
+    def __len__(self) -> int:
+        return self._off[-1]
+
+    def _rank(self, seq: Sequence[int], m: Optional[int] = None) -> int:
+        """The id of the word of letters ``seq``; given a longer length
+        ``m``, the id of the first word of m letters that starts with it."""
+        m = len(seq) if m is None else m
+        cum, rank, tgt = self._cum, self.rank, self._tgt
+        y, w = None, self._off[m]
+        for i, a in enumerate(seq):
+            w += cum[y][m - 1 - i][a if y is None else rank[a]]
+            y = tgt[a]
+        return w
+
+    def _word(self, w: int) -> Tuple[Key, int, int, int]:
+        """Word w's record, kept from its first read: its key, and the ids
+        of its parent, its tail and its first extension (-1 for none)."""
+        got = self._got.get(w)
+        if got is None:
+            m = bisect_right(self._off, w) - 1
+            r, y, seq = w - self._off[m], None, []
+            for i in range(m):
+                cum = self._cum[y][m - 1 - i]
+                j = bisect_right(cum, r) - 1
+                r -= cum[j]
+                seq.append(j if y is None else self.out[y][j])
+                y = self._tgt[seq[-1]]
+            key = (self.letters[seq[0]][0], y,
+                   sum(map(self._deg.__getitem__, seq)),
+                   tuple(map(self._name.__getitem__, seq)))
+            rank = self._rank
+            got = self._got[w] = (
+                key, rank(seq[:-1]) if m > 1 else -1,
+                rank(seq[1:]) if m > 1 else -1,
+                rank(seq, m + 1) if m < self.max_len else -1)
+            self._ids[key] = w
+        return got
+
+    @property
+    def keys(self) -> Sequence[Key]:
+        return _Column(self, 0, self._off[-1])
+
+    @property
+    def parent(self) -> Sequence[int]:
+        return _Column(self, 1, self._off[-1])
+
+    @property
+    def tail(self) -> Sequence[int]:
+        return _Column(self, 2, self._off[-1])
+
+    @property
+    def first(self) -> Sequence[int]:
+        return _Column(self, 3, self._off[-1])
 
     def id(self, key: Key) -> Optional[int]:
-        """The id of a word key, or None for a key that is no word."""
-        if self._ids is None:
-            self._ids = {k: w for w, k in enumerate(self.keys)}
-        return self._ids.get(key)
+        """The id of a word key, or None for anything that is no word."""
+        w = self._ids.get(key)
+        if w is not None:
+            return w
+        if not isinstance(key, tuple) or len(key) != 4:
+            return None
+        x, y, n, names = key
+        if not isinstance(names, tuple) or not 0 < len(names) <= self.max_len:
+            return None
+        seq = tuple(map(self._pos.get, names))
+        if None in seq:
+            return None
+        ls = [self.letters[a] for a in seq]
+        if (ls[0][0] != x or ls[-1][1] != y or sum(a[2] for a in ls) != n
+                or any(a[1] != b[0] for a, b in zip(ls, ls[1:]))):
+            return None
+        w = self._ids[key] = self._rank(seq)
+        return w
+
+    def _walk(self) -> Iterator[Tuple]:
+        """Every word's record, in id order: off the memo once it holds
+        them all, else grown (``_grow``)."""
+        got, n = self._got, self._off[-1]
+        if len(got) == n:
+            return map(got.__getitem__, range(n))
+        return self._grow()
+
+    def _grow(self) -> Iterator[Tuple]:
+        """Every word's record, in id order, each kept as it comes: after
+        the letters, the words h.a for each h one letter shorter, in id
+        order, and a in ``out`` order, as ``WordTrie`` lists them; so a
+        reader of every word unranks none."""
+        got, out, rank, letters = self._got, self.out, self.rank, self.letters
+        for m in range(1, self.max_len + 1):
+            w, ext = self._off[m], self._off[m + 1]  # ext: the next first
+            for h in range(self._off[m - 1], w) if m > 1 else (-1,):
+                for a in out[got[h][0][1]] if h >= 0 else range(len(letters)):
+                    rec = got.get(w)
+                    if rec is None:
+                        x, y, n, name = letters[a]
+                        first = ext if m < self.max_len else -1
+                        if h < 0:
+                            rec = ((x, y, n, (name,)), -1, -1, first)
+                        else:  # h's tail t: t.a is t's first + rank[a]
+                            hkey, _, t, _ = got[h]
+                            rec = ((hkey[0], y, hkey[2] + n,
+                                    hkey[3] + (name,)),
+                                   h, a if t < 0 else got[t][3] + rank[a],
+                                   first)
+                        got[w] = rec
+                        self._ids[rec[0]] = w
+                    ext += len(out[rec[0][1]])
+                    w += 1
+                    yield rec
 
     def splits(self, w: int) -> Iterator[Tuple[int, int]]:
-        """The splits of word w at its interior positions, as (prefix id,
-        suffix id) pairs, shortest prefix first: its ancestors on the
-        ``parent`` chain against its ``tail`` chain."""
-        parent, tail = self.parent, self.tail
-        pre, suf = [], []
-        p, t = parent[w], tail[w]
-        while p >= 0:
-            pre.append(p)
-            suf.append(t)
-            p, t = parent[p], tail[t]
-        return zip(reversed(pre), suf)
+        return _splits(self.parent, self.tail, w)
 
     def _pairs(self, w: int) -> Dict[Tuple[Key, Key], int]:
-        keys = self.keys
-        return {(keys[p], keys[t]): 1 for p, t in self.splits(w)}
+        word = self._word
+        return {(word(p)[0], word(t)[0]): 1 for p, t in self.splits(w)}
 
     def get(self, key: Key, default=None):
         """rDelta of a word key as a table reads it: its ``splits`` as key
@@ -176,13 +380,120 @@ class Words:
         if got is None:
             w = self.id(key)
             got = self._read[key] = (
-                {} if w is None or self.parent[w] < 0 else self._pairs(w))
+                {} if w is None or len(key[3]) < 2 else self._pairs(w))
         return got or default
 
     def table(self) -> Dict[Key, Dict[Tuple[Key, Key], int]]:
         """``get`` of every word that has a split, in id order."""
         return {k: self._pairs(w) for w, k in enumerate(self.keys)
-                if self.parent[w] >= 0}
+                if len(k[3]) > 1}
+
+    def _slot_counts(self) -> List[Dict[Slot, int]]:
+        """[r][(x, y, n)]: the number of words of r letters from x to y
+        of degree n (r = 0: the empty word at each object); counted on
+        the first call.  Each level lists its slots in the order their
+        first words come: level 1 takes the letters in letter order, and
+        each later level extends the one before, in its order, by the
+        letters of ``out``, so it meets each slot first at its
+        lexicographically first word."""
+        if self._levels is None:
+            level: Dict[Slot, int] = {}
+            for x, y, n, _ in self.letters:
+                level[(x, y, n)] = level.get((x, y, n), 0) + 1
+            self._levels = [{(x, x, 0): 1 for x in self.objects},
+                            level][:self.max_len + 1]
+            while len(self._levels) <= self.max_len:
+                nxt: Dict[Slot, int] = {}
+                for (x, z, n), c in level.items():
+                    for a in self.out[z]:
+                        _, y, k, _ = self.letters[a]
+                        nxt[(x, y, n + k)] = nxt.get((x, y, n + k), 0) + c
+                self._levels.append(nxt)
+                level = nxt
+        return self._levels
+
+    def _slot_seqs(self, slot: Slot) -> Iterator[Tuple[int, ...]]:
+        """The letters of each word in ``slot``, in id order: shortest
+        first, each length walked letter by letter, a letter taken only
+        where the rest of the slot can follow it."""
+        x, y, n = slot
+        levels, out, letters = self._slot_counts(), self.out, self.letters
+
+        def walk(z, r: int, d: int, seq: Tuple[int, ...]):
+            if not r:
+                yield seq
+                return
+            for a in out[z]:
+                _, t, k, _ = letters[a]
+                if levels[r - 1].get((t, y, d - k)):
+                    yield from walk(t, r - 1, d - k, seq + (a,))
+
+        for m in range(1, len(levels)):
+            if levels[m].get(slot):
+                yield from walk(x, m, n, ())
+
+
+class _SlotNames(Sequence):
+    """The names of the words of one slot of a ``Words``, walked in id
+    order on read; ``len`` is a count.  Equal to a tuple of the same
+    names, and shown as one."""
+
+    def __init__(self, words: Words, slot: Slot, n: int):
+        self._words, self._slot, self._n = words, slot, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[Tuple]:
+        letters = self._words.letters
+        return (tuple(letters[a][3] for a in seq)
+                for seq in self._words._slot_seqs(self._slot))
+
+    def __getitem__(self, i: int) -> Tuple:
+        if not -self._n <= i < self._n:
+            raise IndexError(i)
+        return next(islice(self, i % self._n, None))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _SlotNames)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class WordQuiver(GradedQuiver):
+    """The quiver of a ``Words``, counted, not listed.  ``dim``,
+    ``total_dim`` and ``degree_support`` read counts of words by slot,
+    ``has_key`` ranks; ``slots`` maps each slot, in the order its first
+    word comes, to its names walked on read (``len`` counts them), and
+    ``keys`` walks the words in id order."""
+
+    def __init__(self, words: Words):
+        self.objects, self.words, self._keys = words.objects, words, words.keys
+        self._ids = words._ids
+        self._slots: Optional[Dict[Slot, _SlotNames]] = None
+
+    @property
+    def slots(self) -> Dict[Slot, Sequence]:
+        if self._slots is None:
+            dims: Dict[Slot, int] = {}  # in the order the slots first come
+            for level in self.words._slot_counts()[1:]:
+                for s, c in level.items():
+                    dims[s] = dims.get(s, 0) + c
+            self._slots = {s: _SlotNames(self.words, s, n)
+                           for s, n in dims.items()}
+        return self._slots
+
+    def keys(self) -> Iterator[Key]:
+        return iter(self._keys)
+
+    def total_dim(self) -> int:
+        return len(self.words)
+
+    def has_key(self, key: Key) -> bool:
+        return key in self._ids or self.words.id(key) is not None
 
 
 class WordMap:
@@ -198,7 +509,7 @@ class WordMap:
     """
 
     def __init__(self, words: Words, rule: Callable):
-        self.words, self._rule = words, rule
+        self.words, self._rule, self._keys = words, rule, words.keys
         self._rows: Dict[int, Dict[int, object]] = {}
         self._read: Dict[Key, Dict[Key, object]] = {}
 
@@ -210,7 +521,7 @@ class WordMap:
         return row
 
     def _row(self, w: int) -> Dict[Key, object]:
-        keys = self.words.keys
+        keys = self._keys
         return {keys[i]: c for i, c in self.ids(w).items()}
 
     def get(self, key: Key, default=None):
@@ -224,20 +535,22 @@ class WordMap:
 
     def table(self) -> Dict[Key, Dict[Key, object]]:
         """``get`` of every word with a nonzero image, in id order."""
-        rows = ((k, self._row(w)) for w, k in enumerate(self.words.keys))
+        rows = ((k, self._row(w)) for w, k in enumerate(self._keys))
         return {k: row for k, row in rows if row}
 
 
-class WordTrie(Words):
+class WordTrie:
     """Words of letters (src, tgt, degree, name) composable end to end,
     shortest first, of at most ``max_len`` letters and ``max_weight``
-    summed letter ``weights``, on an integer trie.  ``keys`` lists them
+    summed letter ``weights``, listed on an integer trie: the lister of
+    path categories, whose readers walk every word.  ``keys`` lists them
     by id, keyed (src, tgt, degree sum, tuple of names), each key built
     once; ``quiver`` is their quiver and ``cut`` whether a cap dropped a
     letter or the composite of two listed words.  ``lid[i]`` is the id
-    of letter i (None if dropped); ``parent`` and ``tail`` are as in
-    ``Words``, and ``words()`` is the ``Words`` without the lists below,
-    which only listing reads.
+    of letter i (None if dropped); ``parent[w]`` is w without its last
+    letter and ``tail[w]`` w without its first, both -1 for a letter.
+    With a length cap alone the ids are those of ``Words``, which ranks
+    the same words instead of listing them.
 
     Each object keeps one list of outgoing letters per remaining weight
     budget (up to the heaviest letter's weight), in ``letters`` order.
@@ -255,9 +568,6 @@ class WordTrie(Words):
                  max_len: Optional[int] = None,
                  weights: Optional[Mapping[Key, int]] = None,
                  max_weight: Optional[int] = None):
-        if len({a[3] for a in letters}) != len(letters):
-            raise ValueError("letter names must tell letters apart; "
-                             "rename the repeated ones")
         top = max_weight or 0  # no weight cap: every weight counts as 0
         wt = [0 if max_weight is None else weights[k] for k in letters]
         heavy = min(top, max(wt, default=0))  # budgets past it share a list
@@ -275,11 +585,7 @@ class WordTrie(Words):
                 if n < top:
                     rests[len(keys)] = top - n
                 keys.append(a[:3] + ((a[3],),))
-        if max_len is None and has_cycle(  # fits[0]: the weightless letters
-                {x: [letters[i][1] for i in out] for x, out in fits[0].items()}):
-            raise ValueError("the letter graph has a directed cycle, so its "
-                             "words never end; set a length or weight cap, "
-                             "or break the cycle")
+        _refuse_bad_letters(letters, max_len, fits[0])  # weightless letters
         cut = len(keys) < len(letters)
         parent = [-1] * len(keys)
         tail = [-1] * len(keys)
@@ -309,13 +615,12 @@ class WordTrie(Words):
         for k in keys:
             slots.setdefault(k[:3], []).append(k[3])
         self.quiver = GradedQuiver(objects, slots)
-        super().__init__(keys, parent, tail)
+        self.keys, self.parent, self.tail = keys, parent, tail
         self.cut, self.lid, self.first, self.grow = cut, lid, first, grow
         self.out, self.rank = fits[heavy], rank[heavy]
 
-    def words(self) -> Words:
-        """The listed words without the lists that only listing reads."""
-        return Words(self.keys, self.parent, self.tail)
+    def splits(self, w: int) -> Iterator[Tuple[int, int]]:
+        return _splits(self.parent, self.tail, w)
 
     def ext(self, v: int, a: int) -> Optional[int]:
         """The id of the word v.a (v = -1: the empty word), or None."""

@@ -659,6 +659,22 @@ def test_morphism_enumeration_takes_a_complete_bar_uncapped():
             c, bar, weight_cap=3)])
 
 
+def test_morphisms_into_a_bar_at_cap_zero_are_twists():
+    """A bar at weight cap 0 has no word, not even a letter of its
+    splitting, so a morphism into it is a twist alone: one per MC element
+    of (C, D) with no letter part."""
+    for cn, dn in [("cancel", "exterior_line"), ("cancel", "odd_pair_diff"),
+                   ("neg_primitive", "a2"), ("dag", "a2")]:
+        c, d = COALGEBRA_LIBRARY[cn](F3), CATEGORY_LIBRARY[dn](F3)
+        bar = bar_construction(d, 0)
+        mors = enumerate_coalgebra_morphisms(c, bar)
+        assert mors and all(not any(m.action.values()) for m in mors)
+        split = bar.splitting.split
+        assert len(mors) == sum(
+            all(not split(v)[1] for v in m.xi.values())
+            for m in mc_enumerate(c, d))
+
+
 def test_morphism_enumeration_default_cap_on_the_sweep():
     """On the mc_search sweep corpus (bars at cap 2) the default chain
     limit finds the morphisms that ``weight_cap=2`` finds, in order."""

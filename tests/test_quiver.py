@@ -3,7 +3,10 @@
 The tensor oracle is deliberately dumb: Kuenneth dimension sums written
 out longhand.  The word oracle ``keep_listing`` is the listing without
 the word trie or weight budgets: it builds every extension and filters
-it afterwards.
+it afterwards.  Ranked words (``Words`` and its counted ``WordQuiver``)
+are checked against the listing of ``WordTrie`` and ``keep_listing`` on
+seeded random letter graphs: loops, cycles, isolated objects, length
+caps 0 to 5, and acyclic graphs with no cap.
 """
 
 import random
@@ -12,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulcat.quiver import GradedQuiver, WordTrie, quiver_tensor
+from koszulcat.quiver import (GradedQuiver, WordQuiver, Words, WordTrie,
+                              quiver_tensor)
 
 
 def small_quiver(rng, max_objects=2, max_dim=2, degs=(-1, 0, 1)):
@@ -213,17 +217,9 @@ def test_word_trie_parent_tail_and_splits():
             splits = [(name[:i], name[i:]) for i in range(1, len(name))]
             assert [(keys[p][3], keys[t][3])
                     for p, t in trie.splits(w)] == splits
-            # rDelta as a table reads it: the splits as key pairs, all 1
-            got = trie.get(keys[w], "none")
-            if len(name) == 1:
-                assert got == "none"
-            else:
-                assert list(got.items()) == [
-                    ((keys[ids[p]], keys[ids[t]]), 1) for p, t in splits]
             if len(name) == max_len:  # nothing is listed past the cap
                 assert all(trie.ext(w, a) is None
                            for a in range(len(letters)))
-        assert trie.get(("a", "a", 0, ("nowhere",)), "none") == "none"
 
 
 def test_word_trie_refuses_repeated_names_and_endless_words():
@@ -231,9 +227,12 @@ def test_word_trie_refuses_repeated_names_and_endless_words():
     with pytest.raises(ValueError, match="rename"):
         WordTrie(("a", "b"), [f, ("a", "b", 1, "f")], 2)
     # a loop, and a 2-cycle: with no cap at all the words never end
+    with pytest.raises(ValueError, match="rename"):
+        Words(("a", "b"), [f, ("a", "b", 1, "f")], 2)
     for letters in ([h], [f, g]):
-        with pytest.raises(ValueError, match="cap, or break the cycle"):
-            WordTrie(("a", "b"), letters)
+        for words in (WordTrie, Words):
+            with pytest.raises(ValueError, match="cap, or break the cycle"):
+                words(("a", "b"), letters)
         # any cap makes the same letters list fine
         weights = {a: 1 for a in letters}
         assert WordTrie(("a", "b"), letters, 3).keys
@@ -242,3 +241,133 @@ def test_word_trie_refuses_repeated_names_and_endless_words():
         with pytest.raises(ValueError, match="cap, or break the cycle"):
             WordTrie(("a", "b"), letters, None, {a: 0 for a in letters}, 3)
     assert len(WordTrie(("a", "b"), [f]).keys) == 1  # acyclic: no cap needed
+
+
+# -- ranked words against the listing ---------------------------------------
+
+
+def random_letters(rng, acyclic=False):
+    """Up to 7 letters on up to 4 objects, some of them isolated; loops
+    and cycles where allowed, letters only from lower to higher object
+    where not."""
+    objects = tuple(f"o{i}" for i in range(rng.randint(1, 4)))
+    letters = []
+    for i in range(rng.randint(0, 7)):
+        x, y = rng.choice(objects), rng.choice(objects)
+        if acyclic:
+            if x == y:
+                continue
+            x, y = sorted((x, y))
+        letters.append((x, y, rng.randint(-2, 2), f"l{i}"))
+    return objects, letters
+
+
+def non_words(key, objects, letters):
+    """Keys near a word key that may or may not be words: other ends, a
+    degree off by one, letters reversed, one more letter, an unknown
+    name, a bare name and the empty name."""
+    x, y, n, names = key
+    yield (y, x, n, names)
+    for z in objects:
+        yield (z, y, n, names)
+        yield (x, z, n, names)
+    yield (x, y, n + 1, names)
+    yield (x, y, n, names[::-1])
+    for a in letters:
+        yield (x, a[1], n + a[2], names + (a[3],))
+    yield (x, y, n, names + ("nowhere",))
+    yield (x, y, n, names[0])
+    yield (x, y, n, ())
+
+
+def words_max(keys, max_len):
+    """The length cap, or without one the length of the longest word."""
+    return max((len(k[3]) for k in keys), default=0) if max_len is None \
+        else max_len
+
+
+def assert_ranked_matches_listing(objects, letters, max_len):
+    """Ranked words against the listing, read three ways: ranked and
+    unranked one at a time on fresh words, and walked in id order."""
+    trie = WordTrie(objects, letters, max_len)
+    ids = {k: w for w, k in enumerate(trie.keys)}
+    ranked = Words(objects, letters, max_len)
+    assert [ranked.id(k) for k in trie.keys] == list(range(len(ids)))
+    unranked = Words(objects, letters, max_len)
+    last = range(len(ids) - 1, -1, -1)  # longest first: no parent read yet
+    assert [unranked.keys[w] for w in last] == trie.keys[::-1]
+    assert [unranked.parent[w] for w in last] == trie.parent[::-1]
+    assert [unranked.tail[w] for w in last] == trie.tail[::-1]
+    cap = words_max(trie.keys, max_len)
+    below = [w for w, k in enumerate(trie.keys) if len(k[3]) < cap]
+    assert [unranked.first[h] for h in below] == [trie.first[h] for h in below]
+    read = [unranked.keys[w] for w in range(len(ids))]
+    # a walk keeps the records already read, keys and all
+    assert all(a is b for a, b in zip(unranked.keys, read))
+    words = Words(objects, letters, max_len)
+    keys = list(words.keys)
+    assert keys == trie.keys
+    by_name = {a[3]: a for a in letters}
+    assert [tuple(by_name[n] for n in k[3]) for k in keys] == \
+        keep_listing(letters, max_len)[0]
+    assert [words.id(k) for k in keys] == list(range(len(keys)))
+    probe = keys[::len(keys) // 150 + 1] + keys[-1:]  # spread over the ids
+    for k in probe:
+        for other in non_words(k, objects, letters):
+            assert words.id(other) == ids.get(other), other
+            assert Words(objects, letters, max_len).id(other) == \
+                ids.get(other), other
+    for a in letters:  # past the cap, or no word at all
+        for other in non_words(a[:3] + ((a[3],),), objects, letters):
+            assert ranked.id(other) == ids.get(other), other
+    assert list(words.parent) == trie.parent
+    assert list(words.tail) == trie.tail
+    assert {f for f, k in zip(words.first, keys) if len(k[3]) == cap} <= {-1}
+    assert [words.first[h] for h in below] == [trie.first[h] for h in below]
+    for split in (words.splits, Words(objects, letters, max_len).splits):
+        assert [list(split(w)) for w in range(len(keys))] == \
+            [list(trie.splits(w)) for w in range(len(keys))]
+    # rDelta as a table reads it: the splits as key pairs, all 1
+    for w, k in enumerate(keys):
+        got = words.get(k, "none")
+        if len(k[3]) == 1:
+            assert got == "none"
+        else:
+            assert list(got.items()) == [
+                ((keys[p], keys[t]), 1) for p, t in trie.splits(w)]
+    assert words.get((objects[0], objects[0], 0, ("nowhere",)), "none") \
+        == "none"
+    assert words.id(("G", objects[0])) is None  # a grouplike leg
+    quiver, listed = WordQuiver(words), trie.quiver
+    assert list(quiver.slots.items()) == list(listed.slots.items())
+    assert [list(v) for v in quiver.slots.values()] == \
+        [list(v) for v in listed.slots.values()]
+    assert [len(v) for v in quiver.slots.values()] == \
+        [len(v) for v in listed.slots.values()]
+    assert quiver == listed and list(quiver.keys()) == keys
+    assert quiver.total_dim() == listed.total_dim() == len(keys)
+    assert quiver.degree_support() == listed.degree_support()
+    for x in objects:
+        for y in objects:
+            for n in range(-12, 13):
+                assert quiver.dim(x, y, n) == listed.dim(x, y, n)
+    for k in probe:
+        for other in [k] + list(non_words(k, objects, letters)):
+            assert quiver.has_key(other) == listed.has_key(other), other
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ranked_words_match_listing_under_caps(seed):
+    rng = random.Random(seed)
+    objects, letters = random_letters(rng)
+    if seed % 4 == 0 and letters:  # a loop, so words of every length
+        letters[0] = (letters[0][0], letters[0][0]) + letters[0][2:]
+    for max_len in range(6):
+        assert_ranked_matches_listing(objects, letters, max_len)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ranked_words_match_listing_without_cap(seed):
+    objects, letters = random_letters(random.Random(seed), acyclic=True)
+    assert_ranked_matches_listing(objects, letters, None)
+    assert_ranked_matches_listing(objects, letters, 1)

@@ -13,7 +13,9 @@ call ``GradedQuiver``, ``DgCategory`` or ``PointedCoalgebra``: every
 stock instance is built by names.  Only ``matrix`` calls the elimination
 ``matrix._eliminate``, and no other module calls ``.rref(``: library
 callers hand their rows to ``matrix``'s private helpers instead of
-building a ``SparseMatrix``.
+building a ``SparseMatrix``.  Only ``dgcat._path_category`` calls the
+word lister ``quiver.WordTrie``: bar and cotensor coalgebras rank their
+words (``quiver.Words``) instead.
 """
 
 import ast
@@ -205,3 +207,20 @@ def test_elimination_is_called_in_matrix_only():
     calls = [(path.name,) + call for path in sorted(SRC.glob("*.py"))
              for call in elimination_calls(path.read_text())]
     assert calls and [c for c in calls if c[0] != "matrix.py"] == []
+
+
+def test_word_lister_callers_are_caught():
+    assert callers(
+        "from .quiver import WordTrie, Words\n"
+        "def _path_category(objects, letters):\n"
+        "    trie = WordTrie(objects, letters)\n"
+        "def bar_construction(cat, cap):\n"
+        "    return Words(cat, cap), WordTrie(cat, [], cap)\n"
+        "t = quiver.WordTrie(o, l)\n",
+        {"WordTrie"}) == [("_path_category", 3), ("bar_construction", 5)]
+
+
+def test_only_path_categories_list_words():
+    calls = [(path.name,) + call for path in sorted(SRC.glob("*.py"))
+             for call in callers(path.read_text(), {"WordTrie"})]
+    assert [c[:2] for c in calls] == [("dgcat.py", "_path_category")]

@@ -1,10 +1,11 @@
 """Bar and cotensor coalgebras against their word-by-word reference loops.
 
-Both constructions share the word lister ``quiver.WordTrie``.  It lists
-the words on an integer trie (ids in word order, the extensions of a
-word in one block) and builds each word key once, and the bar derives
-the row d(w'.a) from the row d(w') on word ids when it is first read,
-splitting each letter and each two-letter word once.  The oracles
+Both constructions rank their words (``quiver.Words``) instead of
+listing them: ids run shortest first and lexicographically in letter
+order, a key is built from its id on its first read, and slot
+dimensions are counted, not listed (``quiver.WordQuiver``).  The bar
+derives the row d(w'.a) from the row d(w') on word ids when it is first
+read, splitting each letter and each two-letter word once.  The oracles
 below list their words with ``keep_listing``, which uses no trie, and
 recompute everything at every position of every word, with every word
 degree summed afresh.  Slots, comultiplication, differential and
@@ -12,7 +13,7 @@ curvature must come out equal, in dict order, on the sample library
 (weight caps 0 to 3), on seeded random categories, under custom unit
 complements, on the bar of an MC category, and on cotensors of random
 and cyclic generator quivers.  Neither
-coalgebra stores its comultiplication: it keeps its listed words
+coalgebra stores its comultiplication: it keeps its ranked words
 (``quiver.Words``), ``delta`` reads them key by key (``Words.get``),
 and ``comult`` is built from them on the first read (``Words.table``).
 A bar keeps d on word ids too (``quiver.WordMap``): a row is computed
@@ -23,7 +24,9 @@ reads every row deepest word first, before its parent's row exists.
 Separate tests pin that reading rows builds no whole table, that
 building a bar computes no row and reading one computes at most its
 parent chain, and that the map is freed with its bar without the cycle
-collector.
+collector.  Another pins the slot dimensions of a bar of 64,307,661
+words against a transfer-matrix count, with the word lister
+``quiver.WordTrie`` made to raise: neither construction lists a word.
 The custom complements give words whose merge term hits a term of
 d(w').a, which pins the order in which the recursion adds terms.  Equal
 keys in the built tables and in the rows read must be one object.
@@ -40,7 +43,7 @@ from koszulcat.coalgebra import PointedCoalgebra, cotensor_coalgebra
 from koszulcat.convmc import (enumerate_coalgebra_morphisms, internal_hom,
                               mc_category, mc_check, mc_enumerate)
 from koszulcat.field import GF, QQ, vec_bump
-from koszulcat.quiver import GradedQuiver, WordMap
+from koszulcat.quiver import GradedQuiver, WordMap, WordTrie
 from koszulcat.randgen import random_dg_category, random_word_coalgebra
 from koszulcat.samples import CATEGORY_LIBRARY, COALGEBRA_LIBRARY, dual_numbers
 from test_quiver import keep_listing
@@ -366,6 +369,65 @@ def test_bar_rows_hold_no_reference_cycle(monkeypatch):
         assert maps[0]() is None
     finally:
         gc.enable()
+
+
+def transfer_dims(letters, cap):
+    """The words of 1 to ``cap`` composable ``letters``, counted by degree
+    off the powers of the transfer matrix: entry (x, y) of M is the
+    polynomial sum of t^n over the letters (x, y, n, _), and entry (x, y)
+    of M^m that of the m-letter words from x to y."""
+    step = {}
+    for x, y, n, _ in letters:
+        poly = step.setdefault((x, y), {})
+        poly[n] = poly.get(n, 0) + 1
+    objects = {x for a in letters for x in a[:2]}
+    power = {(x, x): {0: 1} for x in objects}
+    dims = {}
+    for _ in range(cap):
+        nxt = {}
+        for (x, z), p in power.items():
+            for (z2, y), q in step.items():
+                if z2 == z:
+                    poly = nxt.setdefault((x, y), {})
+                    for n, c in p.items():
+                        for k, e in q.items():
+                            poly[n + k] = poly.get(n + k, 0) + c * e
+        power = nxt
+        for poly in power.values():
+            for n, c in poly.items():
+                dims[n] = dims.get(n, 0) + c
+    return dims
+
+
+def dims_by_degree(quiver):
+    dims = {}
+    for (_, _, n), names in quiver.slots.items():
+        dims[n] = dims.get(n, 0) + len(names)
+    return dims
+
+
+def test_word_coalgebras_count_slots_and_list_no_word(monkeypatch):
+    """The bar of uHom(neg_primitive, BD) at cap 7, D = contractible_endo
+    over GF(3), has 64,307,661 words; its slot dimensions are counted,
+    and agree with the transfer matrix of its letters.  So do those of a
+    cotensor on a cyclic quiver.  The word lister is never called."""
+    def no_listing(*args, **kwargs):
+        raise AssertionError("a word coalgebra listed its words")
+
+    monkeypatch.setattr(WordTrie, "__init__", no_listing)
+    bar = internal_hom(COALGEBRA_LIBRARY["neg_primitive"](F3),
+                       CATEGORY_LIBRARY["contractible_endo"](F3), 7)
+    letters = [(k[0], k[1], k[2] - 1, k) for k in bar.splitting.letters]
+    dims = transfer_dims(letters, 7)
+    assert dims_by_degree(bar.reduced) == dims
+    assert bar.reduced.total_dim() == sum(dims.values()) == 64_307_661
+    assert bar.reduced.degree_support() == (min(dims), max(dims)) == (-14, 0)
+    gen = GradedQuiver(("a", "b"), {("a", "b", 1): ("f",),
+                                    ("b", "a", -1): ("g", "g2"),
+                                    ("a", "a", 0): ("h",)})
+    coa = cotensor_coalgebra(F3, gen, 12)
+    assert dims_by_degree(coa.reduced) == transfer_dims(
+        list(gen.keys()), 12)
 
 
 # -- cotensors ---------------------------------------------------------------
