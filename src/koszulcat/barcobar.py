@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coalgebra import FinalCoalgebra, PointedCoalgebra, zero_coalgebra
 from .dgcat import DgCategory, _path_category, empty_category, zero_category
@@ -176,6 +176,14 @@ class Splitting:
         return units, red
 
 
+def _bar_word(ks: Sequence[Key]) -> Key:
+    """The bar's key of the word on D's reduced keys ``ks``, composable in
+    order: each letter shifts down one degree, and the word is keyed
+    (source, target, summed shifted degree, letters), as ``quiver.Words``
+    keys it; ``_bar_word((k,))[:3]`` is the slot of k's one-letter word."""
+    return (ks[0][0], ks[-1][1], sum(k[2] - 1 for k in ks), tuple(ks))
+
+
 def bar_construction(
     cat: DgCategory,
     weight_cap: int,
@@ -205,7 +213,7 @@ def bar_construction(
     sp = splitting if splitting is not None else Splitting(cat)
     letters = sp.letters
     words = Words(cat.quiver.objects,
-                  [(k[0], k[1], k[2] - 1, k) for k in letters], weight_cap)
+                  [_bar_word((k,))[:3] + (k,) for k in letters], weight_cap)
     keys, first, out, rank, parent = (words.keys, words.first, words.out,
                                       words.rank, words.parent)
     ids = {k: i for i, k in enumerate(letters)}

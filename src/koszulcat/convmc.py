@@ -68,6 +68,7 @@ from .coalgebra import (
 from .barcobar import (
     CobarResult,
     Splitting,
+    _bar_word,
     _letter_weight,
     bar_construction,
     cobar_construction,
@@ -848,9 +849,7 @@ def _bar_image_polys(bar_coa: PointedCoalgebra, chains: Dict,
             for combo in product(*(p1.get(k, {}).items() for k in chain)):
                 mono = sum((m for m, _ in combo), ())
                 for picks in product(*(v.items() for _, v in combo)):
-                    letters = tuple(l for l, _ in picks)
-                    wk = (letters[0][0], letters[-1][1],
-                          sum(k[2] - 1 for k in letters), letters)
+                    wk = _bar_word(tuple(l for l, _ in picks))
                     coeff = lam
                     for _, x in picks:
                         coeff = F.mul(coeff, x)
@@ -971,10 +970,10 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
     F, d = c.field, sp.cat
     minus = F.coerce(-1)
     slots: Dict[Tuple[object, object, int], List[Tuple[Key, Vec]]] = {}
-    # the one-letter words (x, y, n - 1, (k,)): a bar with any word has
-    # every letter k of its splitting as one
+    # the one-letter words: a bar with any word has every letter k of its
+    # splitting as one
     for k in sp.letters if bar_coa.reduced.total_dim() else ():
-        slots.setdefault((k[0], k[1], k[2] - 1), []).append(
+        slots.setdefault(_bar_word((k,))[:3], []).append(
             (k, vec_scale(F, minus, sp.letter_vec(k))))
     chains = _deconcat_chains(c, weight_cap)
     rows = list(c.reduced.keys())

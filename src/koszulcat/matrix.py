@@ -5,11 +5,21 @@ index -> nonzero entry), and only this module calls it.  Rank,
 ``SparseMatrix.rref``, kernels and solving (``_solution_space``), the
 rref rows of a span (``_rref_rows``) and basis coordinates
 (``_coordinates``) all read its result, in every field alike; library
-callers hand their rows to these helpers and build no matrix.  Pivots
-are chosen Markowitz-style (least fill-in estimate, a function of row
-supports only), which keeps elimination cheap on the block-sparse
-matrices the category machinery produces.  Each pivot row is scaled to 1
-at its pivot as soon as it is chosen; nothing is integerized.
+callers hand their rows to these helpers and build no matrix.
+
+Pivots follow Markowitz's rule (least fill-in estimate, a function of
+row supports only), which keeps elimination cheap on the block-sparse
+matrices the category machinery produces: the next pivot is the live
+entry of least (cost, column, input row order), where an entry in row r
+and column j costs (len(r) - 1)(count(j) - 1) and count(j) is the
+number of live rows holding j.  The rule is kept up, not recomputed:
+the rows holding each column and a lazy heap of costs change only where
+a pivot step changes rows or counts, and the finished rows that hold a
+column are indexed too, so a step costs about what it changes rather
+than a rescan of every live entry.  Pivots, pivot rows and leftover rows
+equal those of a full rescan per pivot (the oracle of
+``tests/test_exact_linalg.py``).  Each pivot row is scaled to 1 at its
+pivot as soon as it is chosen; nothing is integerized.
 
 Entries are coerced once, at the boundary: ``SparseMatrix.__init__``
 coerces and bounds-checks what comes from outside (tests, the hom
@@ -19,7 +29,9 @@ built inside the library already hold field elements and no zeros.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .field import Field, Vec
 
@@ -32,66 +44,122 @@ def _eliminate(F: Field, rows: Sequence[Row], ncols: int
     below ``ncols``; returns (pivot rows, pivot columns, leftover rows)
     and leaves ``rows`` as they are.
 
-    Each pivot row is 1 at its pivot and 0 at every other pivot.  Pivot
-    columns are chosen by Markowitz cost, so the pivot *set* is one valid
-    greedy basis of the column matroid, not the canonical leftmost one.
-    Leftover rows are the nonzero rows with support only from column
-    ``ncols`` on; rows that reduce to zero are dropped.
-    """
-    done: List[Row] = []
-    stuck: List[Row] = []
-    pivots: List[int] = []
-    live = [r for r in rows if r]
-    while live:
-        col_count: Dict[int, int] = {}
-        for r in live:
-            for j in r:
-                col_count[j] = col_count.get(j, 0) + 1
-        # cheapest elimination step first (Markowitz estimate)
-        best = None
-        for idx, r in enumerate(live):
-            for j in r:
-                if j >= ncols:
-                    continue
-                cost = (len(r) - 1) * (col_count[j] - 1)
-                key = (cost, j, idx)
-                if best is None or key < best[0]:
-                    best = (key, idx, j)
-        if best is None:
-            stuck.extend(live)
-            break
-        _, ri, pj = best
-        prow = live.pop(ri)
-        pinv = F.inv(prow[pj])
-        prow = {j: F.mul(pinv, v) for j, v in prow.items()}
+    Each pivot row is 1 at its pivot and 0 at every other pivot.  The
+    next pivot is the live entry (row r, column j < ncols) with the least
+    (Markowitz cost (len(r) - 1)(count(j) - 1), j, input position of r),
+    count(j) the number of live rows holding j; so the pivot *set* is one
+    valid greedy basis of the column matroid, not the canonical leftmost
+    one.  Leftover rows are the nonzero rows with support only from
+    column ``ncols`` on, in input order; rows that reduce to zero are
+    dropped.
 
-        def eliminate(r):
-            f = F.neg(r[pj])
+    The rule is kept up, not recomputed: ``held`` and ``done_held`` map
+    each column below ``ncols`` to the live and the finished rows that
+    hold it, and ``heap`` holds (cost, column, row) entries such that
+    every live entry has one at most its current cost.  A pivot step
+    changes only the rows it reduces and the counts of the pivot row's
+    columns, so it pushes the reduced rows' entries and, for each of
+    those columns whose count fell, its other holders' entries; an entry
+    found stale at the top is dropped, or pushed again at its current
+    cost.  So the top, once current, is the least entry, and the outputs
+    equal those of a full rescan per pivot.  The Gauss-Jordan clear
+    visits only the finished rows that hold the pivot column.
+    """
+    add, mul, neg, is_zero, one = F.add, F.mul, F.neg, F.is_zero, F.one
+    live: Dict[int, Row] = {}
+    held: Dict[int, Set[int]] = {}
+    for i, r in enumerate(rows):
+        if r:
+            live[i] = r
+            for j in r:
+                if j < ncols:
+                    if j in held:
+                        held[j].add(i)
+                    else:
+                        held[j] = {i}
+    heap = [((len(r) - 1) * (len(held[j]) - 1), j, i)
+            for i, r in live.items() for j in r if j < ncols]
+    heapify(heap)
+    done: List[Row] = []
+    done_held: Dict[int, Set[int]] = defaultdict(set)
+    pivots: List[int] = []
+    while heap and live:
+        cost, pj, pi = heappop(heap)
+        r = live.get(pi)
+        if r is None or pj not in r:
+            continue
+        now = (len(r) - 1) * (len(held[pj]) - 1)
+        if now != cost:
+            heappush(heap, (now, pj, pi))
+            continue
+        del live[pi]
+        reduced = held.pop(pj)
+        reduced.discard(pi)
+        if r[pj] == one:  # scaled already: no inverse, no products
+            prow = dict(r)
+        else:
+            pinv = F.inv(r[pj])
+            prow = {j: mul(pinv, v) for j, v in r.items()}
+        rest = [(j, v) for j, v in prow.items() if j != pj]
+        counts = []  # (column, holders, count) once the pivot row left
+        for j, _ in rest:
+            if j < ncols:
+                h = held[j]
+                h.discard(pi)
+                if h:
+                    counts.append((j, h, len(h)))
+
+        def reduce(r: Row, i: int, holders) -> Row:
+            f = neg(r[pj])
+            terms = rest if f == one else [(j, mul(f, v)) for j, v in rest]
             new = dict(r)
-            for j, v in prow.items():
-                s = F.add(new.get(j, F.zero), F.mul(f, v))
-                if F.is_zero(s):
-                    new.pop(j, None)
+            del new[pj]
+            for j, v in terms:
+                old = new.get(j)
+                if old is None:
+                    new[j] = v
+                    if j < ncols:
+                        holders[j].add(i)
+                    continue
+                s = add(old, v)
+                if is_zero(s):
+                    del new[j]
+                    if j < ncols:
+                        holders[j].discard(i)
                 else:
                     new[j] = s
             return new
 
-        nxt = []
-        for r in live:
-            if pj in r:
-                new = eliminate(r)
-                if new:
-                    nxt.append(new)
+        for i in reduced:
+            new = reduce(live[i], i, held)
+            if new:
+                live[i] = new
             else:
-                nxt.append(r)
-        live = nxt
+                del live[i]
+        # push at the counts the whole step leaves
+        for i in reduced:
+            new = live.get(i)
+            if new:
+                n = len(new) - 1
+                for j in new:
+                    if j < ncols:
+                        heappush(heap, (n * (len(held[j]) - 1), j, i))
+        for j, h, count in counts:
+            if len(h) <= count:  # fell: cheaper now for the rows not reduced
+                n = len(h) - 1
+                for i in h:
+                    if i not in reduced:
+                        heappush(heap, ((len(live[i]) - 1) * n, j, i))
         # clear the pivot column from the finished rows too
-        for k, r in enumerate(done):
-            if pj in r:
-                done[k] = eliminate(r)
+        for k in done_held.pop(pj, ()):
+            done[k] = reduce(done[k], k, done_held)
+        k = len(done)
+        for j, _ in rest:
+            if j < ncols:
+                done_held[j].add(k)
         done.append(prow)
         pivots.append(pj)
-    return done, pivots, stuck
+    return done, pivots, list(live.values())
 
 
 def _solution_space(F: Field, rows: Sequence[Row], ncols: int
@@ -160,7 +228,8 @@ class SparseMatrix:
         for (i, k), v in self.entries.items():
             for j, w in by_row.get(k, ()):
                 key = (i, j)
-                s = F.add(acc.get(key, F.zero), F.mul(v, w))
+                s = acc.get(key)
+                s = F.mul(v, w) if s is None else F.add(s, F.mul(v, w))
                 if F.is_zero(s):
                     acc.pop(key, None)
                 else:
@@ -217,6 +286,8 @@ class SparseMatrix:
         With ``labels`` (len == ncols) the dicts are keyed by label instead of
         column index, so named bases survive end to end.
         """
+        if labels is not None and len(labels) != self.ncols:
+            raise ValueError(f"{len(labels)} labels for {self.ncols} columns")
         basis = _solution_space(self.field, self._rows_as_dicts(), self.ncols)[1]
         if labels is not None:
             basis = [{labels[j]: c for j, c in v.items()} for v in basis]
@@ -232,6 +303,9 @@ class SparseMatrix:
         F = self.field
         rows = self._rows_as_dicts()
         for i, v in rhs.items():
+            if not 0 <= i < self.nrows:
+                raise IndexError(f"right-hand side entry {i} outside "
+                                 f"{self.nrows}x{self.ncols}")
             v = F.coerce(v)
             if not F.is_zero(v):
                 rows[i][self.ncols] = v

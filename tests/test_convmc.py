@@ -24,6 +24,7 @@ from koszulcat.coalgebra import (
     PointedCoalgebra,
     associated_graded,
     cotensor_coalgebra,
+    identity_morphism,
     point_coalgebra,
     tensor_coalgebras,
     zero_coalgebra,
@@ -777,6 +778,51 @@ def test_tensor_hom_cardinalities(cname, pname, count):
     uh = internal_hom(cp, d, 3)
     right = enumerate_coalgebra_morphisms(c, uh, weight_cap=3, budget=1 << 22)
     assert len(left) == len(right) == count
+
+
+# -- Hochschild cohomology through the bar ----------------------------------
+
+
+def _hochschild(d, cap: int, top: int):
+    """dim HH^n(D) for n = 0..top, read as the homology of the hom complex
+    of the one object of MC*(BD, D) whose element is the identity of BD
+    (the Hochschild cochains of D), the bar taken at weight ``cap``."""
+    bar = bar_construction(d, cap)
+    m = mc_from_morphism(identity_morphism(bar), bar.splitting)
+    cat = mc_category(bar, d, elements=[m]).category
+    (x,) = cat.quiver.objects
+    h = cat.hom_homology(x, x, 0, top)
+    return [h.get(n, 0) for n in range(top + 1)]
+
+
+@pytest.mark.parametrize("name, p, want", [
+    # k[x]/x^2: HH^0 = A, then k in each degree, A again in characteristic 2
+    ("dual_numbers", 0, [2, 1, 1, 1, 1]),
+    ("dual_numbers", 2, [2, 2, 2, 2, 2]),
+    ("dual_numbers", 3, [2, 1, 1, 1, 1]),
+    # k[x]/x^3: k^2 in each positive degree, A again in characteristic 3
+    ("trunc_poly3", 0, [3, 2, 2, 2, 2]),
+    ("trunc_poly3", 2, [3, 2, 2, 2, 2]),
+    ("trunc_poly3", 3, [3, 3, 3, 3, 3]),
+    # k[Z/2]: semisimple unless 2 = 0, where it is k[x]/x^2
+    ("group_like", 0, [2, 0, 0, 0, 0]),
+    ("group_like", 2, [2, 2, 2, 2, 2]),
+    ("group_like", 3, [2, 0, 0, 0, 0]),
+    # the A2 quiver: a tree, so only its centre k
+    ("a2", 0, [1, 0, 0, 0, 0]),
+    ("a2", 2, [1, 0, 0, 0, 0]),
+    ("a2", 3, [1, 0, 0, 0, 0]),
+])
+def test_hochschild_closed_forms_through_the_bar(name, p, want):
+    """Degrees 0-4 from the bar at weight 5 (degree 5 itself, at the cap,
+    is not exact there)."""
+    F = QQ if p == 0 else GF(p)
+    assert _hochschild(CATEGORY_LIBRARY[name](F), 5, 4) == want
+
+
+def test_hochschild_window_of_trunc_poly3_at_cap_9():
+    assert _hochschild(CATEGORY_LIBRARY["trunc_poly3"](QQ), 9, 8) == \
+        [3] + [2] * 8
 
 
 # -- the counit -------------------------------------------------------------

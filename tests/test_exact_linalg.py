@@ -16,7 +16,7 @@ from koszulcat.barcobar import Splitting
 from koszulcat.convmc import counit_data
 from koszulcat.field import QQ, GF, vec_add, vec_bump, vec_scale
 from koszulcat.samples import CATEGORY_LIBRARY, truncated_polynomial
-from koszulcat.matrix import SparseMatrix
+from koszulcat.matrix import SparseMatrix, _eliminate
 from koszulcat.complexes import BoundedComplex
 
 
@@ -403,6 +403,137 @@ def test_euler_characteristic_matches_homology():
     euler_dims = sum((-1) ** n * c.dim(n) for n in range(0, 3))
     euler_h = sum((-1) ** n * h[n] for n in h)
     assert euler_dims == euler_h
+
+
+# ---------------------------------------------------------------------------
+# the pivot sequence: matrix._eliminate keeps Markowitz's rule up
+# incrementally; a full rescan per pivot is its oracle
+
+
+def rescan_eliminate(F, rows, ncols):
+    """Markowitz elimination with a full rescan per pivot: every step
+    recounts the columns over the live rows and takes the least
+    ((len(r) - 1)(count(j) - 1), j, position of r among the live rows),
+    j below ``ncols``; returns (pivot rows, pivot columns, leftover rows)."""
+    done, stuck, pivots = [], [], []
+    live = [r for r in rows if r]
+    while live:
+        col_count = {}
+        for r in live:
+            for j in r:
+                col_count[j] = col_count.get(j, 0) + 1
+        best = None
+        for idx, r in enumerate(live):
+            for j in r:
+                if j < ncols:
+                    key = ((len(r) - 1) * (col_count[j] - 1), j, idx)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            stuck.extend(live)
+            break
+        _, pj, ri = best
+        prow = live.pop(ri)
+        pinv = F.inv(prow[pj])
+        prow = {j: F.mul(pinv, v) for j, v in prow.items()}
+
+        def eliminate(r):
+            f = F.neg(r[pj])
+            new = dict(r)
+            for j, v in prow.items():
+                s = F.add(new.get(j, F.zero), F.mul(f, v))
+                if F.is_zero(s):
+                    new.pop(j, None)
+                else:
+                    new[j] = s
+            return new
+
+        live = [e for e in (eliminate(r) if pj in r else r for r in live) if e]
+        done = [eliminate(r) if pj in r else r for r in done] + [prow]
+        pivots.append(pj)
+    return done, pivots, stuck
+
+
+def assert_same_pivots(F, rows, ncols):
+    before = [dict(r) for r in rows]
+    got = _eliminate(F, rows, ncols)
+    assert rows == before  # the input rows are left as they are
+    assert got == rescan_eliminate(F, rows, ncols), (F, rows, ncols)
+
+
+def random_rows(F, rng):
+    """Rows over F with zero rows, repeated rows and columns past ncols."""
+    nr, ncols, extra = rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 3)
+    density = rng.choice([0.15, 0.35, 0.6, 0.9])
+    rows = []
+    for _ in range(nr):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append({})
+        elif roll < 0.25 and rows:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            rows.append({j: F.random(rng, nonzero=True)
+                         for j in range(ncols + extra) if rng.random() < density})
+    return rows, ncols
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(3), GF(5)], ids=str)
+def test_eliminate_matches_the_rescan_oracle(F):
+    rng = random.Random(f"pivots:{F}")
+    for _ in range(400):
+        assert_same_pivots(F, *random_rows(F, rng))
+
+
+@pytest.mark.parametrize("F", [QQ, GF(3)], ids=str)
+def test_eliminate_matches_the_rescan_oracle_on_empty_shapes(F):
+    one = F.one
+    for rows, ncols in [([], 0), ([], 3), ([{}], 0), ([{}, {}], 2),
+                        ([{0: one}], 0), ([{2: one}, {3: one}], 2),
+                        ([{0: one}, {}, {0: one}], 1)]:
+        assert_same_pivots(F, rows, ncols)
+
+
+@pytest.mark.parametrize("name, cap", [("trunc_poly3", 5),
+                                       ("contractible_pair", 4),
+                                       ("odd_pair_diff", 3)])
+def test_eliminate_matches_the_rescan_oracle_on_counits(name, cap):
+    # every hom-complex differential of the resolve workload's counits
+    # (the cobar side of its homology windows), its transpose, and both
+    # with a right-hand side column past ncols
+    d = CATEGORY_LIBRARY[name](QQ)
+    cobar = counit_data(d, cap).cobar.category
+    lo, hi = d.quiver.degree_support()
+    seen = 0
+    for x in cobar.quiver.objects:
+        for y in cobar.quiver.objects:
+            for m in cobar.hom_complex(x, y, lo - 2, hi + 2).d.values():
+                for a in (m, m.transpose()):
+                    rows = a._rows_as_dicts()
+                    assert_same_pivots(QQ, rows, a.ncols)
+                    for r in rows[::3]:
+                        r[a.ncols] = QQ.one
+                    assert_same_pivots(QQ, rows, a.ncols)
+                seen += len(m.entries)
+    assert seen > 90
+
+
+def test_solve_refuses_a_right_hand_side_outside_the_rows():
+    m = SparseMatrix.from_rows(QQ, [[1, 0], [0, 1]])
+    for rhs in ({-1: 5}, {2: 5}):
+        with pytest.raises(IndexError, match="outside 2x2"):
+            m.solve(rhs)
+        with pytest.raises(IndexError, match="outside 2x2"):
+            m.solution_space(rhs)
+    assert m.solve({1: 5}) == {1: 5}
+
+
+def test_kernel_basis_refuses_labels_of_another_length():
+    m = SparseMatrix.from_rows(GF(3), [[1, 2, 0]])
+    for labels in (("u", "v"), ("u", "v", "w", "x")):
+        with pytest.raises(ValueError, match="labels for 3 columns"):
+            m.kernel_basis(labels)
+    assert len(m.kernel_basis(("u", "v", "w"))) == 2
 
 
 # ---------------------------------------------------------------------------
