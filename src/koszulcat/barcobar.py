@@ -192,8 +192,11 @@ def bar_construction(
     """Materialize the bar coalgebra of an uncurved dg category.
 
     Exact per weight: every word of weight <= weight_cap carries its full
-    differential, comultiplication, and curvature.  A bar with objects
-    records its ``Splitting`` (whose ``.cat`` is D) as ``.splitting``.
+    differential, comultiplication, and curvature.  The bar records its
+    ``Splitting`` (whose ``.cat`` is D) as ``.splitting``, the zero
+    coalgebra of the empty category too; only the final coalgebra, the
+    zero category's bar, has none.  A ``splitting`` of another category
+    is refused.
     """
     F = cat.field
     if weight_cap < 0:
@@ -201,8 +204,14 @@ def bar_construction(
                          "pass weight_cap=0 or more")
     if cat.is_curved():
         raise ValueError("bar construction needs an uncurved dg category")
+    if splitting is not None and splitting.cat is not cat:
+        raise ValueError("the splitting is of another category than the one "
+                         "being barred")
+    sp = splitting if splitting is not None else Splitting(cat)
     if not cat.quiver.objects:
-        return zero_coalgebra(F)
+        bar = zero_coalgebra(F)
+        bar.splitting = sp
+        return bar
     if all(not cat.unit_vec(x) for x in cat.quiver.objects):
         if cat.quiver.total_dim():
             raise ValueError("bar construction needs units (or the zero category)")
@@ -210,7 +219,6 @@ def bar_construction(
     if any(not cat.unit_vec(x) for x in cat.quiver.objects):
         raise ValueError("bar construction needs a unit at every object")
 
-    sp = splitting if splitting is not None else Splitting(cat)
     letters = sp.letters
     words = Words(cat.quiver.objects,
                   [_bar_word((k,))[:3] + (k,) for k in letters], weight_cap)

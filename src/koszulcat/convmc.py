@@ -13,22 +13,27 @@ The reduced variant {C-bar, D} drops the grouplike rows (and with them all
 units).  Its Maurer-Cartan elements -- degree-1 cochains xi with
 d xi + xi * xi + h = 0 -- are in bijection with dg functors Omega C -> D
 and with coalgebra morphisms C -> BD; both transports live here, together
-with the Maurer-Cartan category MC*(C, D) (homs from the unital convolution,
-differential twisted by the endpoint elements), the internal hom
+with the Maurer-Cartan category MC*(C, D), the internal hom
 uHom(C, BD) = B MC*(C, D), and the Eilenberg-Zilber comparison functor
-Omega(C (x) C') -> Omega C (x) Omega C'.
+Omega(C (x) C') -> Omega C (x) Omega C'.  MC*(C, D) is {C, D} twisted at
+its objects: its homs, units and composition are those of {C, D} between
+the elements' object maps, and its differential d + xi' * - -
+(-1)^| | - * xi is written once, by ``ConvolutionCategory.diff_vec``
+(xi = 0 gives the plain d).  A map into BD is read through the splitting
+BD was built on, which the bar records; ``_bar_splitting`` is its one
+reader, and no function here takes a splitting of its own.
 
 Cochains are spanned by (tag, row, dk), the row sent to the D-arrow dk,
 of degree |dk| - |row|.  Rows are grouplikes ("o", x) of degree 0 and
 reduced keys ("r", ck), with Delta x = x (x) x and Delta c = x (x) c +
 c (x) y + rDelta(c).  Both variants read a ``PointedCoalgebra``'s tables
-as they stand, and one materializer,
-``ConvolutionCategory.tables``, serves the dg category, the reduced
-validator, the MC category and the interchange check.  The kernel tensor
-C-bar (x) C' of the interchange is a restriction of the reduced
-{C (x) C', D}; ``interchange_problems`` says why.  All tables are finite;
-the infinite constructions only enter through materialized bar and cobar
-output.
+as they stand, and one materializer, ``ConvolutionCategory.tables`` over
+(label, object map, MC cochain) triples, serves the dg category, the
+reduced validator, the MC category and the interchange check.  The
+kernel tensor C-bar (x) C' of the interchange is a restriction of the
+reduced {C (x) C', D}; ``interchange_problems`` says why.  All tables
+are finite; the infinite constructions only enter through materialized
+bar and cobar output.
 
 The three hom sets MC(C, D) = Hom(Omega C, D) = Hom(C, BD) are found by
 one propagation solver, ``_solve``, not by trying every point.  It takes
@@ -188,7 +193,16 @@ class ConvolutionCategory:
 
     # -- structure tables per basis cochain --------------------------------
 
-    def diff_vec(self, key: Key) -> Vec:
+    def diff_vec(self, key: Key, xi: Optional[Dict[Key, Vec]] = None,
+                 xi2: Optional[Dict[Key, Vec]] = None) -> Vec:
+        """d phi + xi' * phi - (-1)^{|phi|} phi * xi on the basis cochain
+        phi = ``key``: the differential of MC*(C, D), the one place it is
+        written.  ``xi`` and ``xi2`` are the MC cochains at phi's source
+        and target (row -> D-vector, as ``MCElement.xi``); without them
+        this is the plain d of {C, D}, the xi = 0 case.  Each product is
+        read off ``comp_vec`` one term of xi or xi' at a time, so no
+        composition table is needed.
+        """
         fk, gk, n, name = key
         F = self.field
         out: Vec = {}
@@ -199,6 +213,15 @@ class ConvolutionCategory:
         s = F.coerce(-1) if n % 2 == 0 else F.one
         for cprev, coeff in self._diff_transpose.get(name[:2], ()):
             vec_bump(F, out, (fk, gk, n + 1, cprev + (dk,)), F.mul(s, coeff))
+        if xi or xi2:  # xi' * phi, then -(-1)^n phi * xi, with that sign
+            terms = [(self.comp_vec((gk, gk, 1, ("r", ck, d1)), key), c)
+                     for ck, v in (xi2 or {}).items() for d1, c in v.items()]
+            terms += [(self.comp_vec(key, (fk, fk, 1, ("r", ck, d1))),
+                       F.mul(s, c))
+                      for ck, v in (xi or {}).items() for d1, c in v.items()]
+            for prod, c in terms:
+                for k2, e in prod.items():
+                    vec_bump(F, out, k2, F.mul(c, e))
         return out
 
     def comp_vec(self, kpsi: Key, kphi: Key) -> Vec:
@@ -253,34 +276,37 @@ class ConvolutionCategory:
 
     # -- materialization and validation ------------------------------------
 
-    def tables(self, objects: Sequence[Tuple[object, Tuple]]):
-        """Every structure table over labelled object maps.
+    def tables(self, objects: Sequence[Tuple[object, Tuple, Dict[Key, Vec]]]):
+        """Every structure table over labelled, twisted object maps.
 
-        ``objects`` lists (label, object map) pairs.  Every basis key starts
-        with the labels of its two ends, so objects with equal maps stay
-        apart; comp_vec and diff_vec only compare those entries.
-        Composition is driven by stored entries: comp_vec runs only on the
-        pairs that D's composition table and the transpose of Delta can
-        make nonzero, in the order of a scan over hom-key pairs.
-        Returns (quiver, unit, comp, diff, curvature, keyed): the tables a
-        ``DgCategory`` takes, with the plain differential, and keyed[(lf,
-        lg)] the hom keys from lf to lg.  The reduced side has no units.
+        ``objects`` lists (label, object map, MC cochain) triples, the
+        cochain ``{}`` for a plain object map: {C, D} is the case where
+        every cochain is zero, MC*(C, D) the case of MC elements.  Every
+        basis key starts with the labels of its two ends, so objects with
+        equal maps stay apart; comp_vec and diff_vec only compare those
+        entries.  Composition is driven by stored entries: comp_vec runs
+        only on the pairs that D's composition table and the transpose of
+        Delta can make nonzero, in the order of a scan over hom-key pairs.
+        The differential is ``diff_vec`` twisted by the cochains at each
+        key's two ends.  Returns (quiver, unit, comp, diff, curvature,
+        keyed): the tables a ``DgCategory`` takes, and keyed[(lf, lg)] the
+        hom keys from lf to lg.  The reduced side has no units.
         """
         keyed: Dict[Tuple, List[Key]] = {}
         slots: Dict = {}
-        for lf, fk in objects:
-            for lg, gk in objects:
+        for lf, fk, _ in objects:
+            for lg, gk, _ in objects:
                 ks = [(lf, lg) + k[2:] for k in self.hom_keys(fk, gk)]
                 keyed[(lf, lg)] = ks
                 for k in ks:
                     slots.setdefault((lf, lg, k[2]), []).append(k[3])
-        quiver = GradedQuiver([lf for lf, _ in objects], slots)
+        quiver = GradedQuiver([lf for lf, _, _ in objects], slots)
 
         def at(lf, vec: Vec) -> Vec:
             return {(lf, lf) + k[2:]: c for k, c in vec.items()}
 
         unit = {} if self.reduced else {lf: at(lf, self.unit_vec(fk))
-                                        for lf, fk in objects}
+                                        for lf, fk, _ in objects}
         # psi * phi can be nonzero only if (d_psi, d_phi) is stored in D
         # and Delta has a term (phi's row) (x) (psi's row), a key of the
         # transpose.  Each psi name gets the names of its candidate phis
@@ -296,10 +322,10 @@ class ConvolutionCategory:
         index = {pq: {k[3]: i for i, k in enumerate(ks)}
                  for pq, ks in keyed.items()}
         comp = {}
-        for lf, _ in objects:
-            for lg, _ in objects:
+        for lf, _, _ in objects:
+            for lg, _, _ in objects:
                 phis, where = keyed[(lf, lg)], index[(lf, lg)]
-                for lh, _ in objects:
+                for lh, _, _ in objects:
                     for kpsi in keyed[(lg, lh)]:
                         name = kpsi[3]
                         names = preceding.get(name)
@@ -312,17 +338,19 @@ class ConvolutionCategory:
                             v = self.comp_vec(kpsi, phis[i])
                             if v:
                                 comp[(kpsi, phis[i])] = v
+        xis = {lf: xi for lf, _, xi in objects}
         diff = {}
-        for ks in keyed.values():
+        for (lf, lg), ks in keyed.items():
             for k in ks:
-                v = self.diff_vec(k)
+                v = self.diff_vec(k, xis[lf], xis[lg])
                 if v:
                     diff[k] = v
-        curvature = {lf: at(lf, self.curvature_vec(fk)) for lf, fk in objects}
+        curvature = {lf: at(lf, self.curvature_vec(fk))
+                     for lf, fk, _ in objects}
         return quiver, unit, comp, diff, curvature, keyed
 
     def _object_tables(self):
-        return self.tables([(fk, fk) for fk in self.object_maps])
+        return self.tables([(fk, fk, {}) for fk in self.object_maps])
 
     def to_dg_category(self) -> DgCategory:
         if self.reduced:
@@ -649,15 +677,18 @@ class MCCategory:
 def mc_category(c: PointedCoalgebra, d: DgCategory,
                 elements: Optional[List[MCElement]] = None,
                 budget: int = SEARCH_BUDGET) -> MCCategory:
-    """MC*(C, D): homs from {C, D}, differential d + xi' . - (-1)^| | . xi.
+    """MC*(C, D): {C, D} over the MC elements, twisted at its objects.
 
-    The twisted differential squares to zero only when D brings no
-    curvature of its own, so curved targets are refused.
+    Homs, units and composition are those of {C, D} between the object
+    maps of the elements; the differential is d + xi' * - - (-1)^| | - * xi,
+    written by ``ConvolutionCategory.diff_vec``.  One ``tables`` call
+    builds it all, after the checks: the twisted differential squares to
+    zero only when D brings no curvature of its own, so curved targets
+    are refused, and supplied elements must solve the MC equation.
     """
     for x in d.quiver.objects:
         if d.curvature_vec(x):
             raise ValueError("Maurer-Cartan category needs an uncurved target")
-    F = c.field
     if elements is None:
         elements = mc_enumerate(c, d, budget=budget)
     else:
@@ -670,22 +701,10 @@ def mc_category(c: PointedCoalgebra, d: DgCategory,
         elements = list(elements)
     oms = [tuple(m.object_map[x] for x in c.objects) for m in elements]
     conv = ConvolutionCategory(c, d, object_maps=oms)
-    labels = [("mc", i) for i in range(len(elements))]
-    quiver, unit, comp, plain, _, keyed = conv.tables(list(zip(labels, oms)))
-    xvs = {lab: {(lab, lab, 1, ("r", ck, dk)): coeff
-                 for ck, v in m.xi.items() for dk, coeff in v.items()}
-           for lab, m in zip(labels, elements)}
-    post, pre = _products(F, comp, xvs)  # xi' . phi and phi . xi per key
-    diff = {}
-    for ks in keyed.values():
-        for k in ks:
-            v = vec_addmul(F, plain.get(k, {}), F.one, post.get(k, {}))
-            s = F.one if k[2] % 2 else F.coerce(-1)
-            v = vec_addmul(F, v, s, pre.get(k, {}))
-            if v:
-                diff[k] = v
-    cat = DgCategory(F, quiver, unit, comp, diff=diff)
-    return MCCategory(list(elements), cat, conv, oms)
+    quiver, unit, comp, diff, _, _ = conv.tables([
+        (("mc", i), om, m.xi) for i, (om, m) in enumerate(zip(oms, elements))])
+    cat = DgCategory(c.field, quiver, unit, comp, diff=diff)
+    return MCCategory(elements, cat, conv, oms)
 
 
 def internal_hom(c, d, weight_cap: int,
@@ -788,14 +807,26 @@ def adjunction_mc_from_functor(fun: DgFunctor, c: PointedCoalgebra) -> MCElement
     return MCElement({x: fun.object_map[x] for x in c.objects}, xi)
 
 
-def mc_from_morphism(mor: CoalgebraMorphism, splitting: Splitting) -> MCElement:
+def _bar_splitting(bar_coa: PointedCoalgebra) -> Splitting:
+    """The ``Splitting`` a bar records, the only way a map into BD is read;
+    refuses a coalgebra that ``bar_construction`` did not build."""
+    sp = getattr(bar_coa, "splitting", None)
+    if sp is None:
+        raise ValueError("a map into BD is read through the splitting the "
+                         "bar records; pass a bar_construction result")
+    return sp
+
+
+def mc_from_morphism(mor: CoalgebraMorphism) -> MCElement:
     """MC element of a morphism into a bar coalgebra.
 
-    The one-letter component of the morphism is minus the suspended
-    cochain; the twist functional supplies its unit-direction part, which
-    the letters cannot see.
+    The morphism is read through the splitting its target was built on:
+    the one-letter component is minus the suspended cochain, and the
+    twist functional supplies its unit-direction part, which the letters
+    cannot see.  A target that is not a bar is refused.
     """
-    cat = splitting.cat
+    sp = _bar_splitting(mor.target)
+    cat = sp.cat
     F = cat.field
     om = dict(mor.object_map)
     xi: Dict[Key, Vec] = {}
@@ -803,8 +834,7 @@ def mc_from_morphism(mor: CoalgebraMorphism, splitting: Splitting) -> MCElement:
         v: Vec = {}
         for wk, coeff in mor.action.get(ck, {}).items():
             if len(wk[3]) == 1:
-                v = vec_addmul(F, v, F.neg(coeff),
-                               splitting.letter_vec(wk[3][0]))
+                v = vec_addmul(F, v, F.neg(coeff), sp.letter_vec(wk[3][0]))
         a = mor.twist.get(ck)
         if a is not None:
             v = vec_addmul(F, v, a, cat.unit_vec(om[ck[0]]))
@@ -862,19 +892,21 @@ def _bar_image_polys(bar_coa: PointedCoalgebra, chains: Dict,
 
 
 def morphism_from_mc(m: MCElement, c: PointedCoalgebra,
-                     bar_coa: PointedCoalgebra,
-                     splitting: Splitting) -> CoalgebraMorphism:
+                     bar_coa: PointedCoalgebra) -> CoalgebraMorphism:
     """Coalgebra morphism C -> BD of an MC element.
 
-    Splits each value into unit part (the twist) and letter part (minus
-    the one-letter component), then extends comultiplicatively.
+    Splits each value, by the splitting ``bar_coa`` was built on, into
+    unit part (the twist) and letter part (minus the one-letter
+    component), then extends comultiplicatively.  A target that is not a
+    bar is refused.
     """
+    split = _bar_splitting(bar_coa).split
     F = c.field
     om = dict(m.object_map)
     twist: Dict[Key, object] = {}
     p1: Dict[Key, Poly] = {}
     for ck in c.reduced.keys():
-        units, red = splitting.split(m.xi.get(ck, {}))
+        units, red = split(m.xi.get(ck, {}))
         twist[ck] = units.get(om[ck[0]], F.zero)
         p1[ck] = {(): vec_scale(F, F.coerce(-1), red)}
     chains = _deconcat_chains(c)
@@ -963,10 +995,7 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
     _same_field(c, bar_coa, "morphism enumeration")
     if not bar_coa.objects:  # the zero coalgebra takes the empty C only
         return [] if c.objects else [CoalgebraMorphism(c, bar_coa, {}, {})]
-    sp = getattr(bar_coa, "splitting", None)
-    if sp is None:
-        raise ValueError("morphism enumeration solves on the splitting a bar "
-                         "records; pass a bar_construction result")
+    sp = _bar_splitting(bar_coa)
     F, d = c.field, sp.cat
     minus = F.coerce(-1)
     slots: Dict[Tuple[object, object, int], List[Tuple[Key, Vec]]] = {}
@@ -1005,7 +1034,6 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
 
 @dataclass
 class CounitData:
-    splitting: Splitting
     bar: PointedCoalgebra
     cobar: CobarResult
     mc: MCElement
@@ -1030,12 +1058,11 @@ def counit_data(d: DgCategory, bar_weight_cap: int,
     ``trunc_poly3`` passes from cap 2 and ``odd_poly5`` from cap 4;
     ``group_like`` (t invertible) fails at every cap.
     """
-    sp = Splitting(d)
-    bar = bar_construction(d, bar_weight_cap, splitting=sp)
-    m = mc_from_morphism(identity_morphism(bar), sp)
+    bar = bar_construction(d, bar_weight_cap)
+    m = mc_from_morphism(identity_morphism(bar))
     cobar = cobar_construction(bar, length_cap=length_cap, weight_cap=(
         bar_weight_cap if length_cap is None else None))
-    return CounitData(sp, bar, cobar, m,
+    return CounitData(bar, cobar, m,
                       adjunction_functor_from_mc(cobar, d, m))
 
 
@@ -1102,9 +1129,10 @@ def ez_generator_problems(ez: EZData) -> List[str]:
 
     One-letter words over pure rows land on their pair with coefficient
     one and mixed rows die; the two routes around a square of one-letter
-    factors agree up to the Koszul sign of the crossing.  A two-letter
-    shuffle word that the source's caps admit but its quiver lacks is
-    reported as missing.
+    factors agree up to the Koszul sign of the crossing.  Words the
+    source's caps drop are not checked.  A two-letter shuffle word of
+    stored letters that the caps admit but the quiver lacks is reported
+    as missing.
     """
     F = ez.tensor.field
     fun = ez.functor
@@ -1115,21 +1143,22 @@ def ez_generator_problems(ez: EZData) -> List[str]:
     drows = sorted({(tk[0][1], tk[1][1], tk[2], tk[3][1][1])
                     for tk in ez.tensor.reduced.keys()
                     if tk[3][0][0] == "G"}, key=repr)
-    for tk in ez.tensor.reduced.keys():
-        letter = _ez_letter(tk)
-        want = {} if letter is None else {letter: F.one}
-        if fun.action.get(_single_word(tk), {}) != want:
-            problems.append(f"one-letter image off at {tk[3]}")
     src = ez.source
     quiver = src.category.quiver
 
     def admitted(word) -> bool:
-        # both letters are stored and the caps keep the two-letter word,
-        # so the cobar must hold it
-        return (all(quiver.has_key(_single_word(k)) for k in word)
-                and (src.length_cap is None or src.length_cap >= 2)
+        # the caps keep the word, so the cobar must hold it
+        return ((src.length_cap is None or src.length_cap >= len(word))
                 and (src.weight_cap is None or
                      sum(_letter_weight(k) for k in word) <= src.weight_cap))
+
+    for tk in ez.tensor.reduced.keys():
+        if not admitted((tk,)):
+            continue  # a letter the caps dropped has no image to check
+        letter = _ez_letter(tk)
+        want = {} if letter is None else {letter: F.one}
+        if fun.action.get(_single_word(tk), {}) != want:
+            problems.append(f"one-letter image off at {tk[3]}")
 
     for ck in crows:
         for dk in drows:
@@ -1143,7 +1172,8 @@ def ez_generator_problems(ez: EZData) -> List[str]:
                 if quiver.has_key(wk):
                     if fun.action.get(wk, {}) != {want_key: sign}:
                         problems.append(f"{route} shuffle off at {(ck, dk)}")
-                elif admitted(word):
+                elif all(quiver.has_key(_single_word(k)) for k in word) \
+                        and admitted(word):
                     problems.append(f"shuffle word missing at {(ck, dk)}")
     return problems
 
@@ -1173,6 +1203,8 @@ def ez_compare(c: PointedCoalgebra, cp: PointedCoalgebra,
         raise ValueError("curved comparison only settles the associated "
                          "graded; pass the associated graded coalgebras")
     lo, hi = window
+    if lo > hi:
+        raise ValueError(f"window {window} is empty; pass lo <= hi")
     degs = [k[2] for k in c.reduced.keys()] + [k[2] for k in cp.reduced.keys()]
     if all(n >= 0 for n in degs):
         cap = max(0, hi + 1)

@@ -240,7 +240,11 @@ class DgCategory:
     # -- hom complexes ------------------------------------------------------
 
     def hom_complex(self, x, y, lo: int, hi: int) -> BoundedComplex:
-        """Hom(x, y) as a complex on [lo, hi]; refuses if d^2 != 0 there."""
+        """Hom(x, y) as a complex on [lo, hi]; refuses if d^2 != 0 there,
+        or if x or y is not an object."""
+        for z in (x, y):
+            if z not in self.quiver.objects:
+                raise ValueError(f"{z!r} is not an object of this category")
         F = self.field
         dims, labels = {}, {}
         for n in range(lo, hi + 1):

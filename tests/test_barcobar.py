@@ -35,6 +35,7 @@ from koszulcat.samples import (
     contractible_endo,
     dual_numbers,
     group_like,
+    truncated_polynomial,
 )
 from test_quiver import keep_listing
 
@@ -712,3 +713,14 @@ def test_determinism():
     assert list(a.category.quiver.keys()) == list(b.category.quiver.keys())
     assert a.category.diff == b.category.diff
     assert a.category.comp == b.category.comp
+
+
+def test_bar_refuses_a_splitting_of_another_category():
+    """The splitting a bar is built on must split the category barred:
+    trunc_poly3's would spell dual_numbers' bar with its own six words."""
+    F3 = GF(3)
+    dual = dual_numbers(F3)
+    assert bar_construction(dual, 2).reduced.total_dim() == 2
+    foreign = Splitting(truncated_polynomial(F3, 3))
+    with pytest.raises(ValueError, match="another category"):
+        bar_construction(dual, 2, splitting=foreign)

@@ -11,16 +11,18 @@ pair of every labelled object triple.  Hom bases, products and the
 composition table must come out equal, values and insertion order, with
 at most one ``comp_vec`` call per stored entry.  The reduced tables are
 the counital ones restricted to the reduced rows.  The MC category's
-twisted differential, which ``mc_category`` reads off the stored
-composition entries, must equal the key-by-key loop that composes each
-basis cochain with the MC elements at its two ends.
+twisted differential, which ``diff_vec`` writes from one ``comp_vec``
+call per term of the MC elements, must equal the key-by-key loop that
+composes each basis cochain with the MC elements at its two ends through
+the stored composition table; on one hom it needs no table at all.
 """
 
+from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
 
-from koszulcat.barcobar import Splitting, bar_construction
+from koszulcat.barcobar import bar_construction
 from koszulcat.coalgebra import identity_morphism
 from koszulcat.convmc import (convolution_category, mc_category,
                               mc_from_morphism)
@@ -112,7 +114,7 @@ def oracle_twisted_diff(mcc):
     conv, F = mcc.convolution, mcc.convolution.field
     labels = [("mc", i) for i in range(len(mcc.elements))]
     _, _, comp, plain, _, keyed = conv.tables(
-        list(zip(labels, mcc.object_maps)))
+        [(lab, om, {}) for lab, om in zip(labels, mcc.object_maps)])
     xvs = {lab: {(lab, lab, 1, ("r", ck, dk)): coeff
                  for ck, v in m.xi.items() for dk, coeff in v.items()}
            for lab, m in zip(labels, mcc.elements)}
@@ -130,9 +132,9 @@ def oracle_twisted_diff(mcc):
 
 
 def _composable_pairs(keyed, objects):
-    for lf, _ in objects:
-        for lg, _ in objects:
-            for lh, _ in objects:
+    for lf, _, _ in objects:
+        for lg, _, _ in objects:
+            for lh, _, _ in objects:
                 for kpsi in keyed[(lg, lh)]:
                     for kphi in keyed[(lf, lg)]:
                         yield kpsi, kphi
@@ -140,7 +142,7 @@ def _composable_pairs(keyed, objects):
 
 def oracle_comp(conv, objects):
     keyed = {(lf, lg): [(lf, lg) + k[2:] for k in oracle_hom_keys(conv, fk, gk)]
-             for lf, fk in objects for lg, gk in objects}
+             for lf, fk, _ in objects for lg, gk, _ in objects}
     comp = {}
     for kpsi, kphi in _composable_pairs(keyed, objects):
         v = oracle_comp_vec(conv, kpsi, kphi)
@@ -152,20 +154,26 @@ def oracle_comp(conv, objects):
 # -- the comparison ----------------------------------------------------------
 
 
-def _counted_tables(conv, objects):
-    """``conv.tables(objects)`` and the number of comp_vec calls it made."""
-    calls = [0]
-    rule = conv.comp_vec
+@contextmanager
+def _comp_vec_calls(conv):
+    """The (psi, phi) pairs of each ``conv.comp_vec`` call in the block."""
+    calls, rule = [], conv.comp_vec
 
-    def counted(kpsi, kphi):
-        calls[0] += 1
+    def recorded(kpsi, kphi):
+        calls.append((kpsi, kphi))
         return rule(kpsi, kphi)
 
-    conv.comp_vec = counted
+    conv.comp_vec = recorded
     try:
-        return conv.tables(objects), calls[0]
+        yield calls
     finally:
         del conv.comp_vec
+
+
+def _counted_tables(conv, objects):
+    """``conv.tables(objects)`` and the number of comp_vec calls it made."""
+    with _comp_vec_calls(conv) as calls:
+        return conv.tables(objects), len(calls)
 
 
 def _assert_matches_scan(conv, objects):
@@ -201,14 +209,14 @@ def _assert_comp_vec_matches_oracle(conv, objects):
 def test_comp_vec_matches_case_by_case_oracle(cname, dname, reduced, field):
     conv = _conv(cname, dname, field, reduced)
     _assert_comp_vec_matches_oracle(conv,
-                                    [(fk, fk) for fk in conv.object_maps])
+                                    [(fk, fk, {}) for fk in conv.object_maps])
 
 
 def test_comp_vec_matches_oracle_on_labelled_objects():
     mcc = _neg_primitive_mc_category()
     _assert_comp_vec_matches_oracle(
         mcc.convolution,
-        [(("mc", i), om) for i, om in enumerate(mcc.object_maps)])
+        [(("mc", i), om, {}) for i, om in enumerate(mcc.object_maps)])
 
 
 def test_corpus_has_odd_reduced_pair_signs():
@@ -250,32 +258,71 @@ def test_reduced_tables_restrict_the_counital_ones(cname, dname, field):
 @pytest.mark.parametrize("field", [QQ, F3], ids=["q", "f3"])
 def test_comp_table_matches_key_pair_scan(cname, dname, reduced, field):
     conv = _conv(cname, dname, field, reduced)
-    comp = _assert_matches_scan(conv, [(fk, fk) for fk in conv.object_maps])
+    comp = _assert_matches_scan(conv,
+                                [(fk, fk, {}) for fk in conv.object_maps])
     if not reduced:
         assert comp  # the units compose, so the table is never empty
 
 
 def test_comp_table_matches_scan_on_labelled_objects():
     mcc = _neg_primitive_mc_category()
-    objects = [(("mc", i), om) for i, om in enumerate(mcc.object_maps)]
+    objects = [(("mc", i), om, {}) for i, om in enumerate(mcc.object_maps)]
     assert len(objects) == 3 and len(set(mcc.object_maps)) == 1
     comp = _assert_matches_scan(mcc.convolution, objects)
     assert list(comp.items()) == list(mcc.category.comp.items())
 
 
-@pytest.mark.parametrize("cname,dname", [
-    ("neg_primitive", "contractible_endo"),
-    ("curved_chain", "contractible_endo"),
-    ("dag", "contractible_arrow"),
-])
-def test_twisted_diff_matches_key_by_key_loop(cname, dname):
-    mcc = mc_category(COALGEBRA_LIBRARY[cname](F3),
-                      CATEGORY_LIBRARY[dname](F3))
-    assert len(mcc.elements) > 1
+def _identity_mc_category(dname, field):
+    """The one-element MC*(BD, D) at the identity of BD, the bar taken at
+    weight 4: its one hom is the Hochschild cochain complex of D."""
+    d = CATEGORY_LIBRARY[dname](field)
+    bar = bar_construction(d, 4)
+    return mc_category(bar, d,
+                       elements=[mc_from_morphism(identity_morphism(bar))])
+
+
+@pytest.mark.parametrize("cname,dname,field", [
+    pytest.param(cname, dname, F3, id=f"{cname}-{dname}") for cname, dname in [
+        ("neg_primitive", "contractible_endo"),
+        ("curved_chain", "contractible_endo"),
+        ("dag", "contractible_arrow")]] + [
+    pytest.param("bar", dname, field, id=f"bar-{dname}-{field.name}")
+    for dname in ("trunc_poly3", "dual_numbers") for field in (F3, QQ)])
+def test_twisted_diff_matches_key_by_key_loop(cname, dname, field):
+    if cname == "bar":
+        mcc = _identity_mc_category(dname, field)
+        assert len(mcc.elements) == 1
+    else:
+        mcc = mc_category(COALGEBRA_LIBRARY[cname](field),
+                          CATEGORY_LIBRARY[dname](field))
+        assert len(mcc.elements) > 1
     if cname == "curved_chain":  # a xi of several terms sums them per key
         assert max(sum(map(len, m.xi.values())) for m in mcc.elements) == 3
     assert list(mcc.category.diff.items()) == \
         list(oracle_twisted_diff(mcc).items())
+
+
+@pytest.mark.parametrize("dname", ["trunc_poly3", "dual_numbers"])
+@pytest.mark.parametrize("field", [QQ, F3], ids=["q", "f3"])
+def test_end_of_xi_needs_only_hom_keys_and_diff_vec(dname, field):
+    """End(xi) of the identity element, read one hom key at a time with
+    no table: ``diff_vec`` gives the MC category's d on that hom, and
+    every product it reads has xi on one side."""
+    mcc = _identity_mc_category(dname, field)
+    conv, (m,), (om,) = mcc.convolution, mcc.elements, mcc.object_maps
+    (lab,) = mcc.category.quiver.objects
+    with _comp_vec_calls(conv) as calls:
+        got = [(k, conv.diff_vec(k, m.xi, m.xi))
+               for k in conv.hom_keys(om, om)]
+    got = [(k, v) for k, v in got if v]
+
+    def at(k):
+        return (lab, lab) + k[2:]
+
+    assert [(at(k), {at(k2): c for k2, c in v.items()}) for k, v in got] \
+        == list(mcc.category.diff.items())
+    xi = {(om, om, 1, ("r", ck, dk)) for ck, v in m.xi.items() for dk in v}
+    assert calls and all(kpsi in xi or kphi in xi for kpsi, kphi in calls)
 
 
 def test_bar_mc_category_calls_comp_vec_once_per_entry():
@@ -284,12 +331,11 @@ def test_bar_mc_category_calls_comp_vec_once_per_entry():
     made 484^2 = 234,256 comp_vec calls for 4,376 entries."""
     names = ["e", "x", "y", "xy"]
     a = category_by_names(F3, {n: 0 for n in names}, {("x", "y"): {"xy": 1}})
-    sp = Splitting(a)
-    bar = bar_construction(a, 4, splitting=sp)
-    m = mc_from_morphism(identity_morphism(bar), sp)
+    bar = bar_construction(a, 4)
+    m = mc_from_morphism(identity_morphism(bar))
     conv = mc_category(bar, a, elements=[m]).convolution
     (quiver, _, comp, _, _, _), calls = _counted_tables(
-        conv, [(("mc", 0), conv.object_maps[0])])
+        conv, [(("mc", 0), conv.object_maps[0], {})])
     assert quiver.total_dim() == 484
     assert len(comp) == 4376
     assert calls == 4376

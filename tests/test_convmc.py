@@ -53,7 +53,8 @@ from koszulcat.dgcat import empty_category, zero_category
 from koszulcat.field import GF, QQ, vec_bump
 from koszulcat.quiver import GradedQuiver, lkey, pair_key
 from koszulcat.randgen import random_coalgebra, random_dg_category
-from koszulcat.samples import CATEGORY_LIBRARY, COALGEBRA_LIBRARY
+from koszulcat.samples import (CATEGORY_LIBRARY, COALGEBRA_LIBRARY,
+                               coalgebra_by_names)
 from test_mc_solver import oracle_mc_enumerate
 
 F2, F3 = GF(2), GF(3)
@@ -251,7 +252,8 @@ def test_convolution_over_q_reduces_to_convolution_over_f3(reduced):
             conv = convolution_category(COALGEBRA_LIBRARY[cname](field),
                                         CATEGORY_LIBRARY[dname](field),
                                         reduced=reduced)
-            tables.append(conv.tables([(fk, fk) for fk in conv.object_maps]))
+            tables.append(conv.tables([(fk, fk, {})
+                                       for fk in conv.object_maps]))
         (qq, qu, qc, qd, qh, _), (fq, fu, fc, fd, fh, _) = tables
         case = (cname, dname)
         assert list(qq.slots.items()) == list(fq.slots.items()), case
@@ -290,17 +292,15 @@ def test_transports_over_q_reduce_to_transports_over_f3():
             c, d = COALGEBRA_LIBRARY[cname](field), CATEGORY_LIBRARY[dname](field)
             m = MCElement(om, {ck: {dk: field.coerce(x) for dk, x in v.items()}
                                for ck, v in xi.items()})
-            sp = Splitting(d)
             fun = adjunction_functor_from_mc(
                 cobar_construction(c, length_cap=3), d, m)
-            mor = morphism_from_mc(m, c, bar_construction(d, 3, splitting=sp),
-                                   sp)
+            mor = morphism_from_mc(m, c, bar_construction(d, 3))
             # over GF(3) the reduction only drops empty entries
             got.append((fun.object_map, _mod3(fun.action),
                         _mod3(adjunction_mc_from_functor(fun, c).xi),
                         mor.object_map, _mod3(mor.action),
                         _mod3({0: mor.twist}),
-                        _mod3(mc_from_morphism(mor, sp).xi)))
+                        _mod3(mc_from_morphism(mor).xi)))
         assert got[0] == got[1], (cname, dname, om)
 
 
@@ -516,8 +516,7 @@ def test_universal_cochain_functor_is_identity(field):
 def test_three_hom_sets_agree(dname, count):
     c = COALGEBRA_LIBRARY["dag"](F2)
     d = CATEGORY_LIBRARY[dname](F2)
-    sp = Splitting(d)
-    bar = bar_construction(d, 3, splitting=sp)
+    bar = bar_construction(d, 3)
     cob = cobar_construction(c, length_cap=3)
     assert cob.exact
     els = mc_enumerate(c, d, budget=1 << 22)
@@ -533,10 +532,10 @@ def test_three_hom_sets_agree(dname, count):
     assert len(prints) == count  # enumerated functors are pairwise distinct
     seen = {_mor_print(m) for m in mors}
     for m in els:
-        mor = morphism_from_mc(m, c, bar, sp)
+        mor = morphism_from_mc(m, c, bar)
         assert mor.validate() == []
         assert _mor_print(mor) in seen
-        assert mc_from_morphism(mor, sp) == m
+        assert mc_from_morphism(mor) == m
         fun = adjunction_functor_from_mc(cob, d, m)
         assert fun.validate() == []
         assert adjunction_mc_from_functor(fun, c) == m
@@ -548,16 +547,15 @@ def test_transport_round_trip_with_multi_key_units():
     c = COALGEBRA_LIBRARY["neg_primitive"](F3)
     d = convolution_category(COALGEBRA_LIBRARY["dag"](F3),
                              CATEGORY_LIBRARY["k"](F3)).to_dg_category()
-    sp = Splitting(d)
-    bar = bar_construction(d, 3, splitting=sp)
+    bar = bar_construction(d, 3)
     els = mc_enumerate(c, d)
     mors = {_mor_print(m) for m in enumerate_coalgebra_morphisms(c, bar, weight_cap=3)}
     assert len(els) == len(mors) == 729
     for m in els:
-        mor = morphism_from_mc(m, c, bar, sp)
+        mor = morphism_from_mc(m, c, bar)
         assert mor.validate() == []
         assert _mor_print(mor) in mors
-        assert mc_from_morphism(mor, sp) == m
+        assert mc_from_morphism(mor) == m
 
 
 def test_internal_hom_with_multi_key_units_validates():
@@ -570,7 +568,6 @@ def test_morphism_transport_refuses_small_bar():
     by a weight-1 bar instead of silently truncated."""
     c = COALGEBRA_LIBRARY["dag"](F2)
     d = CATEGORY_LIBRARY["exterior_line"](F2)
-    sp = Splitting(d)
     rows = {k[3]: k for k in c.reduced.keys()}
     x = ("*", "*", 1, "x")
     m = MCElement({o: "*" for o in c.objects},
@@ -578,8 +575,8 @@ def test_morphism_transport_refuses_small_bar():
     ok, _ = mc_check(c, d, m)
     assert ok  # x o x = 0 settles the m-row
     with pytest.raises(ValueError):
-        morphism_from_mc(m, c, bar_construction(d, 1, splitting=sp), sp)
-    mor = morphism_from_mc(m, c, bar_construction(d, 2, splitting=sp), sp)
+        morphism_from_mc(m, c, bar_construction(d, 1))
+    mor = morphism_from_mc(m, c, bar_construction(d, 2))
     assert mor.validate() == []
     assert mor.action[rows["m"]]  # the two-letter word really is hit
 
@@ -594,15 +591,25 @@ def test_morphism_transport_accepts_cancelled_words():
                          {c_: {(a, b): F3.one, (b, a): F3.coerce(-1)}})
     assert c.validate() == []
     d = CATEGORY_LIBRARY["exterior_line"](F3)
-    sp = Splitting(d)
     x = ("*", "*", 1, "x")
     m = MCElement({"*": "*"}, {a: {x: F3.one}, b: {x: F3.one}})
     assert mc_check(c, d, m)[0]
-    short = morphism_from_mc(m, c, bar_construction(d, 1, splitting=sp), sp)
+    short = morphism_from_mc(m, c, bar_construction(d, 1))
     assert short.validate() == []
     assert c_ not in short.action
     assert short.action == morphism_from_mc(
-        m, c, bar_construction(d, 2, splitting=sp), sp).action
+        m, c, bar_construction(d, 2)).action
+
+
+def test_transports_refuse_a_target_that_is_not_a_bar():
+    """Both transports read a map into BD through the splitting BD was
+    built on, so a coalgebra that records none is refused."""
+    c = COALGEBRA_LIBRARY["dag"](F3)
+    m = mc_enumerate(c, CATEGORY_LIBRARY["a2"](F3))[0]
+    with pytest.raises(ValueError, match="pass a bar_construction"):
+        morphism_from_mc(m, c, c)
+    with pytest.raises(ValueError, match="pass a bar_construction"):
+        mc_from_morphism(identity_morphism(c))
 
 
 def test_functor_enumeration_refuses_truncation():
@@ -723,6 +730,15 @@ def test_morphism_enumeration_refuses_the_final_coalgebra():
     assert len(mors) == 1 and mors[0].validate() == []
 
 
+def test_counit_of_the_empty_category():
+    """The bar of the empty category is the zero coalgebra, which records
+    its (empty) splitting, so the counit reads it like any other bar."""
+    cd = counit_data(empty_category(F3), 2)
+    assert cd.bar.objects == () and cd.bar.splitting.letters == []
+    assert cd.mc == MCElement({}, {})
+    assert cd.functor.validate() == []
+
+
 def test_bar_and_cobar_record_their_inputs():
     """Functors are solved on the coalgebra a cobar records, morphisms on
     the category of the splitting a bar records; a category or coalgebra
@@ -788,7 +804,7 @@ def _hochschild(d, cap: int, top: int):
     of the one object of MC*(BD, D) whose element is the identity of BD
     (the Hochschild cochains of D), the bar taken at weight ``cap``."""
     bar = bar_construction(d, cap)
-    m = mc_from_morphism(identity_morphism(bar), bar.splitting)
+    m = mc_from_morphism(identity_morphism(bar))
     cat = mc_category(bar, d, elements=[m]).category
     (x,) = cat.quiver.objects
     h = cat.hom_homology(x, x, 0, top)
@@ -1015,6 +1031,28 @@ def test_graded_comparison_reports_pinned(field, cname, pname, window):
             for x in c.objects for y in c.objects]
     assert (r.window, r.cap, r.equal) == (window, cap, True)
     assert r.pairs == want
+
+
+@pytest.mark.parametrize("c,cp,window", [
+    (COALGEBRA_LIBRARY["dag"](QQ), COALGEBRA_LIBRARY["primitive_pair"](QQ),
+     (-1, -1)),
+    (coalgebra_by_names(QQ, {"p": -2, "q": -3}),
+     coalgebra_by_names(QQ, {"p": -3, "q": -4}), (1, 2)),
+], ids=["positive", "negative"])
+def test_comparison_at_certified_cap_zero(c, cp, window):
+    """Every cobar letter lies beyond the window, so the certified cap is
+    0 and the cobars hold no letter: no one-letter image is asked for,
+    and both sides read zero homology."""
+    r = ez_compare(c, cp, window)
+    zero = (0,) * (window[1] - window[0] + 1)
+    assert (r.cap, r.equal) == (0, True)
+    assert r.pairs and all(p[2] == p[3] == zero for p in r.pairs)
+
+
+def test_comparison_refuses_an_empty_window():
+    with pytest.raises(ValueError, match="window .* is empty"):
+        ez_compare(COALGEBRA_LIBRARY["dag"](QQ),
+                   COALGEBRA_LIBRARY["primitive_pair"](QQ), (3, -1))
 
 
 def test_comparison_refuses_uncertifiable_windows():

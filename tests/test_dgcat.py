@@ -412,3 +412,11 @@ def test_random_uncurved_flag():
     for seed in range(30):
         c = random_dg_category(GF(2), seed, allow_curved=False)
         assert not c.is_curved()
+
+
+def test_hom_complex_refuses_an_unknown_object():
+    d = dual_numbers(GF(3))
+    for x, y in (("zz", "zz"), ("*", "zz"), ("zz", "*")):
+        with pytest.raises(ValueError, match="not an object"):
+            d.hom_homology(x, y, 0, 2)
+    assert d.hom_homology("*", "*", 0, 0) == {0: 2}

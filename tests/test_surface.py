@@ -15,7 +15,10 @@ stock instance is built by names.  Only ``matrix`` calls the elimination
 callers hand their rows to ``matrix``'s private helpers instead of
 building a ``SparseMatrix``.  Only ``dgcat._path_category`` calls the
 word lister ``quiver.WordTrie``: bar and cotensor coalgebras rank their
-words (``quiver.Words``) instead.
+words (``quiver.Words``) instead.  Only ``bar_construction`` takes a
+``splitting`` parameter, and only ``convmc._bar_splitting`` reads a
+coalgebra's ``.splitting``: a map into BD is read through the splitting
+BD was built on, never through one passed beside it.
 """
 
 import ast
@@ -224,3 +227,56 @@ def test_only_path_categories_list_words():
     calls = [(path.name,) + call for path in sorted(SRC.glob("*.py"))
              for call in callers(path.read_text(), {"WordTrie"})]
     assert [c[:2] for c in calls] == [("dgcat.py", "_path_category")]
+
+
+def splitting_uses(source: str):
+    """(kind, enclosing function, line) of each parameter named
+    ``splitting`` ("param") and each read of a ``.splitting`` attribute,
+    by ``x.splitting`` or ``getattr(x, "splitting", ...)`` ("read")."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                out.extend(("param", child.name, child.lineno)
+                           for arg in a.posonlyargs + a.args + a.kwonlyargs
+                           if arg.arg == "splitting")
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "splitting"
+                    and isinstance(child.ctx, ast.Load)):
+                out.append(("read", where, child.lineno))
+            elif (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "getattr" and len(child.args) > 1
+                    and isinstance(child.args[1], ast.Constant)
+                    and child.args[1].value == "splitting"):
+                out.append(("read", where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return sorted(out, key=lambda x: x[2])
+
+
+def test_splitting_uses_are_caught():
+    assert splitting_uses(
+        "def bar_construction(cat, cap, splitting=None):\n"
+        "    bar.splitting = splitting\n"
+        "def mc_from_morphism(mor, splitting):\n"
+        "    return mor.target.splitting.cat\n"
+        "def _bar_splitting(bar):\n"
+        "    return getattr(bar, 'splitting', None), getattr(bar, 'cat')\n"
+        "def f(*, splitting):\n"
+        "    g(splitting=1)\n") == [
+            ("param", "bar_construction", 1), ("param", "mc_from_morphism", 3),
+            ("read", "mc_from_morphism", 4), ("read", "_bar_splitting", 6),
+            ("param", "f", 7)]
+
+
+def test_one_reader_of_the_bar_splitting():
+    uses = [(path.name,) + use for path in sorted(SRC.glob("*.py"))
+            for use in splitting_uses(path.read_text())]
+    assert [u[:3] for u in uses] == [
+        ("barcobar.py", "param", "bar_construction"),
+        ("convmc.py", "read", "_bar_splitting")]
