@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coalgebra import FinalCoalgebra, PointedCoalgebra, zero_coalgebra
+from .coalgebra import FinalCoalgebra, PointedCoalgebra
 from .dgcat import DgCategory, _path_category, empty_category, zero_category
 from .field import Vec, _normalize, vec_bump
 from .matrix import _coordinates
@@ -193,10 +193,11 @@ def bar_construction(
 
     Exact per weight: every word of weight <= weight_cap carries its full
     differential, comultiplication, and curvature.  The bar records its
-    ``Splitting`` (whose ``.cat`` is D) as ``.splitting``, the zero
-    coalgebra of the empty category too; only the final coalgebra, the
-    zero category's bar, has none.  A ``splitting`` of another category
-    is refused.
+    ``Splitting`` (whose ``.cat`` is D) as ``.splitting``.  The empty
+    category takes the same path, to a bar with no objects; only the
+    zero category (at least one object, every unit zero) has the final
+    coalgebra as its bar, which records none.  A ``splitting`` of another
+    category is refused.
     """
     F = cat.field
     if weight_cap < 0:
@@ -207,20 +208,17 @@ def bar_construction(
     if splitting is not None and splitting.cat is not cat:
         raise ValueError("the splitting is of another category than the one "
                          "being barred")
-    sp = splitting if splitting is not None else Splitting(cat)
-    if not cat.quiver.objects:
-        bar = zero_coalgebra(F)
-        bar.splitting = sp
-        return bar
-    if all(not cat.unit_vec(x) for x in cat.quiver.objects):
+    objects = cat.quiver.objects
+    if objects and all(not cat.unit_vec(x) for x in objects):
         if cat.quiver.total_dim():
             raise ValueError("bar construction needs units (or the zero category)")
         return FinalCoalgebra(F)
-    if any(not cat.unit_vec(x) for x in cat.quiver.objects):
+    if any(not cat.unit_vec(x) for x in objects):
         raise ValueError("bar construction needs a unit at every object")
 
+    sp = splitting if splitting is not None else Splitting(cat)
     letters = sp.letters
-    words = Words(cat.quiver.objects,
+    words = Words(objects,
                   [_bar_word((k,))[:3] + (k,) for k in letters], weight_cap)
     keys, first, out, rank, parent = (words.keys, words.first, words.out,
                                       words.rank, words.parent)
@@ -268,7 +266,7 @@ def bar_construction(
             vec_bump(F, dvec, f + ri, F.mul(sgn, c))
         return dvec
 
-    bar = PointedCoalgebra(F, cat.quiver.objects, WordQuiver(words), words,
+    bar = PointedCoalgebra(F, objects, WordQuiver(words), words,
                            WordMap(words, rule), curv)
     bar.splitting = sp
     return bar
@@ -297,18 +295,13 @@ class CobarResult:
     def exact(self) -> bool:
         return not (self.comp_truncated or self.trunc_min_len is not None)
 
-    @property
-    def d_squared_len(self) -> Optional[int]:
-        if self.trunc_min_len is None:
-            return None  # d complete everywhere
-        return self.trunc_min_len - 2
-
     def d_squared_problems(self, max_problems: int = 25) -> List[str]:
-        """d(d(word)) != 0 in the guaranteed-exact region, by the curvature
-        check of ``DgCategory._d2_problems`` (a cobar has none)."""
-        cap = self.d_squared_len
+        """d(d(word)) != 0 in the guaranteed-exact region, words of length
+        <= trunc_min_len - 2 (every word when d is complete), by the
+        curvature check of ``DgCategory._d2_problems`` (a cobar has none)."""
+        cut = self.trunc_min_len
         keys = (k for k in self.category.quiver.keys()
-                if cap is None or len(k[3]) <= cap)
+                if cut is None or len(k[3]) <= cut - 2)
         return list(islice(self.category._d2_problems(keys, "d^2 != 0 at {}"),
                            max_problems))
 

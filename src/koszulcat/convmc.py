@@ -74,7 +74,6 @@ from .barcobar import (
     CobarResult,
     Splitting,
     _bar_word,
-    _letter_weight,
     bar_construction,
     cobar_construction,
 )
@@ -675,8 +674,7 @@ class MCCategory:
 
 
 def mc_category(c: PointedCoalgebra, d: DgCategory,
-                elements: Optional[List[MCElement]] = None,
-                budget: int = SEARCH_BUDGET) -> MCCategory:
+                elements: Optional[List[MCElement]] = None) -> MCCategory:
     """MC*(C, D): {C, D} over the MC elements, twisted at its objects.
 
     Homs, units and composition are those of {C, D} between the object
@@ -690,7 +688,7 @@ def mc_category(c: PointedCoalgebra, d: DgCategory,
         if d.curvature_vec(x):
             raise ValueError("Maurer-Cartan category needs an uncurved target")
     if elements is None:
-        elements = mc_enumerate(c, d, budget=budget)
+        elements = mc_enumerate(c, d)
     else:
         for m in elements:
             ok, residual = mc_check(c, d, m)
@@ -707,44 +705,34 @@ def mc_category(c: PointedCoalgebra, d: DgCategory,
     return MCCategory(elements, cat, conv, oms)
 
 
-def internal_hom(c, d, weight_cap: int,
-                 elements: Optional[List[MCElement]] = None,
-                 budget: int = SEARCH_BUDGET):
+def internal_hom(c, d: DgCategory, weight_cap: int):
     """uHom(C, BD) = B MC*(C, D).
 
-    ``d`` is the dg category whose bar construction is the hom target; pass
-    the final coalgebra to mean the final target (= bar of the one-object
-    category with zero unit).  The empty coalgebra and final/zero sentinels
-    fall out of the construction itself: an empty C gives the one-point
+    ``d`` is the dg category whose bar construction is the hom target; the
+    final target is the bar of ``zero_category``, the one-object category
+    with zero unit.  The empty coalgebra and final/zero sentinels fall out
+    of the construction itself: an empty C gives the one-point
     Maurer-Cartan category with zero homs, whose bar is final; an empty D
-    gives no objects at all, whose bar is the zero coalgebra.
+    gives no objects at all, whose bar is the zero coalgebra.  Only the
+    source may be the final coalgebra.
     """
-    from .dgcat import zero_category
-    if isinstance(d, FinalCoalgebra):
-        field = d.field if not isinstance(c, FinalCoalgebra) else c.field
-        d = zero_category(field)
     if isinstance(c, FinalCoalgebra):
         # absorbing source: morphisms out of the final coalgebra only reach
         # zero-unit objects, so the hom collapses to a sentinel
         bd_final = bool(d.quiver.objects) and d.quiver.total_dim() == 0 \
             and all(not d.unit_vec(x) for x in d.quiver.objects)
         return FinalCoalgebra(c.field) if bd_final else zero_coalgebra(c.field)
-    mcc = mc_category(c, d, elements=elements, budget=budget)
-    return bar_construction(mcc.category, weight_cap)
+    return bar_construction(mc_category(c, d).category, weight_cap)
 
 
 # ---------------------------------------------------------------------------
 # transports along  Hom(Omega C, D)  =  MC{C, D}  =  Hom(C, BD)
 
 
-def _theta(n: int) -> int:
-    # suspension dressing; its square is 1, so both transport directions
-    # use the same factor
-    return -1 if ((n * (n - 1)) // 2) % 2 == 0 else 1
-
-
-def _sign(field: Field, s: int):
-    return field.one if s > 0 else field.coerce(-1)
+def _theta(field: Field, n: int):
+    # suspension dressing of a degree-n row; its square is 1, so both
+    # transport directions use the same factor
+    return field.coerce(-1) if ((n * (n - 1)) // 2) % 2 == 0 else field.one
 
 
 def _single_word(ck: Key) -> Key:
@@ -779,7 +767,7 @@ def universal_cochain(c: PointedCoalgebra) -> Tuple[CobarResult, MCElement]:
     F = c.field
     xi: Dict[Key, Vec] = {}
     for ck in c.reduced.keys():
-        xi[ck] = {_single_word(ck): _sign(F, _theta(ck[2]))}
+        xi[ck] = {_single_word(ck): _theta(F, ck[2])}
     return cobar, MCElement({x: x for x in c.objects}, xi)
 
 
@@ -793,7 +781,7 @@ def adjunction_functor_from_mc(cobar, d: DgCategory, m: MCElement) -> DgFunctor:
     src = cobar.category if isinstance(cobar, CobarResult) else cobar
     F = src.field
     return _word_functor(src, d, m.object_map, {
-        ck: vec_scale(F, _sign(F, _theta(ck[2])), v) for ck, v in m.xi.items()})
+        ck: vec_scale(F, _theta(F, ck[2]), v) for ck, v in m.xi.items()})
 
 
 def adjunction_mc_from_functor(fun: DgFunctor, c: PointedCoalgebra) -> MCElement:
@@ -803,7 +791,7 @@ def adjunction_mc_from_functor(fun: DgFunctor, c: PointedCoalgebra) -> MCElement
     for ck in c.reduced.keys():
         v = fun.action.get(_single_word(ck))
         if v:
-            xi[ck] = vec_scale(F, _sign(F, _theta(ck[2])), v)
+            xi[ck] = vec_scale(F, _theta(F, ck[2]), v)
     return MCElement({x: fun.object_map[x] for x in c.objects}, xi)
 
 
@@ -960,7 +948,7 @@ def enumerate_dg_functors(cobar, d: DgCategory,
         coords = [(g[3][0], (om[g[0]], om[g[1]], g[2], name)) for g in gens
                   for name in d.quiver.slot(om[g[0]], om[g[1]], g[2])]
         sols, spent = _mc_solve(c, d, om, [
-            (ck, {dk: _sign(F, _theta(ck[2]))}) for ck, dk in coords],
+            (ck, {dk: _theta(F, ck[2])}) for ck, dk in coords],
             spent, budget)
         out += [_word_functor(src, d, om, _at_point(coords, vals))
                 for vals in sols]
@@ -984,7 +972,8 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
     refused, so a finite bar needs no ``weight_cap``; one that is passed
     also refuses C when a chain of more than ``weight_cap`` parts
     survives its iterated coproduct.  A target that ``bar_construction``
-    did not build is refused, the final and zero coalgebras apart.
+    did not build is refused, a bare ``zero_coalgebra`` too; the bar of
+    the empty category takes the one empty morphism from the empty C.
     Morphisms come per object map in product order, each map's sorted by
     coordinate tuple.
     """
@@ -993,8 +982,6 @@ def enumerate_coalgebra_morphisms(c: PointedCoalgebra,
                          "coalgebra; every coalgebra has exactly one "
                          "morphism into it")
     _same_field(c, bar_coa, "morphism enumeration")
-    if not bar_coa.objects:  # the zero coalgebra takes the empty C only
-        return [] if c.objects else [CoalgebraMorphism(c, bar_coa, {}, {})]
     sp = _bar_splitting(bar_coa)
     F, d = c.field, sp.cat
     minus = F.coerce(-1)
@@ -1040,16 +1027,16 @@ class CounitData:
     functor: DgFunctor
 
 
-def counit_data(d: DgCategory, bar_weight_cap: int,
-                length_cap: Optional[int] = None) -> CounitData:
+def counit_data(d: DgCategory, bar_weight_cap: int) -> CounitData:
     """The identity of BD pushed through the adjunction.
 
     Its cochain projects one-letter words to minus their letter and kills
     everything longer, so the functor evaluates words of letters-of-words
-    by composing in D.  Unless ``length_cap`` is given, the cobar is
-    weight-capped at ``bar_weight_cap``, the same resolution depth both
-    ways; that keeps its differential complete, which makes windowed
-    homology trustworthy even on a finite materialization.
+    by composing in D.  The cobar is weight-capped at ``bar_weight_cap``,
+    the same resolution depth both ways; that keeps its differential
+    complete, which makes windowed homology trustworthy even on a finite
+    materialization.  The zero category is refused: its bar is the
+    formal final coalgebra, which has no identity morphism to read.
 
     Under that weight cap the counit is a functor exactly when
     every product of more than ``bar_weight_cap`` reduced arrows of D
@@ -1059,9 +1046,12 @@ def counit_data(d: DgCategory, bar_weight_cap: int,
     ``group_like`` (t invertible) fails at every cap.
     """
     bar = bar_construction(d, bar_weight_cap)
+    if isinstance(bar, FinalCoalgebra):
+        raise ValueError("the zero category's bar is the final coalgebra, "
+                         "which has no identity morphism to read; pass a "
+                         "category with nonzero units")
     m = mc_from_morphism(identity_morphism(bar))
-    cobar = cobar_construction(bar, length_cap=length_cap, weight_cap=(
-        bar_weight_cap if length_cap is None else None))
+    cobar = cobar_construction(bar, weight_cap=bar_weight_cap)
     return CounitData(bar, cobar, m,
                       adjunction_functor_from_mc(cobar, d, m))
 
@@ -1088,39 +1078,37 @@ def _ez_letter(tk: Key) -> Optional[Key]:
 
 @dataclass
 class EZData:
+    """The comparison Omega(C (x) C') -> Omega C (x) Omega C': the tensor
+    coalgebra, its cobar (the source), the target category and the
+    functor."""
     tensor: PointedCoalgebra
     source: CobarResult
-    left: CobarResult
-    right: CobarResult
     target: DgCategory
-    mc: MCElement
     functor: DgFunctor
 
 
 def ez_data(c: PointedCoalgebra, cp: PointedCoalgebra,
-            length_cap: Optional[int] = None,
-            weight_cap: Optional[int] = None) -> EZData:
+            length_cap: int) -> EZData:
     """The comparison cochain on C (x) C' and its functor.
 
     Rows with a grouplike factor go to the matching one-letter word beside
     an identity; genuinely mixed rows go to zero.  That is a Maurer-Cartan
     element of {C (x) C', Omega C (x) Omega C'}, and its functor is the
-    comparison.  The caps bound the cobars of C (x) C' and of both factors
-    alike.
+    comparison.  ``length_cap`` bounds the cobars of C (x) C' and of both
+    factors alike; the factor cobars are built only to tensor them.
     """
     t = tensor_coalgebras(c, cp)
-    source, left, right = (
-        cobar_construction(x, length_cap=length_cap, weight_cap=weight_cap)
-        for x in (t, c, cp))
+    source, left, right = (cobar_construction(x, length_cap=length_cap)
+                           for x in (t, c, cp))
     target = tensor_dg(left.category, right.category)
     F = t.field
     xi: Dict[Key, Vec] = {}
     for tk in t.reduced.keys():
         letter = _ez_letter(tk)
         if letter is not None:
-            xi[tk] = {letter: _sign(F, _theta(tk[2]))}
+            xi[tk] = {letter: _theta(F, tk[2])}
     m = MCElement({x: x for x in t.objects}, xi)
-    return EZData(t, source, left, right, target, m,
+    return EZData(t, source, target,
                   adjunction_functor_from_mc(source, target, m))
 
 
@@ -1129,9 +1117,9 @@ def ez_generator_problems(ez: EZData) -> List[str]:
 
     One-letter words over pure rows land on their pair with coefficient
     one and mixed rows die; the two routes around a square of one-letter
-    factors agree up to the Koszul sign of the crossing.  Words the
-    source's caps drop are not checked.  A two-letter shuffle word of
-    stored letters that the caps admit but the quiver lacks is reported
+    factors agree up to the Koszul sign of the crossing.  Words past the
+    source's length cap are not checked.  A two-letter shuffle word of
+    stored letters that the cap admits but the quiver lacks is reported
     as missing.
     """
     F = ez.tensor.field
@@ -1143,18 +1131,10 @@ def ez_generator_problems(ez: EZData) -> List[str]:
     drows = sorted({(tk[0][1], tk[1][1], tk[2], tk[3][1][1])
                     for tk in ez.tensor.reduced.keys()
                     if tk[3][0][0] == "G"}, key=repr)
-    src = ez.source
-    quiver = src.category.quiver
+    quiver = ez.source.category.quiver
+    cap = ez.source.length_cap  # a word the cap drops has nothing to check
 
-    def admitted(word) -> bool:
-        # the caps keep the word, so the cobar must hold it
-        return ((src.length_cap is None or src.length_cap >= len(word))
-                and (src.weight_cap is None or
-                     sum(_letter_weight(k) for k in word) <= src.weight_cap))
-
-    for tk in ez.tensor.reduced.keys():
-        if not admitted((tk,)):
-            continue  # a letter the caps dropped has no image to check
+    for tk in ez.tensor.reduced.keys() if cap >= 1 else ():
         letter = _ez_letter(tk)
         want = {} if letter is None else {letter: F.one}
         if fun.action.get(_single_word(tk), {}) != want:
@@ -1164,7 +1144,7 @@ def ez_generator_problems(ez: EZData) -> List[str]:
         for dk in drows:
             want_key = pair_key(_single_word(ck), _single_word(dk))
             slot = ((ck[0], dk[0]), (ck[1], dk[1]), ck[2] + dk[2] + 2)
-            cross = _sign(F, -1 if ((ck[2] + 1) * (dk[2] + 1)) % 2 else 1)
+            cross = F.coerce(-1) if (ck[2] + 1) * (dk[2] + 1) % 2 else F.one
             for word, sign, route in (
                     ((rkey(ck[0], dk), lkey(ck, dk[1])), F.one, "r-then-l"),
                     ((lkey(ck, dk[0]), rkey(ck[1], dk)), cross, "l-then-r")):
@@ -1173,7 +1153,7 @@ def ez_generator_problems(ez: EZData) -> List[str]:
                     if fun.action.get(wk, {}) != {want_key: sign}:
                         problems.append(f"{route} shuffle off at {(ck, dk)}")
                 elif all(quiver.has_key(_single_word(k)) for k in word) \
-                        and admitted(word):
+                        and cap >= 2:
                     problems.append(f"shuffle word missing at {(ck, dk)}")
     return problems
 

@@ -97,13 +97,6 @@ class GradedQuiver:
         x, y, n, a = key
         return a in self.slots.get((x, y, n), ())
 
-    def shifted(self, k: int) -> "GradedQuiver":
-        """V[k]: an element of degree d lands in degree d - k."""
-        return GradedQuiver(
-            self.objects,
-            {(x, y, n - k): names for (x, y, n), names in self.slots.items()},
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GradedQuiver)

@@ -718,16 +718,20 @@ def test_functors_out_of_the_zero_category():
 
 def test_morphism_enumeration_refuses_the_final_coalgebra():
     """A CoalgebraMorphism cannot target the formal final coalgebra, the
-    bar of the zero category; the zero coalgebra, the bar of the empty
-    category, takes no morphism from a coalgebra with objects."""
+    bar of the zero category; the bar of the empty category takes no
+    morphism from a coalgebra with objects and one from the empty one.  A
+    bare zero coalgebra records no splitting, so it is refused."""
     c = COALGEBRA_LIBRARY["dag"](F3)
     for target in (FinalCoalgebra(F3), bar_construction(zero_category(F3), 2)):
         with pytest.raises(ValueError, match="cannot target the final"):
             enumerate_coalgebra_morphisms(c, target)
-    for target in (zero_coalgebra(F3), bar_construction(empty_category(F3), 2)):
-        assert enumerate_coalgebra_morphisms(c, target) == []
-    mors = enumerate_coalgebra_morphisms(zero_coalgebra(F3), zero_coalgebra(F3))
+    empty_bar = bar_construction(empty_category(F3), 2)
+    assert enumerate_coalgebra_morphisms(c, empty_bar) == []
+    mors = enumerate_coalgebra_morphisms(zero_coalgebra(F3), empty_bar)
     assert len(mors) == 1 and mors[0].validate() == []
+    for src in (c, zero_coalgebra(F3)):
+        with pytest.raises(ValueError, match="pass a bar_construction"):
+            enumerate_coalgebra_morphisms(src, zero_coalgebra(F3))
 
 
 def test_counit_of_the_empty_category():
@@ -737,6 +741,14 @@ def test_counit_of_the_empty_category():
     assert cd.bar.objects == () and cd.bar.splitting.letters == []
     assert cd.mc == MCElement({}, {})
     assert cd.functor.validate() == []
+
+
+def test_counit_of_the_zero_category_is_refused():
+    """The bar of the zero category is the formal final coalgebra, which
+    has no identity morphism for the counit to read."""
+    with pytest.raises(ValueError, match="zero category's bar is the final "
+                       "coalgebra.*nonzero units"):
+        counit_data(zero_category(F3), 2)
 
 
 def test_bar_and_cobar_record_their_inputs():
@@ -760,7 +772,7 @@ def test_bar_and_cobar_record_their_inputs():
 def test_internal_hom_sentinels():
     c = COALGEBRA_LIBRARY["dag"](F2)
     d = CATEGORY_LIBRARY["a2"](F2)
-    assert isinstance(internal_hom(c, FinalCoalgebra(F2), 3), FinalCoalgebra)
+    assert isinstance(internal_hom(c, zero_category(F2), 3), FinalCoalgebra)
     assert isinstance(internal_hom(zero_coalgebra(F2), d, 3), FinalCoalgebra)
     out = internal_hom(c, empty_category(F2), 3)
     assert out.objects == () and out.reduced.total_dim() == 0
@@ -852,7 +864,7 @@ def test_counit_of_unit_category():
 
 
 def test_counit_a2_window_is_exact():
-    cd = counit_data(CATEGORY_LIBRARY["a2"](QQ), 4, length_cap=4)
+    cd = counit_data(CATEGORY_LIBRARY["a2"](QQ), 4)
     assert cd.cobar.exact
     assert cd.functor.validate() == []
     src = cd.cobar.category

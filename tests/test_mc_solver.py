@@ -355,7 +355,8 @@ def test_negated_theta_fails_the_functor_oracle(monkeypatch):
     coordinate, and the oracle sees it."""
     from koszulcat import convmc
     theta = convmc._theta
-    monkeypatch.setattr(convmc, "_theta", lambda n: -theta(n))
+    monkeypatch.setattr(convmc, "_theta",
+                        lambda field, n: field.neg(theta(field, n)))
     F = GF(3)
     failed = []
     for cname in sorted(COALGEBRA_LIBRARY):

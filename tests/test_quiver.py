@@ -64,18 +64,6 @@ def test_empty_slots_dropped():
     assert q.degree_support() == (0, -1)  # empty support convention
 
 
-# -- shift -------------------------------------------------------------------
-
-
-def test_shift_moves_degrees_down():
-    q = GradedQuiver(("x",), {("x", "x", 2): ("a",), ("x", "x", 0): ("e",)})
-    s = q.shifted(1)
-    assert s.dim("x", "x", 1) == 1  # a in degree 2 lands in degree 1
-    assert s.dim("x", "x", -1) == 1
-    assert s.shifted(-1) == q
-    assert q.shifted(3).shifted(-1) == q.shifted(2)
-
-
 # -- tensor: Kuenneth dimensions, longhand oracle ----------------------------
 
 

@@ -18,7 +18,10 @@ word lister ``quiver.WordTrie``: bar and cotensor coalgebras rank their
 words (``quiver.Words``) instead.  Only ``bar_construction`` takes a
 ``splitting`` parameter, and only ``convmc._bar_splitting`` reads a
 coalgebra's ``.splitting``: a map into BD is read through the splitting
-BD was built on, never through one passed beside it.
+BD was built on, never through one passed beside it.  Every optional
+parameter of a public module-level function is set by some call in the
+library or the benchmark, or is listed in ``TEST_ONLY_OPTIONS`` with the
+behaviour the tests reach through it.
 """
 
 import ast
@@ -31,6 +34,7 @@ import pytest
 import koszulcat
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PERFBENCH = PYPROJECT.parent / "perfbench"
 SRC = Path(koszulcat.__file__).resolve().parent
 
 
@@ -280,3 +284,94 @@ def test_one_reader_of_the_bar_splitting():
     assert [u[:3] for u in uses] == [
         ("barcobar.py", "param", "bar_construction"),
         ("convmc.py", "read", "_bar_splitting")]
+
+
+def unset_options(defs, calls):
+    """(function, parameter) of each optional parameter of a public
+    module-level function in the sources ``defs`` that no call in the
+    sources ``calls`` sets.  A call names the function bare, through an
+    import alias (``from m import f as g``) or as any attribute ``m.f``;
+    it sets a parameter by keyword or by position, ``*args`` every
+    positional parameter from its place on, ``**kwargs`` every one."""
+    sigs = {}
+    for source in defs:
+        for node in ast.parse(source).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")):
+                a = node.args
+                pos = [x.arg for x in a.posonlyargs + a.args]
+                opt = pos[len(pos) - len(a.defaults):] if a.defaults else []
+                opt += [x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults)
+                        if d is not None]
+                sigs[node.name] = (pos, opt)
+    unset = {(f, p) for f, (_, opt) in sigs.items() for p in opt}
+    for source in calls:
+        tree = ast.parse(source)
+        alias = {a.asname: a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 for a in node.names if a.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = (alias.get(f.id, f.id) if isinstance(f, ast.Name)
+                    else getattr(f, "attr", None))
+            if name not in sigs:
+                continue
+            pos, opt = sigs[name]
+            for i, arg in enumerate(node.args):
+                unset -= {(name, p) for p in (
+                    pos[i:] if isinstance(arg, ast.Starred) else pos[i:i + 1])}
+            for kw in node.keywords:
+                unset -= {(name, p) for p in (
+                    opt if kw.arg is None else [kw.arg])}
+    return sorted(unset)
+
+
+def test_unset_options_are_caught():
+    defs = ("def search(c, d, budget=1, *, cap=None, trace=False):\n"
+            "    def inner(x=1):\n"
+            "        return x\n"
+            "def object_maps(objs, targets, limit=None):\n"
+            "    return []\n"
+            "def _private(x=0):\n"
+            "    return x\n"
+            "def relay(c, d, budget=1, cap=None):\n"
+            "    return search(c, d, budget)\n"
+            "def spread(*args, depth=0, width=0):\n"
+            "    return args\n")
+    calls = ("from .quiver import object_maps as all_object_maps\n"
+             "x = all_object_maps(a, b, 3), _private()\n"
+             "y = lib.search(c, d, cap=2), spread(1, **kw)\n"
+             "z = relay(*args), object_maps(a, b)\n")
+    assert unset_options([defs], [defs, calls]) == [("search", "trace")]
+    assert unset_options([defs], [defs]) == [
+        ("object_maps", "limit"), ("relay", "budget"), ("relay", "cap"),
+        ("search", "cap"), ("search", "trace"), ("spread", "depth"),
+        ("spread", "width")]
+
+
+# optional parameters only the tests set, each with what it reaches
+TEST_ONLY_OPTIONS = {
+    ("bar_construction", "splitting"):
+        "custom complements reach the merge-sign paths of the bar",
+    ("interchange_problems", "reduced_outer"):
+        "the interchange of the reduced convolutions, {C-bar (x) C', D}",
+    ("mc_enumerate", "object_maps"):
+        "the MC search on chosen object maps, each given map searched once",
+    ("convolution_category", "object_maps"):
+        "the convolution category on chosen object maps",
+    ("mc_category", "elements"):
+        "MC*(C, D) on supplied elements, such as the identity of a bar",
+    ("point_coalgebra", "name"):
+        "a terminal point named apart from the source's objects",
+    ("random_coalgebra", "allow_curved"):
+        "seeded uncurved coalgebras for the uncurved-only checks",
+}
+
+
+def test_every_option_has_a_caller():
+    defs = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    calls = defs + [path.read_text()
+                    for path in sorted(PERFBENCH.glob("*.py"))]
+    assert unset_options(defs, calls) == sorted(TEST_ONLY_OPTIONS)
