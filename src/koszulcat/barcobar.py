@@ -132,7 +132,7 @@ class Splitting:
                     )
                 letter_keys = [(x, x, 0, ("split", i)) for i in range(len(given))]
             if any(k not in slot_keys for v in given for k in v):
-                raise ValueError(f"complement vector at {x!r} leaves slot")
+                raise ValueError(f"complement vector at {x!r} is off its slot")
             for lk, v in zip(letter_keys, given):
                 self._vecs[lk] = _normalize({k: F.coerce(c) for k, c in v.items()})
             # the unit is named None, the letters by their keys

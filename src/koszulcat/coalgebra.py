@@ -54,8 +54,8 @@ from .field import (Field, Vec, _apply, _evaluate, _normalize, _on_leg,
                     _same_field, vec_bump)
 from .matrix import _coordinates, _rref_rows, _solution_space
 from .quiver import (GradedQuiver, Key, WordMap, WordQuiver, Words,
-                     _image_problems, _object_map_problems, has_cycle, lkey,
-                     pair_key, rkey)
+                     _key_slot, _object_map_problems, _pair_slot,
+                     _slot_problems, has_cycle, lkey, pair_key, rkey)
 
 PairVec = Dict[Tuple[Key, Key], object]
 
@@ -155,31 +155,18 @@ class PointedCoalgebra:
         return list(islice(self._problems(), max_problems))
 
     def _problems(self) -> Iterator[str]:
+        """Table hygiene, the slot rule on rDelta (each cofactor pair a
+        composable path in its key's slot) and d (one degree up), then
+        h on degree -2 endomorphisms; coassociativity; conilpotence;
+        co-Leibniz; d^2 against the curvature coaction, and h o d = 0."""
         F = self.field
         Q = self.reduced
 
-        # table hygiene and degree bookkeeping
-        for key, pairs in self.comult.items():
-            if not Q.has_key(key):
-                yield f"comultiplication of unknown key {key}"
-                continue
-            x, y, n, _ = key
-            for (a, b) in pairs:
-                if not Q.has_key(a) or not Q.has_key(b):
-                    yield f"cofactor of {key} is unknown: ({a}, {b})"
-                    continue
-                if a[0] != x or b[1] != y or a[1] != b[0]:
-                    yield f"cofactors of {key} not composable: ({a}, {b})"
-                elif a[2] + b[2] != n:
-                    yield f"cofactors of {key} have wrong total degree"
-        for key, img in self.diff.items():
-            if not Q.has_key(key):
-                yield f"differential of unknown key {key}"
-                continue
-            x, y, n, _ = key
-            for k2 in img:
-                if (k2[0], k2[1], k2[2]) != (x, y, n + 1) or not Q.has_key(k2):
-                    yield f"d{key} leaves slot ({x}, {y}, {n + 1})"
+        # table hygiene
+        yield from _slot_problems(self.comult, _key_slot(Q), _pair_slot(Q),
+                                  "comultiplication")
+        yield from _slot_problems(self.diff, _key_slot(Q, shift=1),
+                                  _key_slot(Q), "differential")
         for key, c in self.curv.items():
             if not Q.has_key(key):
                 yield f"curvature on unknown key {key}"
@@ -355,7 +342,11 @@ def zero_coalgebra(field: Field) -> PointedCoalgebra:
 
 
 def point_coalgebra(field: Field, name="pt") -> PointedCoalgebra:
-    """k[pt]: one grouplike, nothing else (the terminal object)."""
+    """k[pt]: one grouplike, nothing else; the bar of the one-object
+    category k.  Not the terminal object: a morphism C -> k[pt] is a
+    Maurer-Cartan element of C in k, and over GF(3) ``neg_primitive``
+    has 3, ``curved_chain`` none and ``dag`` 1.  The terminal object is
+    the formal ``FinalCoalgebra``."""
     return PointedCoalgebra(field, (name,), GradedQuiver((name,), {}), {})
 
 
@@ -500,7 +491,8 @@ class CoalgebraMorphism:
         yield from bad
         if bad:
             return
-        yield from _image_problems(self.action, om, src.reduced, tgt.reduced)
+        yield from _slot_problems(self.action, _key_slot(src.reduced, om),
+                                  _key_slot(tgt.reduced), "action")
         for k, c in self.twist.items():
             if not src.reduced.has_key(k):
                 yield f"twist on unknown key {k}"
@@ -556,7 +548,7 @@ def compose_morphisms(
 ) -> CoalgebraMorphism:
     """(G, b) o (F, a) = (G o F, b o F + a)."""
     if f.target is not g.source:
-        raise ValueError("morphisms not composable")
+        raise ValueError("f's target is not g's source")
     F = f.source.field
     action = {k: g.apply(v) for k, v in f.action.items()}
     twist: Dict[Key, object] = {}

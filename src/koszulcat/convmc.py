@@ -58,8 +58,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import (Field, Vec, _compose, _normalize, _same_field,
                     vec_addmul, vec_bump, vec_scale, vec_sub)
-from .quiver import (GradedQuiver, Key, _image_problems, _object_map_problems,
-                     lkey, object_maps as all_object_maps, pair_key, rkey)
+from .quiver import (GradedQuiver, Key, _key_slot, _object_map_problems,
+                     _slot_problems, lkey, object_maps as all_object_maps,
+                     pair_key, rkey)
 from .dgcat import DgCategory, DgFunctor, _products, tensor_dg
 from .matrix import _solution_space
 from .coalgebra import (
@@ -467,8 +468,8 @@ def mc_check(c: PointedCoalgebra, d: DgCategory,
     _same_field(c, d, "mc_check")
     om = dict(zip(c.objects, _om_tuple(c.objects, d.quiver.objects,
                                        cand.object_map)))
-    bad = next(_image_problems(cand.xi, om, c.reduced, d.quiver, shift=1),
-               None)
+    bad = next(_slot_problems(cand.xi, _key_slot(c.reduced, om, 1),
+                              _key_slot(d.quiver), "cochain"), None)
     if bad:
         raise ValueError(f"not a degree-1 cochain: {bad}")
     residual = {}
@@ -714,8 +715,13 @@ def internal_hom(c, d: DgCategory, weight_cap: int):
     of the construction itself: an empty C gives the one-point
     Maurer-Cartan category with zero homs, whose bar is final; an empty D
     gives no objects at all, whose bar is the zero coalgebra.  Only the
-    source may be the final coalgebra.
+    source may be the final coalgebra; a target that is no
+    ``DgCategory`` is refused.
     """
+    if not isinstance(d, DgCategory):
+        raise ValueError(
+            f"the target is a dg category D, not a {type(d).__name__}; "
+            "for the final target, pass D = zero_category(F)")
     if isinstance(c, FinalCoalgebra):
         # absorbing source: morphisms out of the final coalgebra only reach
         # zero-unit objects, so the hom collapses to a sentinel
@@ -916,10 +922,13 @@ def enumerate_dg_functors(cobar, d: DgCategory,
     rest.  Those are the Maurer-Cartan equations of xi = theta F on the
     coalgebra the cobar records, solved with one coordinate per generator
     and D-key in its slot.  F(1) = 1 sends a zero unit (the zero
-    category's) to a zero unit only.  Truncated materializations are
-    refused: they are not the cobar category; so is a category that
-    ``cobar_construction`` did not build.  Functors come per object
-    map in product order, each map's sorted by coordinate tuple.
+    category's) to a zero unit only.  A ``CobarResult`` that is not
+    exact is refused, and so is a category that ``cobar_construction``
+    did not build.  A bare cobar category is taken under a cap (a
+    one-object cobar is never exact), but the count needs every
+    generator, so one that lacks the one-letter word of a reduced key
+    is refused.  Functors come per object map in product order, each
+    map's sorted by coordinate tuple.
     """
     if isinstance(cobar, CobarResult) and not cobar.exact:
         raise ValueError(
@@ -933,6 +942,10 @@ def enumerate_dg_functors(cobar, d: DgCategory,
                          "cobar records; pass a cobar_construction result")
     if isinstance(c, FinalCoalgebra):
         c = zero_coalgebra(F)  # its cobar, the zero category, has no rows
+    for g in map(_single_word, c.reduced.keys()):
+        if not src.quiver.has_key(g):
+            raise ValueError(f"the cobar lacks the generator {g!r}; raise "
+                             "its length or weight cap")
     gens = [k for k in src.quiver.keys() if len(k[3]) == 1]
     objs = src.quiver.objects
     out: List[DgFunctor] = []

@@ -3,9 +3,10 @@
 A category is a graded quiver plus structure tables: a unit vector per
 object, a sparse composition table on basis arrows, a differential of
 degree +1, and optionally a curvature endomorphism of degree 2 per object.
-Missing table entries mean zero; every stored vector must land in the slot
-its degrees dictate, and ``validate`` re-derives all axioms from the
-stored tables:
+Missing table entries mean zero; every stored entry must sit on a known
+key and each term of its value in the slot that key dictates (the one
+slot rule, ``quiver._slot_problems``), and ``validate`` re-derives all
+axioms from the stored tables:
 
     1_y o f = f = f o 1_x            d(1_x) = 0
     (h o g) o f = h o (g o f)        d(g o f) = dg o f + (-1)^|g| g o df
@@ -49,8 +50,9 @@ from .complexes import BoundedComplex
 from .field import (Field, Vec, _apply, _compose, _normalize, _same_field,
                     vec_add, vec_bump, vec_neg, vec_sub)
 from .matrix import SparseMatrix
-from .quiver import (GradedQuiver, Key, WordTrie, _image_problems,
-                     _object_map_problems, pair_key, quiver_tensor)
+from .quiver import (GradedQuiver, Key, WordTrie, _endo_slot, _key_slot,
+                     _object_map_problems, _pair_slot, _slot_problems,
+                     pair_key, quiver_tensor)
 
 
 class DgCategory:
@@ -95,56 +97,37 @@ class DgCategory:
 
     # -- validation ---------------------------------------------------------
 
-    def _vec_ok(self, vec: Vec, slot, what: str) -> Iterator[str]:
-        for k in vec:
-            if (k[0], k[1], k[2]) != slot or not self.quiver.has_key(k):
-                yield f"{what}: component {k} outside slot {slot}"
-
     def validate(self, max_problems: int = 25) -> List[str]:
         return list(islice(self._problems(), max_problems))
 
     def _problems(self) -> Iterator[str]:
+        """Zero units, and unclosed units and curvature, per object; table
+        hygiene, the slot rule on the units (each in its object's degree-0
+        endomorphisms), d (one degree up), the composition (an entry
+        (g, f) in the slot of f followed by g) and the curvature (degree
+        2); the unit laws; associativity and Leibniz; d^2."""
         F = self.field
         Q = self.quiver
 
-        # units exist, sit in degree-0 endo slots, are closed
+        # units nonzero in a nonzero category; units and curvature closed
         for x in Q.objects:
             u = self.unit.get(x, {})
             if not u:
                 if Q.total_dim() > 0:
                     yield f"unit at {x!r} is zero in a nonzero category"
-                continue
-            yield from self._vec_ok(u, (x, x, 0), f"unit at {x!r}")
-            if self.apply_d(u):
+            elif self.apply_d(u):
                 yield f"unit at {x!r} is not closed"
-        for x in self.unit:
-            if x not in Q.objects:
-                yield f"unit at unknown object {x!r}"
-
-        # table hygiene: domains exist, images land in forced slots
-        for key, img in self.diff.items():
-            if not Q.has_key(key):
-                yield f"differential of unknown key {key}"
-                continue
-            x, y, n, _ = key
-            yield from self._vec_ok(img, (x, y, n + 1), f"d{key}")
-        for (gk, fk), img in self.comp.items():
-            if not Q.has_key(gk) or not Q.has_key(fk):
-                yield f"composition entry on unknown keys {gk}, {fk}"
-                continue
-            fx, fy, fn, _ = fk
-            gx, gy, gn, _ = gk
-            if fy != gx:
-                yield f"composition of non-composable pair {gk} o {fk}"
-                continue
-            yield from self._vec_ok(img, (fx, gy, fn + gn), f"{gk} o {fk}")
-        for x, h in self.curvature.items():
-            if x not in Q.objects:
-                yield f"curvature at unknown object {x!r}"
-                continue
-            yield from self._vec_ok(h, (x, x, 2), f"curvature at {x!r}")
-            if self.apply_d(h):
+            if self.apply_d(self.curvature.get(x, {})):
                 yield f"curvature at {x!r} is not closed"
+
+        # table hygiene
+        term = _key_slot(Q)
+        for table, slot_of, what in (
+                (self.unit, _endo_slot(Q.objects, 0), "unit"),
+                (self.diff, _key_slot(Q, shift=1), "differential"),
+                (self.comp, _pair_slot(Q, first=1), "composition"),
+                (self.curvature, _endo_slot(Q.objects, 2), "curvature")):
+            yield from _slot_problems(table, slot_of, term, what)
 
         # unit laws
         post, pre = _products(F, self.comp, self.unit)
@@ -307,8 +290,8 @@ def _in_scan_order(cases, pos: Dict[Key, int]) -> List[tuple]:
     Cases come as ``pos`` ids (the basis from 0, any other key below 0),
     sorted f first: the order of nested loops over the basis, so a
     validator that visits only some cases reports its failures in the
-    order of a full scan.  Unknown keys and non-composable pairs are left
-    to the table hygiene checks.
+    order of a full scan.  A case on a key outside the basis, or on keys
+    that do not compose, is left to the table hygiene checks.
     """
     keys = list(pos)
     cases = (tuple(keys[i] for i in c) for c in sorted(cases) if min(c) >= 0)
@@ -549,8 +532,10 @@ def opposite(c: DgCategory) -> DgCategory:
 class DgFunctor:
     """Strict functor: object map plus degree-0 action on basis arrows.
 
-    ``validate`` checks slot discipline, F(1) = 1, F(g o f) = F(g) o F(f),
-    F(df) = d(F f), and F-image of curvature equals target curvature.
+    ``validate`` checks the object map, the action by the slot rule
+    (``quiver._slot_problems``: each key's image in the slot of its
+    ends' images), F(1) = 1, F(h) = h, F(df) = d(F f) and
+    F(g o f) = F(g) o F(f).
     Composition is checked from the tables: on every stored composite,
     and on every composable pair of live keys (nonzero action); on any
     other pair both sides are 0.  The cases are checked in any order and
@@ -584,7 +569,8 @@ class DgFunctor:
         yield from bad
         if bad:
             return
-        yield from _image_problems(self.action, om, src.quiver, tgt.quiver)
+        yield from _slot_problems(self.action, _key_slot(src.quiver, om),
+                                  _key_slot(tgt.quiver), "action")
         for x in src.quiver.objects:
             if self.apply(src.unit.get(x, {})) != tgt.unit.get(om[x], {}):
                 yield f"unit at {x!r} not preserved"
@@ -623,7 +609,7 @@ def identity_functor(c: DgCategory) -> DgFunctor:
 
 def compose_functors(g: DgFunctor, f: DgFunctor) -> DgFunctor:
     if f.target is not g.source:
-        raise ValueError("functors not composable")
+        raise ValueError("f's target is not g's source")
     return DgFunctor(
         f.source,
         g.target,

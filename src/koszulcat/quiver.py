@@ -33,10 +33,14 @@ each:
   order, with the ``max_objects`` guard, and ``_object_map_problems``:
   what the functor and morphism validators report on a given one, and
   what the convolution's reader of one refuses;
-- ``_image_problems``: the slot rule of every map of basis keys, each
-  image in the slot its key's ends and degree force, shared by the
-  functor and morphism validators and ``mc_check`` (a twisting cochain
-  raises degrees by one);
+- ``_slot_problems``: the one slot rule of every stored table and map,
+  each entry on a key that forces a slot and each term of its value in
+  that slot, fed by the slot functions ``_key_slot`` (a key's own slot,
+  shifted and pushed along an object map), ``_pair_slot`` (the path of
+  a composable pair) and ``_endo_slot`` (a per-object entry).  The
+  category and coalgebra validators run it on their tables, the functor
+  and morphism validators on their actions, and ``mc_check`` on a
+  twisting cochain (shift 1);
 - ``has_cycle``: the directed-cycle check behind every finiteness
   argument (acyclic generators, conilpotence by the factor graph).
 """
@@ -109,7 +113,7 @@ class GradedQuiver:
 
 
 # ---------------------------------------------------------------------------
-# shared vocabulary: tensor keys, words, object maps, cycles
+# shared vocabulary: tensor keys, words, object maps, slots, cycles
 
 
 def pair_key(k1: Key, k2: Key) -> Key:
@@ -507,7 +511,7 @@ class WordMap:
         self._read: Dict[Key, Dict[Key, object]] = {}
 
     def ids(self, w: int) -> Dict[int, object]:
-        """The image of word w on word ids; read only."""
+        """Row w of the map, on word ids; read only."""
         row = self._rows.get(w)
         if row is None:
             row = self._rows[w] = self._rule(w, self.ids)
@@ -518,7 +522,7 @@ class WordMap:
         return {keys[i]: c for i, c in self.ids(w).items()}
 
     def get(self, key: Key, default=None):
-        """The image of a word key, or ``default`` where it is zero or the
+        """The row of a word key, or ``default`` where it is zero or the
         key is no word."""
         got = self._read.get(key)
         if got is None:
@@ -538,10 +542,10 @@ class WordTrie:
     summed letter ``weights``, listed on an integer trie: the lister of
     path categories, whose readers walk every word.  ``keys`` lists them
     by id, keyed (src, tgt, degree sum, tuple of names), each key built
-    once; ``quiver`` is their quiver and ``cut`` whether a cap dropped a
-    letter or the composite of two listed words.  ``lid[i]`` is the id
-    of letter i (None if dropped); ``parent[w]`` is w without its last
-    letter and ``tail[w]`` w without its first, both -1 for a letter.
+    once; ``cut`` is whether a cap dropped a letter or the composite of
+    two listed words.  ``lid[i]`` is the id of letter i (None if
+    dropped); ``parent[w]`` is w without its last letter and ``tail[w]``
+    w without its first, both -1 for a letter.
     With a length cap alone the ids are those of ``Words``, which ranks
     the same words instead of listing them.
 
@@ -604,10 +608,6 @@ class WordTrie:
                 parent.append(h)
                 tail.append(base + trank[a])
                 keys.append((hk[0], y, hk[2] + n, hk[3] + (name,)))
-        slots: Dict[Slot, List] = {}
-        for k in keys:
-            slots.setdefault(k[:3], []).append(k[3])
-        self.quiver = GradedQuiver(objects, slots)
         self.keys, self.parent, self.tail = keys, parent, tail
         self.cut, self.lid, self.first, self.grow = cut, lid, first, grow
         self.out, self.rank = fits[heavy], rank[heavy]
@@ -656,21 +656,50 @@ def _object_map_problems(om: Mapping, sources: Sequence,
             yield f"object map names unknown object {x!r}"
 
 
-def _image_problems(table: Mapping[Key, Mapping[Key, object]], om: Mapping,
-                    sources: GradedQuiver, targets: GradedQuiver,
-                    shift: int = 0) -> Iterator[str]:
-    """Each key of ``table`` that ``sources`` lacks, else each term of its
-    image that is no key of ``targets`` in the slot (om[x], om[y], n +
-    ``shift``) forced by its key (x, y, n); ``om`` must map every object
-    of ``sources``."""
-    for k, img in table.items():
-        if not sources.has_key(k):
-            yield f"action on unknown key {k}"
+def _key_slot(quiver: GradedQuiver, om: Optional[Mapping] = None,
+              shift: int = 0) -> Callable[[Key], Optional[Slot]]:
+    """Key (x, y, n, name) of ``quiver`` -> the slot (om[x], om[y], n +
+    ``shift``) it forces, ``om`` the identity when None; None for no key
+    of ``quiver``."""
+    has = quiver.has_key
+    if om is None:
+        return lambda k: (k[0], k[1], k[2] + shift) if has(k) else None
+    return lambda k: (om[k[0]], om[k[1]], k[2] + shift) if has(k) else None
+
+
+def _pair_slot(quiver: GradedQuiver,
+               first: int = 0) -> Callable[[Tuple[Key, Key]], Optional[Slot]]:
+    """A pair of keys of ``quiver``, item ``first`` of it walked first ->
+    the slot of that path; None unless both are keys and compose."""
+    has = quiver.has_key
+
+    def slot(pair):
+        a, b = pair[first], pair[1 - first]
+        return ((a[0], b[1], a[2] + b[2])
+                if has(a) and has(b) and a[1] == b[0] else None)
+    return slot
+
+
+def _endo_slot(objects: Iterable, n: int) -> Callable[[object], Optional[Slot]]:
+    """Object x of ``objects`` -> its endomorphism slot (x, x, n); None for
+    any other."""
+    obs = set(objects)
+    return lambda x: (x, x, n) if x in obs else None
+
+
+def _slot_problems(table: Mapping, slot_of: Callable, term_slot: Callable,
+                   what: str) -> Iterator[str]:
+    """The slot rule: each entry of ``table`` whose key ``slot_of`` gives
+    no slot, else each term of its value whose ``term_slot`` is not the
+    key's.  A message is built for a failure only."""
+    for k, v in table.items():
+        slot = slot_of(k)
+        if slot is None:
+            yield f"{what} on unknown key {k!r}"
             continue
-        slot = (om[k[0]], om[k[1]], k[2] + shift)
-        for k2 in img:
-            if k2[:3] != slot or not targets.has_key(k2):
-                yield f"image of {k} leaves its slot"
+        for t in v:
+            if term_slot(t) != slot:
+                yield f"{what} of {k!r} leaves its slot {slot}: {t!r}"
 
 
 def has_cycle(succ: Mapping[object, Iterable]) -> bool:

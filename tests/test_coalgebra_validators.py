@@ -34,25 +34,23 @@ def oracle_coalgebra_problems(c, max_problems=25):
 
     for key, pairs in c.comult.items():
         if not Q.has_key(key):
-            problems.append(f"comultiplication of unknown key {key}")
+            problems.append(f"comultiplication on unknown key {key!r}")
             continue
         x, y, n, _ = key
         for (a, b) in pairs:
-            if not Q.has_key(a) or not Q.has_key(b):
-                problems.append(f"cofactor of {key} is unknown: ({a}, {b})")
-                continue
-            if a[0] != x or b[1] != y or a[1] != b[0]:
-                problems.append(f"cofactors of {key} not composable: ({a}, {b})")
-            elif a[2] + b[2] != n:
-                problems.append(f"cofactors of {key} have wrong total degree")
+            if (not Q.has_key(a) or not Q.has_key(b) or a[0] != x
+                    or b[1] != y or a[1] != b[0] or a[2] + b[2] != n):
+                problems.append(f"comultiplication of {key!r} leaves its "
+                                f"slot {(x, y, n)}: {(a, b)!r}")
     for key, img in c.diff.items():
         if not Q.has_key(key):
-            problems.append(f"differential of unknown key {key}")
+            problems.append(f"differential on unknown key {key!r}")
             continue
         x, y, n, _ = key
         for k2 in img:
             if (k2[0], k2[1], k2[2]) != (x, y, n + 1) or not Q.has_key(k2):
-                problems.append(f"d{key} leaves slot ({x}, {y}, {n + 1})")
+                problems.append(f"differential of {key!r} leaves its slot "
+                                f"{(x, y, n + 1)}: {k2!r}")
     for key, h in c.curv.items():
         if not Q.has_key(key):
             problems.append(f"curvature on unknown key {key}")
@@ -126,13 +124,14 @@ def oracle_morphism_problems(m, max_problems=25):
         return problems
     for k, img in m.action.items():
         if not src.reduced.has_key(k):
-            problems.append(f"action on unknown key {k}")
+            problems.append(f"action on unknown key {k!r}")
             continue
         x, y, n, _ = k
         for k2 in img:
             if ((k2[0], k2[1], k2[2]) != (om[x], om[y], n)
                     or not tgt.reduced.has_key(k2)):
-                problems.append(f"image of {k} leaves its slot")
+                problems.append(f"action of {k!r} leaves its slot "
+                                f"{(om[x], om[y], n)}: {k2!r}")
     for k, t in m.twist.items():
         if not src.reduced.has_key(k):
             problems.append(f"twist on unknown key {k}")
@@ -367,11 +366,13 @@ def _twist_on_unknown_keys():
 
 # each hand-broken table and the problem it reports first
 BROKEN = {
-    _malformed_coalgebra: "comultiplication of unknown key",
+    _malformed_coalgebra: "comultiplication on unknown key",
     _malformed_morphism: "action on unknown key",
-    _unknown_cofactors: "cofactor of ('x', 'z', 0, 'm') is unknown",
-    _differential_of_unknown_keys: "differential of unknown key",
-    _differential_off_slot: "d('x', 'y', 0, 'a') leaves slot (x, y, 1)",
+    _unknown_cofactors: "comultiplication of ('x', 'z', 0, 'm') leaves its "
+                        "slot ('x', 'z', 0)",
+    _differential_of_unknown_keys: "differential on unknown key",
+    _differential_off_slot: "differential of ('x', 'y', 0, 'a') leaves its "
+                            "slot ('x', 'y', 1)",
     _curvature_on_unknown_keys: "curvature on unknown key",
     _twist_on_unknown_keys: "twist on unknown key",
 }

@@ -645,6 +645,26 @@ def test_cobar_without_its_letters_is_not_exact(tensor, cap, target, n_mc):
         enumerate_dg_functors(cob, d)
 
 
+@pytest.mark.parametrize("tensor, cap, n_mc", [
+    (False, dict(length_cap=0), 9),
+    (True, dict(weight_cap=1), 81),
+], ids=["len0", "tensor-wt1"])
+def test_bare_cobar_without_its_letters_is_refused(tensor, cap, n_mc):
+    """The bare cobar category skips the exactness check, so the search
+    refuses one that lacks a generator, naming it, instead of counting
+    the one functor that kills everything."""
+    c = COALGEBRA_LIBRARY["neg_primitive"](F3)
+    if tensor:
+        c = tensor_coalgebras(c, c)
+    d = CATEGORY_LIBRARY["dual_numbers"](F3)
+    assert len(mc_enumerate(c, d)) == n_mc
+    row = next(iter(c.reduced.keys()))
+    letter = (row[0], row[1], row[2] + 1, (row,))
+    with pytest.raises(ValueError, match=re.escape(repr(letter))
+                       + ".*raise its length or weight cap"):
+        enumerate_dg_functors(cobar_construction(c, **cap).category, d)
+
+
 def test_morphism_enumeration_refuses_small_cap():
     c = COALGEBRA_LIBRARY["dag"](F2)
     bar = bar_construction(CATEGORY_LIBRARY["a2"](F2), 1)
@@ -780,6 +800,30 @@ def test_internal_hom_sentinels():
                       FinalCoalgebra)
     out = internal_hom(FinalCoalgebra(F2), d, 3)
     assert isinstance(out, PointedCoalgebra) and out.objects == ()
+
+
+@pytest.mark.parametrize("target", ["final", "coalgebra"])
+def test_internal_hom_refuses_a_target_that_is_no_category(target):
+    """The target is the dg category D of uHom(C, BD); the final target
+    is spelled zero_category(F)."""
+    c = COALGEBRA_LIBRARY["dag"](F3)
+    d = (FinalCoalgebra(F3) if target == "final"
+         else COALGEBRA_LIBRARY["dag"](F3))
+    with pytest.raises(ValueError, match=r"zero_category\(F\)"):
+        internal_hom(c, d, 2)
+
+
+@pytest.mark.parametrize("cname, count", [
+    ("neg_primitive", 3), ("curved_chain", 0), ("dag", 1)])
+def test_point_coalgebra_is_no_terminal_object(cname, count):
+    """k[pt] = B(k) takes one morphism per MC element of C in k, which
+    may be several or none; only the formal FinalCoalgebra is terminal."""
+    c = COALGEBRA_LIBRARY[cname](F3)
+    k = CATEGORY_LIBRARY["k"](F3)
+    bk = bar_construction(k, 2)
+    assert bk.reduced.total_dim() == 0 and len(bk.objects) == 1
+    assert len(mc_enumerate(c, k)) == count
+    assert len(enumerate_coalgebra_morphisms(c, bk)) == count
 
 
 def test_internal_hom_from_point_is_bar():

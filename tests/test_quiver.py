@@ -326,7 +326,10 @@ def assert_ranked_matches_listing(objects, letters, max_len):
     assert words.get((objects[0], objects[0], 0, ("nowhere",)), "none") \
         == "none"
     assert words.id(("G", objects[0])) is None  # a grouplike leg
-    quiver, listed = WordQuiver(words), trie.quiver
+    slots = {}
+    for k in trie.keys:
+        slots.setdefault(k[:3], []).append(k[3])
+    quiver, listed = WordQuiver(words), GradedQuiver(objects, slots)
     assert list(quiver.slots.items()) == list(listed.slots.items())
     assert [list(v) for v in quiver.slots.values()] == \
         [list(v) for v in listed.slots.values()]

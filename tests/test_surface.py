@@ -21,7 +21,9 @@ coalgebra's ``.splitting``: a map into BD is read through the splitting
 BD was built on, never through one passed beside it.  Every optional
 parameter of a public module-level function is set by some call in the
 library or the benchmark, or is listed in ``TEST_ONLY_OPTIONS`` with the
-behaviour the tests reach through it.
+behaviour the tests reach through it.  In a generator named
+``*_problems``, every f-string is the whole value of a ``yield``, so a
+message is formatted only for a problem found.
 """
 
 import ast
@@ -286,6 +288,55 @@ def test_one_reader_of_the_bar_splitting():
         ("convmc.py", "read", "_bar_splitting")]
 
 
+def early_messages(source: str):
+    """(function, line) of each f-string in the own body of a generator
+    function named ``*_problems`` that is not the whole value of a
+    ``yield``: a message formatted before a check has failed.  Nested
+    functions are their own bodies; an f-string inside another (a format
+    spec) belongs to the outer one."""
+    def own(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child
+                if not isinstance(child, ast.JoinedStr):
+                    yield from own(child)
+
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and fn.name.endswith("_problems")):
+            body = list(own(fn))
+            yielded = {id(n.value) for n in body if isinstance(n, ast.Yield)}
+            if any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in body):
+                out += [(fn.name, n.lineno) for n in body
+                        if isinstance(n, ast.JoinedStr)
+                        and id(n) not in yielded]
+    return sorted(out, key=lambda x: x[1])
+
+
+def test_early_messages_are_caught():
+    assert early_messages(
+        "def _problems(self):\n"
+        "    yield f'unit at {x!r} is zero'\n"
+        "    yield from self._vec_ok(u, slot, f'unit at {x!r}')\n"
+        "    msg = f'd{key}'\n"
+        "    yield (f'a {x}' if x else 'b')\n"
+        "    yield f'{x:>{w}}' 'tail'\n"
+        "    def inner():\n"
+        "        return f'{y}'\n"
+        "def table_problems(rows):\n"
+        "    return [f'{r}' for r in rows]\n"
+        "def _report(x):\n"
+        "    yield str(f'{x}')\n"
+        ) == [("_problems", 3), ("_problems", 4), ("_problems", 5)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_messages_are_built_for_failures_only(path):
+    assert early_messages(path.read_text()) == []
+
+
 def unset_options(defs, calls):
     """(function, parameter) of each optional parameter of a public
     module-level function in the sources ``defs`` that no call in the
@@ -364,7 +415,7 @@ TEST_ONLY_OPTIONS = {
     ("mc_category", "elements"):
         "MC*(C, D) on supplied elements, such as the identity of a bar",
     ("point_coalgebra", "name"):
-        "a terminal point named apart from the source's objects",
+        "a one-point coalgebra named apart from the source's objects",
     ("random_coalgebra", "allow_curved"):
         "seeded uncurved coalgebras for the uncurved-only checks",
 }

@@ -39,10 +39,10 @@ F3 = GF(3)
 # -- the oracles -------------------------------------------------------------
 
 
-def _vec_ok(c, vec, slot, problems, what):
+def _vec_ok(c, vec, slot, problems, what, key):
     for k in vec:
         if (k[0], k[1], k[2]) != slot or not c.quiver.has_key(k):
-            problems.append(f"{what}: component {k} outside slot {slot}")
+            problems.append(f"{what} of {key!r} leaves its slot {slot}: {k!r}")
 
 
 def oracle_category_problems(c, max_problems=25):
@@ -57,35 +57,34 @@ def oracle_category_problems(c, max_problems=25):
         if not u:
             if Q.total_dim() > 0:
                 problems.append(f"unit at {x!r} is zero in a nonzero category")
-            continue
-        _vec_ok(c, u, (x, x, 0), problems, f"unit at {x!r}")
-        if c.apply_d(u):
+        elif c.apply_d(u):
             problems.append(f"unit at {x!r} is not closed")
+        if c.apply_d(c.curvature_vec(x)):
+            problems.append(f"curvature at {x!r} is not closed")
     if done():
         return problems
+    for x, u in c.unit.items():
+        if x not in Q.objects:
+            problems.append(f"unit on unknown key {x!r}")
+            continue
+        _vec_ok(c, u, (x, x, 0), problems, "unit", x)
     for key, img in c.diff.items():
         if not Q.has_key(key):
-            problems.append(f"differential of unknown key {key}")
+            problems.append(f"differential on unknown key {key!r}")
             continue
         x, y, n, _ = key
-        _vec_ok(c, img, (x, y, n + 1), problems, f"d{key}")
+        _vec_ok(c, img, (x, y, n + 1), problems, "differential", key)
     for (gk, fk), img in c.comp.items():
-        if not Q.has_key(gk) or not Q.has_key(fk):
-            problems.append(f"composition entry on unknown keys {gk}, {fk}")
+        if not Q.has_key(gk) or not Q.has_key(fk) or fk[1] != gk[0]:
+            problems.append(f"composition on unknown key {(gk, fk)!r}")
             continue
-        fx, fy, fn, _ = fk
-        gx, gy, gn, _ = gk
-        if fy != gx:
-            problems.append(f"composition of non-composable pair {gk} o {fk}")
-            continue
-        _vec_ok(c, img, (fx, gy, fn + gn), problems, f"{gk} o {fk}")
+        _vec_ok(c, img, (fk[0], gk[1], fk[2] + gk[2]), problems,
+                "composition", (gk, fk))
     for x, h in c.curvature.items():
         if x not in Q.objects:
-            problems.append(f"curvature at unknown object {x!r}")
+            problems.append(f"curvature on unknown key {x!r}")
             continue
-        _vec_ok(c, h, (x, x, 2), problems, f"curvature at {x!r}")
-        if c.apply_d(h):
-            problems.append(f"curvature at {x!r} is not closed")
+        _vec_ok(c, h, (x, x, 2), problems, "curvature", x)
     if done():
         return problems
 
@@ -152,13 +151,14 @@ def oracle_functor_problems(fn, max_problems=25):
         return problems
     for k, img in fn.action.items():
         if not src.quiver.has_key(k):
-            problems.append(f"action on unknown key {k}")
+            problems.append(f"action on unknown key {k!r}")
             continue
         x, y, n, _ = k
         for k2 in img:
             if (k2[0], k2[1], k2[2]) != (om[x], om[y], n) \
                     or not tgt.quiver.has_key(k2):
-                problems.append(f"image of {k} leaves its slot")
+                problems.append(f"action of {k!r} leaves its slot "
+                                f"{(om[x], om[y], n)}: {k2!r}")
     for x in src.quiver.objects:
         if fn.apply(src.unit_vec(x)) != tgt.unit_vec(om[x]):
             problems.append(f"unit at {x!r} not preserved")
@@ -426,7 +426,7 @@ def test_corpus_exercises_failures():
     assert len(failing) >= 40
     kinds = {m.split(" fails")[0] for v in failing for m in v.validate()}
     assert {"associativity", "Leibniz", "unit at '*' is not closed",
-            "curvature at unknown object 'ghost'"} <= kinds
+            "curvature on unknown key 'ghost'"} <= kinds
     reported = {m for _, fn in FUNCTORS for m in fn.validate()}
     assert {"unit at '0' not preserved",
             "curvature at '*' not preserved"} <= reported
@@ -440,7 +440,7 @@ def test_entry_on_unknown_key_is_reported_not_raised():
     x = ("*", "*", 0, "x")
     ghost = ("*", "*", 0, "ghost")
     c.comp[(ghost, x)] = {x: QQ.one}
-    assert any(m.startswith("composition entry on unknown keys")
+    assert any(m.startswith("composition on unknown key")
                for m in c.validate())
     assert identity_functor(c).validate() == []
 
@@ -449,7 +449,7 @@ def test_unit_and_object_map_on_unknown_object_are_reported():
     c = CATEGORY_LIBRARY["dual_numbers"](QQ)
     e = ("*", "*", 0, "e")
     c.unit["ghost"] = {e: QQ.one}
-    assert c.validate() == ["unit at unknown object 'ghost'"]
+    assert c.validate() == ["unit on unknown key 'ghost'"]
     d = CATEGORY_LIBRARY["dual_numbers"](QQ)
     fn = identity_functor(d)
     fn.object_map["ghost"] = "*"
